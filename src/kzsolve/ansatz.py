@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from .exactalg import (
     GaussianRational,
     Matrix,
+    ONE,
     ScalarLike,
     Vector,
+    ZERO,
     nullspace,
     solve_affine,
 )
 from .kzcore import KZSystem, eval_A, local_coefficients
-from .symrep import t_matrix
+from .symrep import star_apply, star_sum, t_matrix
 
 
 @dataclass(frozen=True)
@@ -236,23 +238,19 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
         raise ValueError("conditions expect simple poles and an affine polynomial")
     res = fn.residues
     qc, ql = fn.q_const, fn.q_linear
-    ident = Matrix.identity(sys.n)
-    sym = tuple(
-        (ident - P) * L for P, L in zip(sys.generators, res)
-    )
+    sym = tuple(L - star_apply(k, L) for k, L in enumerate(res, start=1))
     balance = []
-    for k in range(sys.s):
+    for k in range(1, sys.s + 1):
         acc = Vector.zero(sys.n)
-        Pk = sys.generators[k]
-        zk = sys.points[k]
-        for j in range(sys.s):
+        zk = sys.points[k - 1]
+        for j in range(1, sys.s + 1):
             if j == k:
                 continue
-            w = GaussianRational(1) / (zk - sys.points[j])
-            acc = acc + (Pk * res[j] + sys.generators[j] * res[k]).scale(w)
-        acc = acc + Pk * (ql.scale(zk) + qc)
+            w = ONE / (zk - sys.points[j - 1])
+            acc = acc + (star_apply(k, res[j - 1]) + star_apply(j, res[k - 1])).scale(w)
+        acc = acc + star_apply(k, ql.scale(zk) + qc)
         balance.append(acc)
-    growth = (ident + t_matrix(sys.n)) * ql
+    growth = ql + t_matrix(sys.n) * ql
     return ConditionReport(
         residue_symmetry=sym, pole_balance=tuple(balance), growth=growth
     )
@@ -319,10 +317,11 @@ def solve_ansatz(
 
     rows: list[list[GaussianRational]] = []
 
-    def add_equation(coeffs: dict[int, Matrix]):
+    def add_equation(terms: list[tuple[int, Matrix]]):
+        """Append n rows: the sum of M times the block u over all (u, M)."""
         for i in range(n):
-            row = [GaussianRational(0)] * width
-            for u, M in coeffs.items():
+            row = [ZERO] * width
+            for u, M in terms:
                 base = u * n
                 for c in range(n):
                     entry = M[i, c]
@@ -330,49 +329,33 @@ def solve_ansatz(
                         row[base + c] = row[base + c] + entry
             rows.append(row)
 
+    def rho_P(k: int, w: GaussianRational) -> Matrix:
+        """w * rho * P_(k+1) as a dense matrix."""
+        return star_sum([w * rho if j == k else ZERO for j in range(s)])
+
     for k in range(s):
-        Pk = sys.generators[k]
-        rho_Pk = Pk.scale(rho)
-        zk = sys.points[k]
+        loc, zk = locals_[k], sys.points[k]
         # deep pole orders -(r'+1), r' = pole_order..1
         for rp in range(p, 0, -1):
-            coeffs = {pole_block(k, rp): ident.scale(rp) + rho_Pk}
-            for r in range(rp + 1, p + 1):
-                coeffs[pole_block(k, r)] = (
-                    coeffs.get(pole_block(k, r), Matrix.zero(n, n))
-                    + locals_[k].coeff(r - rp - 1)
-                )
-            add_equation(coeffs)
+            terms = [(pole_block(k, rp), ident.scale(rp))]
+            terms += [(pole_block(k, r), loc.coeff(r - rp - 1)) for r in range(rp, p + 1)]
+            add_equation(terms)
         # surviving simple pole at z_k
-        coeffs = {}
-        for j in range(s):
-            if j == k:
-                continue
-            d = zk - sys.points[j]
-            for r in range(1, p + 1):
-                coeffs[pole_block(j, r)] = rho_Pk.scale(GaussianRational(1) / d ** r)
-        for dd in range(deg + 1):
-            coeffs[poly_block(dd)] = rho_Pk.scale(zk ** dd)
-        for r in range(1, p + 1):
-            coeffs[pole_block(k, r)] = (
-                coeffs.get(pole_block(k, r), Matrix.zero(n, n))
-                + locals_[k].coeff(r - 1)
-            )
-        add_equation(coeffs)
+        terms = [(pole_block(k, r), loc.coeff(r - 1)) for r in range(1, p + 1)]
+        terms += [
+            (pole_block(j, r), rho_P(k, ONE / (zk - zj) ** r))
+            for j, zj in enumerate(sys.points) if j != k
+            for r in range(1, p + 1)
+        ]
+        terms += [(poly_block(dd), rho_P(k, zk ** dd)) for dd in range(deg + 1)]
+        add_equation(terms)
     # growth matching at infinity; G[t] = sum_k z_k^t P_k drives the
     # large-z expansion rho*A(z) = sum_t rho*G[t] z^(-t-1)
-    moments = []
-    for t in range(deg):
-        G = Matrix.zero(n, n)
-        for k in range(s):
-            G = G + sys.generators[k].scale(sys.points[k] ** t)
-        moments.append(G)
+    minus_rho_G = [star_sum([-rho * zk ** t for zk in sys.points]) for t in range(deg)]
     for e in range(deg):
-        coeffs = {poly_block(e + 1): ident.scale(e + 1)}
-        for d in range(e + 1, deg + 1):
-            prev = coeffs.get(poly_block(d), Matrix.zero(n, n))
-            coeffs[poly_block(d)] = prev - moments[d - e - 1].scale(rho)
-        add_equation(coeffs)
+        terms = [(poly_block(e + 1), ident.scale(e + 1))]
+        terms += [(poly_block(d), minus_rho_G[d - e - 1]) for d in range(e + 1, deg + 1)]
+        add_equation(terms)
 
     kernel = nullspace(Matrix(rows))
     basis = [_function_from_flat(sys, vec, p, deg) for vec in kernel]

@@ -139,12 +139,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 
@@ -171,7 +165,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -202,10 +195,6 @@ def parse_scalar(text: str) -> GaussianRational:
             raise ValueError(f"complex literal needs two parts: {text!r}")
         return GaussianRational(_parse_rational(parts[0]), _parse_rational(parts[1]))
     return GaussianRational(_parse_rational(text))
-
-
-def format_scalar(x: GaussianRational) -> str:
-    return str(GaussianRational.coerce(x))
 
 
 class Vector:
@@ -325,9 +314,6 @@ class Matrix:
         n = columns[0].dim
         return Matrix([[col[i] for col in columns] for i in range(n)])
 
-    def column(self, j: int) -> Vector:
-        return Vector(self.data[i][j] for i in range(self.rows))
-
     def row(self, i: int) -> Vector:
         return Vector(self.data[i])
 
@@ -390,11 +376,6 @@ class Matrix:
         for i in range(self.rows):
             acc = acc + self.data[i][i]
         return acc
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return Matrix(r1 + r2 for r1, r2 in zip(self.data, other.data))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.data for a in row)
@@ -472,14 +453,12 @@ def rank(M: Matrix) -> int:
     return len(_rref(rows))
 
 
-def nullspace(M: Matrix) -> list[Vector]:
-    """Basis of the exact right nullspace {v : Mv = 0}.
+def _kernel(M: Matrix, rows, pivots: list[int]) -> list[Vector]:
+    """Kernel basis of M, one vector per free column of its (augmented) RREF.
 
-    Every returned vector is re-substituted and must give an exact zero;
-    a failure would indicate corrupted elimination and raises.
+    Every vector is re-substituted into M and must give an exact zero; a
+    failure would indicate corrupted elimination and raises.
     """
-    rows = [list(r) for r in M.data]
-    pivots = _rref(rows, pivot_width=M.cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(M.cols):
@@ -491,9 +470,16 @@ def nullspace(M: Matrix) -> list[Vector]:
             v[pc] = -rows[i][free]
         vec = Vector(v)
         if not (M * vec).is_zero():
-            raise ArithmeticError("nullspace vector failed exact re-substitution")
+            raise ArithmeticError("kernel vector failed exact re-substitution")
         basis.append(vec)
     return basis
+
+
+def nullspace(M: Matrix) -> list[Vector]:
+    """Basis of the exact right nullspace {v : Mv = 0}, certified by re-substitution."""
+    rows = [list(r) for r in M.data]
+    pivots = _rref(rows, pivot_width=M.cols)
+    return _kernel(M, rows, pivots)
 
 
 def determinant(M: Matrix) -> GaussianRational:
@@ -631,7 +617,7 @@ class AffineSolution:
 
 
 def solve_affine(A: Matrix, b: Vector) -> AffineSolution:
-    """Solve Ax = b exactly, returning a particular solution and kernel."""
+    """Solve Ax = b exactly; the particular solution and kernel are re-substituted."""
     if A.rows != b.dim:
         raise ValueError("right-hand side length must match row count")
     nrows, ncols = A.rows, A.cols
@@ -652,17 +638,7 @@ def solve_affine(A: Matrix, b: Vector) -> AffineSolution:
     x = [ZERO] * ncols
     for i, c in enumerate(pivots):
         x[c] = rows[i][ncols]
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][free]
-        kernel.append(Vector(v))
     particular = Vector(x)
     if not (A * particular - b).is_zero():
         raise ArithmeticError("affine solve failed exact re-substitution")
-    return AffineSolution(True, particular, kernel, None)
+    return AffineSolution(True, particular, _kernel(A, rows, pivots), None)

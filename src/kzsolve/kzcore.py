@@ -9,18 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import GaussianRational, Matrix, ScalarLike
-from .symrep import star_generators
+from .exactalg import GaussianRational, Matrix, ONE, ScalarLike, ZERO
+from .symrep import star_sum
 
 
 @dataclass(frozen=True)
 class KZSystem:
-    """Validated KZ system: dimension, integer coupling, poles, residues."""
+    """Validated KZ system: dimension, integer coupling, poles (residue k is P_k)."""
 
     n: int
     rho: int
     points: tuple[GaussianRational, ...]
-    generators: tuple[Matrix, ...]
 
     @property
     def s(self) -> int:
@@ -40,19 +39,15 @@ def new_system(n: int, rho: int, points: list[ScalarLike]) -> KZSystem:
         for b in range(a + 1, len(pts)):
             if pts[a] == pts[b]:
                 raise ValueError(f"pole locations must be distinct: z{a+1} == z{b+1}")
-    return KZSystem(n=n, rho=rho, points=pts, generators=tuple(star_generators(n)))
+    return KZSystem(n=n, rho=rho, points=pts)
 
 
 def eval_A(sys: KZSystem, z: ScalarLike) -> Matrix:
     """Exact value of A(z) = sum_k P_k / (z - z_k); z must avoid the poles."""
     z = GaussianRational.coerce(z)
-    out = Matrix.zero(sys.n, sys.n)
-    for zk, Pk in zip(sys.points, sys.generators):
-        d = z - zk
-        if d.is_zero():
-            raise ValueError(f"A(z) evaluated at the pole z = {zk}")
-        out = out + Pk.scale(GaussianRational(1) / d)
-    return out
+    if z in sys.points:
+        raise ValueError(f"A(z) evaluated at the pole z = {z}")
+    return star_sum([ONE / (z - zk) for zk in sys.points])
 
 
 @dataclass(frozen=True)
@@ -89,15 +84,13 @@ def local_coefficients(sys: KZSystem, k: int, order: int) -> LocalCoefficients:
         raise ValueError("expansion order must be at least -1")
     ki = k - 1
     rho = GaussianRational(sys.rho)
-    minus_one = sys.generators[ki].scale(rho)
+    zk = sys.points[ki]
+    minus_one = star_sum([rho if li == ki else ZERO for li in range(sys.s)])
     regular = []
     for j in range(order + 1):
-        acc = Matrix.zero(sys.n, sys.n)
-        sign = GaussianRational(-1 if j % 2 else 1)
-        for li, (zl, Pl) in enumerate(zip(sys.points, sys.generators)):
-            if li == ki:
-                continue
-            d = sys.points[ki] - zl
-            acc = acc + Pl.scale(sign / d ** (j + 1))
-        regular.append(acc.scale(rho))
+        sign = rho if j % 2 == 0 else -rho
+        regular.append(star_sum([
+            ZERO if li == ki else sign / (zk - zl) ** (j + 1)
+            for li, zl in enumerate(sys.points)
+        ]))
     return LocalCoefficients(pole_index=k, minus_one=minus_one, regular=tuple(regular))

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .ansatz import RationalVectorFunction, solve_ansatz
 from .kzcore import KZSystem
 from .s4explicit import FundamentalSolution
+from .symrep import star_generators
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def _coefficient_field(sys: KZSystem) -> Callable[[complex], np.ndarray]:
     poles = [p.to_complex() for p in sys.points]
     mats = [
         np.array([[e.to_complex() for e in row] for row in P.data])
-        for P in sys.generators
+        for P in star_generators(sys.n)
     ]
     def A(z: complex) -> np.ndarray:
         out = np.zeros((sys.n, sys.n), dtype=complex)
@@ -147,6 +147,10 @@ def _check_clearance(sys: KZSystem, path: Path, clearance: float):
 
 
 def _transport(sys: KZSystem, path: Path, W0: np.ndarray, tol: float):
+    # scipy.integrate costs most of the package's import time; only
+    # transport needs it, so the exact commands never load it.
+    from scipy.integrate import solve_ivp
+
     A = _coefficient_field(sys)
     rho = float(sys.rho)
     shape = W0.shape

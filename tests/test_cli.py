@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from kzsolve.cli import main
 from kzsolve.exactalg import Matrix, Vector, parse_scalar, solve_affine
@@ -183,3 +187,15 @@ class TestEigen:
         code, out, _ = run(capsys, ["eigen", "--n", "5", "--format", "text"])
         assert code == 0
         assert "overall: pass" in out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Exact commands never integrate, so importing the CLI must not pay for scipy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, kzsolve.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

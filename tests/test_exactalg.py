@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_rank, leibniz_det, random_matrix, random_scalar
+from kzsolve import exactalg
 from kzsolve.exactalg import (
     GaussianRational,
     Matrix,
@@ -212,3 +213,18 @@ class TestSolveAffine:
             assert (A * sol.particular - b).is_zero()
             for v in sol.kernel:
                 assert (A * v).is_zero()
+
+    def test_corrupted_kernel_raises(self, monkeypatch):
+        # a consistent rank-deficient system whose particular solution is
+        # untouched by the corruption: only the kernel check can catch it
+        real = exactalg._rref
+
+        def corrupt_free_column(rows, pivot_width=None):
+            pivots = real(rows, pivot_width)
+            free = next(c for c in range(pivot_width) if c not in pivots)
+            rows[0][free] = rows[0][free] + 1
+            return pivots
+
+        monkeypatch.setattr(exactalg, "_rref", corrupt_free_column)
+        with pytest.raises(ArithmeticError):
+            solve_affine(Matrix([[1, 1], [1, 1]]), Vector([2, 2]))

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from conftest import brute_rank
+from conftest import brute_rank, random_scalar
 from kzsolve.exactalg import GaussianRational, Matrix, Vector
 from kzsolve.symrep import (
     plus_minus_matrices,
     s_matrix,
+    star_apply,
     star_generators,
+    star_sum,
     t_matrix,
     t_spectrum,
     transposition_matrix,
@@ -69,6 +73,29 @@ class TestStarGenerators:
             star_generators(1)
 
 
+class TestStarAction:
+    def test_agrees_with_dense_generators(self):
+        rng = random.Random(300)
+        for n in range(2, 8):
+            gens = star_generators(n)
+            v = Vector([random_scalar(rng) for _ in range(n)])
+            w = [random_scalar(rng) for _ in range(n - 1)]
+            for k in range(1, n):
+                assert star_apply(k, v) == gens[k - 1] * v
+            total = Matrix.zero(n, n)
+            for wk, P in zip(w, gens):
+                total = total + P.scale(wk)
+            assert star_sum(w) == total
+
+    def test_errors(self):
+        v = Vector([1, 2, 3])
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                star_apply(k, v)
+        with pytest.raises(ValueError):
+            star_sum([])
+
+
 class TestPlusMinus:
     def test_degenerate_identity(self):
         lo, hi = plus_minus_matrices(Matrix.identity(3))
@@ -108,11 +135,12 @@ class TestSTMatrices:
         )
 
     def test_t_equals_generator_sum(self):
-        for n in range(2, 9):
+        for n in range(2, 13):
             total = Matrix.zero(n, n)
             for P in star_generators(n):
                 total = total + P
             assert t_matrix(n) == total
+            assert t_matrix(n) == Matrix.identity(n).scale(n - 2) + s_matrix(n)
 
     def test_row_sums(self):
         for n in (3, 4, 6):

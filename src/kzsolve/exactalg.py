@@ -366,9 +366,6 @@ class Matrix:
             )
         return self.scale(other)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.data))
-
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
@@ -554,10 +551,14 @@ def integer_eigenvalues(M: Matrix) -> dict[int, int]:
 
     Candidates come from a rational-root search: after clearing
     denominators the constant coefficient is a Gaussian integer whose
-    norm any integer root must divide in square, and a Cauchy bound
-    caps the magnitude. Each candidate is confirmed by exact evaluation
-    and its multiplicity by repeated deflation.
+    norm any integer root must divide in square. The magnitude is capped
+    by the row-sum norm, |x| <= max_i sum_j |m_ij|, with each modulus
+    over-estimated by ``abs_bound``; unlike a Cauchy bound on the
+    coefficients, this stays small when the coefficients grow. Each
+    candidate is confirmed by exact evaluation and its multiplicity by
+    repeated deflation.
     """
+    limit = int(max(sum(a.abs_bound() for a in row) for row in M.data))
     coeffs = char_poly(M)
     out: dict[int, int] = {}
     # strip zero roots
@@ -569,11 +570,6 @@ def integer_eigenvalues(M: Matrix) -> dict[int, int]:
         out[0] = zero_mult
     if len(coeffs) == 1:
         return out
-    # Cauchy-style bound on root magnitude
-    bound = Fraction(0)
-    for c in coeffs[1:]:
-        bound = max(bound, c.abs_bound())
-    limit = int(bound) + 2
     # clear denominators, norm of the constant coefficient
     lcm = 1
     for c in coeffs:

@@ -4,13 +4,17 @@ A solution that is meromorphic at a pole z_k has an expansion
 W = sum_{q >= m} b_q (z - z_k)^q with b_m != 0, and substituting it into
 W' = rho*A*W yields the order-by-order recursion
 
-    [(q+1)I - a(-1)] b_{q+1} = sum_{j >= 0} a(j) b_{q-j}
+    [tI - a(-1)] b_t = sum_{j >= 0} a(j) b_{t-1-j}
 
 with the rho-folded local coefficients a(j) of :mod:`kzsolve.kzcore`. The
-lowest order m must be an integer eigenvalue of a(-1); at any later order
-that is again an eigenvalue the solve may fail (branch dies) or pick up
-kernel freedom (new parameters). This module runs that recursion carrying
-the parameters symbolically and returns the full solution families.
+lowest order m must be an integer eigenvalue of a(-1). The recursion is
+run with the free parameters carried symbolically: at order t, with R the
+matrix whose column p is the right-hand side of parameter p, one certified
+nullspace of the bordered matrix [tI - a(-1) | -R] gives every (x, c) with
+[tI - a(-1)] x = R c. Vectors with c != 0 are the parameter combinations
+that continue (the others die at a resonance); vectors with c = 0 are fresh
+kernel freedoms, which exist exactly at the resonant orders where new
+families start. The module returns the full solution families.
 """
 
 from __future__ import annotations
@@ -130,25 +134,25 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     """All truncated series solution families at pole k, through ``order``.
 
     Runs the recursion upward from the least admissible exponent with the
-    seed freedoms carried as parameters. At each resonant order the
-    right-hand side is first projected against the left kernel (pruning
-    parameter combinations that cannot continue) and the right kernel then
-    contributes fresh parameters. One family is returned per admissible
-    starting exponent whose leading coefficient is not identically zero.
+    free parameters carried symbolically. Each order solves one bordered
+    system [tI - a(-1) | -R] (see the module docstring): its kernel vectors
+    with c != 0 recombine the carried parameters, dropping combinations
+    that cannot continue, and those with c = 0 add fresh parameters. The
+    orders that add fresh parameters are the admissible starting exponents;
+    one family is returned per start whose leading coefficient is not
+    identically zero.
     """
     m_min, m_max = exponent_window(sys, k)
     if order < m_max:
         raise ValueError(f"truncation order must reach the window end {m_max}")
     n = sys.n
     loc = local_coefficients(sys, k, max(order - 1 - m_min, -1))
-    a_m1 = loc.minus_one
-    eigs = sorted(integer_eigenvalues(a_m1))
     ident = Matrix.identity(n)
 
     basis: dict[int, list[Vector]] = {}
+    starts = []
     nparams = 0
     for t in range(m_min, order + 1):
-        L = ident.scale(t) - a_m1
         rhs = [Vector.zero(n) for _ in range(nparams)]
         for j in range(t - m_min):
             Aj = loc.coeff(j)
@@ -156,36 +160,21 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             for p in range(nparams):
                 if not src[p].is_zero():
                     rhs[p] = rhs[p] + Aj * src[p]
-        resonant = t in eigs
-        if resonant and nparams:
-            left = nullspace(L.transpose())
-            if left:
-                C = Matrix([[y.dot(col) for col in rhs] for y in left])
-                K = nullspace(C)
-                if len(K) < nparams:
-                    for q in basis:
-                        basis[q] = [_combine(basis[q], kv, n) for kv in K]
-                    rhs = [_combine(rhs, kv, n) for kv in K]
-                    nparams = len(K)
-        new_cols = []
-        for col in rhs:
-            sol = solve_affine(L, col)
-            if not sol.consistent:
-                raise ArithmeticError("recursion solve inconsistent after projection")
-            new_cols.append(sol.particular)
-        if resonant:
-            ker = nullspace(L)
-            if ker:
-                for q in basis:
-                    basis[q] = basis[q] + [Vector.zero(n)] * len(ker)
-                new_cols = new_cols + ker
-                nparams += len(ker)
-        basis[t] = new_cols
+        L = ident.scale(t) - loc.minus_one
+        bordered = Matrix([list(L.data[i]) + [-col[i] for col in rhs] for i in range(n)])
+        carried, fresh = [], []
+        for v in nullspace(bordered):
+            (fresh if all(c.is_zero() for c in v[n:]) else carried).append(v)
+        kept = carried + fresh
+        for q in basis:
+            basis[q] = [_combine(basis[q], v[n:], n) for v in kept]
+        basis[t] = [Vector(v[:n]) for v in kept]
+        nparams = len(kept)
+        if fresh:
+            starts.append(t)
 
     families = []
-    for start in eigs:
-        if nparams == 0:
-            break
+    for start in starts:
         if start == m_min:
             K = [Vector.unit(nparams, i) for i in range(nparams)]
         else:

@@ -188,6 +188,17 @@ class TestEigen:
         assert code == 0
         assert "overall: pass" in out
 
+    def test_n12_finishes(self):
+        """`kz eigen` finishes at n = 12: the root search is bounded by the size of T."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kzsolve.cli", "eigen", "--n", "12"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["spectrum"] == {"11": 1, "10": 10, "-1": 1}
+
 
 def test_cli_import_leaves_scipy_unloaded():
     """Exact commands never integrate, so importing the CLI must not pay for scipy."""

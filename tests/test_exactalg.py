@@ -177,6 +177,12 @@ class TestIntegerEigenvalues:
         M = Matrix([[0, 1], [0, 0]])
         assert integer_eigenvalues(M) == {0: 2}
 
+    def test_root_bound_is_attained(self):
+        # every row has modulus sum 1 = |eigenvalue|: the search cap is tight
+        i = GaussianRational(0, 1)
+        M = Matrix([[0, i], [-i, 0]])
+        assert integer_eigenvalues(M) == {1: 1, -1: 1}
+
 
 class TestSolveAffine:
     def test_identity_solve(self):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import brute_rank, random_points
+from kzsolve import frobenius
 from kzsolve.ansatz import RationalVectorFunction
 from kzsolve.exactalg import Matrix, Vector, integer_eigenvalues, nullspace
 from kzsolve.frobenius import (
@@ -11,7 +12,7 @@ from kzsolve.frobenius import (
     laurent_of_rational,
     recursion_defect,
 )
-from kzsolve.kzcore import local_coefficients, new_system
+from kzsolve.kzcore import LocalCoefficients, local_coefficients, new_system
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]
@@ -98,15 +99,58 @@ class TestFrobeniusSolve:
             eigs = set(
                 integer_eigenvalues(local_coefficients(sys, 2, -1).minus_one)
             )
-            for fam in frobenius_solve(sys, 2, max(2, rho)):
-                assert fam.start in eigs
-                if rho == -1:
-                    assert fam.start >= -1
+            starts = {fam.start for fam in frobenius_solve(sys, 2, max(2, rho))}
+            assert starts == eigs
+            if rho == -1:
+                assert min(starts) >= -1
 
     def test_truncation_order_too_small(self):
         sys = canon_sys(-1)
         with pytest.raises(ValueError):
             frobenius_solve(sys, 1, 0)
+
+
+def matrix_unit(i, j):
+    """The 3x3 matrix unit E_ij (1-based) with a single 1 at (i, j)."""
+    return Matrix([[int((r, c) == (i, j)) for c in range(1, 4)] for r in range(1, 4)])
+
+
+class TestResonancePruning:
+    """A resonance at which one carried parameter combination dies.
+
+    With a(-1) = E22 the orders 0 and 1 are both resonant. The seed space
+    at order 0 is span(e1, e3); a(0) sends a seed into the e2 direction,
+    which I - a(-1) cannot reach, so only the seeds that a(0) annihilates
+    continue past order 1, and order 1 adds e2 as a fresh parameter.
+    """
+
+    @pytest.mark.parametrize(
+        "a0, seed",
+        [
+            (matrix_unit(2, 1), Vector([0, 0, 1])),
+            (matrix_unit(2, 1) + matrix_unit(2, 3), Vector([-1, 0, 1])),
+        ],
+    )
+    def test_pruned_families(self, monkeypatch, a0, seed):
+        def fake_local(sys, k, order):
+            zero = Matrix.zero(3, 3)
+            regular = tuple(a0 if j == 0 else zero for j in range(order + 1))
+            return LocalCoefficients(k, matrix_unit(2, 2), regular)
+
+        monkeypatch.setattr(frobenius, "local_coefficients", fake_local)
+        sys = new_system(3, -1, [0, 1])
+        fams = frobenius_solve(sys, 1, 1)
+        zero, e2 = Vector.zero(3), Vector.unit(3, 1)
+        assert [(f.start, f.basis) for f in fams] == [
+            (0, {0: [seed, zero], 1: [zero, e2]}),
+            (1, {1: [e2]}),
+        ]
+        for fam in fams:
+            for i in range(fam.dimension):
+                params = [1 if j == i else 0 for j in range(fam.dimension)]
+                series = fam.instantiate(params)
+                for t in range(series.start, 2):
+                    assert recursion_defect(sys, series, t).is_zero()
 
 
 class TestLaurentOfRational:

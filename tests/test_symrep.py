@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -171,6 +172,14 @@ class TestTSpectrum:
             assert sum(spec.eigenvalues.values()) == n
             assert spec.least == -1
             assert spec.greatest == n - 1
+
+    def test_large_n_within_budget(self):
+        # the root search is capped by the row-sum norm of T, so its cost
+        # does not follow the characteristic polynomial's n^n coefficients
+        t0 = time.perf_counter()
+        for n in (10, 12, 16):
+            assert t_spectrum(n).eigenvalues == {n - 1: 1, n - 2: n - 2, -1: 1}
+        assert time.perf_counter() - t0 < 8.0
 
     def test_too_small(self):
         with pytest.raises(ValueError):

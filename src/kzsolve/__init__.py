@@ -12,8 +12,6 @@ from .exactalg import (
     solve_affine,
 )
 from .symrep import (
-    plus_minus_matrices,
-    s_matrix,
     star_generators,
     t_matrix,
     t_spectrum,
@@ -65,8 +63,6 @@ __all__ = [
     "nullspace",
     "parse_scalar",
     "solve_affine",
-    "plus_minus_matrices",
-    "s_matrix",
     "star_generators",
     "t_matrix",
     "t_spectrum",

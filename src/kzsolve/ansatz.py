@@ -24,7 +24,7 @@ from .exactalg import (
     solve_affine,
 )
 from .kzcore import KZSystem, eval_A, local_coefficients
-from .symrep import star_apply, star_sum, t_matrix
+from .symrep import star_act, star_apply, star_sum
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
             acc = acc + (star_apply(k, res[j - 1]) + star_apply(j, res[k - 1])).scale(w)
         acc = acc + star_apply(k, ql.scale(zk) + qc)
         balance.append(acc)
-    growth = ql + t_matrix(sys.n) * ql
+    growth = ql + star_act([ONE] * sys.s, ql)
     return ConditionReport(
         residue_symmetry=sym, pole_balance=tuple(balance), growth=growth
     )
@@ -262,7 +262,7 @@ def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector
         raise ValueError("function pole set differs from the system's")
     z = GaussianRational.coerce(z)
     lhs = fn.derivative().eval(z)
-    rhs = (eval_A(sys, z) * fn.eval(z)).scale(GaussianRational(sys.rho))
+    rhs = star_act(eval_A(sys, z), fn.eval(z)).scale(GaussianRational(sys.rho))
     return lhs - rhs
 
 
@@ -334,14 +334,15 @@ def solve_ansatz(
         return star_sum([w * rho if j == k else ZERO for j in range(s)])
 
     for k in range(s):
-        loc, zk = locals_[k], sys.points[k]
+        a = [star_sum(locals_[k].coeff(j)) for j in range(-1, p)]  # a[j + 1] is a(j)
+        zk = sys.points[k]
         # deep pole orders -(r'+1), r' = pole_order..1
         for rp in range(p, 0, -1):
             terms = [(pole_block(k, rp), ident.scale(rp))]
-            terms += [(pole_block(k, r), loc.coeff(r - rp - 1)) for r in range(rp, p + 1)]
+            terms += [(pole_block(k, r), a[r - rp]) for r in range(rp, p + 1)]
             add_equation(terms)
         # surviving simple pole at z_k
-        terms = [(pole_block(k, r), loc.coeff(r - 1)) for r in range(1, p + 1)]
+        terms = [(pole_block(k, r), a[r]) for r in range(1, p + 1)]
         terms += [
             (pole_block(j, r), rho_P(k, ONE / (zk - zj) ** r))
             for j, zj in enumerate(sys.points) if j != k

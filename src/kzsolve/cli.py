@@ -219,7 +219,7 @@ def cmd_nullspace(args) -> int:
     }
     report = _exact_report("nullspace", checks, extra)
     _emit(report, args.format)
-    return 0
+    return 0 if report["overall"] == "pass" else 1
 
 
 def cmd_series(args) -> int:
@@ -261,7 +261,7 @@ def cmd_series(args) -> int:
     }
     report = _exact_report("series", checks, extra)
     _emit(report, args.format)
-    return 0
+    return 0 if report["overall"] == "pass" else 1
 
 
 def cmd_monodromy(args) -> int:

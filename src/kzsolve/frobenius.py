@@ -6,15 +6,17 @@ W' = rho*A*W yields the order-by-order recursion
 
     [tI - a(-1)] b_t = sum_{j >= 0} a(j) b_{t-1-j}
 
-with the rho-folded local coefficients a(j) of :mod:`kzsolve.kzcore`. The
-lowest order m must be an integer eigenvalue of a(-1). The recursion is
-run with the free parameters carried symbolically: at order t, with R the
-matrix whose column p is the right-hand side of parameter p, one certified
-nullspace of the bordered matrix [tI - a(-1) | -R] gives every (x, c) with
-[tI - a(-1)] x = R c. Vectors with c != 0 are the parameter combinations
-that continue (the others die at a resonance); vectors with c = 0 are fresh
-kernel freedoms, which exist exactly at the resonant orders where new
-families start. The module returns the full solution families.
+with the rho-folded local coefficients a(j) of :mod:`kzsolve.kzcore`, star
+weight tuples that act on vectors through :func:`kzsolve.symrep.star_act`.
+The lowest order m must be an eigenvalue of a(-1) = rho*P_k, so rho or
+-rho. The recursion is run with the free parameters carried symbolically:
+at order t, with R the matrix whose column p is the right-hand side of
+parameter p, one certified nullspace of the bordered matrix
+[tI - a(-1) | -R], the only place a(-1) is densified, gives every (x, c)
+with [tI - a(-1)] x = R c. Vectors with c != 0 are the parameter
+combinations that continue (the others die at a resonance); vectors with
+c = 0 are fresh kernel freedoms, which exist exactly at the resonant orders
+where new families start. The module returns the full solution families.
 """
 
 from __future__ import annotations
@@ -23,15 +25,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .ansatz import RationalVectorFunction
-from .exactalg import (
-    GaussianRational,
-    Matrix,
-    Vector,
-    integer_eigenvalues,
-    nullspace,
-    solve_affine,
-)
+from .exactalg import GaussianRational, Matrix, Vector, nullspace, solve_affine
 from .kzcore import KZSystem, local_coefficients
+from .symrep import star_act, star_sum
 
 
 @dataclass(frozen=True)
@@ -122,12 +118,14 @@ class SeriesFamily:
 
 
 def exponent_window(sys: KZSystem, k: int) -> tuple[int, int]:
-    """Least and greatest integer eigenvalue of the folded residue rho*P_k."""
-    loc = local_coefficients(sys, k, -1)
-    eig = integer_eigenvalues(loc.minus_one)
-    if not eig:
-        raise ArithmeticError("residue matrix has no integer eigenvalues")
-    return min(eig), max(eig)
+    """Least and greatest eigenvalue of the folded residue rho*P_k.
+
+    A transposition has eigenvalues 1 (n-1 times) and -1 (once), so rho*P_k
+    has rho and -rho and the window is (-|rho|, |rho|).
+    """
+    if not (1 <= k <= sys.s):
+        raise ValueError(f"pole index {k} out of range 1..{sys.s}")
+    return -abs(sys.rho), abs(sys.rho)
 
 
 def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
@@ -148,6 +146,7 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     n = sys.n
     loc = local_coefficients(sys, k, max(order - 1 - m_min, -1))
     ident = Matrix.identity(n)
+    residue = star_sum(loc.minus_one)
 
     basis: dict[int, list[Vector]] = {}
     starts = []
@@ -159,8 +158,8 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             src = basis[t - 1 - j]
             for p in range(nparams):
                 if not src[p].is_zero():
-                    rhs[p] = rhs[p] + Aj * src[p]
-        L = ident.scale(t) - loc.minus_one
+                    rhs[p] = rhs[p] + star_act(Aj, src[p])
+        L = ident.scale(t) - residue
         bordered = Matrix([list(L.data[i]) + [-col[i] for col in rhs] for i in range(n)])
         carried, fresh = [], []
         for v in nullspace(bordered):
@@ -206,10 +205,11 @@ def recursion_defect(sys: KZSystem, series: LocalSeries, t: int) -> Vector:
     k = series.pole_index
     loc = local_coefficients(sys, k, max(t - 1 - series.start, -1))
     n = sys.n
-    lhs = (Matrix.identity(n).scale(t) - loc.minus_one) * series.coeff(t)
+    b = series.coeff(t)
+    lhs = b.scale(t) - star_act(loc.minus_one, b)
     rhs = Vector.zero(n)
     for j in range(t - series.start):
-        rhs = rhs + loc.coeff(j) * series.coeff(t - 1 - j)
+        rhs = rhs + star_act(loc.coeff(j), series.coeff(t - 1 - j))
     return lhs - rhs
 
 

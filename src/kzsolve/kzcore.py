@@ -1,16 +1,20 @@
 """Assembly of the KZ linear system W' = rho * A(z) * W and local expansions.
 
 A(z) is a sum of first-order poles whose residues are the star transposition
-matrices of S_n, one pole per generator, so s = n - 1. The local expansion
-of rho*A about a pole feeds the series recursion in :mod:`kzsolve.frobenius`.
+matrices of S_n, one pole per generator, so s = n - 1. Every operator built
+here is a weighted sum of those residues and is returned as its weight
+tuple (w_1, ..., w_s), meaning sum_k w_k P_k; :mod:`kzsolve.symrep` applies
+or densifies it. The local expansion of rho*A about a pole feeds the series
+recursion in :mod:`kzsolve.frobenius`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import GaussianRational, Matrix, ONE, ScalarLike, ZERO
-from .symrep import star_sum
+from .exactalg import GaussianRational, ONE, ScalarLike, ZERO
+
+Weights = tuple[GaussianRational, ...]
 
 
 @dataclass(frozen=True)
@@ -42,31 +46,30 @@ def new_system(n: int, rho: int, points: list[ScalarLike]) -> KZSystem:
     return KZSystem(n=n, rho=rho, points=pts)
 
 
-def eval_A(sys: KZSystem, z: ScalarLike) -> Matrix:
-    """Exact value of A(z) = sum_k P_k / (z - z_k); z must avoid the poles."""
+def eval_A(sys: KZSystem, z: ScalarLike) -> Weights:
+    """Star weights (1/(z - z_k))_k of A(z) = sum_k P_k / (z - z_k).
+
+    z must avoid the poles.
+    """
     z = GaussianRational.coerce(z)
     if z in sys.points:
         raise ValueError(f"A(z) evaluated at the pole z = {z}")
-    return star_sum([ONE / (z - zk) for zk in sys.points])
+    return tuple(ONE / (z - zk) for zk in sys.points)
 
 
 @dataclass(frozen=True)
 class LocalCoefficients:
     """rho-folded Laurent coefficients of rho*A(z) about one pole.
 
-    ``minus_one`` is the residue rho*P_k; ``regular[j]`` multiplies
-    (z - z_k)^j for j = 0..order.
+    Every coefficient is a star weight tuple. ``minus_one`` is the residue
+    rho*P_k; ``regular[j]`` multiplies (z - z_k)^j for j = 0..order.
     """
 
     pole_index: int
-    minus_one: Matrix
-    regular: tuple[Matrix, ...]
+    minus_one: Weights
+    regular: tuple[Weights, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.regular) - 1
-
-    def coeff(self, j: int) -> Matrix:
+    def coeff(self, j: int) -> Weights:
         if j == -1:
             return self.minus_one
         return self.regular[j]
@@ -85,12 +88,12 @@ def local_coefficients(sys: KZSystem, k: int, order: int) -> LocalCoefficients:
     ki = k - 1
     rho = GaussianRational(sys.rho)
     zk = sys.points[ki]
-    minus_one = star_sum([rho if li == ki else ZERO for li in range(sys.s)])
+    minus_one = tuple(rho if li == ki else ZERO for li in range(sys.s))
     regular = []
     for j in range(order + 1):
         sign = rho if j % 2 == 0 else -rho
-        regular.append(star_sum([
+        regular.append(tuple(
             ZERO if li == ki else sign / (zk - zl) ** (j + 1)
             for li, zl in enumerate(sys.points)
-        ]))
+        ))
     return LocalCoefficients(pole_index=k, minus_one=minus_one, regular=tuple(regular))

@@ -1,12 +1,13 @@
 """Natural-representation matrices of the symmetric group used as KZ residues.
 
 The residue matrices are the transpositions (1 k+1) acting on coordinates,
-the "star" generators. This is the only module that knows which coordinates
-each P_k swaps: :func:`star_apply` applies one as a coordinate swap and
-:func:`star_sum` builds a weighted sum of them as a dense arrowhead matrix.
-Their sum T and the closely related bordered matrix S govern the large-z
-behaviour of the system, so the integer spectrum of T is computed and
-sanity-checked here as well.
+the "star" generators. Outside elimination a residue operator
+sum_k w_k P_k is carried as its weight tuple w, and this is the only module
+that knows what the weights mean: :func:`star_apply` applies one P_k as a
+coordinate swap, :func:`star_act` applies a weighted sum in O(n), and
+:func:`star_sum` builds the dense arrowhead matrix for elimination. The
+generator sum T governs the large-z behaviour of the system, so its
+integer spectrum is computed and sanity-checked here as well.
 """
 
 from __future__ import annotations
@@ -69,34 +70,23 @@ def star_sum(weights: Sequence[ScalarLike]) -> Matrix:
     return Matrix(rows)
 
 
-def plus_minus_matrices(P: Matrix) -> tuple[Matrix, Matrix]:
-    """Split an involution P into the pair (I + P, I - P).
+def star_act(weights: Sequence[ScalarLike], v: Vector) -> Vector:
+    """(sum_k w_k P_k) v in O(n), without building the arrowhead.
 
-    The two factors annihilate each other, projecting (up to a factor 2)
-    onto the +1 and -1 eigenspaces of P.
+    Entry 1 is sum_k w_k v_(k+1); entry k+1 is w_k v_1 + (sum(w) - w_k) v_(k+1).
     """
-    if P.rows != P.cols:
-        raise ValueError("involution must be square")
-    ident = Matrix.identity(P.rows)
-    if P * P != ident:
-        raise ValueError("matrix is not an involution")
-    return ident + P, ident - P
-
-
-def s_matrix(n: int) -> Matrix:
-    """Bordered matrix with corner 2-n and all-ones first row/column tail."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rows = [[ZERO] * n for _ in range(n)]
-    rows[0][0] = GaussianRational(2 - n)
-    for k in range(1, n):
-        rows[0][k] = ONE
-        rows[k][0] = ONE
-    return Matrix(rows)
+    w = [GaussianRational.coerce(x) for x in weights]
+    if len(w) != v.dim - 1:
+        raise ValueError(f"{len(w)} star weights do not act on dimension {v.dim}")
+    head, tail = v[0], v.data[1:]
+    total = sum(w, ZERO)
+    out = [sum((wk * vk for wk, vk in zip(w, tail)), ZERO)]
+    out += [wk * head + (total - wk) * vk for wk, vk in zip(w, tail)]
+    return Vector(out)
 
 
 def t_matrix(n: int) -> Matrix:
-    """Sum T of the star generators, equal to (n-2)I + S."""
+    """Sum T of the star generators as a dense matrix."""
     if n < 2:
         raise ValueError("need n >= 2")
     return star_sum([ONE] * (n - 1))

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from kzsolve import ansatz, frobenius
 from kzsolve.cli import main
 from kzsolve.exactalg import Matrix, Vector, parse_scalar, solve_affine
+from kzsolve.kzcore import new_system
 
 SYS_ARGS = ["--n", "4", "--rho", "-1", "--points", "0,1,2"]
 
@@ -118,6 +120,14 @@ class TestNullspace:
         assert code == 0
         assert json.loads(out)["dimension"] == 0
 
+    def test_failed_residual_exits_1(self, capsys, monkeypatch):
+        basis = ansatz.solve_ansatz(new_system(4, -1, [0, 1, 2]))
+        monkeypatch.setattr(ansatz, "solve_ansatz", lambda sys_, **shape: basis)
+        monkeypatch.setattr(ansatz, "residual", lambda sys_, fn, z: Vector([1, 0, 0, 0]))
+        code, out, _ = run(capsys, ["nullspace", *SYS_ARGS])
+        assert code == 1
+        assert json.loads(out)["overall"] == "fail"
+
 
 class TestDeterminism:
     def test_verify_reports_byte_identical(self, capsys):
@@ -147,6 +157,16 @@ class TestSeries:
         target = Vector([parse_scalar(t) for t in ("1", "1", "-1", "-1")])
         sol = solve_affine(Matrix.from_columns(cols), target)
         assert sol.consistent
+
+    def test_zero_leading_coefficient_exits_1(self, capsys, monkeypatch):
+        zero = Vector.zero(4)
+        fam = frobenius.SeriesFamily(
+            pole_index=1, start=-1, order=3, basis={q: [zero] for q in range(-1, 4)}
+        )
+        monkeypatch.setattr(frobenius, "frobenius_solve", lambda sys_, k, order: [fam])
+        code, out, _ = run(capsys, ["series", *SYS_ARGS, "--pole", "1", "--order", "3"])
+        assert code == 1
+        assert json.loads(out)["overall"] == "fail"
 
     def test_bad_pole_index_exits_2(self, capsys):
         code, _, _ = run(capsys, ["series", *SYS_ARGS, "--pole", "7", "--order", "3"])

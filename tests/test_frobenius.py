@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from kzsolve.frobenius import (
     recursion_defect,
 )
 from kzsolve.kzcore import LocalCoefficients, local_coefficients, new_system
+from kzsolve.symrep import star_sum
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]
@@ -37,13 +39,44 @@ class TestExponentWindow:
         sys = canon_sys(2)
         assert exponent_window(sys, 1) == (-2, 2)
 
+    @staticmethod
+    def residue(sys, k):
+        return star_sum(local_coefficients(sys, k, -1).minus_one)
+
+    def test_closed_form_matches_integer_spectrum(self):
+        for n in range(3, 8):
+            for rho in range(-3, 4):
+                sys = new_system(n, rho, list(range(n - 1)))
+                for k in (1, n - 1):
+                    eig = integer_eigenvalues(self.residue(sys, k))
+                    assert sum(eig.values()) == n
+                    assert exponent_window(sys, k) == (min(eig), max(eig))
+
+    def test_closed_form_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(3, 8):
+            for rho in range(-3, 4):
+                sys = new_system(n, rho, list(range(n - 1)))
+                for k in range(1, n):
+                    dense = self.residue(sys, k)
+                    M = sympy.Matrix(n, n, lambda i, j: int(dense[i, j].re))
+                    eig = M.eigenvals()
+                    assert exponent_window(sys, k) == (min(eig), max(eig))
+
+    def test_pole_index_out_of_range(self):
+        for n in (3, 5):
+            sys = new_system(n, -1, list(range(n - 1)))
+            for k in (0, n):
+                with pytest.raises(ValueError):
+                    exponent_window(sys, k)
+
 
 class TestFrobeniusSolve:
     def test_seed_space_dimension(self):
         # the seed equation at the lowest order is (-I - a(-1)) b = 0,
         # i.e. the +1 eigenspace of the transposition: dimension 3
         sys = canon_sys(-1)
-        a = local_coefficients(sys, 1, -1).minus_one
+        a = star_sum(local_coefficients(sys, 1, -1).minus_one)
         seed = nullspace(Matrix.identity(4).scale(-1) - a)
         assert len(seed) == 3
 
@@ -97,7 +130,7 @@ class TestFrobeniusSolve:
         for rho in (-1, 1, 2):
             sys = canon_sys(rho)
             eigs = set(
-                integer_eigenvalues(local_coefficients(sys, 2, -1).minus_one)
+                integer_eigenvalues(star_sum(local_coefficients(sys, 2, -1).minus_one))
             )
             starts = {fam.start for fam in frobenius_solve(sys, 2, max(2, rho))}
             assert starts == eigs
@@ -110,40 +143,40 @@ class TestFrobeniusSolve:
             frobenius_solve(sys, 1, 0)
 
 
-def matrix_unit(i, j):
-    """The 3x3 matrix unit E_ij (1-based) with a single 1 at (i, j)."""
-    return Matrix([[int((r, c) == (i, j)) for c in range(1, 4)] for r in range(1, 4)])
-
-
 class TestResonancePruning:
-    """A resonance at which one carried parameter combination dies.
+    """Resonances at which carried parameter combinations die.
 
-    With a(-1) = E22 the orders 0 and 1 are both resonant. The seed space
-    at order 0 is span(e1, e3); a(0) sends a seed into the e2 direction,
-    which I - a(-1) cannot reach, so only the seeds that a(0) annihilates
-    continue past order 1, and order 1 adds e2 as a fresh parameter.
+    n = 3 with star-weight fakes a(-1) = rho*P_1, a(0) = P_2 and a(j >= 1) = 0.
+    For rho = -1 the seeds at order -1 are the +1 eigenvectors (a, a, c) of
+    P_1; at order 1 the right-hand side is (2 3) applied to the seed, which
+    I + P_1 reaches only when a = c, so two carried parameters become one
+    and order 1 adds the -1 eigenvector of P_1 as a fresh parameter. For
+    rho = 1 the order -1 seed (1, -1, 0) dies at order 1 altogether.
     """
 
     @pytest.mark.parametrize(
-        "a0, seed",
+        "rho, expected",
         [
-            (matrix_unit(2, 1), Vector([0, 0, 1])),
-            (matrix_unit(2, 1) + matrix_unit(2, 3), Vector([-1, 0, 1])),
+            (-1, [
+                (-1, {-1: [[1, 1, 1], [0, 0, 0]], 0: [[1, 1, 1], [0, 0, 0]],
+                      1: [[1, 0, Fraction(1, 2)], [-1, 1, 0]]}),
+                (1, {1: [[-1, 1, 0]]}),
+            ]),
+            (1, [(1, {1: [[1, 1, 0], [0, 0, 1]]})]),
         ],
+        ids=["rho-1", "rho+1"],
     )
-    def test_pruned_families(self, monkeypatch, a0, seed):
+    def test_pruned_families(self, monkeypatch, rho, expected):
         def fake_local(sys, k, order):
-            zero = Matrix.zero(3, 3)
-            regular = tuple(a0 if j == 0 else zero for j in range(order + 1))
-            return LocalCoefficients(k, matrix_unit(2, 2), regular)
+            regular = tuple((0, 1) if j == 0 else (0, 0) for j in range(order + 1))
+            return LocalCoefficients(k, (rho, 0), regular)
 
         monkeypatch.setattr(frobenius, "local_coefficients", fake_local)
-        sys = new_system(3, -1, [0, 1])
+        sys = new_system(3, rho, [0, 1])
         fams = frobenius_solve(sys, 1, 1)
-        zero, e2 = Vector.zero(3), Vector.unit(3, 1)
         assert [(f.start, f.basis) for f in fams] == [
-            (0, {0: [seed, zero], 1: [zero, e2]}),
-            (1, {1: [e2]}),
+            (start, {q: [Vector(c) for c in cols] for q, cols in basis.items()})
+            for start, basis in expected
         ]
         for fam in fams:
             for i in range(fam.dimension):

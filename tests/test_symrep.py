@@ -3,11 +3,10 @@ import time
 
 import pytest
 
-from conftest import brute_rank, random_scalar
-from kzsolve.exactalg import GaussianRational, Matrix, Vector
+from conftest import random_scalar
+from kzsolve.exactalg import Matrix, Vector
 from kzsolve.symrep import (
-    plus_minus_matrices,
-    s_matrix,
+    star_act,
     star_apply,
     star_generators,
     star_sum,
@@ -15,10 +14,6 @@ from kzsolve.symrep import (
     t_spectrum,
     transposition_matrix,
 )
-
-
-def rows_of(M):
-    return [list(r) for r in M.data]
 
 
 class TestTranspositionMatrix:
@@ -87,6 +82,12 @@ class TestStarAction:
             for wk, P in zip(w, gens):
                 total = total + P.scale(wk)
             assert star_sum(w) == total
+            sparse = [wk if rng.random() < 0.5 else 0 for wk in w]
+            for weights in (w, sparse, [0] * (n - 1)):
+                expected = Vector.zero(n)
+                for wk, P in zip(weights, gens):
+                    expected = expected + (P * v).scale(wk)
+                assert star_act(weights, v) == expected
 
     def test_errors(self):
         v = Vector([1, 2, 3])
@@ -95,40 +96,12 @@ class TestStarAction:
                 star_apply(k, v)
         with pytest.raises(ValueError):
             star_sum([])
-
-
-class TestPlusMinus:
-    def test_degenerate_identity(self):
-        lo, hi = plus_minus_matrices(Matrix.identity(3))
-        assert lo == Matrix.identity(3).scale(2)
-        assert hi == Matrix.zero(3, 3)
-
-    def test_transposition_ranks(self):
-        P = transposition_matrix(4, 1, 2)
-        lo, hi = plus_minus_matrices(P)
-        assert brute_rank(lo) == 3
-        assert brute_rank(hi) == 1
-
-    def test_complementary_and_annihilating(self):
-        for P in star_generators(5):
-            lo, hi = plus_minus_matrices(P)
-            assert lo + hi == Matrix.identity(5).scale(2)
-            assert (lo * hi).is_zero()
-
-    def test_rejects_non_involution(self):
-        with pytest.raises(ValueError):
-            plus_minus_matrices(Matrix([[1, 1], [0, 1]]))
+        for weights in ([], [1], [1, 2, 3]):
+            with pytest.raises(ValueError):
+                star_act(weights, v)
 
 
 class TestSTMatrices:
-    def test_s_matrix_4(self):
-        assert rows_of(s_matrix(4)) == [
-            [GaussianRational(-2), GaussianRational(1), GaussianRational(1), GaussianRational(1)],
-            [GaussianRational(1), GaussianRational(0), GaussianRational(0), GaussianRational(0)],
-            [GaussianRational(1), GaussianRational(0), GaussianRational(0), GaussianRational(0)],
-            [GaussianRational(1), GaussianRational(0), GaussianRational(0), GaussianRational(0)],
-        ]
-
     def test_t_matrix_4(self):
         # frozen from the sum of the three star generators
         assert t_matrix(4) == Matrix(
@@ -141,7 +114,6 @@ class TestSTMatrices:
             for P in star_generators(n):
                 total = total + P
             assert t_matrix(n) == total
-            assert t_matrix(n) == Matrix.identity(n).scale(n - 2) + s_matrix(n)
 
     def test_row_sums(self):
         for n in (3, 4, 6):

@@ -4,6 +4,12 @@ Scalars are Gaussian rationals (complex numbers with rational real and
 imaginary parts), carried by ``fractions.Fraction``. Everything downstream
 (matrix assembly, nullspaces, residue checks) relies on these operations
 being exact, so no floats appear anywhere in this module.
+
+Elimination is the exception to the scalar type: one fraction-free
+(Bareiss) Gauss-Jordan loop, ``_bareiss``, clears each row to Gaussian
+integers and works on plain Python ints, and serves RREF, ranks,
+nullspaces, affine solves and determinants. Its results are converted
+back to ``GaussianRational`` values only once, at the end.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
@@ -360,8 +366,11 @@ class Matrix:
         if isinstance(other, Vector):
             if self.cols != other.dim:
                 raise ValueError("matrix/vector shape mismatch")
+            # only products of two nonzero entries: assembled systems and
+            # kernel vectors are mostly exact zeros
+            support = [(j, b) for j, b in enumerate(other.data) if not b.is_zero()]
             return Vector(
-                sum((a * b for a, b in zip(row, other.data)), ZERO)
+                sum((row[j] * b for j, b in support if not row[j].is_zero()), ZERO)
                 for row in self.data
             )
         return self.scale(other)
@@ -401,47 +410,117 @@ class Matrix:
 # -- elimination ------------------------------------------------------------
 
 
-def _rref(rows: list[list[GaussianRational]], pivot_width: int | None = None):
-    """In-place reduced row echelon form; returns pivot column indices.
+def _bareiss(rows: Sequence[Sequence[GaussianRational]], width: int):
+    """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
-    Division-based Gauss-Jordan: each pivot row is normalized immediately
-    and eliminated above and below. With canonical-form rational entries
-    this keeps coefficients small on dense systems, where cross-multiplying
-    variants double entry sizes per step. Pivot search is restricted to the
-    first ``pivot_width`` columns; trailing columns (augmentations) are
-    transformed but never chosen as pivots.
+    Row i is cleared to Gaussian integers by the lcm ``D[i]`` of its
+    denominators and kept as parallel lists of real and imaginary int
+    parts; ``rows`` itself is not modified. Pivots follow the rule of
+    division-based Gauss-Jordan: column by column below ``width``, the
+    first row at or below the current one with a nonzero entry there.
+
+    Bareiss's update turns every other row a into (p*a - f*b) / q, with b
+    the pivot row, p its pivot, f the entry of a in the pivot column and q
+    the previous pivot; by Sylvester's identity each entry is then a minor
+    of the cleared matrix, so the division is exact. A row with f = 0
+    would only be scaled by p/q, so that scaling is deferred: each row
+    keeps in ``scale[i]`` the pivot it was last updated with and divides
+    by that instead of q. A pivot row is brought up to the current scale
+    before it is used.
+
+    Returns ``(re, im, D, pivots, scale, swaps)``. At the end pivot row i
+    is ``scale[i]`` times its RREF row and every other row i is
+    ``scale[i] * D[i]`` times the row division-based Gauss-Jordan leaves
+    there. ``swaps`` counts row exchanges. Square and of full rank, the
+    last pivot ``scale[-1]`` is the determinant of the cleared matrix up
+    to the sign ``(-1) ** swaps``.
     """
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    width = ncols if pivot_width is None else pivot_width
+    re, im, D = [], [], []
+    for row in rows:
+        d = lcm(*(a.re.denominator for a in row), *(a.im.denominator for a in row))
+        D.append(d)
+        re.append([a.re.numerator * (d // a.re.denominator) for a in row])
+        im.append([a.im.numerator * (d // a.im.denominator) for a in row])
+    nrows = len(re)
+    scale = [(1, 0)] * nrows
     pivots: list[int] = []
+    swaps = 0
+    q = (1, 0)
     r = 0
     for c in range(width):
-        piv = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if re[i][c] or im[i][c]), None)
         if piv is None:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        if pv != ONE:
-            rows[r] = [a / pv for a in rows[r]]
-        prow = rows[r]
+            for v in (re, im, D, scale):
+                v[r], v[piv] = v[piv], v[r]
+            swaps += 1
+        if scale[r] != q:
+            # times q / scale[r], as (q * conj(scale[r])) / |scale[r]|^2
+            (qr, qi), (lr, li) = q, scale[r]
+            n = lr * lr + li * li
+            sr, si = qr * lr + qi * li, qi * lr - qr * li
+            ar, ai = re[r], im[r]
+            re[r] = [(sr * x - si * y) // n for x, y in zip(ar, ai)]
+            im[r] = [(sr * y + si * x) // n for x, y in zip(ar, ai)]
+        br, bi = re[r], im[r]
+        pr, pi = q = scale[r] = (br[c], bi[c])
         for i in range(nrows):
-            if i == r:
+            ar, ai = re[i], im[i]
+            fr, fi = ar[c], ai[c]
+            if i == r or not (fr or fi):
                 continue
-            f = rows[i][c]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+            # (p*a - f*b) / l with l = scale[i], as (p*conj(l)*a - f*conj(l)*b) / |l|^2
+            lr, li = scale[i]
+            n = lr * lr + li * li
+            sr, si = pr * lr + pi * li, pi * lr - pr * li
+            gr, gi = fr * lr + fi * li, fi * lr - fr * li
+            re[i] = [
+                (sr * x - si * y - gr * u + gi * v) // n
+                for x, y, u, v in zip(ar, ai, br, bi)
+            ]
+            im[i] = [
+                (sr * y + si * x - gr * v - gi * u) // n
+                for x, y, u, v in zip(ar, ai, br, bi)
+            ]
+            scale[i] = q
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return re, im, D, pivots, scale, swaps
+
+
+def _quotient(x: int, y: int, s: tuple[int, int]) -> GaussianRational:
+    """The Gaussian rational (x + y*i) / s for a nonzero Gaussian integer s."""
+    if not (x or y):
+        return ZERO
+    sr, si = s
+    if si == 0:
+        return GaussianRational(Fraction(x, sr), Fraction(y, sr))
+    n = sr * sr + si * si
+    return GaussianRational(Fraction(x * sr + y * si, n), Fraction(y * sr - x * si, n))
+
+
+def _rref(rows: list[list[GaussianRational]], pivot_width: int | None = None):
+    """In-place reduced row echelon form; returns pivot column indices.
+
+    Pivot search is restricted to the first ``pivot_width`` columns;
+    trailing columns (augmentations) are transformed but never chosen as
+    pivots. The rows written back are exactly those division-based
+    Gauss-Jordan would leave, pivot rows normalized and the rows below the
+    rank reduced, but the elimination itself runs fraction-free on
+    Gaussian integers (``_bareiss``) and each row is divided by its
+    Bareiss scale once at the end.
+    """
+    if not rows:
+        return []
+    width = len(rows[0]) if pivot_width is None else pivot_width
+    re, im, D, pivots, scale, _ = _bareiss(rows, width)
+    for i in range(len(rows)):
+        sr, si = scale[i]
+        s = (sr, si) if i < len(pivots) else (sr * D[i], si * D[i])
+        rows[i] = [_quotient(x, y, s) for x, y in zip(re[i], im[i])]
     return pivots
 
 
@@ -480,32 +559,15 @@ def nullspace(M: Matrix) -> list[Vector]:
 
 
 def determinant(M: Matrix) -> GaussianRational:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant, (-1)^swaps times the last Bareiss pivot over prod D_i."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    n = M.rows
-    a = [list(row) for row in M.data]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = None
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                return ZERO
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pk * a[i][j] - a[i][k] * a[k][j]) / prev
-            a[i][k] = ZERO
-        prev = pk
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    _, _, D, pivots, scale, swaps = _bareiss(M.data, M.cols)
+    if len(pivots) < M.rows:
+        return ZERO
+    den = -prod(D) if swaps % 2 else prod(D)
+    pr, pi = scale[-1]
+    return GaussianRational(Fraction(pr, den), Fraction(pi, den))
 
 
 def char_poly(M: Matrix) -> list[GaussianRational]:

@@ -3,14 +3,17 @@
 The determinant and rank oracles deliberately avoid the library's
 elimination code: determinants come from the Leibniz permutation
 expansion and ranks from exhaustive minor search, so they can vouch for
-the fast implementations.
+the fast implementations. ``reference_rref`` is plain division-based
+Gauss-Jordan elimination on ``GaussianRational`` rows; the pivots and
+rows it leaves are exactly what the library's fraction-free ``_rref``
+must return and write back.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from kzsolve.exactalg import GaussianRational, Matrix
+from kzsolve.exactalg import ONE, GaussianRational, Matrix
 
 
 def perm_sign(p):
@@ -46,6 +49,50 @@ def brute_rank(M: Matrix) -> int:
                 if not leibniz_det(sub).is_zero():
                     return size
     return 0
+
+
+def reference_rref(rows, pivot_width=None):
+    """In-place reduced row echelon form; returns pivot column indices.
+
+    Division-based Gauss-Jordan: each pivot row is normalized immediately
+    and eliminated above and below. With canonical-form rational entries
+    this keeps coefficients small on dense systems, where cross-multiplying
+    variants double entry sizes per step. Pivot search is restricted to the
+    first ``pivot_width`` columns; trailing columns (augmentations) are
+    transformed but never chosen as pivots.
+    """
+    if not rows:
+        return []
+    nrows, ncols = len(rows), len(rows[0])
+    width = ncols if pivot_width is None else pivot_width
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        piv = None
+        for i in range(r, nrows):
+            if not rows[i][c].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        if pv != ONE:
+            rows[r] = [a / pv for a in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f.is_zero():
+                continue
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from kzsolve.ansatz import (
     sample_points,
     solve_ansatz,
 )
-from kzsolve.exactalg import GaussianRational, Vector
+from kzsolve.exactalg import GaussianRational, Vector, parse_scalar
 from kzsolve.kzcore import new_system
 from kzsolve.s4explicit import y1, y2, y3, y4
 
@@ -184,6 +185,25 @@ class TestSolveAnsatz:
         sys = new_system(5, -1, [0, 1, 2, 3])
         basis = solve_ansatz(sys)
         assert len(basis) == 5
+        for fn in basis:
+            assert check_conditions(sys, fn).passed
+
+    def test_gaussian_pivots_stay_bounded(self):
+        # complex pivots leave Gaussian prime factors that no integer gcd
+        # removes, so only exact division by the previous pivot keeps the
+        # elimination's entries small on these poles
+        points = [parse_scalar(z) for z in ("-3/2", "(0,1/3)", "1/2")]
+        t0 = time.perf_counter()
+        basis = solve_ansatz(new_system(4, -2, points), pole_order=2, poly_degree=1)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(basis) == 3
+
+    def test_n8_within_budget(self):
+        sys = new_system(8, -1, list(range(7)))
+        t0 = time.perf_counter()
+        basis = solve_ansatz(sys)
+        assert time.perf_counter() - t0 < 4.0
+        assert len(basis) == 8
         for fn in basis:
             assert check_conditions(sys, fn).passed
 

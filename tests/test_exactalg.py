@@ -3,9 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_rank, leibniz_det, random_matrix, random_scalar
+from conftest import (
+    brute_rank,
+    leibniz_det,
+    random_matrix,
+    random_scalar,
+    reference_rref,
+)
 from kzsolve import exactalg
 from kzsolve.exactalg import (
+    ONE,
+    ZERO,
     GaussianRational,
     Matrix,
     Vector,
@@ -75,6 +83,75 @@ class TestScalarArithmetic:
         assert x ** (-1) == GaussianRational(0, -1)
 
 
+def sparse_rows(rng, nrows, ncols, zero_density, span=5):
+    return [
+        [ZERO if rng.random() < zero_density else random_scalar(rng, span) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+class TestMatrixVector:
+    def test_zero_rows_and_entries(self):
+        rng = random.Random(110)
+        rows = sparse_rows(rng, 5, 6, 0.7)
+        rows[2] = [ZERO] * 6
+        M = Matrix(rows)
+        for density in (0, 0.5):
+            v = Vector(sparse_rows(rng, 1, 6, density)[0])
+            assert M * v == Vector(M.row(i).dot(v) for i in range(M.rows))
+
+
+class TestRref:
+    def test_matches_division_reference(self):
+        # equal pivots and equal rows, including the reduced rows below the
+        # rank, whose trailing identity block holds solve_affine's certificates
+        rng = random.Random(108)
+        for trial in range(300):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+            rows = sparse_rows(rng, nrows, ncols, rng.choice((0, 0.3, 0.7)))
+            if nrows > 1 and rng.random() < 0.4:
+                src, dst = rng.sample(range(nrows), 2)
+                c = random_scalar(rng, span=4)
+                rows[dst] = [c * a for a in rows[src]]
+            width = None
+            if trial % 2:
+                rows = [
+                    row + [random_scalar(rng)] + [ONE if j == i else ZERO for j in range(nrows)]
+                    for i, row in enumerate(rows)
+                ]
+                width = ncols
+            ours = [list(r) for r in rows]
+            ref = [list(r) for r in rows]
+            assert exactalg._rref(ours, width) == reference_rref(ref, width)
+            assert [[str(a) for a in r] for r in ours] == [[str(a) for a in r] for r in ref]
+
+    def test_rank_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        def to_sympy(a):
+            return sympy.Rational(a.re.numerator, a.re.denominator) + sympy.I * sympy.Rational(
+                a.im.numerator, a.im.denominator
+            )
+
+        rng = random.Random(109)
+        deficient = 0
+        for trial in range(20):
+            rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+            if trial % 2:
+                # a product through k < min(rows, cols) has rank at most k
+                k = rng.randint(1, min(rows, cols) - 1)
+                M = Matrix(sparse_rows(rng, rows, k, 0.3)) * Matrix(sparse_rows(rng, k, cols, 0.3))
+            else:
+                M = Matrix(sparse_rows(rng, rows, cols, 0.3))
+            expected = DomainMatrix.from_Matrix(
+                sympy.Matrix([[to_sympy(a) for a in row] for row in M.data])
+            ).rank()
+            assert rank(M) == expected
+            deficient += expected < min(rows, cols)
+        assert deficient >= 10
+
+
 class TestNullspace:
     def test_identity_full_rank(self):
         assert nullspace(Matrix.identity(2)) == []
@@ -131,6 +208,18 @@ class TestDeterminant:
         for _ in range(15):
             M = random_matrix(rng, 4)
             assert determinant(M) == leibniz_det(M)
+        for trial in range(60):
+            n = 1 + trial % 5
+            rows = sparse_rows(rng, n, n, (0, 0.5, 0.8)[trial % 3], span=4)
+            if n > 1 and trial % 4 == 0:
+                src, dst = rng.sample(range(n), 2)
+                rows[dst] = list(rows[src])
+            M = Matrix(rows)
+            assert determinant(M) == leibniz_det(M)
+
+    def test_swap_with_complex_pivot(self):
+        i = GaussianRational(0, 1)
+        assert determinant(Matrix([[0, i], [i, 0]])) == GaussianRational(1)
 
     def test_multiplicative_random(self):
         rng = random.Random(104)
@@ -234,3 +323,5 @@ class TestSolveAffine:
         monkeypatch.setattr(exactalg, "_rref", corrupt_free_column)
         with pytest.raises(ArithmeticError):
             solve_affine(Matrix([[1, 1], [1, 1]]), Vector([2, 2]))
+        with pytest.raises(ArithmeticError):
+            nullspace(Matrix([[1, 1], [1, 1]]))

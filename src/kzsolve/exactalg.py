@@ -7,9 +7,12 @@ being exact, so no floats appear anywhere in this module.
 
 Elimination is the exception to the scalar type: one fraction-free
 (Bareiss) Gauss-Jordan loop, ``_bareiss``, clears each row to Gaussian
-integers and works on plain Python ints, and serves RREF, ranks,
-nullspaces, affine solves and determinants. Its results are converted
-back to ``GaussianRational`` values only once, at the end.
+integers and works on plain Python ints, and serves RREF, nullspaces,
+affine solves and determinants. Its results are converted back to
+``GaussianRational`` values only once, at the end. A ``Matrix`` multiplies
+vectors and scalars, never another matrix: the one spectrum needed is that
+of an arrowhead, whose characteristic polynomial :func:`char_poly` expands
+from the head, diagonal and border alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
@@ -350,19 +353,6 @@ class Matrix:
         return self.scale(s)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("matrix shape mismatch")
-            ot = list(zip(*other.data))
-            out = []
-            for row in self.data:
-                out.append(
-                    [
-                        sum((a * b for a, b in zip(row, col)), ZERO)
-                        for col in ot
-                    ]
-                )
-            return Matrix(out)
         if isinstance(other, Vector):
             if self.cols != other.dim:
                 raise ValueError("matrix/vector shape mismatch")
@@ -374,14 +364,6 @@ class Matrix:
                 for row in self.data
             )
         return self.scale(other)
-
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.data[i][i]
-        return acc
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.data for a in row)
@@ -524,11 +506,6 @@ def _rref(rows: list[list[GaussianRational]], pivot_width: int | None = None):
     return pivots
 
 
-def rank(M: Matrix) -> int:
-    rows = [list(r) for r in M.data]
-    return len(_rref(rows))
-
-
 def _kernel(M: Matrix, rows, pivots: list[int]) -> list[Vector]:
     """Kernel basis of M, one vector per free column of its (augmented) RREF.
 
@@ -570,27 +547,6 @@ def determinant(M: Matrix) -> GaussianRational:
     return GaussianRational(Fraction(pr, den), Fraction(pi, den))
 
 
-def char_poly(M: Matrix) -> list[GaussianRational]:
-    """Monic characteristic polynomial of M, coefficients of det(xI - M).
-
-    Returned in descending powers: [1, c1, ..., cn]. Computed by the
-    Faddeev-LeVerrier trace recursion, exact over the rationals.
-    """
-    if M.rows != M.cols:
-        raise ValueError("char_poly needs a square matrix")
-    n = M.rows
-    ident = Matrix.identity(n)
-    coeffs = [ONE]
-    N = M
-    c = -N.trace()
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        N = M * (N + ident.scale(c))
-        c = -(N.trace() / k)
-        coeffs.append(c)
-    return coeffs
-
-
 def _poly_eval(coeffs: Sequence[GaussianRational], x: GaussianRational):
     acc = coeffs[0]
     for c in coeffs[1:]:
@@ -608,20 +564,49 @@ def _poly_deflate(coeffs, x):
     return out[:-1]
 
 
-def integer_eigenvalues(M: Matrix) -> dict[int, int]:
-    """All integer eigenvalues of M with algebraic multiplicities.
+def char_poly(head: ScalarLike, diagonal: Sequence, border: Sequence) -> list[GaussianRational]:
+    """Monic det(xI - M) in descending powers, [1, c1, ..., cn], for an arrowhead M.
 
-    Candidates come from a rational-root search: after clearing
-    denominators the constant coefficient is a Gaussian integer whose
-    norm any integer root must divide in square. The magnitude is capped
-    by the row-sum norm, |x| <= max_i sum_j |m_ij|, with each modulus
-    over-estimated by ``abs_bound``; unlike a Cauchy bound on the
-    coefficients, this stays small when the coefficients grow. Each
-    candidate is confirmed by exact evaluation and its multiplicity by
-    repeated deflation.
+    M has ``head`` at (1, 1), ``diagonal[k-1]`` at (k+1, k+1), ``border[k-1]``
+    at (1, k+1) and (k+1, 1) and zeros elsewhere, so with Q = prod_k (x - d_k)
+    det(xI - M) = (x - a) Q - sum_k b_k^2 Q / (x - d_k). Each quotient is one
+    exact deflation of Q, shared by equal d_k: O(n^2) scalar operations.
     """
-    limit = int(max(sum(a.abs_bound() for a in row) for row in M.data))
-    coeffs = char_poly(M)
+    a = GaussianRational.coerce(head)
+    d = [GaussianRational.coerce(x) for x in diagonal]
+    b = [GaussianRational.coerce(x) for x in border]
+    if len(d) != len(b):
+        raise ValueError("arrowhead diagonal and border lengths differ")
+    Q = [ONE]
+    for dk in d:
+        Q = _poly_times_linear(Q, dk)
+    out = _poly_times_linear(Q, a)
+    weight: dict[GaussianRational, GaussianRational] = {}
+    for dk, bk in zip(d, b):
+        weight[dk] = weight.get(dk, ZERO) + bk * bk
+    for dk, s in weight.items():
+        # Q / (x - d_k) has degree n - 2: it lands on the last n - 1 coefficients
+        for i, c in enumerate(_poly_deflate(Q, dk), start=2):
+            out[i] = out[i] - s * c
+    return out
+
+
+def _poly_times_linear(coeffs, x):
+    """Multiply a polynomial in descending powers by (t - x)."""
+    return [c - x * p for c, p in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+
+
+def integer_eigenvalues(coeffs: Sequence[GaussianRational], bound: int) -> dict[int, int]:
+    """Integer roots of magnitude at most ``bound``, with multiplicities.
+
+    ``coeffs`` is monic in descending powers, as :func:`char_poly` returns
+    it. For a characteristic polynomial the matrix's row-sum norm is a
+    cap that, unlike a Cauchy bound, stays small as coefficients grow.
+    Candidates come from a rational-root search: after clearing
+    denominators the constant coefficient is a Gaussian integer whose norm
+    any integer root must divide in square. Each candidate is confirmed by
+    exact evaluation and its multiplicity by repeated deflation.
+    """
     out: dict[int, int] = {}
     # strip zero roots
     zero_mult = 0
@@ -633,13 +618,9 @@ def integer_eigenvalues(M: Matrix) -> dict[int, int]:
     if len(coeffs) == 1:
         return out
     # clear denominators, norm of the constant coefficient
-    lcm = 1
-    for c in coeffs:
-        for d in (c.re.denominator, c.im.denominator):
-            lcm = lcm * d // gcd(lcm, d)
-    const = coeffs[-1] * lcm
-    norm_const = int(const.norm())
-    for mag in range(1, min(limit, isqrt(norm_const) + 1) + 1):
+    den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    norm_const = int((coeffs[-1] * den).norm())
+    for mag in range(1, min(bound, isqrt(norm_const) + 1) + 1):
         if norm_const % (mag * mag) != 0:
             continue
         for x in (mag, -mag):

@@ -7,7 +7,8 @@ that knows what the weights mean: :func:`star_apply` applies one P_k as a
 coordinate swap, :func:`star_act` applies a weighted sum in O(n), and
 :func:`star_sum` builds the dense arrowhead matrix for elimination. The
 generator sum T governs the large-z behaviour of the system, so its
-integer spectrum is computed and sanity-checked here as well.
+integer spectrum is computed and sanity-checked here as well, from the
+characteristic polynomial of the arrowhead's parts, without any matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactalg import GaussianRational, Matrix, ONE, ScalarLike, Vector, ZERO
-from .exactalg import integer_eigenvalues
+from .exactalg import char_poly, integer_eigenvalues
 
 
 def transposition_matrix(n: int, i: int, j: int) -> Matrix:
@@ -109,7 +110,13 @@ def t_spectrum(n: int) -> TSpectrum:
     """
     if n < 3:
         raise ValueError("spectrum contract needs n >= 3")
-    eig = integer_eigenvalues(t_matrix(n))
+    w = [ONE] * (n - 1)
+    total = sum(w, ZERO)
+    diagonal = [total - wk for wk in w]
+    # arrowhead: head 0, diagonal sum(w) - w_k, border w_k; the row-sum norm caps eigenvalues
+    rows = [w, *([d, wk] for d, wk in zip(diagonal, w))]
+    bound = int(max(sum(a.abs_bound() for a in row) for row in rows))
+    eig = integer_eigenvalues(char_poly(ZERO, diagonal, w), bound)
     if sum(eig.values()) != n:
         raise ArithmeticError("T spectrum is not fully integer")
     for required in (n - 1, n - 2, -1):

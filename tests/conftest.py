@@ -6,14 +6,18 @@ expansion and ranks from exhaustive minor search, so they can vouch for
 the fast implementations. ``reference_rref`` is plain division-based
 Gauss-Jordan elimination on ``GaussianRational`` rows; the pivots and
 rows it leaves are exactly what the library's fraction-free ``_rref``
-must return and write back.
+must return and write back. ``reference_char_poly`` is the dense
+Faddeev-LeVerrier trace recursion, built on ``matmul``, the dense
+product the library itself no longer has; it vouches for the arrowhead
+``char_poly`` and feeds ``integer_eigenvalues`` on matrices that are not
+arrowheads.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from kzsolve.exactalg import ONE, GaussianRational, Matrix
+from kzsolve.exactalg import ONE, ZERO, GaussianRational, Matrix, integer_eigenvalues
 
 
 def perm_sign(p):
@@ -49,6 +53,59 @@ def brute_rank(M: Matrix) -> int:
                 if not leibniz_det(sub).is_zero():
                     return size
     return 0
+
+
+def matmul(A: Matrix, B: Matrix) -> Matrix:
+    """Dense exact product A B."""
+    if A.cols != B.rows:
+        raise ValueError("matrix shape mismatch")
+    cols = list(zip(*B.data))
+    return Matrix(
+        [[sum((a * b for a, b in zip(row, col)), ZERO) for col in cols] for row in A.data]
+    )
+
+
+def trace(M: Matrix) -> GaussianRational:
+    return sum((M[i, i] for i in range(M.rows)), ZERO)
+
+
+def reference_char_poly(M: Matrix) -> list[GaussianRational]:
+    """Monic characteristic polynomial of M, coefficients of det(xI - M).
+
+    Returned in descending powers: [1, c1, ..., cn]. Computed by the
+    Faddeev-LeVerrier trace recursion, exact over the rationals.
+    """
+    if M.rows != M.cols:
+        raise ValueError("char_poly needs a square matrix")
+    n = M.rows
+    ident = Matrix.identity(n)
+    coeffs = [ONE]
+    N = M
+    c = -trace(N)
+    coeffs.append(c)
+    for k in range(2, n + 1):
+        N = matmul(M, N + ident.scale(c))
+        c = -(trace(N) / k)
+        coeffs.append(c)
+    return coeffs
+
+
+def row_sum_bound(M: Matrix) -> int:
+    """max_i sum_j |m_ij|, each modulus over-estimated: caps every eigenvalue."""
+    return int(max(sum(a.abs_bound() for a in row) for row in M.data))
+
+
+def dense_integer_eigenvalues(M: Matrix) -> dict[int, int]:
+    """Integer eigenvalues of any square M, from its reference polynomial."""
+    return integer_eigenvalues(reference_char_poly(M), row_sum_bound(M))
+
+
+def to_sympy(a: GaussianRational):
+    import sympy
+
+    return sympy.Rational(a.re.numerator, a.re.denominator) + sympy.I * sympy.Rational(
+        a.im.numerator, a.im.denominator
+    )
 
 
 def reference_rref(rows, pivot_width=None):

@@ -4,8 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from kzsolve import ansatz, frobenius
-from kzsolve.cli import main
+from kzsolve import ansatz, frobenius, symrep
+from kzsolve.cli import EIGEN_MAX_N, main
 from kzsolve.exactalg import Matrix, Vector, parse_scalar, solve_affine
 from kzsolve.kzcore import new_system
 
@@ -207,6 +207,17 @@ class TestEigen:
         code, out, _ = run(capsys, ["eigen", "--n", "5", "--format", "text"])
         assert code == 0
         assert "overall: pass" in out
+
+    def test_over_cap_refused_before_any_work(self, capsys, monkeypatch):
+        def never(n):
+            raise AssertionError("t_spectrum called on an over-cap n")
+
+        monkeypatch.setattr(symrep, "t_spectrum", never)
+        assert EIGEN_MAX_N == 256
+        code, out, err = run(capsys, ["eigen", "--n", "257"])
+        assert code == 2
+        assert out == ""
+        assert "256" in err
 
     def test_n12_finishes(self):
         """`kz eigen` finishes at n = 12: the root search is bounded by the size of T."""

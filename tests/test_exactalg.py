@@ -5,10 +5,15 @@ import pytest
 
 from conftest import (
     brute_rank,
+    dense_integer_eigenvalues,
     leibniz_det,
+    matmul,
     random_matrix,
     random_scalar,
+    reference_char_poly,
     reference_rref,
+    row_sum_bound,
+    to_sympy,
 )
 from kzsolve import exactalg
 from kzsolve.exactalg import (
@@ -22,10 +27,9 @@ from kzsolve.exactalg import (
     integer_eigenvalues,
     nullspace,
     parse_scalar,
-    rank,
     solve_affine,
 )
-from kzsolve.symrep import t_matrix, transposition_matrix
+from kzsolve.symrep import star_sum, t_matrix, transposition_matrix
 
 
 class TestParsing:
@@ -129,11 +133,6 @@ class TestRref:
         sympy = pytest.importorskip("sympy")
         from sympy.polys.matrices import DomainMatrix
 
-        def to_sympy(a):
-            return sympy.Rational(a.re.numerator, a.re.denominator) + sympy.I * sympy.Rational(
-                a.im.numerator, a.im.denominator
-            )
-
         rng = random.Random(109)
         deficient = 0
         for trial in range(20):
@@ -141,13 +140,14 @@ class TestRref:
             if trial % 2:
                 # a product through k < min(rows, cols) has rank at most k
                 k = rng.randint(1, min(rows, cols) - 1)
-                M = Matrix(sparse_rows(rng, rows, k, 0.3)) * Matrix(sparse_rows(rng, k, cols, 0.3))
+                A, B = Matrix(sparse_rows(rng, rows, k, 0.3)), Matrix(sparse_rows(rng, k, cols, 0.3))
+                M = matmul(A, B)
             else:
                 M = Matrix(sparse_rows(rng, rows, cols, 0.3))
             expected = DomainMatrix.from_Matrix(
                 sympy.Matrix([[to_sympy(a) for a in row] for row in M.data])
             ).rank()
-            assert rank(M) == expected
+            assert M.cols - len(nullspace(M)) == expected
             deficient += expected < min(rows, cols)
         assert deficient >= 10
 
@@ -171,8 +171,7 @@ class TestNullspace:
         rng = random.Random(101)
         for _ in range(20):
             M = random_matrix(rng, 4)
-            assert rank(M) + len(nullspace(M)) == M.cols
-            assert rank(M) == brute_rank(M)
+            assert M.cols - len(nullspace(M)) == brute_rank(M)
 
     def test_rank_nullity_rectangular(self):
         rng = random.Random(107)
@@ -180,8 +179,7 @@ class TestNullspace:
             M = Matrix(
                 [[random_scalar(rng, span=3) for _ in range(cols)] for _ in range(rows)]
             )
-            assert rank(M) + len(nullspace(M)) == cols
-            assert rank(M) == brute_rank(M)
+            assert cols - len(nullspace(M)) == brute_rank(M)
 
     def test_resubstitution_random(self):
         rng = random.Random(102)
@@ -226,24 +224,100 @@ class TestDeterminant:
         for _ in range(10):
             A = random_matrix(rng, 4)
             B = random_matrix(rng, 4)
-            assert determinant(A * B) == determinant(A) * determinant(B)
+            assert determinant(matmul(A, B)) == determinant(A) * determinant(B)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
             determinant(Matrix.zero(2, 3))
 
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(113)
+        singular = 0
+        for trial in range(30):
+            n = 1 + trial % 6
+            rows = sparse_rows(rng, n, n, (0, 0.4)[trial % 2], span=4)
+            if n > 1 and trial % 3 == 0:
+                src, dst = rng.sample(range(n), 2)
+                c = random_scalar(rng, span=3)
+                rows[dst] = [c * a for a in rows[src]]
+            M = Matrix(rows)
+            dm = DomainMatrix.from_Matrix(
+                sympy.Matrix([[to_sympy(a) for a in row] for row in M.data])
+            )
+            expected = dm.domain.to_sympy(dm.det())
+            assert to_sympy(determinant(M)) == expected
+            singular += expected == 0
+        assert singular >= 5
+
+
+def arrowhead_parts(M: Matrix):
+    """Head, diagonal and border of a symmetric arrowhead, read off the dense matrix."""
+    n = M.rows
+    for i in range(n):
+        for j in range(n):
+            if i and j and i != j:
+                assert M[i, j].is_zero()
+    assert all(M[0, k] == M[k, 0] for k in range(1, n))
+    return M[0, 0], [M[k, k] for k in range(1, n)], [M[0, k] for k in range(1, n)]
+
+
+def star_sums(seed: int):
+    """Seeded Gaussian-rational star sums for n = 2..8, some weights zero."""
+    rng = random.Random(seed)
+    for n in range(2, 9):
+        for _ in range(3):
+            yield star_sum(
+                [ZERO if rng.random() < 0.25 else random_scalar(rng, span=4) for _ in range(n - 1)]
+            )
+
 
 class TestCharPoly:
     def test_transposition_2(self):
-        coeffs = char_poly(transposition_matrix(2, 1, 2))
+        coeffs = char_poly(*arrowhead_parts(transposition_matrix(2, 1, 2)))
         assert coeffs == [GaussianRational(1), GaussianRational(0), GaussianRational(-1)]
+
+    def test_general_head(self):
+        # nonzero head and repeated diagonal entries, against the dense recursion
+        i = GaussianRational(0, 1)
+        M = Matrix([[i, 2, -1, 3], [2, 5, 0, 0], [-1, 0, 5, 0], [3, 0, 0, 0]])
+        assert char_poly(*arrowhead_parts(M)) == reference_char_poly(M)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            char_poly(0, [1, 2], [1])
+
+    def test_generator_sum_matches_reference(self):
+        for n in range(2, 13):
+            T = t_matrix(n)
+            assert char_poly(*arrowhead_parts(T)) == reference_char_poly(T)
+
+    def test_star_sums_match_reference(self):
+        for M in star_sums(111):
+            assert char_poly(*arrowhead_parts(M)) == reference_char_poly(M)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        def sympy_charpoly(M):
+            dm = DomainMatrix.from_Matrix(
+                sympy.Matrix([[to_sympy(a) for a in row] for row in M.data])
+            )
+            return [dm.domain.to_sympy(c) for c in dm.charpoly()]
+
+        for M in [t_matrix(n) for n in range(2, 13)] + list(star_sums(112)):
+            ours = char_poly(*arrowhead_parts(M))
+            assert [to_sympy(c) for c in ours] == sympy_charpoly(M)
 
     def test_integer_roots_are_exact_roots(self):
         rng = random.Random(105)
         for _ in range(8):
             M = random_matrix(rng, 3)
-            coeffs = char_poly(M)
-            for eig in integer_eigenvalues(M):
+            coeffs = reference_char_poly(M)
+            for eig in integer_eigenvalues(coeffs, row_sum_bound(M)):
                 acc = coeffs[0]
                 for c in coeffs[1:]:
                     acc = acc * GaussianRational(eig) + c
@@ -253,24 +327,30 @@ class TestCharPoly:
 class TestIntegerEigenvalues:
     def test_identity(self):
         for n in (2, 4):
-            assert integer_eigenvalues(Matrix.identity(n)) == {1: n}
+            assert dense_integer_eigenvalues(Matrix.identity(n)) == {1: n}
 
     def test_generator_sum_4(self):
-        assert integer_eigenvalues(t_matrix(4)) == {3: 1, 2: 2, -1: 1}
+        assert dense_integer_eigenvalues(t_matrix(4)) == {3: 1, 2: 2, -1: 1}
 
     def test_negated_transposition(self):
         M = transposition_matrix(4, 1, 2).scale(-1)
-        assert integer_eigenvalues(M) == {-1: 3, 1: 1}
+        assert dense_integer_eigenvalues(M) == {-1: 3, 1: 1}
 
     def test_nilpotent(self):
         M = Matrix([[0, 1], [0, 0]])
-        assert integer_eigenvalues(M) == {0: 2}
+        assert dense_integer_eigenvalues(M) == {0: 2}
 
     def test_root_bound_is_attained(self):
         # every row has modulus sum 1 = |eigenvalue|: the search cap is tight
         i = GaussianRational(0, 1)
         M = Matrix([[0, i], [-i, 0]])
-        assert integer_eigenvalues(M) == {1: 1, -1: 1}
+        assert row_sum_bound(M) == 1
+        assert dense_integer_eigenvalues(M) == {1: 1, -1: 1}
+
+    def test_roots_beyond_the_bound_are_not_searched(self):
+        # x^2 - 1: the cap 0 leaves both roots out
+        assert integer_eigenvalues([ONE, ZERO, -ONE], 0) == {}
+        assert integer_eigenvalues([ONE, ZERO, -ONE], 1) == {1: 1, -1: 1}
 
 
 class TestSolveAffine:

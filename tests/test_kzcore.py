@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_points
+from conftest import matmul, random_points
 from kzsolve.exactalg import GaussianRational, Matrix
 from kzsolve.kzcore import eval_A, local_coefficients, new_system
 from kzsolve.symrep import star_generators, star_sum, t_matrix
@@ -76,7 +76,7 @@ class TestLocalCoefficients:
             sys = new_system(4, rho, [0, 1, 2])
             for k in (1, 2, 3):
                 a = star_sum(local_coefficients(sys, k, -1).minus_one)
-                assert a * a == Matrix.identity(4)
+                assert matmul(a, a) == Matrix.identity(4)
 
     def test_index_out_of_range(self):
         sys = new_system(4, -1, [0, 1, 2])

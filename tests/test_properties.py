@@ -1,0 +1,51 @@
+"""Property tests of the exact scalar: field axioms and the literal round-trip.
+
+Examples are derandomized so the suite stays deterministic from run to run.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from kzsolve.exactalg import ONE, ZERO, GaussianRational, parse_scalar  # noqa: E402
+
+rationals = st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30)
+scalars = st.builds(GaussianRational, rationals, rationals) | st.builds(GaussianRational, rationals)
+nonzero = scalars.filter(lambda x: not x.is_zero())
+
+deterministic = settings(derandomize=True, database=None, max_examples=200)
+
+
+@deterministic
+@given(scalars, scalars, scalars)
+def test_addition_is_an_abelian_group(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + ZERO == a
+    assert a + (-a) == ZERO
+    assert a - b == a + (-b)
+
+
+@deterministic
+@given(scalars, scalars, scalars)
+def test_multiplication_is_commutative_associative_and_distributes(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * ONE == a
+    assert a * (b + c) == a * b + a * c
+
+
+@deterministic
+@given(scalars, nonzero)
+def test_nonzero_scalars_are_invertible(a, b):
+    inv = ONE / b
+    assert b * inv == ONE
+    assert (a / b) * b == a
+    assert b * b.conjugate() == b.norm()
+
+
+@deterministic
+@given(scalars)
+def test_parse_round_trip(x):
+    assert parse_scalar(str(x)) == x

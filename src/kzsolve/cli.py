@@ -31,9 +31,25 @@ from .s4explicit import y1, y2, y3, y4
 # n = 64, 0.27 s at 128 and 0.91 s at 256 (2-core machine, Python 3.11), ~3.4x per doubling.
 EIGEN_MAX_N = 256
 
+# Largest --pole-order and --poly-degree of ``kz nullspace``: one elimination of
+# about 2u x u for u = n((n - 1) pole_order + poly_degree + 1) unknowns. ``kz`` wall
+# time at n = 6: 1.8 s at pole order 4, 2.4 s at degree 16; n = 8: 8.8 s at degree 16.
+NULLSPACE_MAX_POLE_ORDER = 4
+NULLSPACE_MAX_POLY_DEGREE = 16
+
+# Largest --order of ``kz series``: one n x (n + parameters) elimination per order,
+# with bit growth; ~3.3x per doubling. ``kz`` wall time at order 64: 6.7 s at n = 6,
+# 13.2 s at n = 8.
+SERIES_MAX_ORDER = 64
+
 
 class UsageError(Exception):
     pass
+
+
+def _refuse_over_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise UsageError(f"{flag} {value} exceeds the cap {cap}")
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -204,6 +220,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nullspace(args) -> int:
+    _refuse_over_cap("--pole-order", args.pole_order, NULLSPACE_MAX_POLE_ORDER)
+    _refuse_over_cap("--poly-degree", args.poly_degree, NULLSPACE_MAX_POLY_DEGREE)
     sys_ = _build_system(args)
     try:
         basis = ansatz.solve_ansatz(
@@ -228,6 +246,7 @@ def cmd_nullspace(args) -> int:
 
 
 def cmd_series(args) -> int:
+    _refuse_over_cap("--order", args.order, SERIES_MAX_ORDER)
     sys_ = _build_system(args)
     try:
         window = frobenius.exponent_window(sys_, args.pole)
@@ -305,8 +324,7 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    if args.n > EIGEN_MAX_N:
-        raise UsageError(f"--n {args.n} exceeds the eigen cap n <= {EIGEN_MAX_N}")
+    _refuse_over_cap("--n", args.n, EIGEN_MAX_N)
     try:
         spectrum = symrep.t_spectrum(args.n)
     except ValueError as exc:

@@ -7,9 +7,10 @@ being exact, so no floats appear anywhere in this module.
 
 Elimination is the exception to the scalar type: one fraction-free
 (Bareiss) Gauss-Jordan loop, ``_bareiss``, clears each row to Gaussian
-integers and works on plain Python ints, and serves RREF, nullspaces,
-affine solves and determinants. Its results are converted back to
-``GaussianRational`` values only once, at the end. A ``Matrix`` multiplies
+integers and works on plain Python ints. Its pivot rows are read by two
+functions only, :func:`nullspace` and :func:`determinant`, and converted
+back to ``GaussianRational`` values once, at the end; an affine solve is
+the nullspace of the bordered matrix [A | -b]. A ``Matrix`` multiplies
 vectors and scalars, never another matrix: the one spectrum needed is that
 of an arrowhead, whose characteristic polynomial :func:`char_poly` expands
 from the head, diagonal and border alone.
@@ -392,14 +393,14 @@ class Matrix:
 # -- elimination ------------------------------------------------------------
 
 
-def _bareiss(rows: Sequence[Sequence[GaussianRational]], width: int):
+def _bareiss(rows: Sequence[Sequence[GaussianRational]]):
     """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
     Row i is cleared to Gaussian integers by the lcm ``D[i]`` of its
     denominators and kept as parallel lists of real and imaginary int
     parts; ``rows`` itself is not modified. Pivots follow the rule of
-    division-based Gauss-Jordan: column by column below ``width``, the
-    first row at or below the current one with a nonzero entry there.
+    division-based Gauss-Jordan: column by column, the first row at or
+    below the current one with a nonzero entry there.
 
     Bareiss's update turns every other row a into (p*a - f*b) / q, with b
     the pivot row, p its pivot, f the entry of a in the pivot column and q
@@ -411,9 +412,8 @@ def _bareiss(rows: Sequence[Sequence[GaussianRational]], width: int):
     before it is used.
 
     Returns ``(re, im, D, pivots, scale, swaps)``. At the end pivot row i
-    is ``scale[i]`` times its RREF row and every other row i is
-    ``scale[i] * D[i]`` times the row division-based Gauss-Jordan leaves
-    there. ``swaps`` counts row exchanges. Square and of full rank, the
+    is ``scale[i]`` times its RREF row and the rows below the rank are
+    zero. ``swaps`` counts row exchanges. Square and of full rank, the
     last pivot ``scale[-1]`` is the determinant of the cleared matrix up
     to the sign ``(-1) ** swaps``.
     """
@@ -429,7 +429,7 @@ def _bareiss(rows: Sequence[Sequence[GaussianRational]], width: int):
     swaps = 0
     q = (1, 0)
     r = 0
-    for c in range(width):
+    for c in range(len(re[0])):
         piv = next((i for i in range(r, nrows) if re[i][c] or im[i][c]), None)
         if piv is None:
             continue
@@ -484,34 +484,14 @@ def _quotient(x: int, y: int, s: tuple[int, int]) -> GaussianRational:
     return GaussianRational(Fraction(x * sr + y * si, n), Fraction(y * sr - x * si, n))
 
 
-def _rref(rows: list[list[GaussianRational]], pivot_width: int | None = None):
-    """In-place reduced row echelon form; returns pivot column indices.
+def nullspace(M: Matrix) -> list[Vector]:
+    """Basis of the exact right nullspace {v : Mv = 0}, one vector per free column.
 
-    Pivot search is restricted to the first ``pivot_width`` columns;
-    trailing columns (augmentations) are transformed but never chosen as
-    pivots. The rows written back are exactly those division-based
-    Gauss-Jordan would leave, pivot rows normalized and the rows below the
-    rank reduced, but the elimination itself runs fraction-free on
-    Gaussian integers (``_bareiss``) and each row is divided by its
-    Bareiss scale once at the end.
+    Each vector is read off the Bareiss pivot rows, which are the RREF rows
+    times their scale, and re-substituted into M; a nonzero product would
+    indicate corrupted elimination and raises.
     """
-    if not rows:
-        return []
-    width = len(rows[0]) if pivot_width is None else pivot_width
-    re, im, D, pivots, scale, _ = _bareiss(rows, width)
-    for i in range(len(rows)):
-        sr, si = scale[i]
-        s = (sr, si) if i < len(pivots) else (sr * D[i], si * D[i])
-        rows[i] = [_quotient(x, y, s) for x, y in zip(re[i], im[i])]
-    return pivots
-
-
-def _kernel(M: Matrix, rows, pivots: list[int]) -> list[Vector]:
-    """Kernel basis of M, one vector per free column of its (augmented) RREF.
-
-    Every vector is re-substituted into M and must give an exact zero; a
-    failure would indicate corrupted elimination and raises.
-    """
+    re, im, _, pivots, scale, _ = _bareiss(M.data)
     pivot_set = set(pivots)
     basis = []
     for free in range(M.cols):
@@ -520,7 +500,7 @@ def _kernel(M: Matrix, rows, pivots: list[int]) -> list[Vector]:
         v = [ZERO] * M.cols
         v[free] = ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][free]
+            v[pc] = _quotient(-re[i][free], -im[i][free], scale[i])
         vec = Vector(v)
         if not (M * vec).is_zero():
             raise ArithmeticError("kernel vector failed exact re-substitution")
@@ -528,18 +508,11 @@ def _kernel(M: Matrix, rows, pivots: list[int]) -> list[Vector]:
     return basis
 
 
-def nullspace(M: Matrix) -> list[Vector]:
-    """Basis of the exact right nullspace {v : Mv = 0}, certified by re-substitution."""
-    rows = [list(r) for r in M.data]
-    pivots = _rref(rows, pivot_width=M.cols)
-    return _kernel(M, rows, pivots)
-
-
 def determinant(M: Matrix) -> GaussianRational:
     """Exact determinant, (-1)^swaps times the last Bareiss pivot over prod D_i."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    _, _, D, pivots, scale, swaps = _bareiss(M.data, M.cols)
+    _, _, D, pivots, scale, swaps = _bareiss(M.data)
     if len(pivots) < M.rows:
         return ZERO
     den = -prod(D) if swaps % 2 else prod(D)
@@ -656,28 +629,24 @@ class AffineSolution:
 
 
 def solve_affine(A: Matrix, b: Vector) -> AffineSolution:
-    """Solve Ax = b exactly; the particular solution and kernel are re-substituted."""
+    """Solve Ax = b exactly as the bordered nullspace of [A | -b].
+
+    The system is consistent iff -b's column is free, and then its kernel
+    vector, the last one, is (x, 1) with Ax = b; the other kernel vectors,
+    truncated to A's columns, span A's kernel. When inconsistent, the
+    certificate is the first vector of A's left nullspace that sees b.
+    Every vector is certified by ``nullspace``'s re-substitution.
+    """
     if A.rows != b.dim:
         raise ValueError("right-hand side length must match row count")
-    nrows, ncols = A.rows, A.cols
-    # augment with b and an identity block that records row operations
-    rows = []
-    for i in range(nrows):
-        rows.append(
-            list(A.data[i])
-            + [b[i]]
-            + [ONE if j == i else ZERO for j in range(nrows)]
+    n = A.cols
+    kernel = nullspace(Matrix([list(row) + [-bi] for row, bi in zip(A.data, b)]))
+    if kernel and not kernel[-1][n].is_zero():
+        return AffineSolution(
+            True, Vector(kernel[-1][:n]), [Vector(v[:n]) for v in kernel[:-1]], None
         )
-    pivots = _rref(rows, pivot_width=ncols)
-    nrank = len(pivots)
-    for i in range(nrank, nrows):
-        if not rows[i][ncols].is_zero():
-            cert = Vector(rows[i][ncols + 1:])
-            return AffineSolution(False, None, [], cert)
-    x = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    particular = Vector(x)
-    if not (A * particular - b).is_zero():
-        raise ArithmeticError("affine solve failed exact re-substitution")
-    return AffineSolution(True, particular, _kernel(A, rows, pivots), None)
+    left = nullspace(Matrix.from_columns([A.row(i) for i in range(A.rows)]))
+    cert = next((y for y in left if not y.dot(b).is_zero()), None)
+    if cert is None:
+        raise ArithmeticError("inconsistent affine system without a certificate")
+    return AffineSolution(False, None, [], cert)

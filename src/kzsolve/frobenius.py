@@ -165,8 +165,11 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
         for v in nullspace(bordered):
             (fresh if all(c.is_zero() for c in v[n:]) else carried).append(v)
         kept = carried + fresh
+        # unless a parameter combination died, the c are the unit vectors in order
+        pruned = len(carried) < nparams
         for q in basis:
-            basis[q] = [_combine(basis[q], v[n:], n) for v in kept]
+            older = [_combine(basis[q], v[n:], n) for v in carried] if pruned else basis[q]
+            basis[q] = older + [Vector.zero(n)] * len(fresh)
         basis[t] = [Vector(v[:n]) for v in kept]
         nparams = len(kept)
         if fresh:
@@ -175,19 +178,19 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     families = []
     for start in starts:
         if start == m_min:
-            K = [Vector.unit(nparams, i) for i in range(nparams)]
+            fam = {q: list(basis[q]) for q in range(start, order + 1)}
         else:
             stacked = []
             for q in range(m_min, start):
                 for i in range(n):
                     stacked.append([basis[q][p][i] for p in range(nparams)])
             K = nullspace(Matrix(stacked))
-        if not K:
-            continue
-        fam = {
-            q: [_combine(basis[q], kv, n) for kv in K]
-            for q in range(start, order + 1)
-        }
+            if not K:
+                continue
+            fam = {
+                q: [_combine(basis[q], kv, n) for kv in K]
+                for q in range(start, order + 1)
+            }
         if all(col.is_zero() for col in fam[start]):
             continue
         families.append(

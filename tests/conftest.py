@@ -4,20 +4,21 @@ The determinant and rank oracles deliberately avoid the library's
 elimination code: determinants come from the Leibniz permutation
 expansion and ranks from exhaustive minor search, so they can vouch for
 the fast implementations. ``reference_rref`` is plain division-based
-Gauss-Jordan elimination on ``GaussianRational`` rows; the pivots and
-rows it leaves are exactly what the library's fraction-free ``_rref``
-must return and write back. ``reference_char_poly`` is the dense
-Faddeev-LeVerrier trace recursion, built on ``matmul``, the dense
-product the library itself no longer has; it vouches for the arrowhead
-``char_poly`` and feeds ``integer_eigenvalues`` on matrices that are not
-arrowheads.
+Gauss-Jordan elimination on ``GaussianRational`` rows;
+``reference_nullspace`` and ``reference_solve_affine`` read their
+answers off it, and the library's fraction-free ``nullspace`` and
+``solve_affine`` must return exactly the same vectors.
+``reference_char_poly`` is the dense Faddeev-LeVerrier trace recursion,
+built on ``matmul``, the dense product the library itself no longer
+has; it vouches for the arrowhead ``char_poly`` and feeds
+``integer_eigenvalues`` on matrices that are not arrowheads.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from kzsolve.exactalg import ONE, ZERO, GaussianRational, Matrix, integer_eigenvalues
+from kzsolve.exactalg import ONE, ZERO, GaussianRational, Matrix, Vector, integer_eigenvalues
 
 
 def perm_sign(p):
@@ -150,6 +151,43 @@ def reference_rref(rows, pivot_width=None):
         if r == nrows:
             break
     return pivots
+
+
+def _rref_kernel(rows, pivots, ncols):
+    """One kernel vector per free column among the first ``ncols`` of an RREF."""
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][free]
+        basis.append(Vector(v))
+    return basis
+
+
+def reference_nullspace(M: Matrix) -> list[Vector]:
+    """Kernel basis of M read off its division-based RREF."""
+    rows = [list(r) for r in M.data]
+    return _rref_kernel(rows, reference_rref(rows), M.cols)
+
+
+def reference_solve_affine(A: Matrix, b):
+    """``(consistent, particular, kernel)`` of Ax = b from the RREF of [A | b].
+
+    Pivots are restricted to A's columns, so b's column is transformed
+    but never a pivot: the system is consistent iff it ends at zero in
+    every row below the rank.
+    """
+    rows = [list(r) + [bi] for r, bi in zip(A.data, b)]
+    pivots = reference_rref(rows, A.cols)
+    if any(not rows[i][A.cols].is_zero() for i in range(len(pivots), A.rows)):
+        return False, None, []
+    x = [ZERO] * A.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = rows[i][A.cols]
+    return True, Vector(x), _rref_kernel(rows, pivots, A.cols)
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:

@@ -1,11 +1,20 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kzsolve import ansatz, frobenius, symrep
-from kzsolve.cli import EIGEN_MAX_N, main
+from kzsolve.cli import (
+    EIGEN_MAX_N,
+    NULLSPACE_MAX_POLE_ORDER,
+    NULLSPACE_MAX_POLY_DEGREE,
+    SERIES_MAX_ORDER,
+    main,
+)
 from kzsolve.exactalg import Matrix, Vector, parse_scalar, solve_affine
 from kzsolve.kzcore import new_system
 
@@ -127,6 +136,83 @@ class TestNullspace:
         code, out, _ = run(capsys, ["nullspace", *SYS_ARGS])
         assert code == 1
         assert json.loads(out)["overall"] == "fail"
+
+
+class TestCaps:
+    """Over-cap shapes are refused with exit 2 before the solver runs."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def solvers_fail(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise TestCaps.Reached
+
+        monkeypatch.setattr(ansatz, "solve_ansatz", reached)
+        monkeypatch.setattr(frobenius, "frobenius_solve", reached)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nullspace", *SYS_ARGS, "--pole-order", str(NULLSPACE_MAX_POLE_ORDER + 1)],
+            ["nullspace", *SYS_ARGS, "--poly-degree", str(NULLSPACE_MAX_POLY_DEGREE + 1)],
+            ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER + 1)],
+        ],
+        ids=["pole-order", "poly-degree", "order"],
+    )
+    def test_over_cap_refused(self, capsys, solvers_fail, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nullspace", *SYS_ARGS, "--pole-order", str(NULLSPACE_MAX_POLE_ORDER),
+             "--poly-degree", str(NULLSPACE_MAX_POLY_DEGREE)],
+            ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER)],
+        ],
+        ids=["nullspace", "series"],
+    )
+    def test_at_cap_reaches_the_solver(self, solvers_fail, argv):
+        with pytest.raises(TestCaps.Reached):
+            main(argv)
+
+
+# SHA-256 of stdout and the exit code of each exact README command, plus three
+# other couplings. Exact reports must stay byte-identical through refactors, so
+# any changed byte fails here; change a digest only for an intended new output.
+GOLDEN = [
+    (["verify", *SYS_ARGS, "--solution", "all"], 0,
+     "0c021cf63e5ca164298d42887608dd3e9d3ebb9ce27e47bab3ee8b24bc723a94"),
+    (["verify", *SYS_ARGS, "--solution", "file:w.json"], 0,
+     "c688cbd0b649f8b33e6d7ddb120f724788334a0ae93e0d33ec35ac0063892777"),
+    (["nullspace", *SYS_ARGS], 0,
+     "e3732e5cd47f73424bd7558762577a3e53141bf48fab3ab3848743a5117a93bf"),
+    (["series", *SYS_ARGS, "--pole", "1", "--order", "3"], 0,
+     "dc179abd880aad715710682d4fa0505af596f2b3ec300726665f625d025d977c"),
+    (["eigen", "--n", "4"], 0,
+     "754d10d59bc7bf58e950051eac65a17debf3e17c9cdae44167f0f61b71722318"),
+    (["nullspace", "--n", "4", "--rho", "1", "--points", "0,1,2", "--pole-order", "2"], 0,
+     "427dbae21488f6a1be6e693244190dc69de9f4e93261916ef7f760ce8414261a"),
+    (["nullspace", "--n", "4", "--rho", "-2", "--points", "(0,1),1,(2,-1)",
+      "--pole-order", "2", "--poly-degree", "2"], 0,
+     "1fd685e5497d4491ba683a4a52753d024db9a5fc95b74392f869a1658d13230f"),
+    (["series", "--n", "4", "--rho", "2", "--points", "0,1,2", "--pole", "1", "--order", "3"], 0,
+     "85030637a32d5804ed91969e5b1d1beca24c34929b838071b20630eddb244c11"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_report(capsys, monkeypatch, tmp_path, argv, code, digest):
+    # w.json, the README's solution file, is the first basis function of the README system
+    monkeypatch.chdir(tmp_path)
+    main(["nullspace", *SYS_ARGS])
+    (tmp_path / "w.json").write_text(json.dumps(json.loads(capsys.readouterr().out)["basis"][0]))
+    got_code, out, _ = run(capsys, argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 class TestDeterminism:

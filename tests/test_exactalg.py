@@ -11,7 +11,8 @@ from conftest import (
     random_matrix,
     random_scalar,
     reference_char_poly,
-    reference_rref,
+    reference_nullspace,
+    reference_solve_affine,
     row_sum_bound,
     to_sympy,
 )
@@ -105,29 +106,37 @@ class TestMatrixVector:
             assert M * v == Vector(M.row(i).dot(v) for i in range(M.rows))
 
 
-class TestRref:
+def division_reference_cases():
+    """Seeded matrices, some with a duplicated row, half with a right-hand side b."""
+    rng = random.Random(108)
+    for trial in range(300):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+        rows = sparse_rows(rng, nrows, ncols, rng.choice((0, 0.3, 0.7)))
+        if nrows > 1 and rng.random() < 0.4:
+            src, dst = rng.sample(range(nrows), 2)
+            c = random_scalar(rng, span=4)
+            rows[dst] = [c * a for a in rows[src]]
+        b = Vector([random_scalar(rng) for _ in range(nrows)]) if trial % 2 else None
+        yield Matrix(rows), b
+
+
+def strs(vectors):
+    return [[str(a) for a in v] for v in vectors]
+
+
+def left_annihilates(y: Vector, A: Matrix) -> bool:
+    """yA = 0, one column of A at a time."""
+    return all(
+        Vector([A[i, j] for i in range(A.rows)]).dot(y).is_zero() for j in range(A.cols)
+    )
+
+
+class TestNullspace:
     def test_matches_division_reference(self):
-        # equal pivots and equal rows, including the reduced rows below the
-        # rank, whose trailing identity block holds solve_affine's certificates
-        rng = random.Random(108)
-        for trial in range(300):
-            nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
-            rows = sparse_rows(rng, nrows, ncols, rng.choice((0, 0.3, 0.7)))
-            if nrows > 1 and rng.random() < 0.4:
-                src, dst = rng.sample(range(nrows), 2)
-                c = random_scalar(rng, span=4)
-                rows[dst] = [c * a for a in rows[src]]
-            width = None
-            if trial % 2:
-                rows = [
-                    row + [random_scalar(rng)] + [ONE if j == i else ZERO for j in range(nrows)]
-                    for i, row in enumerate(rows)
-                ]
-                width = ncols
-            ours = [list(r) for r in rows]
-            ref = [list(r) for r in rows]
-            assert exactalg._rref(ours, width) == reference_rref(ref, width)
-            assert [[str(a) for a in r] for r in ours] == [[str(a) for a in r] for r in ref]
+        # the vectors read off the Bareiss rows equal those read off the
+        # division-based RREF, entry for entry and in the same order
+        for M, _ in division_reference_cases():
+            assert strs(nullspace(M)) == strs(reference_nullspace(M))
 
     def test_rank_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -151,8 +160,6 @@ class TestRref:
             deficient += expected < min(rows, cols)
         assert deficient >= 10
 
-
-class TestNullspace:
     def test_identity_full_rank(self):
         assert nullspace(Matrix.identity(2)) == []
 
@@ -389,18 +396,80 @@ class TestSolveAffine:
             for v in sol.kernel:
                 assert (A * v).is_zero()
 
+    def test_matches_division_reference(self):
+        for A, b in division_reference_cases():
+            if b is None:
+                continue
+            sol = solve_affine(A, b)
+            consistent, particular, kernel = reference_solve_affine(A, b)
+            assert sol.consistent == consistent
+            assert str(sol.particular) == str(particular)
+            assert strs(sol.kernel) == strs(kernel)
+            if not consistent:
+                assert left_annihilates(sol.certificate, A)
+                assert not sol.certificate.dot(b).is_zero()
+
+    def test_random_inconsistent_certificates(self):
+        # A of rank k < rows (a product through k, or zero) and a generic b
+        rng = random.Random(114)
+        inconsistent = 0
+        for _ in range(60):
+            rows, cols = rng.randint(2, 7), rng.randint(1, 7)
+            k = rng.randint(0, min(rows - 1, cols))
+            if k:
+                A = matmul(
+                    Matrix(sparse_rows(rng, rows, k, 0.3)), Matrix(sparse_rows(rng, k, cols, 0.3))
+                )
+            else:
+                A = Matrix.zero(rows, cols)
+            b = Vector([random_scalar(rng) for _ in range(rows)])
+            sol = solve_affine(A, b)
+            if sol.consistent:
+                assert (A * sol.particular - b).is_zero()
+                continue
+            inconsistent += 1
+            assert left_annihilates(sol.certificate, A)
+            assert not sol.certificate.dot(b).is_zero()
+        assert inconsistent >= 50
+
+    def test_consistency_matches_sympy(self):
+        # consistent iff rank A == rank [A | b]
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        def sympy_rank(rows):
+            return DomainMatrix.from_Matrix(
+                sympy.Matrix([[to_sympy(a) for a in row] for row in rows])
+            ).rank()
+
+        rng = random.Random(115)
+        seen = set()
+        for trial in range(40):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            A = Matrix(sparse_rows(rng, rows, cols, (0, 0.5, 0.8)[trial % 3], span=4))
+            if trial % 2:
+                b = A * Vector([random_scalar(rng, span=3) for _ in range(cols)])
+            else:
+                b = Vector([random_scalar(rng, span=3) for _ in range(rows)])
+            augmented = [list(row) + [bi] for row, bi in zip(A.data, b)]
+            expected = sympy_rank(A.data) == sympy_rank(augmented)
+            assert solve_affine(A, b).consistent == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
     def test_corrupted_kernel_raises(self, monkeypatch):
-        # a consistent rank-deficient system whose particular solution is
-        # untouched by the corruption: only the kernel check can catch it
-        real = exactalg._rref
+        # perturb one free-column entry of the first pivot row: for the
+        # bordered [A | -b] the particular solution's column is untouched,
+        # so only the re-substitution of a kernel vector can catch it
+        real = exactalg._bareiss
 
-        def corrupt_free_column(rows, pivot_width=None):
-            pivots = real(rows, pivot_width)
-            free = next(c for c in range(pivot_width) if c not in pivots)
-            rows[0][free] = rows[0][free] + 1
-            return pivots
+        def corrupt_free_column(rows):
+            re, im, D, pivots, scale, swaps = real(rows)
+            free = next(c for c in range(len(re[0])) if c not in pivots)
+            re[0][free] += 1
+            return re, im, D, pivots, scale, swaps
 
-        monkeypatch.setattr(exactalg, "_rref", corrupt_free_column)
+        monkeypatch.setattr(exactalg, "_bareiss", corrupt_free_column)
         with pytest.raises(ArithmeticError):
             solve_affine(Matrix([[1, 1], [1, 1]]), Vector([2, 2]))
         with pytest.raises(ArithmeticError):

@@ -12,6 +12,7 @@ shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .exactalg import (
     GaussianRational,
@@ -20,6 +21,7 @@ from .exactalg import (
     ScalarLike,
     Vector,
     ZERO,
+    linear_combination,
     nullspace,
     solve_affine,
 )
@@ -107,20 +109,41 @@ class RationalVectorFunction:
 
     def eval(self, z: ScalarLike) -> Vector:
         z = GaussianRational.coerce(z)
-        out = Vector.zero(self.dim)
+        inverses = []
         for zk, group in zip(self.points, self.pole_coeffs):
             d = z - zk
             if d.is_zero():
                 if any(not v.is_zero() for v in group):
                     raise ValueError(f"evaluation at the pole z = {zk}")
+                inverses.append(None)
+            else:
+                inverses.append(ONE / d)
+        return self._at(z, inverses)
+
+    def _at(self, z: GaussianRational, inverses, derivative: bool = False) -> Vector:
+        """W(z), or W'(z), given ``inverses[k] = 1/(z - z_k)`` (None: no pole term there).
+
+        Each power of an inverse is one multiplication by it, so a point
+        costs one division per pole, and the sum is one linear combination.
+        """
+        terms = []
+        for inv, group in zip(inverses, self.pole_coeffs):
+            if inv is None or not group:
                 continue
+            # (z - z_k)^-r, or d/dz of it, -r (z - z_k)^-(r+1)
+            power = inv * inv if derivative else inv
             for r, vec in enumerate(group, start=1):
                 if not vec.is_zero():
-                    out = out + vec.scale(GaussianRational(1) / d ** r)
-        for deg, vec in enumerate(self.poly_coeffs):
+                    terms.append((power * -r if derivative else power, vec))
+                if r < len(group):
+                    power = power * inv
+        power = ONE
+        for deg in range(1 if derivative else 0, len(self.poly_coeffs)):
+            vec = self.poly_coeffs[deg]
             if not vec.is_zero():
-                out = out + vec.scale(z ** deg)
-        return out
+                terms.append((power * deg if derivative else power, vec))
+            power = power * z
+        return linear_combination(terms, self.dim)
 
     __call__ = eval
 
@@ -261,9 +284,10 @@ def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector
     if fn.points != sys.points:
         raise ValueError("function pole set differs from the system's")
     z = GaussianRational.coerce(z)
-    lhs = fn.derivative().eval(z)
-    rhs = star_act(eval_A(sys, z), fn.eval(z)).scale(GaussianRational(sys.rho))
-    return lhs - rhs
+    # A(z)'s weights 1/(z - z_k) are the inverses W and W' are built from
+    inverses = eval_A(sys, z)
+    rhs = star_act(inverses, fn._at(z, inverses)).scale(sys.rho)
+    return fn._at(z, inverses, derivative=True) - rhs
 
 
 def sample_points(points, count: int) -> list[GaussianRational]:
@@ -315,19 +339,21 @@ def solve_ansatz(
     locals_ = [local_coefficients(sys, k + 1, p - 1) for k in range(s)]
     ident = Matrix.identity(n)
 
-    rows: list[list[GaussianRational]] = []
+    rows: list[Vector] = []
 
     def add_equation(terms: list[tuple[int, Matrix]]):
         """Append n rows: the sum of M times the block u over all (u, M)."""
         for i in range(n):
-            row = [ZERO] * width
-            for u, M in terms:
-                base = u * n
-                for c in range(n):
-                    entry = M[i, c]
-                    if not entry.is_zero():
-                        row[base + c] = row[base + c] + entry
-            rows.append(row)
+            pieces = [(u * n, M.row(i)) for u, M in terms]
+            den = lcm(*(v.den for _, v in pieces))
+            re, im = [0] * width, [0] * width
+            for base, v in pieces:
+                f = den // v.den
+                for c, (x, y) in enumerate(zip(v.re, v.im), start=base):
+                    if x or y:
+                        re[c] += x * f
+                        im[c] += y * f
+            rows.append(Vector.from_parts(re, im, den))
 
     def rho_P(k: int, w: GaussianRational) -> Matrix:
         """w * rho * P_(k+1) as a dense matrix."""
@@ -374,7 +400,7 @@ def _function_from_flat(
     n, s = sys.n, sys.s
     blocks, pole_block, poly_block = _unknown_layout(s, pole_order, poly_degree)
     def grab(u: int) -> Vector:
-        return Vector(flat[u * n + i] for i in range(n))
+        return flat.segment(u * n, u * n + n)
     poles = tuple(
         tuple(grab(pole_block(k, r)) for r in range(1, pole_order + 1))
         for k in range(s)
@@ -392,16 +418,14 @@ def coefficient_vector(
     if fn.pole_order > pole_order or fn.poly_degree > poly_degree:
         raise ValueError("function does not fit the requested shape")
     n, s = fn.dim, len(fn.points)
-    entries: list[GaussianRational] = []
+    parts: list[Vector] = []
     for k in range(s):
         group = fn.pole_coeffs[k]
         for r in range(1, pole_order + 1):
-            vec = group[r - 1] if r <= len(group) else Vector.zero(n)
-            entries.extend(vec)
+            parts.append(group[r - 1] if r <= len(group) else Vector.zero(n))
     for d in range(poly_degree + 1):
-        vec = fn.poly_coeffs[d] if d < len(fn.poly_coeffs) else Vector.zero(n)
-        entries.extend(vec)
-    return Vector(entries)
+        parts.append(fn.poly_coeffs[d] if d < len(fn.poly_coeffs) else Vector.zero(n))
+    return Vector.concat(parts)
 
 
 def in_span(

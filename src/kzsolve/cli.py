@@ -42,6 +42,20 @@ NULLSPACE_MAX_POLY_DEGREE = 16
 # 13.2 s at n = 8.
 SERIES_MAX_ORDER = 64
 
+# Largest --n of each command on a KZ system, measured as ``kz`` wall time with points
+# 0..n-2 (same machine). ``nullspace`` and ``monodromy`` solve the (1, 1) shape, one
+# elimination of about 2n^2 x n^2 whose bit growth makes it ~n^9: nullspace 1.1 s at
+# n = 10, 5.8 s at 12, 12.8 s at 13; monodromy reaches its integration after that
+# solve. ``series`` runs one n x (n + parameters) elimination per order, ~n^4.5 at a
+# fixed order: 0.4 s at n = 32 and 1.4 s at 64 with order 3, 43 s at n = 128; at
+# n = 32, 1.8 s with order 16 and 28.5 s at SERIES_MAX_ORDER. ``verify`` evaluates
+# residuals at s(p + 1) + d points, O(n^2) each: 2.3 s at n = 64, 11 s at 128 for a
+# simple-pole file solution.
+NULLSPACE_MAX_N = 12
+MONODROMY_MAX_N = 12
+SERIES_MAX_N = 32
+VERIFY_MAX_N = 64
+
 
 class UsageError(Exception):
     pass
@@ -178,6 +192,7 @@ def _residual_checks(sys_: KZSystem, label: str, fn, count: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    _refuse_over_cap("--n", args.n, VERIFY_MAX_N)
     sys_ = _build_system(args)
     selector = args.solution
     named = {"y1": y1, "y2": y2, "y3": y3, "y4": y4}
@@ -220,6 +235,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nullspace(args) -> int:
+    _refuse_over_cap("--n", args.n, NULLSPACE_MAX_N)
     _refuse_over_cap("--pole-order", args.pole_order, NULLSPACE_MAX_POLE_ORDER)
     _refuse_over_cap("--poly-degree", args.poly_degree, NULLSPACE_MAX_POLY_DEGREE)
     sys_ = _build_system(args)
@@ -246,6 +262,7 @@ def cmd_nullspace(args) -> int:
 
 
 def cmd_series(args) -> int:
+    _refuse_over_cap("--n", args.n, SERIES_MAX_N)
     _refuse_over_cap("--order", args.order, SERIES_MAX_ORDER)
     sys_ = _build_system(args)
     try:
@@ -289,6 +306,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
+    _refuse_over_cap("--n", args.n, MONODROMY_MAX_N)
     sys_ = _build_system(args)
     t0 = time.perf_counter()
     try:

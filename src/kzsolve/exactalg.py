@@ -1,19 +1,23 @@
 """Exact scalar arithmetic and small dense exact linear algebra.
 
 Scalars are Gaussian rationals (complex numbers with rational real and
-imaginary parts), carried by ``fractions.Fraction``. Everything downstream
-(matrix assembly, nullspaces, residue checks) relies on these operations
-being exact, so no floats appear anywhere in this module.
+imaginary parts), ``GaussianRational``, each part a ``fractions.Fraction``.
+Everything downstream (matrix assembly, nullspaces, residue checks) relies
+on these operations being exact, so no floats appear anywhere in this
+module.
 
-Elimination is the exception to the scalar type: one fraction-free
-(Bareiss) Gauss-Jordan loop, ``_bareiss``, clears each row to Gaussian
-integers and works on plain Python ints. Its pivot rows are read by two
-functions only, :func:`nullspace` and :func:`determinant`, and converted
-back to ``GaussianRational`` values once, at the end; an affine solve is
-the nullspace of the bordered matrix [A | -b]. A ``Matrix`` multiplies
-vectors and scalars, never another matrix: the one spectrum needed is that
-of an arrowhead, whose characteristic polynomial :func:`char_poly` expands
-from the head, diagonal and border alone.
+A ``Vector`` does not hold scalars: it stores the int real and imaginary
+parts of its entries over one shared positive denominator, in lowest
+terms, so vector arithmetic is int loops with one gcd per result and no
+per-entry ``Fraction``. A ``Matrix`` is a tuple of row vectors. Both hand
+out ``GaussianRational`` entries when read. One fraction-free (Bareiss)
+Gauss-Jordan loop, ``_bareiss``, eliminates over the Gaussian integers,
+taking each row's int parts and denominator as stored. Its pivot rows are
+read by two functions only, :func:`nullspace` and :func:`determinant`; an
+affine solve is the nullspace of the bordered matrix [A | -b]. A
+``Matrix`` multiplies vectors and scalars, never another matrix: the one
+spectrum needed is that of an arrowhead, whose characteristic polynomial
+:func:`char_poly` expands from the head, diagonal and border alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
@@ -207,79 +211,168 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(_parse_rational(text))
 
 
-class Vector:
-    """Dense exact vector."""
+def _parts(s: GaussianRational) -> tuple[int, int, int]:
+    """(x, y, d) with s = (x + y*i) / d, d > 0 the lcm of the parts' denominators."""
+    a, b = s.re, s.im
+    p, q = a.denominator, b.denominator
+    if p == q:
+        return a.numerator, b.numerator, p
+    d = lcm(p, q)
+    return a.numerator * (d // p), b.numerator * (d // q), d
 
-    __slots__ = ("data",)
+
+def _entry(x: int, y: int, den: int) -> GaussianRational:
+    if not (x or y):
+        return ZERO
+    return GaussianRational(Fraction(x, den), Fraction(y, den))
+
+
+class Vector:
+    """Dense exact vector: int real and imaginary parts over one shared denominator.
+
+    Entry j is ``(re[j] + im[j]*i) / den``. The form is canonical, ``den > 0``
+    and ``gcd(den, *re, *im) == 1``, so equal vectors have equal parts and
+    ``==`` and ``hash`` compare plain tuples. Arithmetic is an int loop and
+    one gcd per result; entries become ``GaussianRational`` only when read
+    (indexing, slicing, iteration, ``data``, ``str``).
+    """
+
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, entries: Iterable[ScalarLike]):
-        object.__setattr__(
-            self, "data", tuple(GaussianRational.coerce(e) for e in entries)
-        )
+        xs = [GaussianRational.coerce(e) for e in entries]
+        # No gcd pass: every part is a reduced Fraction, so for each prime p
+        # of den the part whose denominator holds p's deepest power has a
+        # numerator prime to p, scaled by den // denominator, also prime to p.
+        den = lcm(*(a.re.denominator for a in xs), *(a.im.denominator for a in xs))
+        re = tuple(a.re.numerator * (den // a.re.denominator) for a in xs)
+        im = tuple(a.im.numerator * (den // a.im.denominator) for a in xs)
+        _init(self, re, im, den)
+
+    @staticmethod
+    def from_parts(re: Sequence[int], im: Sequence[int], den: int) -> "Vector":
+        """The vector with entries (re[j] + im[j]*i) / den, den > 0, brought to canonical form."""
+        if den <= 0:
+            raise ValueError("shared denominator must be positive")
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+        return _make(tuple(re), tuple(im), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
     @staticmethod
     def zero(n: int) -> "Vector":
-        return Vector([ZERO] * n)
+        return _make((0,) * n, (0,) * n, 1)
 
     @staticmethod
     def unit(n: int, i: int) -> "Vector":
-        return Vector([ONE if j == i else ZERO for j in range(n)])
+        re = [0] * n
+        re[i] = 1
+        return _make(tuple(re), (0,) * n, 1)
+
+    @staticmethod
+    def concat(parts: Sequence["Vector"]) -> "Vector":
+        """The entries of every vector in ``parts``, one after the other."""
+        den = lcm(*(v.den for v in parts))
+        re, im = [], []
+        for v in parts:
+            f = den // v.den
+            re += [x * f for x in v.re]
+            im += [y * f for y in v.im]
+        # canonical without a gcd pass, by the argument in __init__: each
+        # prime of den keeps a numerator prime to it in the deepest part
+        return _make(tuple(re), tuple(im), den)
+
+    def segment(self, start: int, stop: int) -> "Vector":
+        """Entries start..stop-1 as a vector."""
+        return Vector.from_parts(self.re[start:stop], self.im[start:stop], self.den)
+
+    @property
+    def data(self) -> tuple[GaussianRational, ...]:
+        den = self.den
+        return tuple(_entry(x, y, den) for x, y in zip(self.re, self.im))
 
     @property
     def dim(self) -> int:
-        return len(self.data)
+        return len(self.re)
 
     def __len__(self):
-        return len(self.data)
+        return len(self.re)
 
     def __iter__(self):
         return iter(self.data)
 
     def __getitem__(self, i):
-        return self.data[i]
+        if isinstance(i, slice):
+            return self.data[i]
+        return _entry(self.re[i], self.im[i], self.den)
+
+    def _lift(self, other: "Vector") -> tuple[int, int, int]:
+        """Factors that bring self and other to their lcm denominator, and that lcm."""
+        if len(self.re) != len(other.re):
+            raise ValueError("vector dimension mismatch")
+        a, b = self.den, other.den
+        if a == b:
+            return 1, 1, a
+        g = gcd(a, b)
+        return b // g, a // g, a // g * b
 
     def __add__(self, other: "Vector") -> "Vector":
-        if len(self) != len(other):
-            raise ValueError("vector dimension mismatch")
-        return Vector(a + b for a, b in zip(self.data, other.data))
+        fa, fb, den = self._lift(other)
+        return Vector.from_parts(
+            [x * fa + u * fb for x, u in zip(self.re, other.re)],
+            [y * fa + v * fb for y, v in zip(self.im, other.im)],
+            den,
+        )
 
     def __sub__(self, other: "Vector") -> "Vector":
-        if len(self) != len(other):
-            raise ValueError("vector dimension mismatch")
-        return Vector(a - b for a, b in zip(self.data, other.data))
+        fa, fb, den = self._lift(other)
+        return Vector.from_parts(
+            [x * fa - u * fb for x, u in zip(self.re, other.re)],
+            [y * fa - v * fb for y, v in zip(self.im, other.im)],
+            den,
+        )
 
     def __neg__(self):
-        return Vector(-a for a in self.data)
+        return _make(tuple(-x for x in self.re), tuple(-y for y in self.im), self.den)
 
     def scale(self, s: ScalarLike) -> "Vector":
-        s = GaussianRational.coerce(s)
-        return Vector(s * a for a in self.data)
+        sr, si, sd = _parts(GaussianRational.coerce(s))
+        if si:
+            re = [sr * x - si * y for x, y in zip(self.re, self.im)]
+            im = [sr * y + si * x for x, y in zip(self.re, self.im)]
+        else:
+            re = [sr * x for x in self.re]
+            im = [sr * y for y in self.im]
+        return Vector.from_parts(re, im, sd * self.den)
 
     def __rmul__(self, s):
         return self.scale(s)
 
     def dot(self, other: "Vector") -> GaussianRational:
         """Bilinear dot product (no conjugation)."""
-        if len(self) != len(other):
+        if len(self.re) != len(other.re):
             raise ValueError("vector dimension mismatch")
-        acc = ZERO
-        for a, b in zip(self.data, other.data):
-            acc = acc + a * b
-        return acc
+        sr = si = 0
+        for x, y, u, v in zip(self.re, self.im, other.re, other.im):
+            sr += x * u - y * v
+            si += x * v + y * u
+        return _entry(sr, si, self.den * other.den)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.data)
+        return not (any(self.re) or any(self.im))
 
     def __eq__(self, other):
         if isinstance(other, Vector):
-            return self.data == other.data
+            return self.den == other.den and self.re == other.re and self.im == other.im
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.re, self.im, self.den))
 
     def __str__(self):
         return "[" + ", ".join(str(a) for a in self.data) + "]"
@@ -288,22 +381,54 @@ class Vector:
         return f"Vector({self})"
 
 
+def _init(v: Vector, re: tuple, im: tuple, den: int):
+    object.__setattr__(v, "re", re)
+    object.__setattr__(v, "im", im)
+    object.__setattr__(v, "den", den)
+
+
+def _make(re: tuple, im: tuple, den: int) -> Vector:
+    """A vector from parts already in canonical form."""
+    v = object.__new__(Vector)
+    _init(v, re, im, den)
+    return v
+
+
+def linear_combination(terms: Iterable[tuple[ScalarLike, Vector]], dim: int) -> Vector:
+    """sum_j s_j v_j over (s_j, v_j) in ``terms``, as one int loop and one gcd."""
+    lifted = []
+    for s, v in terms:
+        if v.dim != dim:
+            raise ValueError("vector dimension mismatch")
+        sr, si, sd = _parts(GaussianRational.coerce(s))
+        if sr or si:
+            lifted.append((sr, si, sd * v.den, v))
+    den = lcm(*(d for _, _, d, _ in lifted))
+    re, im = [0] * dim, [0] * dim
+    for sr, si, d, v in lifted:
+        f = den // d
+        sr, si = sr * f, si * f
+        for j, (x, y) in enumerate(zip(v.re, v.im)):
+            if x or y:
+                re[j] += sr * x - si * y
+                im[j] += sr * y + si * x
+    return Vector.from_parts(re, im, den)
+
+
 class Matrix:
-    """Dense exact matrix, row-major."""
+    """Dense exact matrix, stored as its row vectors."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_vecs")
 
-    def __init__(self, rows: Iterable[Iterable[ScalarLike]]):
-        data = tuple(
-            tuple(GaussianRational.coerce(e) for e in row) for row in rows
-        )
-        if not data:
+    def __init__(self, rows: Iterable[Union[Vector, Iterable[ScalarLike]]]):
+        vecs = tuple(r if isinstance(r, Vector) else Vector(r) for r in rows)
+        if not vecs:
             raise ValueError("matrix needs at least one row")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        width = len(vecs[0])
+        if any(len(v) != width for v in vecs):
             raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "_vecs", vecs)
+        object.__setattr__(self, "rows", len(vecs))
         object.__setattr__(self, "cols", width)
 
     def __setattr__(self, name, value):
@@ -311,44 +436,59 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix([Vector.unit(n, i) for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)])
+        return Matrix([Vector.zero(cols)] * rows)
 
     @staticmethod
     def from_columns(columns: Sequence[Vector]) -> "Matrix":
         if not columns:
             raise ValueError("need at least one column")
         n = columns[0].dim
-        return Matrix([[col[i] for col in columns] for i in range(n)])
+        if any(col.dim != n for col in columns):
+            raise ValueError("column dimension mismatch")
+        den = lcm(*(col.den for col in columns))
+        lifted = [(den // col.den, col.re, col.im) for col in columns]
+        return Matrix(
+            Vector.from_parts(
+                [re[i] * f for f, re, _ in lifted], [im[i] * f for f, _, im in lifted], den
+            )
+            for i in range(n)
+        )
+
+    def hstack(self, other: "Matrix") -> "Matrix":
+        """[self | other], row by row."""
+        if self.rows != other.rows:
+            raise ValueError("matrix shape mismatch")
+        return Matrix(Vector.concat((a, b)) for a, b in zip(self._vecs, other._vecs))
+
+    @property
+    def data(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        return tuple(v.data for v in self._vecs)
 
     def row(self, i: int) -> Vector:
-        return Vector(self.data[i])
+        return self._vecs[i]
 
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
+        return self._vecs[i][j]
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)
-        )
+        return Matrix(a + b for a, b in zip(self._vecs, other._vecs))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)
-        )
+        return Matrix(a - b for a, b in zip(self._vecs, other._vecs))
 
     def __neg__(self):
-        return Matrix([-a for a in row] for row in self.data)
+        return Matrix(-a for a in self._vecs)
 
     def scale(self, s: ScalarLike) -> "Matrix":
         s = GaussianRational.coerce(s)
-        return Matrix([s * a for a in row] for row in self.data)
+        return Matrix(a.scale(s) for a in self._vecs)
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -359,23 +499,35 @@ class Matrix:
                 raise ValueError("matrix/vector shape mismatch")
             # only products of two nonzero entries: assembled systems and
             # kernel vectors are mostly exact zeros
-            support = [(j, b) for j, b in enumerate(other.data) if not b.is_zero()]
-            return Vector(
-                sum((row[j] * b for j, b in support if not row[j].is_zero()), ZERO)
-                for row in self.data
+            support = [(j, u, v) for j, (u, v) in enumerate(zip(other.re, other.im)) if u or v]
+            sums = []
+            for row in self._vecs:
+                xr, xi = row.re, row.im
+                sr = si = 0
+                for j, u, v in support:
+                    x, y = xr[j], xi[j]
+                    if x or y:
+                        sr += x * u - y * v
+                        si += x * v + y * u
+                sums.append((sr, si, row.den))
+            den = lcm(*(d for _, _, d in sums))
+            return Vector.from_parts(
+                [sr * (den // d) for sr, _, d in sums],
+                [si * (den // d) for _, si, d in sums],
+                den * other.den,
             )
         return self.scale(other)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.data for a in row)
+        return all(v.is_zero() for v in self._vecs)
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
-            return self.data == other.data
+            return self._vecs == other._vecs
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.data)
+        return hash(self._vecs)
 
     def _check_same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -389,18 +541,18 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self})"
 
-
 # -- elimination ------------------------------------------------------------
 
 
-def _bareiss(rows: Sequence[Sequence[GaussianRational]]):
+def _bareiss(rows: Sequence[Vector]):
     """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
-    Row i is cleared to Gaussian integers by the lcm ``D[i]`` of its
-    denominators and kept as parallel lists of real and imaginary int
-    parts; ``rows`` itself is not modified. Pivots follow the rule of
-    division-based Gauss-Jordan: column by column, the first row at or
-    below the current one with a nonzero entry there.
+    Row i is cleared to Gaussian integers by its shared denominator
+    ``D[i]``, the lcm of its entries' denominators, and kept as lists of
+    its real and imaginary int parts; ``rows`` itself is not modified.
+    Pivots follow the rule of division-based Gauss-Jordan: column by
+    column, the first row at or below the current one with a nonzero
+    entry there.
 
     Bareiss's update turns every other row a into (p*a - f*b) / q, with b
     the pivot row, p its pivot, f the entry of a in the pivot column and q
@@ -417,12 +569,9 @@ def _bareiss(rows: Sequence[Sequence[GaussianRational]]):
     last pivot ``scale[-1]`` is the determinant of the cleared matrix up
     to the sign ``(-1) ** swaps``.
     """
-    re, im, D = [], [], []
-    for row in rows:
-        d = lcm(*(a.re.denominator for a in row), *(a.im.denominator for a in row))
-        D.append(d)
-        re.append([a.re.numerator * (d // a.re.denominator) for a in row])
-        im.append([a.im.numerator * (d // a.im.denominator) for a in row])
+    re = [list(v.re) for v in rows]
+    im = [list(v.im) for v in rows]
+    D = [v.den for v in rows]
     nrows = len(re)
     scale = [(1, 0)] * nrows
     pivots: list[int] = []
@@ -473,17 +622,6 @@ def _bareiss(rows: Sequence[Sequence[GaussianRational]]):
     return re, im, D, pivots, scale, swaps
 
 
-def _quotient(x: int, y: int, s: tuple[int, int]) -> GaussianRational:
-    """The Gaussian rational (x + y*i) / s for a nonzero Gaussian integer s."""
-    if not (x or y):
-        return ZERO
-    sr, si = s
-    if si == 0:
-        return GaussianRational(Fraction(x, sr), Fraction(y, sr))
-    n = sr * sr + si * si
-    return GaussianRational(Fraction(x * sr + y * si, n), Fraction(y * sr - x * si, n))
-
-
 def nullspace(M: Matrix) -> list[Vector]:
     """Basis of the exact right nullspace {v : Mv = 0}, one vector per free column.
 
@@ -491,17 +629,27 @@ def nullspace(M: Matrix) -> list[Vector]:
     times their scale, and re-substituted into M; a nonzero product would
     indicate corrupted elimination and raises.
     """
-    re, im, _, pivots, scale, _ = _bareiss(M.data)
+    re, im, _, pivots, scale, _ = _bareiss(M._vecs)
     pivot_set = set(pivots)
+    # dividing by the pivot scale s is multiplying by c = conj(s) over the
+    # positive integer d = |s|^2, or by c = sign(s) over d = |s| for real s
+    inverse = [
+        (sr, -si, sr * sr + si * si) if si else ((1 if sr > 0 else -1), 0, abs(sr))
+        for sr, si in scale[: len(pivots)]
+    ]
+    den = lcm(*(d for _, _, d in inverse))
     basis = []
     for free in range(M.cols):
         if free in pivot_set:
             continue
-        v = [ZERO] * M.cols
-        v[free] = ONE
+        vr, vi = [0] * M.cols, [0] * M.cols
+        vr[free] = den
         for i, pc in enumerate(pivots):
-            v[pc] = _quotient(-re[i][free], -im[i][free], scale[i])
-        vec = Vector(v)
+            cr, ci, d = inverse[i]
+            x, y, f = -re[i][free], -im[i][free], den // d
+            vr[pc] = (x * cr - y * ci) * f
+            vi[pc] = (x * ci + y * cr) * f
+        vec = Vector.from_parts(vr, vi, den)
         if not (M * vec).is_zero():
             raise ArithmeticError("kernel vector failed exact re-substitution")
         basis.append(vec)
@@ -512,7 +660,7 @@ def determinant(M: Matrix) -> GaussianRational:
     """Exact determinant, (-1)^swaps times the last Bareiss pivot over prod D_i."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    _, _, D, pivots, scale, swaps = _bareiss(M.data)
+    _, _, D, pivots, scale, swaps = _bareiss(M._vecs)
     if len(pivots) < M.rows:
         return ZERO
     den = -prod(D) if swaps % 2 else prod(D)
@@ -640,10 +788,10 @@ def solve_affine(A: Matrix, b: Vector) -> AffineSolution:
     if A.rows != b.dim:
         raise ValueError("right-hand side length must match row count")
     n = A.cols
-    kernel = nullspace(Matrix([list(row) + [-bi] for row, bi in zip(A.data, b)]))
+    kernel = nullspace(A.hstack(Matrix.from_columns([-b])))
     if kernel and not kernel[-1][n].is_zero():
         return AffineSolution(
-            True, Vector(kernel[-1][:n]), [Vector(v[:n]) for v in kernel[:-1]], None
+            True, kernel[-1].segment(0, n), [v.segment(0, n) for v in kernel[:-1]], None
         )
     left = nullspace(Matrix.from_columns([A.row(i) for i in range(A.rows)]))
     cert = next((y for y in left if not y.dot(b).is_zero()), None)

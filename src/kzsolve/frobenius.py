@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .ansatz import RationalVectorFunction
-from .exactalg import GaussianRational, Matrix, Vector, nullspace, solve_affine
+from .exactalg import GaussianRational, Matrix, Vector, linear_combination, nullspace, solve_affine
 from .kzcore import KZSystem, local_coefficients
 from .symrep import star_act, star_sum
 
@@ -67,12 +67,7 @@ def _trimmed_series(pole_index: int, start: int, coeffs: list[Vector]) -> LocalS
 
 
 def _combine(columns: list[Vector], weights, n: int) -> Vector:
-    acc = Vector.zero(n)
-    for w, col in zip(weights, columns):
-        w = GaussianRational.coerce(w)
-        if not w.is_zero():
-            acc = acc + col.scale(w)
-    return acc
+    return linear_combination(zip(weights, columns), n)
 
 
 @dataclass(frozen=True)
@@ -151,26 +146,25 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     basis: dict[int, list[Vector]] = {}
     starts = []
     nparams = 0
+    # lifted once, each a(j) acts on every carried parameter
+    coeffs = [Vector(loc.coeff(j)) for j in range(order - m_min)]
     for t in range(m_min, order + 1):
-        rhs = [Vector.zero(n) for _ in range(nparams)]
-        for j in range(t - m_min):
-            Aj = loc.coeff(j)
-            src = basis[t - 1 - j]
-            for p in range(nparams):
-                if not src[p].is_zero():
-                    rhs[p] = rhs[p] + star_act(Aj, src[p])
+        rhs = []
+        for p in range(nparams):
+            src = [(coeffs[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
+            rhs.append(linear_combination(((1, star_act(a, b)) for a, b in src if not b.is_zero()), n))
         L = ident.scale(t) - residue
-        bordered = Matrix([list(L.data[i]) + [-col[i] for col in rhs] for i in range(n)])
+        bordered = L.hstack(Matrix.from_columns([-col for col in rhs])) if rhs else L
         carried, fresh = [], []
         for v in nullspace(bordered):
-            (fresh if all(c.is_zero() for c in v[n:]) else carried).append(v)
+            (fresh if v.segment(n, v.dim).is_zero() else carried).append(v)
         kept = carried + fresh
         # unless a parameter combination died, the c are the unit vectors in order
         pruned = len(carried) < nparams
         for q in basis:
             older = [_combine(basis[q], v[n:], n) for v in carried] if pruned else basis[q]
             basis[q] = older + [Vector.zero(n)] * len(fresh)
-        basis[t] = [Vector(v[:n]) for v in kept]
+        basis[t] = [v.segment(0, n) for v in kept]
         nparams = len(kept)
         if fresh:
             starts.append(t)
@@ -182,8 +176,8 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
         else:
             stacked = []
             for q in range(m_min, start):
-                for i in range(n):
-                    stacked.append([basis[q][p][i] for p in range(nparams)])
+                columns = Matrix.from_columns(basis[q])
+                stacked += [columns.row(i) for i in range(n)]
             K = nullspace(Matrix(stacked))
             if not K:
                 continue

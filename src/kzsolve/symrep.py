@@ -4,7 +4,8 @@ The residue matrices are the transpositions (1 k+1) acting on coordinates,
 the "star" generators. Outside elimination a residue operator
 sum_k w_k P_k is carried as its weight tuple w, and this is the only module
 that knows what the weights mean: :func:`star_apply` applies one P_k as a
-coordinate swap, :func:`star_act` applies a weighted sum in O(n), and
+coordinate swap, :func:`star_act` applies a weighted sum in O(n) int
+operations on the vector's shared-denominator parts, and
 :func:`star_sum` builds the dense arrowhead matrix for elimination. The
 generator sum T governs the large-z behaviour of the system, so its
 integer spectrum is computed and sanity-checked here as well, from the
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactalg import GaussianRational, Matrix, ONE, ScalarLike, Vector, ZERO
+from .exactalg import Matrix, ONE, ScalarLike, Vector, ZERO
 from .exactalg import char_poly, integer_eigenvalues
 
 
@@ -48,26 +49,28 @@ def star_apply(k: int, v: Vector) -> Vector:
     """P_k v for the star transposition (1 k+1): swap coordinates 1 and k+1."""
     if not 1 <= k < v.dim:
         raise ValueError(f"star generator index {k} out of range 1..{v.dim - 1}")
-    data = list(v)
-    data[0], data[k] = data[k], data[0]
-    return Vector(data)
+    re, im = list(v.re), list(v.im)
+    re[0], re[k] = re[k], re[0]
+    im[0], im[k] = im[k], im[0]
+    return Vector.from_parts(re, im, v.den)
 
 
 def star_sum(weights: Sequence[ScalarLike]) -> Matrix:
     """Dense sum_k w_k P_k over the n = len(weights) + 1 point star generators.
 
     An arrowhead: w_k at (1, k+1) and (k+1, 1), sum(w) - w_k at (k+1, k+1)
-    and 0 at (1, 1), filled in O(n^2) with O(n) scalar operations.
+    and 0 at (1, 1), filled in O(n^2) from the weights' int parts.
     """
-    w = [GaussianRational.coerce(x) for x in weights]
-    if not w:
+    w = Vector(weights)
+    if not w.dim:
         raise ValueError("need at least one weight")
-    n = len(w) + 1
-    total = sum(w, ZERO)
-    rows = [[ZERO] * n for _ in range(n)]
-    for k, wk in enumerate(w, start=1):
-        rows[0][k] = rows[k][0] = wk
-        rows[k][k] = total - wk
+    n = w.dim + 1
+    tr, ti = sum(w.re), sum(w.im)
+    rows = [Vector.from_parts((0, *w.re), (0, *w.im), w.den)]
+    for k, (a, b) in enumerate(zip(w.re, w.im), start=1):
+        re, im = [0] * n, [0] * n
+        re[0], im[0], re[k], im[k] = a, b, tr - a, ti - b
+        rows.append(Vector.from_parts(re, im, w.den))
     return Matrix(rows)
 
 
@@ -75,15 +78,25 @@ def star_act(weights: Sequence[ScalarLike], v: Vector) -> Vector:
     """(sum_k w_k P_k) v in O(n), without building the arrowhead.
 
     Entry 1 is sum_k w_k v_(k+1); entry k+1 is w_k v_1 + (sum(w) - w_k) v_(k+1).
+    The weights are lifted to int parts over one denominator (pass a
+    ``Vector`` to lift them once for many products), so the product is an
+    int loop over the weights' and the vector's parts with one gcd.
     """
-    w = [GaussianRational.coerce(x) for x in weights]
-    if len(w) != v.dim - 1:
-        raise ValueError(f"{len(w)} star weights do not act on dimension {v.dim}")
-    head, tail = v[0], v.data[1:]
-    total = sum(w, ZERO)
-    out = [sum((wk * vk for wk, vk in zip(w, tail)), ZERO)]
-    out += [wk * head + (total - wk) * vk for wk, vk in zip(w, tail)]
-    return Vector(out)
+    w = weights if isinstance(weights, Vector) else Vector(weights)
+    if w.dim != v.dim - 1:
+        raise ValueError(f"{w.dim} star weights do not act on dimension {v.dim}")
+    tr, ti = sum(w.re), sum(w.im)
+    hr, hi = v.re[0], v.im[0]
+    re, im = [0], [0]
+    sr = si = 0
+    for a, b, x, y in zip(w.re, w.im, v.re[1:], v.im[1:]):
+        sr += a * x - b * y
+        si += a * y + b * x
+        cr, ci = tr - a, ti - b
+        re.append(a * hr - b * hi + cr * x - ci * y)
+        im.append(a * hi + b * hr + cr * y + ci * x)
+    re[0], im[0] = sr, si
+    return Vector.from_parts(re, im, w.den * v.den)
 
 
 def t_matrix(n: int) -> Matrix:

@@ -12,6 +12,10 @@ answers off it, and the library's fraction-free ``nullspace`` and
 built on ``matmul``, the dense product the library itself no longer
 has; it vouches for the arrowhead ``char_poly`` and feeds
 ``integer_eigenvalues`` on matrices that are not arrowheads.
+The ``reference_*`` vector operations (scale, add, sub, dot, matrix times
+vector, star action) work entry by entry on ``GaussianRational`` lists,
+as the library did before a ``Vector`` became int parts over one shared
+denominator; the int loops must print exactly what they print.
 """
 
 import random
@@ -188,6 +192,45 @@ def reference_solve_affine(A: Matrix, b):
     for i, pc in enumerate(pivots):
         x[pc] = rows[i][A.cols]
     return True, Vector(x), _rref_kernel(rows, pivots, A.cols)
+
+
+def reference_scale(s, v):
+    return [s * a for a in v]
+
+
+def reference_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def reference_sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def reference_dot(u, v) -> GaussianRational:
+    acc = ZERO
+    for a, b in zip(u, v):
+        acc = acc + a * b
+    return acc
+
+
+def reference_matvec(rows, v):
+    support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
+    return [sum((row[j] * b for j, b in support if not row[j].is_zero()), ZERO) for row in rows]
+
+
+def reference_star_act(weights, v):
+    """(sum_k w_k P_k) v: entry 1 is sum_k w_k v_(k+1), entry k+1 w_k v_1 + (sum(w) - w_k) v_(k+1)."""
+    w = [GaussianRational.coerce(x) for x in weights]
+    head, tail = v[0], list(v[1:])
+    total = sum(w, ZERO)
+    out = [sum((wk * vk for wk, vk in zip(w, tail)), ZERO)]
+    out += [wk * head + (total - wk) * vk for wk, vk in zip(w, tail)]
+    return out
+
+
+def entries_str(entries) -> str:
+    """A list of scalars printed the way ``str(Vector)`` prints its entries."""
+    return "[" + ", ".join(str(a) for a in entries) + "]"
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:

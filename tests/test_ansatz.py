@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_points, random_scalar
+from conftest import entries_str, random_points, random_scalar, reference_add, reference_scale
 from kzsolve.ansatz import (
     RationalVectorFunction,
     check_conditions,
@@ -13,8 +13,9 @@ from kzsolve.ansatz import (
     sample_points,
     solve_ansatz,
 )
-from kzsolve.exactalg import GaussianRational, Vector, parse_scalar
-from kzsolve.kzcore import new_system
+from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar
+from kzsolve.kzcore import eval_A, new_system
+from kzsolve.symrep import star_act
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]
@@ -111,6 +112,35 @@ class TestResidual:
             poly_coeffs=(Vector([1, 0, 0, 0]),),
         )
         assert not residual(sys, fn, 5).is_zero()
+
+    def test_matches_entrywise_evaluation(self):
+        # W(z) and W'(z) from one inverse per pole against the term-by-term
+        # sum of L (z - z_k)^-r and Q z^d, and the residual against the
+        # closed-form derivative function
+        rng = random.Random(401)
+        for trial in range(40):
+            n = rng.randint(3, 6)
+            sys = new_system(n, rng.randint(-2, 2), random_points(rng, n - 1))
+            def vec():
+                return Vector([random_scalar(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
+            fn = RationalVectorFunction(
+                dim=n,
+                points=sys.points,
+                pole_coeffs=tuple(tuple(vec() for _ in range(rng.randint(0, 3))) for _ in range(n - 1)),
+                poly_coeffs=tuple(vec() for _ in range(rng.randint(0, 3))),
+            )
+            z = sample_points(sys.points, 1)[0] + random_scalar(rng, span=3)
+            if any((z - p).is_zero() for p in sys.points):
+                continue
+            want = [ZERO] * n
+            for zk, group in zip(sys.points, fn.pole_coeffs):
+                for r, L in enumerate(group, start=1):
+                    want = reference_add(want, reference_scale(ONE / (z - zk) ** r, L.data))
+            for d, Q in enumerate(fn.poly_coeffs):
+                want = reference_add(want, reference_scale(z ** d, Q.data))
+            assert str(fn.eval(z)) == entries_str(want)
+            rhs = star_act(eval_A(sys, z), fn.eval(z)).scale(sys.rho)
+            assert residual(sys, fn, z) == fn.derivative().eval(z) - rhs
 
     def test_y1_vanishes_at_random_points(self):
         rng = random.Random(400)

@@ -4,15 +4,20 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from kzsolve import ansatz, frobenius, symrep
+from kzsolve import ansatz, frobenius, numverify, symrep
 from kzsolve.cli import (
     EIGEN_MAX_N,
+    MONODROMY_MAX_N,
+    NULLSPACE_MAX_N,
     NULLSPACE_MAX_POLE_ORDER,
     NULLSPACE_MAX_POLY_DEGREE,
+    SERIES_MAX_N,
     SERIES_MAX_ORDER,
+    VERIFY_MAX_N,
     main,
 )
 from kzsolve.exactalg import Matrix, Vector, parse_scalar, solve_affine
@@ -138,6 +143,28 @@ class TestNullspace:
         assert json.loads(out)["overall"] == "fail"
 
 
+def system_args(n: int, rho: int = -1) -> list[str]:
+    return ["--n", str(n), "--rho", str(rho), "--points", ",".join(str(i) for i in range(n - 1))]
+
+
+def n_cap_argv(n: int, solution_file: str = "unused.json") -> dict[str, list[str]]:
+    """One command line per n-capped command, on a KZ system of dimension n."""
+    return {
+        "nullspace": ["nullspace", *system_args(n)],
+        "series": ["series", *system_args(n), "--pole", "1", "--order", "3"],
+        "monodromy": ["monodromy", *system_args(n), "--pole", "1", "--radius", "0.4"],
+        "verify": ["verify", *system_args(n, rho=1), "--solution", f"file:{solution_file}"],
+    }
+
+
+N_CAPS = {
+    "nullspace": NULLSPACE_MAX_N,
+    "series": SERIES_MAX_N,
+    "monodromy": MONODROMY_MAX_N,
+    "verify": VERIFY_MAX_N,
+}
+
+
 class TestCaps:
     """Over-cap shapes are refused with exit 2 before the solver runs."""
 
@@ -151,6 +178,8 @@ class TestCaps:
 
         monkeypatch.setattr(ansatz, "solve_ansatz", reached)
         monkeypatch.setattr(frobenius, "frobenius_solve", reached)
+        monkeypatch.setattr(numverify, "monodromy", reached)
+        monkeypatch.setattr(ansatz, "residual", reached)
 
     @pytest.mark.parametrize(
         "argv",
@@ -179,6 +208,35 @@ class TestCaps:
     def test_at_cap_reaches_the_solver(self, solvers_fail, argv):
         with pytest.raises(TestCaps.Reached):
             main(argv)
+
+    @pytest.mark.parametrize("command", sorted(N_CAPS))
+    def test_over_n_cap_refused(self, capsys, solvers_fail, command):
+        # never run: the solvers raise if the refusal comes too late
+        n = N_CAPS[command] + 1
+        code, out, err = run(capsys, n_cap_argv(n)[command])
+        assert code == 2
+        assert out == ""
+        assert f"--n {n} exceeds the cap {N_CAPS[command]}" in err
+
+    @pytest.mark.parametrize("command", sorted(N_CAPS))
+    def test_at_n_cap_runs(self, capsys, monkeypatch, tmp_path, command):
+        # the solvers return at once, so the command completes its report
+        n = N_CAPS[command]
+        zero = Vector.zero(n)
+        monkeypatch.setattr(ansatz, "solve_ansatz", lambda *a, **k: [])
+        monkeypatch.setattr(frobenius, "frobenius_solve", lambda *a, **k: [])
+        monkeypatch.setattr(ansatz, "residual", lambda *a, **k: zero)
+        transport = SimpleNamespace(transport=[[1 + 0j]], deviation=0.0, steps=0)
+        monkeypatch.setattr(numverify, "monodromy", lambda *a, **k: transport)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "n": n, "rho": 1, "points": [str(i) for i in range(n - 1)],
+            "pole_coefficients": [[["0"] * n] for _ in range(n - 1)],
+            "poly_coefficients": [],
+        }))
+        code, out, err = run(capsys, n_cap_argv(n, str(path))[command])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["overall"] == "pass"
 
 
 # SHA-256 of stdout and the exit code of each exact README command, plus three

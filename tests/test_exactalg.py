@@ -1,18 +1,25 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import (
     brute_rank,
     dense_integer_eigenvalues,
+    entries_str,
     leibniz_det,
     matmul,
     random_matrix,
     random_scalar,
+    reference_add,
     reference_char_poly,
+    reference_dot,
+    reference_matvec,
     reference_nullspace,
+    reference_scale,
     reference_solve_affine,
+    reference_sub,
     row_sum_bound,
     to_sympy,
 )
@@ -104,6 +111,120 @@ class TestMatrixVector:
         for density in (0, 0.5):
             v = Vector(sparse_rows(rng, 1, 6, density)[0])
             assert M * v == Vector(M.row(i).dot(v) for i in range(M.rows))
+
+
+def canonical(v: Vector) -> bool:
+    """Int parts over a positive denominator in lowest terms, one pair per entry."""
+    parts = (*v.re, *v.im, v.den)
+    return (
+        all(type(x) is int for x in parts)
+        and len(v.re) == len(v.im) == v.dim
+        and v.den > 0
+        and gcd(*parts) == 1
+    )
+
+
+def random_entries(rng, dim, trial):
+    """Zero density 0, 0.5 or 0.9 and denominators up to 6, 10^6 or 10^18, by trial."""
+    density = (0, 0.5, 0.9)[trial % 3]
+    span = (6, 10**6, 10**18)[trial // 3 % 3]
+    return [ZERO if rng.random() < density else random_scalar(rng, span) for _ in range(dim)]
+
+
+class TestSharedDenominator:
+    """Vector arithmetic on int parts prints what entry-wise scalar arithmetic prints."""
+
+    TRIALS = 360
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        for trial in range(self.TRIALS):
+            # every dimension 0..9 with every density and span
+            dim = trial % 10
+            yield rng, random_entries(rng, dim, trial), random_entries(rng, dim, trial)
+
+    def test_construction_and_reading(self):
+        for _, a, _ in self.cases(120):
+            v = Vector(a)
+            assert canonical(v)
+            assert str(v) == entries_str(a)
+            assert list(v) == a and list(v.data) == a
+            assert [v[i] for i in range(v.dim)] == a and v[1:3] == tuple(a[1:3])
+            assert Vector(v.data) == v
+
+    def test_ops_match_entrywise_reference(self):
+        for rng, a, b in self.cases(121):
+            u, v = Vector(a), Vector(b)
+            s = random_scalar(rng, (6, 10**9)[rng.random() < 0.5])
+            for got, want in (
+                (u + v, reference_add(a, b)),
+                (u - v, reference_sub(a, b)),
+                (-u, reference_scale(GaussianRational(-1), a)),
+                (u.scale(s), reference_scale(s, a)),
+                (u.scale(0), reference_scale(ZERO, a)),
+                (u.scale(Fraction(1, 3)), reference_scale(GaussianRational(Fraction(1, 3)), a)),
+            ):
+                assert canonical(got)
+                assert str(got) == entries_str(want)
+            assert str(u.dot(v)) == str(reference_dot(a, b))
+            assert u.is_zero() == all(x.is_zero() for x in a)
+
+    def test_matvec_matches_entrywise_reference(self):
+        rng = random.Random(122)
+        for trial in range(self.TRIALS):
+            cols = trial % 10 + 1
+            rows = [random_entries(rng, cols, trial) for _ in range(rng.randint(1, 6))]
+            x = random_entries(rng, cols, trial)
+            got = Matrix(rows) * Vector(x)
+            assert canonical(got)
+            assert str(got) == entries_str(reference_matvec(rows, x))
+
+    def test_linear_combination_and_columns(self):
+        for rng, a, b in self.cases(123):
+            u, v = Vector(a), Vector(b)
+            s, t = random_scalar(rng), random_scalar(rng, 10**9)
+            got = exactalg.linear_combination([(s, u), (t, v), (0, u)], len(a))
+            assert canonical(got)
+            assert str(got) == entries_str(reference_add(reference_scale(s, a), reference_scale(t, b)))
+            if a:
+                M = Matrix.from_columns([u, v, -u])
+                assert all(canonical(M.row(i)) for i in range(M.rows))
+                assert M.data == tuple(zip(a, b, reference_scale(GaussianRational(-1), a)))
+                k = rng.randint(0, len(a))
+                assert Vector.concat([u.segment(0, k), u.segment(k, len(a))]) == u
+                joined = Vector.concat([u, v])
+                assert canonical(joined) and joined.data == tuple(a + b)
+
+    def test_equal_vectors_hash_equal(self):
+        for rng, a, b in self.cases(124):
+            v = Vector(a)
+            w = Vector(b)
+            routes = [
+                v.scale(2).scale(Fraction(1, 2)),
+                v.scale(GaussianRational(0, 1)).scale(GaussianRational(0, -1)),
+                (v - w) + w,
+                v + Vector.zero(len(a)),
+                -(-v),
+                Vector(v.data),
+                Vector([parse_scalar(str(x)) for x in a]),
+                exactalg.linear_combination([(ONE, v)], len(a)),
+            ]
+            if a:
+                routes.append(Matrix.identity(len(a)) * v)
+                routes.append(Vector.concat([v.segment(0, 1), v.segment(1, len(a))]))
+            for r in routes:
+                assert r == v and hash(r) == hash(v) and canonical(r)
+
+    def test_malformed_parts_rejected(self):
+        with pytest.raises(ValueError):
+            Vector.from_parts([1], [0], 0)
+        with pytest.raises(ValueError):
+            Vector.from_parts([1], [0], -2)
+        assert Vector.from_parts([2, 4], [0, -6], 4) == Vector([Fraction(1, 2), GaussianRational(1, Fraction(-3, 2))])
+        with pytest.raises(ValueError):
+            Vector([1, 2]) + Vector([1])
+        with pytest.raises(ValueError):
+            Vector([1, 2]).dot(Vector([1]))
 
 
 def division_reference_cases():

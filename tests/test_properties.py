@@ -1,4 +1,4 @@
-"""Property tests of the exact scalar: field axioms and the literal round-trip.
+"""Property tests of the exact scalar and vector: field axioms and round trips.
 
 Examples are derandomized so the suite stays deterministic from run to run.
 """
@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kzsolve.exactalg import ONE, ZERO, GaussianRational, parse_scalar  # noqa: E402
+from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar  # noqa: E402
 
 rationals = st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30)
 scalars = st.builds(GaussianRational, rationals, rationals) | st.builds(GaussianRational, rationals)
@@ -49,3 +49,13 @@ def test_nonzero_scalars_are_invertible(a, b):
 @given(scalars)
 def test_parse_round_trip(x):
     assert parse_scalar(str(x)) == x
+
+
+@deterministic
+@given(st.lists(scalars, max_size=9))
+def test_vector_round_trip(entries):
+    v = Vector(entries)
+    assert Vector(v.data) == v
+    assert hash(Vector(v.data)) == hash(v)
+    assert list(v) == entries
+    assert str(v) == "[" + ", ".join(str(a) for a in entries) + "]"

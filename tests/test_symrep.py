@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import matmul, random_scalar
+from conftest import entries_str, matmul, random_scalar, reference_star_act
 from kzsolve.exactalg import Matrix, Vector
 from kzsolve.symrep import (
     star_act,
@@ -72,7 +72,7 @@ class TestStarGenerators:
 class TestStarAction:
     def test_agrees_with_dense_generators(self):
         rng = random.Random(300)
-        for n in range(2, 8):
+        for n in range(2, 10):
             gens = star_generators(n)
             v = Vector([random_scalar(rng) for _ in range(n)])
             w = [random_scalar(rng) for _ in range(n - 1)]
@@ -88,6 +88,7 @@ class TestStarAction:
                 for wk, P in zip(weights, gens):
                     expected = expected + (P * v).scale(wk)
                 assert star_act(weights, v) == expected
+                assert str(star_act(weights, v)) == entries_str(reference_star_act(weights, v.data))
 
     def test_errors(self):
         v = Vector([1, 2, 3])

@@ -226,25 +226,18 @@ class ConditionReport:
     pole_balance: tuple[Vector, ...]
     growth: Vector
 
+    def named(self) -> list[tuple[str, Vector]]:
+        """(name, residual) of every condition, in report order."""
+        sym = [(f"residue-symmetry k={k}", v) for k, v in enumerate(self.residue_symmetry, 1)]
+        bal = [(f"pole-balance k={k}", v) for k, v in enumerate(self.pole_balance, 1)]
+        return sym + bal + [("growth", self.growth)]
+
     @property
     def passed(self) -> bool:
-        return (
-            all(v.is_zero() for v in self.residue_symmetry)
-            and all(v.is_zero() for v in self.pole_balance)
-            and self.growth.is_zero()
-        )
+        return all(v.is_zero() for _, v in self.named())
 
     def failures(self) -> list[str]:
-        out = []
-        for k, v in enumerate(self.residue_symmetry, start=1):
-            if not v.is_zero():
-                out.append(f"residue-symmetry k={k}")
-        for k, v in enumerate(self.pole_balance, start=1):
-            if not v.is_zero():
-                out.append(f"pole-balance k={k}")
-        if not self.growth.is_zero():
-            out.append("growth")
-        return out
+        return [name for name, v in self.named() if not v.is_zero()]
 
 
 def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionReport:

@@ -11,7 +11,9 @@ byte-identical across runs. Solution files are JSON objects with keys
 ``n``, ``rho``, ``points``, ``pole_coefficients`` (per pole, one vector
 per pole order) and ``poly_coefficients`` (one vector per polynomial
 degree, ascending). Exit codes: 0 all checks pass, 1 verification
-failure, 2 usage or specification error.
+failure, 2 usage or specification error. Each ``cmd_*`` returns its
+report or raises; ``main`` alone prints the report and picks the exit
+code, and a ``ValueError`` from the CLI or the library is refused there.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 import time
 
 from . import ansatz, frobenius, numverify, symrep
-from .exactalg import GaussianRational, Vector, parse_scalar
+from .exactalg import Vector, parse_scalar
 from .kzcore import KZSystem, new_system
 from .s4explicit import y1, y2, y3, y4
 
@@ -42,28 +44,32 @@ NULLSPACE_MAX_POLY_DEGREE = 16
 # 13.2 s at n = 8.
 SERIES_MAX_ORDER = 64
 
-# Largest --n of each command on a KZ system, measured as ``kz`` wall time with points
-# 0..n-2 (same machine). ``nullspace`` and ``monodromy`` solve the (1, 1) shape, one
-# elimination of about 2n^2 x n^2 whose bit growth makes it ~n^9: nullspace 1.1 s at
-# n = 10, 5.8 s at 12, 12.8 s at 13; monodromy reaches its integration after that
-# solve. ``series`` runs one n x (n + parameters) elimination per order, ~n^4.5 at a
-# fixed order: 0.4 s at n = 32 and 1.4 s at 64 with order 3, 43 s at n = 128; at
-# n = 32, 1.8 s with order 16 and 28.5 s at SERIES_MAX_ORDER. ``verify`` evaluates
-# residuals at s(p + 1) + d points, O(n^2) each: 2.3 s at n = 64, 11 s at 128 for a
-# simple-pole file solution.
-NULLSPACE_MAX_N = 12
-MONODROMY_MAX_N = 12
+# Largest --n of ``kz series`` and ``kz verify``, measured as ``kz`` wall time with
+# points 0..n-2 (same machine). ``series`` runs one n x (n + parameters) elimination
+# per order, ~n^4.5 at a fixed order: 0.4 s at n = 32 and 1.4 s at 64 with order 3,
+# 43 s at n = 128; at n = 32, 1.8 s with order 16 and 28.5 s at SERIES_MAX_ORDER.
+# ``verify`` evaluates residuals at s(p + 1) + d points, O(n^2) each: 2.3 s at n = 64,
+# 11 s at 128 for a simple-pole file solution.
 SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 
-
-class UsageError(Exception):
-    pass
+# Largest unknown count u = n((n - 1) pole_order + poly_degree + 1) of the ansatz that
+# ``kz nullspace`` solves, and ``kz monodromy`` at the shape (1, 1). One elimination of
+# about 2u x u whose bit growth makes it ~u^5: the (1, 1) shape took 1.1 s at n = 10
+# (u = 110), 5.8 s at n = 12 (u = 156) and 12.8 s at n = 13. Every valid shape has
+# u >= n^2, so the cap also bounds n <= 12.
+ANSATZ_MAX_UNKNOWNS = 156
 
 
 def _refuse_over_cap(flag: str, value: int, cap: int) -> None:
     if value > cap:
-        raise UsageError(f"{flag} {value} exceeds the cap {cap}")
+        raise ValueError(f"{flag} {value} exceeds the cap {cap}")
+
+
+def _refuse_over_unknowns(n: int, pole_order: int, poly_degree: int) -> None:
+    unknowns = n * ((n - 1) * pole_order + poly_degree + 1)
+    what = f"--n {n} at shape ({pole_order}, {poly_degree}): unknown count"
+    _refuse_over_cap(what, unknowns, ANSATZ_MAX_UNKNOWNS)
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -75,30 +81,21 @@ def _split_top_level(text: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise UsageError(f"unbalanced parentheses in {text!r}")
+                raise ValueError(f"unbalanced parentheses in {text!r}")
         if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise UsageError(f"unbalanced parentheses in {text!r}")
+        raise ValueError(f"unbalanced parentheses in {text!r}")
     parts.append("".join(cur))
     return [p for p in (s.strip() for s in parts) if p]
 
 
-def _parse_points(text: str) -> list[GaussianRational]:
-    try:
-        return [parse_scalar(p) for p in _split_top_level(text)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _build_system(args) -> KZSystem:
-    try:
-        return new_system(args.n, args.rho, _parse_points(args.points))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    points = [parse_scalar(p) for p in _split_top_level(args.points)]
+    return new_system(args.n, args.rho, points)
 
 
 def _vector_json(v: Vector) -> list[str]:
@@ -131,11 +128,11 @@ def _solution_from_json(data: dict, sys_: KZSystem) -> ansatz.RationalVectorFunc
             for vec in data["poly_coefficients"]
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed solution file: {exc}") from exc
+        raise ValueError(f"malformed solution file: {exc}") from exc
     if n != sys_.n or rho != sys_.rho:
-        raise UsageError("solution file n/rho disagree with the requested system")
+        raise ValueError("solution file n/rho disagree with the requested system")
     if points != sys_.points:
-        raise UsageError("solution file pole locations disagree with --points")
+        raise ValueError("solution file pole locations disagree with --points")
     return ansatz.RationalVectorFunction(
         dim=n, points=points, pole_coeffs=poles, poly_coeffs=poly
     )
@@ -149,7 +146,8 @@ def _check(name: str, residual_text: str, ok: bool) -> dict:
     }
 
 
-def _exact_report(command: str, checks: list[dict], extra: dict | None = None) -> dict:
+def _report(command: str, checks: list[dict], extra: dict | None = None) -> dict:
+    """Exact-mode report with its overall verdict; ``extra`` adds or overrides fields."""
     report = {
         "command": command,
         "mode": "exact",
@@ -173,14 +171,10 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _condition_checks(sys_: KZSystem, label: str, fn) -> list[dict]:
-    checks = []
-    rep = ansatz.check_conditions(sys_, fn)
-    for k, v in enumerate(rep.residue_symmetry, start=1):
-        checks.append(_check(f"{label}: residue-symmetry k={k}", str(v), v.is_zero()))
-    for k, v in enumerate(rep.pole_balance, start=1):
-        checks.append(_check(f"{label}: pole-balance k={k}", str(v), v.is_zero()))
-    checks.append(_check(f"{label}: growth", str(rep.growth), rep.growth.is_zero()))
-    return checks
+    return [
+        _check(f"{label}: {name}", str(v), v.is_zero())
+        for name, v in ansatz.check_conditions(sys_, fn).named()
+    ]
 
 
 def _residual_checks(sys_: KZSystem, label: str, fn, count: int) -> list[dict]:
@@ -191,7 +185,7 @@ def _residual_checks(sys_: KZSystem, label: str, fn, count: int) -> list[dict]:
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     _refuse_over_cap("--n", args.n, VERIFY_MAX_N)
     sys_ = _build_system(args)
     selector = args.solution
@@ -199,9 +193,9 @@ def cmd_verify(args) -> int:
     targets: list[tuple[str, ansatz.RationalVectorFunction]] = []
     if selector in named or selector == "all":
         if sys_.n != 4:
-            raise UsageError("named solutions exist for n = 4 only")
+            raise ValueError("named solutions exist for n = 4 only")
         if sys_.rho != -1:
-            raise UsageError("named solutions exist for rho = -1 only")
+            raise ValueError("named solutions exist for rho = -1 only")
         keys = list(named) if selector == "all" else [selector]
         for key in keys:
             targets.append((key, named[key](sys_.points)))
@@ -211,12 +205,12 @@ def cmd_verify(args) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise UsageError(f"cannot read solution file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"solution file is not valid JSON: {exc}") from exc
+            raise ValueError(f"cannot read solution file: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"solution file is not valid JSON: {exc}") from exc
         targets.append((path, _solution_from_json(data, sys_)))
     else:
-        raise UsageError(f"unknown solution selector {selector!r}")
+        raise ValueError(f"unknown solution selector {selector!r}")
 
     checks: list[dict] = []
     full_count = sys_.s * (1 + 1) + 1
@@ -229,64 +223,45 @@ def cmd_verify(args) -> int:
             sys_.s * (fn.pole_order + 1) + max(fn.poly_degree, 0),
         )
         checks.extend(_residual_checks(sys_, label, fn, count))
-    report = _exact_report("verify", checks)
-    _emit(report, args.format)
-    return 0 if report["overall"] == "pass" else 1
+    return _report("verify", checks)
 
 
-def cmd_nullspace(args) -> int:
-    _refuse_over_cap("--n", args.n, NULLSPACE_MAX_N)
+def cmd_nullspace(args) -> dict:
     _refuse_over_cap("--pole-order", args.pole_order, NULLSPACE_MAX_POLE_ORDER)
     _refuse_over_cap("--poly-degree", args.poly_degree, NULLSPACE_MAX_POLY_DEGREE)
+    _refuse_over_unknowns(args.n, args.pole_order, args.poly_degree)
     sys_ = _build_system(args)
-    try:
-        basis = ansatz.solve_ansatz(
-            sys_, pole_order=args.pole_order, poly_degree=args.poly_degree
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    probe = ansatz.sample_points(sys_.points, 1)[0]
+    basis = ansatz.solve_ansatz(
+        sys_, pole_order=args.pole_order, poly_degree=args.poly_degree
+    )
     checks = []
     for i, fn in enumerate(basis):
-        r = ansatz.residual(sys_, fn, probe)
-        checks.append(
-            _check(f"basis[{i}]: residual z={probe}", str(r), r.is_zero())
-        )
+        checks.extend(_residual_checks(sys_, f"basis[{i}]", fn, 1))
     extra = {
         "dimension": len(basis),
         "basis": [_solution_json(fn, sys_.n, sys_.rho) for fn in basis],
     }
-    report = _exact_report("nullspace", checks, extra)
-    _emit(report, args.format)
-    return 0 if report["overall"] == "pass" else 1
+    return _report("nullspace", checks, extra)
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> dict:
     _refuse_over_cap("--n", args.n, SERIES_MAX_N)
     _refuse_over_cap("--order", args.order, SERIES_MAX_ORDER)
     sys_ = _build_system(args)
-    try:
-        window = frobenius.exponent_window(sys_, args.pole)
-        families = frobenius.frobenius_solve(sys_, args.pole, args.order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    fam_json = []
-    for fam in families:
-        members = []
-        for i in range(fam.dimension):
-            coeffs = {
-                str(q): _vector_json(fam.basis[q][i])
-                for q in range(fam.start, fam.order + 1)
-            }
-            members.append(coeffs)
-        fam_json.append(
-            {
-                "start": fam.start,
-                "dimension": fam.dimension,
-                "order": fam.order,
-                "basis_series": members,
-            }
-        )
+    window = frobenius.exponent_window(sys_, args.pole)
+    families = frobenius.frobenius_solve(sys_, args.pole, args.order)
+    fam_json = [
+        {
+            "start": fam.start,
+            "dimension": fam.dimension,
+            "order": fam.order,
+            "basis_series": [
+                {str(q): _vector_json(fam.basis[q][i]) for q in range(fam.start, fam.order + 1)}
+                for i in range(fam.dimension)
+            ],
+        }
+        for fam in families
+    ]
     checks = [
         _check(
             f"family start={fam.start}: leading coefficient nonzero",
@@ -300,19 +275,15 @@ def cmd_series(args) -> int:
         "window": {"least": window[0], "greatest": window[1]},
         "families": fam_json,
     }
-    report = _exact_report("series", checks, extra)
-    _emit(report, args.format)
-    return 0 if report["overall"] == "pass" else 1
+    return _report("series", checks, extra)
 
 
-def cmd_monodromy(args) -> int:
-    _refuse_over_cap("--n", args.n, MONODROMY_MAX_N)
+def cmd_monodromy(args) -> dict:
+    # the fundamental matrix is the ansatz basis at the default shape (1, 1)
+    _refuse_over_unknowns(args.n, 1, 1)
     sys_ = _build_system(args)
     t0 = time.perf_counter()
-    try:
-        result = numverify.monodromy(sys_, args.pole, args.radius, args.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = numverify.monodromy(sys_, args.pole, args.radius, args.tol)
     elapsed = (time.perf_counter() - t0) * 1000.0
     transport = [
         [[float(v.real), float(v.imag)] for v in row] for row in result.transport
@@ -324,11 +295,8 @@ def cmd_monodromy(args) -> int:
             True,
         )
     ]
-    report = {
-        "command": "monodromy",
+    extra = {
         "mode": "float",
-        "checks": checks,
-        "overall": "pass",
         "timing_ms": elapsed,
         "pole": args.pole,
         "radius": args.radius,
@@ -337,16 +305,12 @@ def cmd_monodromy(args) -> int:
         "steps": result.steps,
         "transport": transport,
     }
-    _emit(report, args.format)
-    return 0
+    return _report("monodromy", checks, extra)
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> dict:
     _refuse_over_cap("--n", args.n, EIGEN_MAX_N)
-    try:
-        spectrum = symrep.t_spectrum(args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spectrum = symrep.t_spectrum(args.n)
     checks = [
         _check(
             f"spectrum contains {v}",
@@ -368,9 +332,7 @@ def cmd_eigen(args) -> int:
         "least": spectrum.least,
         "greatest": spectrum.greatest,
     }
-    report = _exact_report("eigen", checks, extra)
-    _emit(report, args.format)
-    return 0 if report["overall"] == "pass" else 1
+    return _report("eigen", checks, extra)
 
 
 def _add_system_args(p: argparse.ArgumentParser):
@@ -433,16 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        report = args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    _emit(report, args.format)
+    return 0 if report["overall"] == "pass" else 1
 
 
 if __name__ == "__main__":

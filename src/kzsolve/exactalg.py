@@ -199,6 +199,8 @@ def parse_scalar(text: str) -> GaussianRational:
     Each part is a rational literal with optional sign and positive
     denominator. Round-trips with ``str``: sign and gcd get normalized.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"scalar literal must be a string, not {type(text).__name__}")
     text = text.strip()
     if text.startswith("("):
         if not text.endswith(")"):

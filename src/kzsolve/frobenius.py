@@ -66,10 +66,6 @@ def _trimmed_series(pole_index: int, start: int, coeffs: list[Vector]) -> LocalS
     return LocalSeries(pole_index=pole_index, start=start, coeffs=tuple(coeffs))
 
 
-def _combine(columns: list[Vector], weights, n: int) -> Vector:
-    return linear_combination(zip(weights, columns), n)
-
-
 @dataclass(frozen=True)
 class SeriesFamily:
     """Linear family of local series sharing one starting order.
@@ -94,7 +90,7 @@ class SeriesFamily:
             raise ValueError(f"expected {self.dimension} parameters")
         n = self.basis[self.start][0].dim
         coeffs = [
-            _combine(self.basis[q], params, n)
+            linear_combination(zip(params, self.basis[q]), n)
             for q in range(self.start, self.order + 1)
         ]
         return _trimmed_series(self.pole_index, self.start, coeffs)
@@ -144,7 +140,7 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     residue = star_sum(loc.minus_one)
 
     basis: dict[int, list[Vector]] = {}
-    starts = []
+    starts = []  # (t, number of parameters carried into t) for each t that adds fresh ones
     nparams = 0
     # lifted once, each a(j) acts on every carried parameter
     coeffs = [Vector(loc.coeff(j)) for j in range(order - m_min)]
@@ -162,29 +158,24 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
         # unless a parameter combination died, the c are the unit vectors in order
         pruned = len(carried) < nparams
         for q in basis:
-            older = [_combine(basis[q], v[n:], n) for v in carried] if pruned else basis[q]
+            older = [linear_combination(zip(v[n:], basis[q]), n) for v in carried] if pruned else basis[q]
             basis[q] = older + [Vector.zero(n)] * len(fresh)
         basis[t] = [v.segment(0, n) for v in kept]
         nparams = len(kept)
         if fresh:
-            starts.append(t)
+            starts.append((t, len(carried)))
 
+    # The family starting at t is spanned by the parameter combinations whose
+    # coefficients vanish below t. L is singular only at t = -rho and t = rho, the only
+    # orders that add or prune parameters; the family at m_min takes them all. At m_max,
+    # fresh kernel vectors come from free x-columns of the RREF, so c = 0, and carried
+    # ones from free c-columns, so their c parts are independent. They recombine the
+    # parameters of m_min, whose columns there are a kernel basis of L, so below m_max
+    # the carried columns are independent and the fresh ones zero: the family at m_max
+    # is the fresh parameters, last in the list.
     families = []
-    for start in starts:
-        if start == m_min:
-            fam = {q: list(basis[q]) for q in range(start, order + 1)}
-        else:
-            stacked = []
-            for q in range(m_min, start):
-                columns = Matrix.from_columns(basis[q])
-                stacked += [columns.row(i) for i in range(n)]
-            K = nullspace(Matrix(stacked))
-            if not K:
-                continue
-            fam = {
-                q: [_combine(basis[q], kv, n) for kv in K]
-                for q in range(start, order + 1)
-            }
+    for start, first in starts:
+        fam = {q: basis[q][first:] for q in range(start, order + 1)}
         if all(col.is_zero() for col in fam[start]):
             continue
         families.append(

@@ -172,6 +172,11 @@ def _transport(sys: KZSystem, path: Path, W0: np.ndarray, tol: float):
     return y.reshape(shape), steps
 
 
+def _check_tolerance(tol: float) -> None:
+    if not 0 < tol < math.inf:  # solve_ivp never finishes at an rtol of 0, NaN or inf
+        raise ValueError("tolerance must be finite and positive")
+
+
 def integrate(
     sys: KZSystem,
     path: Path,
@@ -180,13 +185,18 @@ def integrate(
     clearance: float | None = None,
 ) -> np.ndarray:
     """Adaptive transport of an initial (matrix or vector) value along a path."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tol)
     if clearance is None:
         clearance = default_clearance(sys)
     _check_clearance(sys, path, clearance)
     W, _ = _transport(sys, path, W0, tol)
     return W
+
+
+# Largest condition number of the starting matrix Y0 that monodromy accepts. The
+# transport is solved from Y0 X = Y1, which loses about log10(cond) of the 16 digits
+# a double holds; past 1e12 the deviation cannot resolve the identity to 1e-4.
+MAX_START_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
@@ -225,8 +235,9 @@ def monodromy(
     """
     if not (1 <= k <= sys.s):
         raise ValueError(f"pole index {k} out of range 1..{sys.s}")
-    if radius <= 0:
+    if not radius > 0:  # NaN included
         raise ValueError("radius must be positive")
+    _check_tolerance(tol)
     zk = sys.points[k - 1].to_complex()
     margin = min(
         abs(sys.points[j].to_complex() - zk) - radius
@@ -245,7 +256,7 @@ def monodromy(
     Y0 = np.array([_complex_function(col)(base) for col in columns]).T
     if Y0.shape[0] != Y0.shape[1]:
         raise ValueError("fundamental basis must be square")
-    if abs(np.linalg.det(Y0)) < 1e-12 * np.linalg.norm(Y0) ** Y0.shape[0]:
+    if not np.linalg.cond(Y0) < MAX_START_CONDITION:
         raise ValueError("starting matrix is numerically singular")
     path = Path.circle(zk, radius, turns=turns)
     clearance = min(default_clearance(sys), radius, margin) * 0.999

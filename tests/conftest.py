@@ -16,13 +16,28 @@ The ``reference_*`` vector operations (scale, add, sub, dot, matrix times
 vector, star action) work entry by entry on ``GaussianRational`` lists,
 as the library did before a ``Vector`` became int parts over one shared
 denominator; the int loops must print exactly what they print.
+``reference_frobenius_solve`` finds each series family as the nullspace
+of the stacked lower-order coefficients, where the library reads the
+families off the recursion's parameter bookkeeping.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from kzsolve.exactalg import ONE, ZERO, GaussianRational, Matrix, Vector, integer_eigenvalues
+from kzsolve.exactalg import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    Matrix,
+    Vector,
+    integer_eigenvalues,
+    linear_combination,
+    nullspace,
+)
+from kzsolve.frobenius import SeriesFamily, exponent_window
+from kzsolve.kzcore import local_coefficients
+from kzsolve.symrep import star_act, star_sum
 
 
 def perm_sign(p):
@@ -192,6 +207,65 @@ def reference_solve_affine(A: Matrix, b):
     for i, pc in enumerate(pivots):
         x[pc] = rows[i][A.cols]
     return True, Vector(x), _rref_kernel(rows, pivots, A.cols)
+
+
+def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
+    """``frobenius_solve``, with each later family found as the parameter
+    combinations in the nullspace of the stacked coefficients below its start."""
+    m_min, m_max = exponent_window(sys, k)
+    if order < m_max:
+        raise ValueError(f"truncation order must reach the window end {m_max}")
+    n = sys.n
+    loc = local_coefficients(sys, k, max(order - 1 - m_min, -1))
+    ident = Matrix.identity(n)
+    residue = star_sum(loc.minus_one)
+
+    basis: dict[int, list[Vector]] = {}
+    starts = []
+    nparams = 0
+    coeffs = [Vector(loc.coeff(j)) for j in range(order - m_min)]
+    for t in range(m_min, order + 1):
+        rhs = []
+        for p in range(nparams):
+            src = [(coeffs[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
+            rhs.append(linear_combination(((1, star_act(a, b)) for a, b in src if not b.is_zero()), n))
+        L = ident.scale(t) - residue
+        bordered = L.hstack(Matrix.from_columns([-col for col in rhs])) if rhs else L
+        carried, fresh = [], []
+        for v in nullspace(bordered):
+            (fresh if v.segment(n, v.dim).is_zero() else carried).append(v)
+        kept = carried + fresh
+        pruned = len(carried) < nparams
+        for q in basis:
+            older = basis[q]
+            if pruned:
+                older = [linear_combination(zip(v[n:], older), n) for v in carried]
+            basis[q] = older + [Vector.zero(n)] * len(fresh)
+        basis[t] = [v.segment(0, n) for v in kept]
+        nparams = len(kept)
+        if fresh:
+            starts.append(t)
+
+    families = []
+    for start in starts:
+        if start == m_min:
+            fam = {q: list(basis[q]) for q in range(start, order + 1)}
+        else:
+            stacked = []
+            for q in range(m_min, start):
+                columns = Matrix.from_columns(basis[q])
+                stacked += [columns.row(i) for i in range(n)]
+            K = nullspace(Matrix(stacked))
+            if not K:
+                continue
+            fam = {
+                q: [linear_combination(zip(kv, basis[q]), n) for kv in K]
+                for q in range(start, order + 1)
+            }
+        if all(col.is_zero() for col in fam[start]):
+            continue
+        families.append(SeriesFamily(pole_index=k, start=start, order=order, basis=fam))
+    return families
 
 
 def reference_scale(s, v):

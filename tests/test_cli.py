@@ -10,9 +10,8 @@ import pytest
 
 from kzsolve import ansatz, frobenius, numverify, symrep
 from kzsolve.cli import (
+    ANSATZ_MAX_UNKNOWNS,
     EIGEN_MAX_N,
-    MONODROMY_MAX_N,
-    NULLSPACE_MAX_N,
     NULLSPACE_MAX_POLE_ORDER,
     NULLSPACE_MAX_POLY_DEGREE,
     SERIES_MAX_N,
@@ -91,6 +90,34 @@ class TestVerify:
         failed = [c["name"] for c in report["checks"] if c["verdict"] == "fail"]
         assert any("residue-symmetry" in n or "pole-balance" in n for n in failed)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pole_coefficients", [[["1", "0", "0"]]] * 3),
+            ("pole_coefficients", [[["1", "0", "0", "0"]]]),
+            ("pole_coefficients", [[[1, 0, 0, 0]]] * 3),
+            ("points", [0, 1, 2]),
+            ("n", "x4"),
+            (None, None),
+        ],
+        ids=["short-vector", "one-pole-group", "numeric-entries", "numeric-points", "bad-n",
+             "not-utf8"],
+    )
+    def test_malformed_file_exits_2(self, capsys, tmp_path, field, value):
+        w = {
+            "n": 4, "rho": -1, "points": ["0", "1", "2"],
+            "pole_coefficients": [[["1", "0", "0", "0"]]] * 3,
+            "poly_coefficients": [],
+        }
+        if field is not None:
+            w[field] = value
+        text = json.dumps(w).encode()
+        path = tmp_path / "w.json"
+        path.write_bytes(text if field is not None else b"\xff\xfe" + text)
+        code, out, err = run(capsys, ["verify", *SYS_ARGS, "--solution", f"file:{path}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_complex_points_parse(self, capsys):
         code, out, _ = run(
             capsys,
@@ -157,10 +184,13 @@ def n_cap_argv(n: int, solution_file: str = "unused.json") -> dict[str, list[str
     }
 
 
+# nullspace and monodromy solve the shape (1, 1), n(n + 1) unknowns
+ANSATZ_MAX_N = max(n for n in range(3, 64) if n * (n + 1) <= ANSATZ_MAX_UNKNOWNS)
+
 N_CAPS = {
-    "nullspace": NULLSPACE_MAX_N,
+    "nullspace": ANSATZ_MAX_N,
     "series": SERIES_MAX_N,
-    "monodromy": MONODROMY_MAX_N,
+    "monodromy": ANSATZ_MAX_N,
     "verify": VERIFY_MAX_N,
 }
 
@@ -187,8 +217,10 @@ class TestCaps:
             ["nullspace", *SYS_ARGS, "--pole-order", str(NULLSPACE_MAX_POLE_ORDER + 1)],
             ["nullspace", *SYS_ARGS, "--poly-degree", str(NULLSPACE_MAX_POLY_DEGREE + 1)],
             ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER + 1)],
+            ["nullspace", *system_args(12), "--pole-order", "4"],
+            ["nullspace", *system_args(8), "--poly-degree", "16"],
         ],
-        ids=["pole-order", "poly-degree", "order"],
+        ids=["pole-order", "poly-degree", "order", "n12-pole-order-4", "n8-poly-degree-16"],
     )
     def test_over_cap_refused(self, capsys, solvers_fail, argv):
         code, out, err = run(capsys, argv)
@@ -202,8 +234,10 @@ class TestCaps:
             ["nullspace", *SYS_ARGS, "--pole-order", str(NULLSPACE_MAX_POLE_ORDER),
              "--poly-degree", str(NULLSPACE_MAX_POLY_DEGREE)],
             ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER)],
+            ["nullspace", *system_args(6), "--pole-order", "4"],
+            ["nullspace", *system_args(6), "--poly-degree", "16"],
         ],
-        ids=["nullspace", "series"],
+        ids=["nullspace", "series", "n6-pole-order-4", "n6-poly-degree-16"],
     )
     def test_at_cap_reaches_the_solver(self, solvers_fail, argv):
         with pytest.raises(TestCaps.Reached):
@@ -216,7 +250,10 @@ class TestCaps:
         code, out, err = run(capsys, n_cap_argv(n)[command])
         assert code == 2
         assert out == ""
-        assert f"--n {n} exceeds the cap {N_CAPS[command]}" in err
+        if command in ("nullspace", "monodromy"):
+            assert f"--n {n} at shape (1, 1): unknown count {n * (n + 1)} exceeds the cap" in err
+        else:
+            assert f"--n {n} exceeds the cap {N_CAPS[command]}" in err
 
     @pytest.mark.parametrize("command", sorted(N_CAPS))
     def test_at_n_cap_runs(self, capsys, monkeypatch, tmp_path, command):
@@ -329,6 +366,31 @@ class TestMonodromy:
         assert report["mode"] == "float"
         assert report["deviation"] < 1e-8
         assert report["timing_ms"] is not None
+
+    def test_n8_start_is_accepted(self, capsys):
+        # cond(Y0) is about 4e3 here; a determinant test scaled like a Hadamard bound refused it
+        code, out, _ = run(
+            capsys, ["monodromy", *system_args(8), "--pole", "2", "--radius", "0.4"]
+        )
+        assert code == 0
+        assert json.loads(out)["deviation"] < 1e-8
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"], ["--radius", "nan"]],
+        ids=["tol-0", "tol-nan", "tol-inf", "radius-nan"],
+    )
+    def test_unusable_tolerance_or_radius_exits_2(self, capsys, monkeypatch, flags):
+        # never run: the solvers raise if the refusal comes too late
+        def reached(*args, **kwargs):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(numverify, "solve_ansatz", reached)
+        monkeypatch.setattr(numverify, "_transport", reached)
+        argv = ["monodromy", *SYS_ARGS, "--pole", "2", "--radius", "0.4", *flags]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "must be" in err
 
     def test_radius_too_large_exits_2(self, capsys):
         code, _, _ = run(

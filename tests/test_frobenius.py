@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_rank, dense_integer_eigenvalues, random_points
+from conftest import (
+    brute_rank,
+    dense_integer_eigenvalues,
+    random_points,
+    reference_frobenius_solve,
+)
 from kzsolve import frobenius
 from kzsolve.ansatz import RationalVectorFunction
-from kzsolve.exactalg import Matrix, Vector, nullspace
+from kzsolve.exactalg import GaussianRational, Matrix, Vector, nullspace
 from kzsolve.frobenius import (
     exponent_window,
     frobenius_solve,
@@ -114,6 +119,24 @@ class TestFrobeniusSolve:
             assert len(regular) == 1
             assert regular[0].start == 1
             assert regular[0].dimension == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_families_match_reference(self, n):
+        def printed(fams):
+            return [
+                (f.start, {q: [str(col) for col in cols] for q, cols in f.basis.items()})
+                for f in fams
+            ]
+
+        integer = list(range(n - 1))
+        gaussian = [GaussianRational(j, (-1) ** j) for j in range(n - 1)]
+        for rho in range(-3, 4):
+            for points in (integer, gaussian):
+                sys = new_system(n, rho, points)
+                for k in range(1, n):
+                    for order in (abs(rho), abs(rho) + 2):
+                        got = frobenius_solve(sys, k, order)
+                        assert printed(got) == printed(reference_frobenius_solve(sys, k, order))
 
     def test_instantiated_members_satisfy_recursion(self):
         rng = random.Random(300)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from kzsolve import numverify
 from kzsolve.ansatz import RationalVectorFunction
 from kzsolve.exactalg import Vector
 from kzsolve.kzcore import new_system
@@ -11,7 +14,7 @@ from kzsolve.numverify import (
     monodromy,
     residual_scan,
 )
-from kzsolve.s4explicit import y1, y2, y3
+from kzsolve.s4explicit import fundamental_matrix, y1, y2, y3
 
 CANON = [0, 1, 2]
 
@@ -51,6 +54,16 @@ class TestPaths:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_tolerance_refused(self, monkeypatch, tol):
+        # never run: the integrator does not finish at these tolerances
+        def reached(*args, **kwargs):
+            raise AssertionError("integrator reached")
+
+        monkeypatch.setattr(numverify, "_transport", reached)
+        with pytest.raises(ValueError, match="tolerance"):
+            integrate(canon_sys(), Path.line(3 + 0j, 4 + 0j), np.ones(4, dtype=complex), tol)
+
     def test_transport_matches_exact_evaluation(self):
         sys = canon_sys()
         fn = y1(CANON)
@@ -131,6 +144,12 @@ class TestMonodromy:
         cols = [y3(CANON)] * 4
         with pytest.raises(ValueError):
             monodromy(sys, 2, 0.4, 1e-10, fundamental=cols)
+
+    def test_midpoint_locus_start_rejected(self):
+        # the explicit n = 4 columns are dependent when z2 is the midpoint of z1 and z3
+        sys = canon_sys()
+        with pytest.raises(ValueError, match="numerically singular"):
+            monodromy(sys, 2, 0.4, 1e-10, fundamental=fundamental_matrix(CANON))
 
     def test_bad_pole_index(self):
         sys = canon_sys()

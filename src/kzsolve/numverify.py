@@ -2,9 +2,9 @@
 
 Transports solutions of W' = rho*A(z)*W along pole-avoiding paths in the
 complex plane with an adaptive embedded Runge-Kutta integrator, drives
-loops around single poles to measure monodromy (trivial whenever a
-rational fundamental solution exists), and samples the defect of candidate
-solutions in floating arithmetic.
+the identity around single poles to measure monodromy (trivial whenever
+a rational fundamental solution exists), and samples the defect of
+candidate solutions in floating arithmetic.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .ansatz import RationalVectorFunction, solve_ansatz
+# monodromy needs no exact basis. solve_ansatz stays bound here only because
+# perfbench's tracer self-test asserts ``numverify.solve_ansatz is ansatz.solve_ansatz``.
+from .ansatz import RationalVectorFunction, solve_ansatz  # noqa: F401
 from .kzcore import KZSystem
-from .s4explicit import FundamentalSolution
 from .symrep import star_generators
 
 
@@ -193,12 +194,6 @@ def integrate(
     return W
 
 
-# Largest condition number of the starting matrix Y0 that monodromy accepts. The
-# transport is solved from Y0 X = Y1, which loses about log10(cond) of the 16 digits
-# a double holds; past 1e12 the deviation cannot resolve the identity to 1e-4.
-MAX_START_CONDITION = 1e12
-
-
 @dataclass(frozen=True)
 class MonodromyResult:
     pole_index: int
@@ -208,30 +203,19 @@ class MonodromyResult:
     tol: float
 
 
-def _default_fundamental(sys: KZSystem) -> list[RationalVectorFunction]:
-    basis = solve_ansatz(sys)
-    if len(basis) != sys.n:
-        raise ValueError(
-            f"rational solution space has dimension {len(basis)}, not {sys.n}; "
-            "supply a fundamental basis explicitly"
-        )
-    return basis
-
-
 def monodromy(
     sys: KZSystem,
     k: int,
     radius: float,
     tol: float,
-    fundamental: Union[FundamentalSolution, Sequence[RationalVectorFunction], None] = None,
     turns: int = 1,
 ) -> MonodromyResult:
-    """Transport a fundamental matrix once (or more) around pole k.
+    """Transport the n x n identity once (or more) around pole k.
 
     The loop is the counterclockwise circle of the given radius, based at
-    its rightmost point. The result's transport matrix expresses the
-    continued columns in terms of the starting ones; for a rational
-    fundamental solution it must be the identity up to integration error.
+    its rightmost point. A closed loop maps any start Y0 to M Y0, so the
+    transport is the monodromy M itself and no exact basis is needed; M = I,
+    up to integration error, whenever a rational fundamental solution exists.
     """
     if not (1 <= k <= sys.s):
         raise ValueError(f"pole index {k} out of range 1..{sys.s}")
@@ -246,26 +230,12 @@ def monodromy(
     )
     if margin <= 0:
         raise ValueError("circle of this radius encloses or touches another pole")
-    if fundamental is None:
-        columns: Sequence[RationalVectorFunction] = _default_fundamental(sys)
-    elif isinstance(fundamental, FundamentalSolution):
-        columns = fundamental.columns
-    else:
-        columns = list(fundamental)
-    base = zk + radius
-    Y0 = np.array([_complex_function(col)(base) for col in columns]).T
-    if Y0.shape[0] != Y0.shape[1]:
-        raise ValueError("fundamental basis must be square")
-    if not np.linalg.cond(Y0) < MAX_START_CONDITION:
-        raise ValueError("starting matrix is numerically singular")
     path = Path.circle(zk, radius, turns=turns)
     clearance = min(default_clearance(sys), radius, margin) * 0.999
     _check_clearance(sys, path, clearance)
-    Y1, steps = _transport(sys, path, Y0, tol)
-    transport = np.linalg.solve(Y0, Y1)
-    deviation = float(
-        np.linalg.norm(transport - np.eye(Y0.shape[0]), ord="fro")
-    )
+    identity = np.eye(sys.n, dtype=complex)
+    transport, steps = _transport(sys, path, identity, tol)
+    deviation = float(np.linalg.norm(transport - identity, ord="fro"))
     return MonodromyResult(
         pole_index=k, transport=transport, deviation=deviation, steps=steps, tol=tol
     )

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ from kzsolve import ansatz, frobenius, numverify, symrep
 from kzsolve.cli import (
     ANSATZ_MAX_UNKNOWNS,
     EIGEN_MAX_N,
+    MONODROMY_MAX_N,
     NULLSPACE_MAX_POLE_ORDER,
     NULLSPACE_MAX_POLY_DEGREE,
     SERIES_MAX_N,
@@ -99,9 +102,11 @@ class TestVerify:
             ("points", [0, 1, 2]),
             ("n", "x4"),
             (None, None),
+            ("n", 4.7),
+            ("n", math.inf),
         ],
         ids=["short-vector", "one-pole-group", "numeric-entries", "numeric-points", "bad-n",
-             "not-utf8"],
+             "not-utf8", "fractional-n", "overflowing-n"],
     )
     def test_malformed_file_exits_2(self, capsys, tmp_path, field, value):
         w = {
@@ -111,7 +116,8 @@ class TestVerify:
         }
         if field is not None:
             w[field] = value
-        text = json.dumps(w).encode()
+        # JSON has no infinity literal; 1e400 overflows to it
+        text = json.dumps(w).replace("Infinity", "1e400").encode()
         path = tmp_path / "w.json"
         path.write_bytes(text if field is not None else b"\xff\xfe" + text)
         code, out, err = run(capsys, ["verify", *SYS_ARGS, "--solution", f"file:{path}"])
@@ -184,13 +190,13 @@ def n_cap_argv(n: int, solution_file: str = "unused.json") -> dict[str, list[str
     }
 
 
-# nullspace and monodromy solve the shape (1, 1), n(n + 1) unknowns
+# nullspace solves the shape (1, 1), n(n + 1) unknowns
 ANSATZ_MAX_N = max(n for n in range(3, 64) if n * (n + 1) <= ANSATZ_MAX_UNKNOWNS)
 
 N_CAPS = {
     "nullspace": ANSATZ_MAX_N,
     "series": SERIES_MAX_N,
-    "monodromy": ANSATZ_MAX_N,
+    "monodromy": MONODROMY_MAX_N,
     "verify": VERIFY_MAX_N,
 }
 
@@ -250,7 +256,7 @@ class TestCaps:
         code, out, err = run(capsys, n_cap_argv(n)[command])
         assert code == 2
         assert out == ""
-        if command in ("nullspace", "monodromy"):
+        if command == "nullspace":
             assert f"--n {n} at shape (1, 1): unknown count {n * (n + 1)} exceeds the cap" in err
         else:
             assert f"--n {n} exceeds the cap {N_CAPS[command]}" in err
@@ -368,12 +374,42 @@ class TestMonodromy:
         assert report["timing_ms"] is not None
 
     def test_n8_start_is_accepted(self, capsys):
-        # cond(Y0) is about 4e3 here; a determinant test scaled like a Hadamard bound refused it
         code, out, _ = run(
             capsys, ["monodromy", *system_args(8), "--pole", "2", "--radius", "0.4"]
         )
         assert code == 0
         assert json.loads(out)["deviation"] < 1e-8
+
+    def test_loose_tolerance_fails(self, capsys):
+        # deviation about 1.6e-3: the verdict is judged, not hard-coded
+        code, out, _ = run(
+            capsys, ["monodromy", *SYS_ARGS, "--pole", "2", "--radius", "0.4", "--tol", "1e-3"]
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["overall"] == "fail"
+        assert not report["deviation"] < 1e-8
+        assert report["checks"][0]["name"] == "monodromy pole=2: deviation below 1e-08"
+
+    @pytest.mark.parametrize("rho", [1, -2, 2])
+    def test_coupling_without_simple_basis(self, capsys, rho):
+        # the (1, 1) ansatz has no full rational basis here; the loop needs none
+        code, out, _ = run(
+            capsys,
+            ["monodromy", *system_args(4, rho), "--pole", "2", "--radius", "0.4"],
+        )
+        assert code == 0
+        assert json.loads(out)["deviation"] < 1e-8
+
+    def test_scaling_to_n16(self, capsys):
+        start = time.perf_counter()
+        for n in range(3, 17):
+            code, out, _ = run(
+                capsys, ["monodromy", *system_args(n), "--pole", "2", "--radius", "0.4"]
+            )
+            assert code == 0, n
+            assert json.loads(out)["deviation"] < 1e-8
+        assert time.perf_counter() - start < 10.0
 
     @pytest.mark.parametrize(
         "flags",

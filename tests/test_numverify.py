@@ -14,7 +14,7 @@ from kzsolve.numverify import (
     monodromy,
     residual_scan,
 )
-from kzsolve.s4explicit import fundamental_matrix, y1, y2, y3
+from kzsolve.s4explicit import y1, y2, y3
 
 CANON = [0, 1, 2]
 
@@ -139,32 +139,19 @@ class TestMonodromy:
         with pytest.raises(ValueError):
             monodromy(sys, 2, 1.5, 1e-10)
 
-    def test_singular_start_rejected(self):
-        sys = canon_sys()
-        cols = [y3(CANON)] * 4
-        with pytest.raises(ValueError):
-            monodromy(sys, 2, 0.4, 1e-10, fundamental=cols)
-
-    def test_midpoint_locus_start_rejected(self):
-        # the explicit n = 4 columns are dependent when z2 is the midpoint of z1 and z3
-        sys = canon_sys()
-        with pytest.raises(ValueError, match="numerically singular"):
-            monodromy(sys, 2, 0.4, 1e-10, fundamental=fundamental_matrix(CANON))
-
     def test_bad_pole_index(self):
         sys = canon_sys()
         with pytest.raises(ValueError):
             monodromy(sys, 5, 0.2, 1e-10)
 
     def test_plus_one_coupling_basis_is_single_valued(self):
-        # the general-coupling solver basis (deeper shape) must also have
-        # trivial loops: rational functions are single-valued
+        # the general-coupling solver finds a full rational basis (deeper
+        # shape), so the loops must be trivial: rational functions are single-valued
         from kzsolve.ansatz import solve_ansatz
 
         sys = new_system(4, 1, CANON)
-        basis = solve_ansatz(sys, pole_order=2, poly_degree=3)
-        assert len(basis) == 4
-        res = monodromy(sys, 2, 0.4, 1e-12, fundamental=basis)
+        assert len(solve_ansatz(sys, pole_order=2, poly_degree=3)) == 4
+        res = monodromy(sys, 2, 0.4, 1e-12)
         assert res.deviation < 1e-8
 
 

@@ -35,28 +35,31 @@ EIGEN_MAX_N = 256
 
 # Largest --pole-order and --poly-degree of ``kz nullspace``: one elimination of
 # about 2u x u for u = n((n - 1) pole_order + poly_degree + 1) unknowns. ``kz`` wall
-# time at n = 6: 1.8 s at pole order 4, 2.4 s at degree 16; n = 8: 8.8 s at degree 16.
+# time at n = 6: 0.50 s at pole order 4, 0.60 s at degree 16; n = 8: 0.90 s at degree 16
+# (2-core machine, Python 3.11).
 NULLSPACE_MAX_POLE_ORDER = 4
 NULLSPACE_MAX_POLY_DEGREE = 16
 
-# Largest --order of ``kz series``: one n x (n + parameters) elimination per order,
-# with bit growth; ~3.3x per doubling. ``kz`` wall time at order 64: 6.7 s at n = 6,
-# 13.2 s at n = 8.
+# Largest --order of ``kz series``. Only the orders t = -rho and t = rho run an
+# elimination; the others take a closed form, and the cost is the convolution of the
+# carried parameters with the local coefficients, about order^2 at a fixed n. ``kz``
+# wall time at order 64, pole 1: 0.53 s at n = 6, 0.79 s at n = 8.
 SERIES_MAX_ORDER = 64
 
 # Largest --n of ``kz series`` and ``kz verify``, measured as ``kz`` wall time with
-# points 0..n-2 (same machine). ``series`` runs one n x (n + parameters) elimination
-# per order, ~n^4.5 at a fixed order: 0.4 s at n = 32 and 1.4 s at 64 with order 3,
-# 43 s at n = 128; at n = 32, 1.8 s with order 16 and 28.5 s at SERIES_MAX_ORDER.
+# points 0..n-2 (same machine). ``series`` at pole 1: 0.33 s at n = 32, 0.57 s at 64 and
+# 3.3 s at 128 with order 3; at n = 32, 0.83 s with order 16 and 17.6 s, for a 54 MB
+# report, at SERIES_MAX_ORDER.
 # ``verify`` evaluates residuals at s(p + 1) + d points, O(n^2) each: 2.3 s at n = 64,
 # 11 s at 128 for a simple-pole file solution.
 SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 
 # Largest unknown count u = n((n - 1) pole_order + poly_degree + 1) of the ansatz that
-# ``kz nullspace`` solves. One elimination of about 2u x u whose bit growth makes it
-# ~u^5: the (1, 1) shape took 1.1 s at n = 10 (u = 110), 5.8 s at n = 12 (u = 156) and
-# 12.8 s at n = 13. Every valid shape has u >= n^2, so the cap also bounds n <= 12.
+# ``kz nullspace`` solves: one sparse elimination of about 2u x u modulo word-size
+# primes, plus the exact assembly and residual checks around it. The (1, 1) shape took
+# 0.55 s at n = 10 (u = 110), 0.89 s at n = 12 (u = 156), 0.99 s at n = 13 and 1.20 s at
+# n = 14. Every valid shape has u >= n^2, so the cap also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.

@@ -10,12 +10,15 @@ A ``Vector`` does not hold scalars: it stores the int real and imaginary
 parts of its entries over one shared positive denominator, in lowest
 terms, so vector arithmetic is int loops with one gcd per result and no
 per-entry ``Fraction``. A ``Matrix`` is a tuple of row vectors. Both hand
-out ``GaussianRational`` entries when read. One fraction-free (Bareiss)
-Gauss-Jordan loop, ``_bareiss``, eliminates over the Gaussian integers,
-taking each row's int parts and denominator as stored. Its pivot rows are
-read by two functions only, :func:`nullspace` and :func:`determinant`; an
-affine solve is the nullspace of the bordered matrix [A | -b]. A
-``Matrix`` multiplies vectors and scalars, never another matrix: the one
+out ``GaussianRational`` entries when read.
+
+:func:`nullspace` is multimodular: it eliminates each row's int parts
+modulo word-size primes, reconstructs the rational kernel by Chinese
+remaindering and Wang's rational reconstruction, and returns it only once
+an exact certificate proves it is M's RREF kernel. An affine solve is the
+nullspace of the bordered matrix [A | -b]. :func:`determinant` is a
+forward fraction-free (Bareiss) elimination over the Gaussian integers.
+A ``Matrix`` multiplies vectors and scalars, never another matrix: the one
 spectrum needed is that of an arrowhead, whose characteristic polynomial
 :func:`char_poly` expands from the head, diagonal and border alone.
 """
@@ -23,9 +26,13 @@ spectrum needed is that of an arrowhead, whose characteristic polynomial
 from __future__ import annotations
 
 import re as _re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import count, islice
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
@@ -545,129 +552,304 @@ class Matrix:
 
 # -- elimination ------------------------------------------------------------
 
+# Miller-Rabin with these bases is exact below 3.1e23, far above every prime
+# the search below can reach.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-def _bareiss(rows: Sequence[Vector]):
-    """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
-    Row i is cleared to Gaussian integers by its shared denominator
-    ``D[i]``, the lcm of its entries' denominators, and kept as lists of
-    its real and imaginary int parts; ``rows`` itself is not modified.
-    Pivots follow the rule of division-based Gauss-Jordan: column by
-    column, the first row at or below the current one with a nonzero
-    entry there.
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test."""
+    if n < 2:
+        return False
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Bareiss's update turns every other row a into (p*a - f*b) / q, with b
-    the pivot row, p its pivot, f the entry of a in the pivot column and q
-    the previous pivot; by Sylvester's identity each entry is then a minor
-    of the cleared matrix, so the division is exact. A row with f = 0
-    would only be scaled by p/q, so that scaling is deferred: each row
-    keeps in ``scale[i]`` the pivot it was last updated with and divides
-    by that instead of q. A pivot row is brought up to the current scale
-    before it is used.
 
-    Returns ``(re, im, D, pivots, scale, swaps)``. At the end pivot row i
-    is ``scale[i]`` times its RREF row and the rows below the rank are
-    zero. ``swaps`` counts row exchanges. Square and of full rank, the
-    last pivot ``scale[-1]`` is the determinant of the cleared matrix up
-    to the sign ``(-1) ** swaps``.
+def _modular_primes():
+    """The primes p = 1 (mod 4) above 2^61 in increasing order, each as
+    ``(p, iota)`` with ``iota**2 = -1 (mod p)``: iota = g^((p-1)/4) for the
+    least quadratic non-residue g."""
+    for p in count(2**61 + 1, 4):
+        if _is_prime(p):
+            g = next(g for g in count(2) if pow(g, (p - 1) // 2, p) == p - 1)
+            yield p, pow(g, (p - 1) // 4, p)
+
+
+@cache
+def _prime(k: int) -> tuple[int, int]:
+    """The k-th ``(p, iota)`` of :func:`_modular_primes`, found once."""
+    return next(islice(_modular_primes(), k, None))
+
+
+def _rref_mod(rows: list[list[int]], p: int) -> list[int]:
+    """Gauss-Jordan elimination of ``rows`` modulo p in place; the pivot columns.
+
+    Pivot row i ends up as row i, scaled to pivot 1. The RREF does not
+    depend on which row supplies a pivot, so of the rows at or below the
+    current one with a nonzero entry in the column, the one with the most
+    zeros is taken: assembled systems are sparse, and a row update touches
+    only the pivot row's nonzero entries.
     """
-    re = [list(v.re) for v in rows]
-    im = [list(v.im) for v in rows]
-    D = [v.den for v in rows]
-    nrows = len(re)
-    scale = [(1, 0)] * nrows
+    nrows = len(rows)
     pivots: list[int] = []
-    swaps = 0
-    q = (1, 0)
-    r = 0
-    for c in range(len(re[0])):
-        piv = next((i for i in range(r, nrows) if re[i][c] or im[i][c]), None)
-        if piv is None:
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        candidates = [i for i in range(r, nrows) if rows[i][c]]
+        if not candidates:
             continue
-        if piv != r:
-            for v in (re, im, D, scale):
-                v[r], v[piv] = v[piv], v[r]
-            swaps += 1
-        if scale[r] != q:
-            # times q / scale[r], as (q * conj(scale[r])) / |scale[r]|^2
-            (qr, qi), (lr, li) = q, scale[r]
-            n = lr * lr + li * li
-            sr, si = qr * lr + qi * li, qi * lr - qr * li
-            ar, ai = re[r], im[r]
-            re[r] = [(sr * x - si * y) // n for x, y in zip(ar, ai)]
-            im[r] = [(sr * y + si * x) // n for x, y in zip(ar, ai)]
-        br, bi = re[r], im[r]
-        pr, pi = q = scale[r] = (br[c], bi[c])
-        for i in range(nrows):
-            ar, ai = re[i], im[i]
-            fr, fi = ar[c], ai[c]
-            if i == r or not (fr or fi):
-                continue
-            # (p*a - f*b) / l with l = scale[i], as (p*conj(l)*a - f*conj(l)*b) / |l|^2
-            lr, li = scale[i]
-            n = lr * lr + li * li
-            sr, si = pr * lr + pi * li, pi * lr - pr * li
-            gr, gi = fr * lr + fi * li, fi * lr - fr * li
-            re[i] = [
-                (sr * x - si * y - gr * u + gi * v) // n
-                for x, y, u, v in zip(ar, ai, br, bi)
-            ]
-            im[i] = [
-                (sr * y + si * x - gr * v - gi * u) // n
-                for x, y, u, v in zip(ar, ai, br, bi)
-            ]
-            scale[i] = q
+        piv = max(candidates, key=lambda i: rows[i].count(0))
+        rows[r], rows[piv] = rows[piv], rows[r]
+        # every row at or below r is zero left of c
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        tail = [(j, x * inv % p) for j, x in enumerate(prow[c + 1 :], c + 1) if x]
+        prow[c] = 1
+        for j, y in tail:
+            prow[j] = y
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c] = 0
+                for j, y in tail:
+                    row[j] = (row[j] - f * y) % p
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == nrows:
             break
-    return re, im, D, pivots, scale, swaps
+    return pivots
 
 
-def nullspace(M: Matrix) -> list[Vector]:
-    """Basis of the exact right nullspace {v : Mv = 0}, one vector per free column.
+def _kernel_mod(rows: list[list[int]], p: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Pivot columns of ``rows`` modulo p, and its RREF kernel as a block.
 
-    Each vector is read off the Bareiss pivot rows, which are the RREF rows
-    times their scale, and re-substituted into M; a nonzero product would
-    indicate corrupted elimination and raises.
+    Block entry [f][i], for the f-th free column and the i-th pivot column
+    left of it, is the kernel vector's entry at that pivot column. Every
+    vector is re-substituted into ``rows`` modulo p: the elimination is
+    exact in F_p, so a nonzero product is a fault, never an unlucky prime.
     """
-    re, im, _, pivots, scale, _ = _bareiss(M._vecs)
+    work = [list(r) for r in rows]
+    pivots = _rref_mod(work, p)
     pivot_set = set(pivots)
-    # dividing by the pivot scale s is multiplying by c = conj(s) over the
-    # positive integer d = |s|^2, or by c = sign(s) over d = |s| for real s
-    inverse = [
-        (sr, -si, sr * sr + si * si) if si else ((1 if sr > 0 else -1), 0, abs(sr))
-        for sr, si in scale[: len(pivots)]
-    ]
-    den = lcm(*(d for _, _, d in inverse))
-    basis = []
-    for free in range(M.cols):
-        if free in pivot_set:
+    block = []
+    for f in range(len(rows[0])):
+        if f in pivot_set:
             continue
+        entries = [-work[i][f] % p for i, pc in enumerate(pivots) if pc < f]
+        v = [0] * len(rows[0])
+        v[f] = 1
+        for pc, x in zip(pivots, entries):
+            v[pc] = x
+        if any(sum(map(mul, row, v)) % p for row in rows):
+            raise ArithmeticError(f"kernel image failed re-substitution modulo {p}")
+        block.append(entries)
+    return tuple(pivots), block
+
+
+def _image(M: Matrix, p: int, iota: int, gaussian: bool):
+    """``(pivots, block)`` of M's cleared rows modulo p, or None if p is unlucky.
+
+    A row (re + im*i) / den is cleared to re + im*i. A real matrix needs one
+    image. A Gaussian one is reduced under i -> iota and i -> -iota; a kernel
+    entry x + y*i maps to x + y*iota and x - y*iota, whose half-sum and
+    half-difference over iota are x and y modulo p. Images whose pivots
+    differ cannot both be lucky, so the prime is dropped.
+    """
+    if not gaussian:
+        return _kernel_mod([[x % p for x in v.re] for v in M._vecs], p)
+    plus = _kernel_mod([[(x + iota * y) % p for x, y in zip(v.re, v.im)] for v in M._vecs], p)
+    minus = _kernel_mod([[(x - iota * y) % p for x, y in zip(v.re, v.im)] for v in M._vecs], p)
+    if plus[0] != minus[0]:
+        return None
+    half, half_iota = pow(2, -1, p), pow(2 * iota, -1, p)
+    block = [
+        [w for u, v in zip(a, b) for w in ((u + v) * half % p, (u - v) * half_iota % p)]
+        for a, b in zip(plus[1], minus[1])
+    ]
+    return plus[0], block
+
+
+def _wang(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(n, d) with n = d*u (mod m), |n| <= bound and 0 < d <= bound, or None.
+
+    Wang's rational reconstruction: the extended Euclidean remainder
+    sequence of (m, u), stopped at the first remainder within the bound.
+    With 2 * bound**2 < m such an n/d is unique if it exists.
+    """
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(residues: list[int], m: int) -> tuple[list[int], int] | None:
+    """The residues mod m as rationals over one common denominator d: (numerators, d).
+
+    Each entry is tried first against the running d: if d*u reduces to a
+    numerator within the bound and d itself is within it, that is the
+    reconstruction. Only the others pay for a Wang reduction, whose
+    denominator is folded into d. None if some entry has no reconstruction.
+    """
+    bound = isqrt(m // 2)
+    half = m // 2
+    d = 1
+    nums: list[int] = []
+    for u in residues:
+        a = d * u % m
+        if a > half:
+            a -= m
+        if d <= bound and -bound <= a <= bound:
+            nums.append(a)
+            continue
+        w = _wang(u, m, bound)
+        if w is None:
+            return None
+        n, e = w
+        f = e // gcd(d, e)
+        nums = [x * f for x in nums]
+        d *= f
+        nums.append(n * (d // e))
+    return nums, d
+
+
+def _certified_lift(
+    M: Matrix, pivots: tuple[int, ...], residues: list[int], modulus: int, gaussian: bool
+) -> list[Vector] | None:
+    """The kernel vectors lifted from ``residues`` modulo ``modulus``, or None
+    unless every one is reconstructed and satisfies M v = 0 exactly.
+
+    ``residues`` is the kernel block flattened: for each free column, its
+    entries at the pivot columns left of it, real and imaginary parts
+    interleaved when ``gaussian``.
+    """
+    pivot_set = set(pivots)
+    step = 2 if gaussian else 1
+    basis = []
+    at = 0
+    for f in (c for c in range(M.cols) if c not in pivot_set):
+        size = step * bisect_left(pivots, f)
+        lifted = _lift(residues[at : at + size], modulus)
+        at += size
+        if lifted is None:
+            return None
+        nums, d = lifted
         vr, vi = [0] * M.cols, [0] * M.cols
-        vr[free] = den
-        for i, pc in enumerate(pivots):
-            cr, ci, d = inverse[i]
-            x, y, f = -re[i][free], -im[i][free], den // d
-            vr[pc] = (x * cr - y * ci) * f
-            vi[pc] = (x * ci + y * cr) * f
-        vec = Vector.from_parts(vr, vi, den)
+        vr[f] = d
+        if gaussian:
+            for pc, x, y in zip(pivots, nums[::2], nums[1::2]):
+                vr[pc], vi[pc] = x, y
+        else:
+            for pc, x in zip(pivots, nums):
+                vr[pc] = x
+        vec = Vector.from_parts(vr, vi, d)
         if not (M * vec).is_zero():
-            raise ArithmeticError("kernel vector failed exact re-substitution")
+            return None
         basis.append(vec)
     return basis
 
 
+def nullspace(M: Matrix) -> list[Vector]:
+    """Basis of the exact right nullspace {v : Mv = 0}: the RREF kernel, one vector per free column.
+
+    Multimodular. The cleared rows are eliminated modulo word-size primes
+    p = 1 (mod 4) (:func:`_image`); the kernel blocks of primes that agree
+    on the pivot columns are combined by the Chinese remainder theorem and
+    lifted to rationals (:func:`_lift`). A prime's image can be unlucky,
+    never better than the truth: its rank is at most M's, and at equal rank
+    its pivot list is no smaller than M's lexicographically first column
+    basis. So the image with the larger rank, then the smaller pivot list,
+    is kept and a worse one is skipped.
+
+    A lift is returned only once it is certified. Each vector is built 1 on
+    its own free column, 0 on the other free columns and 0 on every pivot
+    column to its right, and is re-substituted into M exactly. Vectors in
+    the kernel that are the identity on the free columns are independent
+    and number the nullity modulo p, at least M's nullity, so they are a
+    kernel basis and the pivot columns a column basis. Each free column is
+    then a combination of the pivot columns to its left, so the pivots are
+    the lexicographically first column basis: the vectors are M's unique
+    RREF kernel. A lift that fails waits for the next prime.
+    """
+    gaussian = any(any(v.im) for v in M._vecs)
+    best = modulus = residues = None
+    for k in count():
+        p, iota = _prime(k)
+        image = _image(M, p, iota, gaussian)
+        if image is None:
+            continue
+        pivots, block = image
+        key = (-len(pivots), pivots)
+        flat = [x for entries in block for x in entries]
+        if best is None or key < best:
+            best, modulus, residues = key, p, flat
+        elif key == best:
+            # Chinese remaindering: x = r (mod modulus), x = s (mod p)
+            inv = pow(modulus, -1, p)
+            residues = [r + modulus * ((s - r) * inv % p) for r, s in zip(residues, flat)]
+            modulus *= p
+        else:
+            continue
+        basis = _certified_lift(M, pivots, residues, modulus, gaussian)
+        if basis is not None:
+            return basis
+
+
 def determinant(M: Matrix) -> GaussianRational:
-    """Exact determinant, (-1)^swaps times the last Bareiss pivot over prod D_i."""
+    """Exact determinant by forward fraction-free (Bareiss) elimination.
+
+    Row i is cleared to Gaussian integers by its shared denominator D_i.
+    Each step turns every entry below and right of the pivot p into
+    (p*a - f*b) / q, with q the previous pivot; by Sylvester's identity the
+    result is a minor of the cleared matrix, so the division is exact. The
+    last pivot is that matrix's determinant up to the sign of the row
+    exchanges, and det M is it over prod D_i.
+    """
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    _, _, D, pivots, scale, swaps = _bareiss(M._vecs)
-    if len(pivots) < M.rows:
-        return ZERO
-    den = -prod(D) if swaps % 2 else prod(D)
-    pr, pi = scale[-1]
-    return GaussianRational(Fraction(pr, den), Fraction(pi, den))
+    re = [list(v.re) for v in M._vecs]
+    im = [list(v.im) for v in M._vecs]
+    den = prod(v.den for v in M._vecs)
+    n = M.rows
+    qr, qi = 1, 0
+    for c in range(n):
+        piv = next((i for i in range(c, n) if re[i][c] or im[i][c]), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            re[c], re[piv], im[c], im[piv] = re[piv], re[c], im[piv], im[c]
+            den = -den
+        br, bi = re[c], im[c]
+        pr, pi = br[c], bi[c]
+        # dividing by q is multiplying by conj(q) over the integer |q|^2
+        nq = qr * qr + qi * qi
+        sr, si = pr * qr + pi * qi, pi * qr - pr * qi
+        ur, ui = br[c + 1 :], bi[c + 1 :]
+        for i in range(c + 1, n):
+            fr, fi = re[i][c], im[i][c]
+            gr, gi = fr * qr + fi * qi, fi * qr - fr * qi
+            row = list(zip(re[i][c + 1 :], im[i][c + 1 :], ur, ui))
+            re[i][c + 1 :] = [(sr * x - si * y - gr * u + gi * v) // nq for x, y, u, v in row]
+            im[i][c + 1 :] = [(sr * y + si * x - gr * v - gi * u) // nq for x, y, u, v in row]
+        qr, qi = pr, pi
+    return GaussianRational(Fraction(qr, den), Fraction(qi, den))
 
 
 def _poly_eval(coeffs: Sequence[GaussianRational], x: GaussianRational):

@@ -9,19 +9,23 @@ W' = rho*A*W yields the order-by-order recursion
 with the rho-folded local coefficients a(j) of :mod:`kzsolve.kzcore`, star
 weight tuples that act on vectors through :func:`kzsolve.symrep.star_act`.
 The lowest order m must be an eigenvalue of a(-1) = rho*P_k, so rho or
--rho. The recursion is run with the free parameters carried symbolically:
-at order t, with R the matrix whose column p is the right-hand side of
-parameter p, one certified nullspace of the bordered matrix
-[tI - a(-1) | -R], the only place a(-1) is densified, gives every (x, c)
-with [tI - a(-1)] x = R c. Vectors with c != 0 are the parameter
-combinations that continue (the others die at a resonance); vectors with
-c = 0 are fresh kernel freedoms, which exist exactly at the resonant orders
-where new families start. The module returns the full solution families.
+-rho. The recursion is run with the free parameters carried symbolically,
+with R the matrix whose column p is the right-hand side of parameter p.
+Since P_k^2 = I, tI - a(-1) is invertible off the resonances t = +-rho,
+with inverse (tI + a(-1)) / (t^2 - rho^2): there every parameter carries on
+and x = R's column times that inverse, with no elimination. At t = +-rho,
+one certified nullspace of the bordered matrix [tI - a(-1) | -R], the only
+place a(-1) is densified, gives every (x, c) with [tI - a(-1)] x = R c.
+Vectors with c != 0 are the parameter combinations that continue (the
+others die at the resonance); vectors with c = 0 are fresh kernel
+freedoms, where new families start. The module returns the full solution
+families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .ansatz import RationalVectorFunction
@@ -123,8 +127,9 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     """All truncated series solution families at pole k, through ``order``.
 
     Runs the recursion upward from the least admissible exponent with the
-    free parameters carried symbolically. Each order solves one bordered
-    system [tI - a(-1) | -R] (see the module docstring): its kernel vectors
+    free parameters carried symbolically. Off resonance an order is the
+    closed form; at t = +-rho it solves one bordered system
+    [tI - a(-1) | -R] (see the module docstring): its kernel vectors
     with c != 0 recombine the carried parameters, dropping combinations
     that cannot continue, and those with c = 0 add fresh parameters. The
     orders that add fresh parameters are the admissible starting exponents;
@@ -135,9 +140,8 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     if order < m_max:
         raise ValueError(f"truncation order must reach the window end {m_max}")
     n = sys.n
+    rho = sys.rho
     loc = local_coefficients(sys, k, max(order - 1 - m_min, -1))
-    ident = Matrix.identity(n)
-    residue = star_sum(loc.minus_one)
 
     basis: dict[int, list[Vector]] = {}
     starts = []  # (t, number of parameters carried into t) for each t that adds fresh ones
@@ -149,7 +153,16 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
         for p in range(nparams):
             src = [(coeffs[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
             rhs.append(linear_combination(((1, star_act(a, b)) for a, b in src if not b.is_zero()), n))
-        L = ident.scale(t) - residue
+        if t * t != rho * rho:
+            # P_k^2 = I, so (tI - rho*P_k)^-1 = (tI + rho*P_k) / (t^2 - rho^2): each
+            # parameter carries on, x = that times its right-hand side, and none is fresh
+            d = t * t - rho * rho
+            basis[t] = [
+                linear_combination(((Fraction(t, d), r), (Fraction(1, d), star_act(loc.minus_one, r))), n)
+                for r in rhs
+            ]
+            continue
+        L = Matrix.identity(n).scale(t) - star_sum(loc.minus_one)
         bordered = L.hstack(Matrix.from_columns([-col for col in rhs])) if rhs else L
         carried, fresh = [], []
         for v in nullspace(bordered):

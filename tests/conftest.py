@@ -6,7 +6,7 @@ expansion and ranks from exhaustive minor search, so they can vouch for
 the fast implementations. ``reference_rref`` is plain division-based
 Gauss-Jordan elimination on ``GaussianRational`` rows;
 ``reference_nullspace`` and ``reference_solve_affine`` read their
-answers off it, and the library's fraction-free ``nullspace`` and
+answers off it, and the library's multimodular ``nullspace`` and
 ``solve_affine`` must return exactly the same vectors.
 ``reference_char_poly`` is the dense Faddeev-LeVerrier trace recursion,
 built on ``matmul``, the dense product the library itself no longer

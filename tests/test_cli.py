@@ -167,6 +167,14 @@ class TestNullspace:
         assert code == 0
         assert json.loads(out)["dimension"] == 0
 
+    def test_scaling_to_n12(self, capsys):
+        start = time.perf_counter()
+        for n in range(3, 13):
+            code, out, _ = run(capsys, ["nullspace", *system_args(n)])
+            assert code == 0, n
+            assert json.loads(out)["dimension"] == n
+        assert time.perf_counter() - start < 10.0
+
     def test_failed_residual_exits_1(self, capsys, monkeypatch):
         basis = ansatz.solve_ansatz(new_system(4, -1, [0, 1, 2]))
         monkeypatch.setattr(ansatz, "solve_ansatz", lambda sys_, **shape: basis)

@@ -254,8 +254,8 @@ def left_annihilates(y: Vector, A: Matrix) -> bool:
 
 class TestNullspace:
     def test_matches_division_reference(self):
-        # the vectors read off the Bareiss rows equal those read off the
-        # division-based RREF, entry for entry and in the same order
+        # the vectors lifted from the modular images equal those read off
+        # the division-based RREF, entry for entry and in the same order
         for M, _ in division_reference_cases():
             assert strs(nullspace(M)) == strs(reference_nullspace(M))
 
@@ -316,6 +316,89 @@ class TestNullspace:
             M = Matrix(rows)
             for v in nullspace(M):
                 assert (M * v).is_zero()
+
+
+def counted_images(monkeypatch, limit=40):
+    """Record the prime of every modular image; fail instead of looping past ``limit``."""
+    primes = []
+    real = exactalg._image
+
+    def image(M, p, iota, gaussian):
+        primes.append(p)
+        assert len(primes) <= limit, "nullspace kept drawing primes"
+        return real(M, p, iota, gaussian)
+
+    monkeypatch.setattr(exactalg, "_image", image)
+    return primes
+
+
+class TestModularNullspace:
+    def test_prime_table(self):
+        sympy = pytest.importorskip("sympy")
+        primes = [exactalg._prime(k) for k in range(6)]
+        assert [p for p, _ in primes] == sorted({p for p, _ in primes})
+        for p, iota in primes:
+            assert sympy.isprime(p)
+            assert 2**61 < p < 2**62 and p % 4 == 1
+            assert iota * iota % p == p - 1
+
+    def test_primality_test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(3000):
+            assert exactalg._is_prime(n) == sympy.isprime(n), n
+        # strong pseudoprimes to every prime base up to 7, and up to 23
+        for n in (3215031751, 3825123056546413051):
+            assert not exactalg._is_prime(n)
+        rng = random.Random(116)
+        for _ in range(200):
+            n = rng.randrange(2**61, 2**62) | 1
+            assert exactalg._is_prime(n) == sympy.isprime(n)
+
+    def test_entry_equal_to_first_prime(self, monkeypatch):
+        # modulo the first prime [[p, 1]] pivots on column 1, not 0: that
+        # image is dropped, and -1/p needs three more primes to lift
+        p, _ = exactalg._prime(0)
+        M = Matrix([[p, 1]])
+        primes = counted_images(monkeypatch)
+        assert nullspace(M) == reference_nullspace(M) == [Vector([Fraction(-1, p), 1])]
+        assert primes[0] == p and len(primes) >= 4
+
+    def test_gaussian_entry_vanishing_under_one_image(self, monkeypatch):
+        # a + i with a + iota = 0 (mod p): zero under i -> iota, not under
+        # i -> -iota, so the two images disagree on the pivots and the
+        # first prime is dropped
+        p, iota = exactalg._prime(0)
+        counted_images(monkeypatch)
+        for M in (
+            Matrix([[GaussianRational(p - iota, 1), 1, 3]]),
+            Matrix([[GaussianRational(p - iota, 1), 1, 3], [0, GaussianRational(0, 2), 1]]),
+        ):
+            assert exactalg._image(M, p, iota, True) is None
+            assert strs(nullspace(M)) == strs(reference_nullspace(M))
+
+    def test_lower_rank_image_sharing_a_pivot_prefix(self, monkeypatch):
+        # modulo p the rank drops to 1 with pivots (0,), a prefix of the
+        # true (0, 1): the larger rank wins, not the smaller pivot tuple
+        p, _ = exactalg._prime(0)
+        M = Matrix([[1, 1, 1], [1, 1 + p, 1]])
+        counted_images(monkeypatch)
+        assert nullspace(M) == reference_nullspace(M) == [Vector([-1, 0, 1])]
+
+    def test_large_entries_need_several_primes(self, monkeypatch):
+        rng = random.Random(117)
+        for gaussian in (False, True):
+            rows = [
+                [
+                    GaussianRational(rng.randrange(-(2**100), 2**100), rng.randrange(2**100) if gaussian else 0)
+                    for _ in range(4)
+                ]
+                for _ in range(2)
+            ]
+            M = Matrix(rows)
+            primes = counted_images(monkeypatch)
+            assert strs(nullspace(M)) == strs(reference_nullspace(M))
+            assert len(set(primes)) >= 3
+            monkeypatch.undo()
 
 
 class TestDeterminant:
@@ -579,18 +662,20 @@ class TestSolveAffine:
         assert seen == {True, False}
 
     def test_corrupted_kernel_raises(self, monkeypatch):
-        # perturb one free-column entry of the first pivot row: for the
-        # bordered [A | -b] the particular solution's column is untouched,
-        # so only the re-substitution of a kernel vector can catch it
-        real = exactalg._bareiss
+        # perturb one free-column entry of the first pivot row of every
+        # modular RREF: for the bordered [A | -b] the particular solution's
+        # column is untouched, so only the re-substitution of a kernel
+        # vector modulo p can catch it
+        real = exactalg._rref_mod
 
-        def corrupt_free_column(rows):
-            re, im, D, pivots, scale, swaps = real(rows)
-            free = next(c for c in range(len(re[0])) if c not in pivots)
-            re[0][free] += 1
-            return re, im, D, pivots, scale, swaps
+        def corrupt_free_column(rows, p):
+            pivots = real(rows, p)
+            free = next(c for c in range(len(rows[0])) if c not in pivots)
+            rows[0][free] = (rows[0][free] + 1) % p
+            return pivots
 
-        monkeypatch.setattr(exactalg, "_bareiss", corrupt_free_column)
+        monkeypatch.setattr(exactalg, "_rref_mod", corrupt_free_column)
+        counted_images(monkeypatch)
         with pytest.raises(ArithmeticError):
             solve_affine(Matrix([[1, 1], [1, 1]]), Vector([2, 2]))
         with pytest.raises(ArithmeticError):

@@ -130,11 +130,15 @@ class TestFrobeniusSolve:
 
         integer = list(range(n - 1))
         gaussian = [GaussianRational(j, (-1) ** j) for j in range(n - 1)]
+        # Gaussian-rational poles with denominators
+        fractional = random_points(random.Random(310 + n), n - 1, 4)
         for rho in range(-3, 4):
-            for points in (integer, gaussian):
+            for points in (integer, gaussian, fractional):
                 sys = new_system(n, rho, points)
                 for k in range(1, n):
-                    for order in (abs(rho), abs(rho) + 2):
+                    # past |rho| nothing is pruned, so the families at |rho| + 6
+                    # hold those at every lower truncation order
+                    for order in (abs(rho), abs(rho) + 6):
                         got = frobenius_solve(sys, k, order)
                         assert printed(got) == printed(reference_frobenius_solve(sys, k, order))
 

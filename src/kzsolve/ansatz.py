@@ -21,7 +21,8 @@ from .exactalg import (
     ScalarLike,
     Vector,
     ZERO,
-    linear_combination,
+    _combine,
+    _parts,
     nullspace,
     solve_affine,
 )
@@ -115,35 +116,37 @@ class RationalVectorFunction:
             if d.is_zero():
                 if any(not v.is_zero() for v in group):
                     raise ValueError(f"evaluation at the pole z = {zk}")
-                inverses.append(None)
+                inverses.append(ZERO)
             else:
                 inverses.append(ONE / d)
-        return self._at(z, inverses)
+        return self._at(z, Vector(inverses))
 
-    def _at(self, z: GaussianRational, inverses, derivative: bool = False) -> Vector:
-        """W(z), or W'(z), given ``inverses[k] = 1/(z - z_k)`` (None: no pole term there).
+    def _at(self, z: GaussianRational, inverses: Vector, derivative: bool = False) -> Vector:
+        """W(z), or W'(z), given ``inverses[k] = 1/(z - z_k)``, or 0 where W has no pole term at z.
 
-        Each power of an inverse is one multiplication by it, so a point
-        costs one division per pole, and the sum is one linear combination.
+        Every (z - z_k)^-r and z^d, and each derivative factor, is built by
+        int multiplication from the int parts of the inverses and of z, so
+        the sum is one int combination with no ``Fraction`` per term. A zero
+        inverse zeroes its pole's terms, which the combination drops.
         """
+        den = inverses.den
         terms = []
-        for inv, group in zip(inverses, self.pole_coeffs):
-            if inv is None or not group:
-                continue
-            # (z - z_k)^-r, or d/dz of it, -r (z - z_k)^-(r+1)
-            power = inv * inv if derivative else inv
+        for x, y, group in zip(inverses.re, inverses.im, self.pole_coeffs):
+            # (z - z_k)^-r = (x + y*i)^r / den^r, or d/dz of it, -r (z - z_k)^-(r+1)
+            px, py, pd = (x * x - y * y, 2 * x * y, den * den) if derivative else (x, y, den)
             for r, vec in enumerate(group, start=1):
                 if not vec.is_zero():
-                    terms.append((power * -r if derivative else power, vec))
+                    terms.append((-r * px, -r * py, pd, vec) if derivative else (px, py, pd, vec))
                 if r < len(group):
-                    power = power * inv
-        power = ONE
+                    px, py, pd = px * x - py * y, px * y + py * x, pd * den
+        zx, zy, zd = _parts(z)
+        px, py, pd = 1, 0, 1
         for deg in range(1 if derivative else 0, len(self.poly_coeffs)):
             vec = self.poly_coeffs[deg]
             if not vec.is_zero():
-                terms.append((power * deg if derivative else power, vec))
-            power = power * z
-        return linear_combination(terms, self.dim)
+                terms.append((deg * px, deg * py, pd, vec) if derivative else (px, py, pd, vec))
+            px, py, pd = px * zx - py * zy, px * zy + py * zx, pd * zd
+        return _combine(terms, self.dim)
 
     __call__ = eval
 

@@ -50,16 +50,17 @@ SERIES_MAX_ORDER = 64
 # points 0..n-2 (same machine). ``series`` at pole 1: 0.33 s at n = 32, 0.57 s at 64 and
 # 3.3 s at 128 with order 3; at n = 32, 0.83 s with order 16 and 17.6 s, for a 54 MB
 # report, at SERIES_MAX_ORDER.
-# ``verify`` evaluates residuals at s(p + 1) + d points, O(n^2) each: 2.3 s at n = 64,
-# 11 s at 128 for a simple-pole file solution.
+# ``verify`` evaluates residuals at s(p + 1) + d points, O(n^2) int operations each, and
+# at rho = -1 the pole-balance conditions, O(n^3): 1.35 s at n = 64, 9.9 s at 128 for a
+# simple-pole file solution.
 SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 
 # Largest unknown count u = n((n - 1) pole_order + poly_degree + 1) of the ansatz that
 # ``kz nullspace`` solves: one sparse elimination of about 2u x u modulo word-size
 # primes, plus the exact assembly and residual checks around it. The (1, 1) shape took
-# 0.55 s at n = 10 (u = 110), 0.89 s at n = 12 (u = 156), 0.99 s at n = 13 and 1.20 s at
-# n = 14. Every valid shape has u >= n^2, so the cap also bounds n <= 12.
+# 0.40 s at n = 10 (u = 110), 0.47 s at n = 12 (u = 156), 0.68 s at n = 13 and 0.76 s at
+# n = 14 (best of 7). Every valid shape has u >= n^2, so the cap also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.

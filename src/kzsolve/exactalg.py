@@ -10,7 +10,10 @@ A ``Vector`` does not hold scalars: it stores the int real and imaginary
 parts of its entries over one shared positive denominator, in lowest
 terms, so vector arithmetic is int loops with one gcd per result and no
 per-entry ``Fraction``. A ``Matrix`` is a tuple of row vectors. Both hand
-out ``GaussianRational`` entries when read.
+out ``GaussianRational`` entries when read. :func:`linear_combination`
+lifts its scalars to int parts for ``_combine``, the one combining loop;
+callers that already hold int parts, such as the partial-fraction powers
+of :mod:`kzsolve.ansatz`, call ``_combine`` directly.
 
 :func:`nullspace` is multimodular: it eliminates each row's int parts
 modulo word-size primes, reconstructs the rational kernel by Chinese
@@ -405,11 +408,19 @@ def _make(re: tuple, im: tuple, den: int) -> Vector:
 
 def linear_combination(terms: Iterable[tuple[ScalarLike, Vector]], dim: int) -> Vector:
     """sum_j s_j v_j over (s_j, v_j) in ``terms``, as one int loop and one gcd."""
+    return _combine(((*_parts(GaussianRational.coerce(s)), v) for s, v in terms), dim)
+
+
+def _combine(terms: Iterable[tuple[int, int, int, Vector]], dim: int) -> Vector:
+    """sum_j (x_j + y_j*i) / d_j * v_j over (x_j, y_j, d_j, v_j) in ``terms``, d_j > 0.
+
+    The scalars' int parts need not be in lowest terms: every term is
+    lifted to one denominator, summed in one int loop and reduced by one gcd.
+    """
     lifted = []
-    for s, v in terms:
+    for sr, si, sd, v in terms:
         if v.dim != dim:
             raise ValueError("vector dimension mismatch")
-        sr, si, sd = _parts(GaussianRational.coerce(s))
         if sr or si:
             lifted.append((sr, si, sd * v.den, v))
     den = lcm(*(d for _, _, d, _ in lifted))

@@ -2,17 +2,20 @@
 
 A(z) is a sum of first-order poles whose residues are the star transposition
 matrices of S_n, one pole per generator, so s = n - 1. Every operator built
-here is a weighted sum of those residues and is returned as its weight
-tuple (w_1, ..., w_s), meaning sum_k w_k P_k; :mod:`kzsolve.symrep` applies
-or densifies it. The local expansion of rho*A about a pole feeds the series
-recursion in :mod:`kzsolve.frobenius`.
+here is a weighted sum of those residues and is returned as its weights
+(w_1, ..., w_s), meaning sum_k w_k P_k; :mod:`kzsolve.symrep` applies or
+densifies it. A(z)'s weights come as a ``Vector`` of int parts over one
+shared denominator, the local coefficients as tuples of scalars. The
+local expansion of rho*A about a pole feeds the series recursion in
+:mod:`kzsolve.frobenius`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .exactalg import GaussianRational, ONE, ScalarLike, ZERO
+from .exactalg import GaussianRational, ScalarLike, Vector, ZERO, _parts
 
 Weights = tuple[GaussianRational, ...]
 
@@ -46,15 +49,28 @@ def new_system(n: int, rho: int, points: list[ScalarLike]) -> KZSystem:
     return KZSystem(n=n, rho=rho, points=pts)
 
 
-def eval_A(sys: KZSystem, z: ScalarLike) -> Weights:
+def eval_A(sys: KZSystem, z: ScalarLike) -> Vector:
     """Star weights (1/(z - z_k))_k of A(z) = sum_k P_k / (z - z_k).
 
-    z must avoid the poles.
+    Returned as a ``Vector``, int parts over one shared denominator, the
+    form :func:`kzsolve.symrep.star_act` consumes; each weight is computed
+    from the int parts of z and z_k, with no ``Fraction``. z must avoid the
+    poles.
     """
     z = GaussianRational.coerce(z)
-    if z in sys.points:
-        raise ValueError(f"A(z) evaluated at the pole z = {z}")
-    return tuple(ONE / (z - zk) for zk in sys.points)
+    zx, zy, zd = _parts(z)
+    parts = []
+    for zk in sys.points:
+        kx, ky, kd = _parts(zk)
+        # z - z_k = (a + b*i) / e, so 1/(z - z_k) = e (a - b*i) / (a^2 + b^2)
+        a, b, e = zx * kd - kx * zd, zy * kd - ky * zd, zd * kd
+        if not (a or b):
+            raise ValueError(f"A(z) evaluated at the pole z = {z}")
+        parts.append((e * a, -e * b, a * a + b * b))
+    den = lcm(*(d for _, _, d in parts))
+    return Vector.from_parts(
+        [x * (den // d) for x, _, d in parts], [y * (den // d) for _, y, d in parts], den
+    )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import entries_str, random_points, random_scalar, reference_add, reference_scale
+from conftest import (
+    entries_str,
+    random_points,
+    random_scalar,
+    reference_add,
+    reference_matvec,
+    reference_scale,
+    reference_sub,
+)
 from kzsolve.ansatz import (
     RationalVectorFunction,
     check_conditions,
@@ -15,7 +23,7 @@ from kzsolve.ansatz import (
 )
 from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar
 from kzsolve.kzcore import eval_A, new_system
-from kzsolve.symrep import star_act
+from kzsolve.symrep import star_act, star_generators
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]
@@ -33,6 +41,28 @@ class TestEvalAndDerivative:
     def test_eval_at_pole_raises(self):
         with pytest.raises(ValueError):
             y2(CANON).eval(0)
+
+    def test_eval_at_pole_without_terms_there(self):
+        # an empty or all-zero group at z_1 contributes nothing at z = z_1,
+        # and any nonzero coefficient there, at any order, raises
+        points = tuple(parse_scalar(p) for p in ("(1/2,1)", "1", "-3/2"))
+        z = points[0]
+        L, Q = Vector([1, 2, 3, 4]), Vector([0, 1, 0, -1])
+        M = Vector([parse_scalar(e) for e in ("(0,1)", "0", "1/3", "-1")])
+        want = [ZERO] * 4
+        for zk, group in zip(points[1:], ((L,), (M, L))):
+            for r, vec in enumerate(group, start=1):
+                want = reference_add(want, reference_scale(ONE / (z - zk) ** r, vec.data))
+        want = reference_add(want, reference_add(Q.data, reference_scale(z * z, M.data)))
+        for here in ((), (Vector.zero(4),), (Vector.zero(4), Vector.zero(4))):
+            fn = RationalVectorFunction(
+                dim=4, points=points, pole_coeffs=(here, (L,), (M, L)), poly_coeffs=(Q, Vector.zero(4), M)
+            )
+            assert str(fn.eval(z)) == entries_str(want)
+        for here in ((M,), (Vector.zero(4), L)):
+            fn = RationalVectorFunction(dim=4, points=points, pole_coeffs=(here, (L,), ()), poly_coeffs=())
+            with pytest.raises(ValueError):
+                fn.eval(z)
 
     def test_derivative_of_constant(self):
         fn = RationalVectorFunction(
@@ -113,6 +143,13 @@ class TestResidual:
         )
         assert not residual(sys, fn, 5).is_zero()
 
+    def test_at_pole_raises(self):
+        sys = canon_sys()
+        for fn in (y2(CANON), RationalVectorFunction.zero(sys.points, 4)):
+            for zk in sys.points:
+                with pytest.raises(ValueError):
+                    residual(sys, fn, zk)
+
     def test_matches_entrywise_evaluation(self):
         # W(z) and W'(z) from one inverse per pole against the term-by-term
         # sum of L (z - z_k)^-r and Q z^d, and the residual against the
@@ -141,6 +178,20 @@ class TestResidual:
             assert str(fn.eval(z)) == entries_str(want)
             rhs = star_act(eval_A(sys, z), fn.eval(z)).scale(sys.rho)
             assert residual(sys, fn, z) == fn.derivative().eval(z) - rhs
+            # W' - rho A(z) W with no code of the fast path: W' term by term,
+            # A(z) W through the dense star generators
+            slope = [ZERO] * n
+            for zk, group in zip(sys.points, fn.pole_coeffs):
+                for r, L in enumerate(group, start=1):
+                    slope = reference_add(slope, reference_scale(-r * ONE / (z - zk) ** (r + 1), L.data))
+            for d, Q in enumerate(fn.poly_coeffs):
+                if d:
+                    slope = reference_add(slope, reference_scale(d * z ** (d - 1), Q.data))
+            a_w = [ZERO] * n
+            for zk, P in zip(sys.points, star_generators(n)):
+                a_w = reference_add(a_w, reference_scale(ONE / (z - zk), reference_matvec(P.data, want)))
+            want_residual = reference_sub(slope, reference_scale(GaussianRational(sys.rho), a_w))
+            assert str(residual(sys, fn, z)) == entries_str(want_residual)
 
     def test_y1_vanishes_at_random_points(self):
         rng = random.Random(400)

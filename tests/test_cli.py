@@ -132,6 +132,21 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_scaling_to_n12(self, capsys, tmp_path):
+        start = time.perf_counter()
+        for n in range(3, 13):
+            fn = ansatz.solve_ansatz(new_system(n, -1, list(range(n - 1))))[0]
+            path = tmp_path / f"w{n}.json"
+            path.write_text(json.dumps({
+                "n": n, "rho": -1, "points": [str(p) for p in fn.points],
+                "pole_coefficients": [[[str(c) for c in v] for v in group] for group in fn.pole_coeffs],
+                "poly_coefficients": [[str(c) for c in v] for v in fn.poly_coeffs],
+            }))
+            code, out, _ = run(capsys, ["verify", *system_args(n), "--solution", f"file:{path}"])
+            assert code == 0, n
+            assert json.loads(out)["overall"] == "pass"
+        assert time.perf_counter() - start < 10.0
+
 
 class TestNullspace:
     def test_dimension_four(self, capsys):

@@ -11,12 +11,7 @@ from .exactalg import (
     parse_scalar,
     solve_affine,
 )
-from .symrep import (
-    star_generators,
-    t_matrix,
-    t_spectrum,
-    transposition_matrix,
-)
+from .symrep import t_spectrum
 from .kzcore import KZSystem, eval_A, local_coefficients, new_system
 from .frobenius import (
     LocalSeries,
@@ -63,10 +58,7 @@ __all__ = [
     "nullspace",
     "parse_scalar",
     "solve_affine",
-    "star_generators",
-    "t_matrix",
     "t_spectrum",
-    "transposition_matrix",
     "KZSystem",
     "eval_A",
     "local_coefficients",

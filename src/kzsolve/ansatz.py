@@ -26,7 +26,7 @@ from .exactalg import (
     nullspace,
     solve_affine,
 )
-from .kzcore import KZSystem, eval_A, local_coefficients
+from .kzcore import KZSystem, _inverses, eval_A, local_coefficients
 from .symrep import star_act, star_apply, star_sum
 
 
@@ -258,17 +258,14 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
     res = fn.residues
     qc, ql = fn.q_const, fn.q_linear
     sym = tuple(L - star_apply(k, L) for k, L in enumerate(res, start=1))
+    # balance k is sum_{j != k} w_j (P_k L_j + P_j L_k) + P_k (z_k q_linear + q_const)
+    # with w_j = 1/(z_k - z_j): P_k of one combination plus one star action on L_k
     balance = []
-    for k in range(1, sys.s + 1):
-        acc = Vector.zero(sys.n)
-        zk = sys.points[k - 1]
-        for j in range(1, sys.s + 1):
-            if j == k:
-                continue
-            w = ONE / (zk - sys.points[j - 1])
-            acc = acc + (star_apply(k, res[j - 1]) + star_apply(j, res[k - 1])).scale(w)
-        acc = acc + star_apply(k, ql.scale(zk) + qc)
-        balance.append(acc)
+    for k, (zk, Lk) in enumerate(zip(sys.points, res), start=1):
+        w = _inverses(sys.points, zk)
+        terms = [(x, y, w.den, L) for x, y, L in zip(w.re, w.im, res)]
+        inner = _combine([*terms, (*_parts(zk), ql), (1, 0, 1, qc)], sys.n)
+        balance.append(star_apply(k, inner) + star_act(w, Lk))
     growth = ql + star_act([ONE] * sys.s, ql)
     return ConditionReport(
         residue_symmetry=sym, pole_balance=tuple(balance), growth=growth

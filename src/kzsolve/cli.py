@@ -51,8 +51,8 @@ SERIES_MAX_ORDER = 64
 # 3.3 s at 128 with order 3; at n = 32, 0.83 s with order 16 and 17.6 s, for a 54 MB
 # report, at SERIES_MAX_ORDER.
 # ``verify`` evaluates residuals at s(p + 1) + d points, O(n^2) int operations each, and
-# at rho = -1 the pole-balance conditions, O(n^3): 1.35 s at n = 64, 9.9 s at 128 for a
-# simple-pole file solution.
+# at rho = -1 the pole-balance conditions, one n-term combination per pole, O(n^3): 0.67 s
+# at n = 64, 4.5 s at 128 (cap lifted, in-process) for a random simple-pole file solution.
 SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 
@@ -64,9 +64,11 @@ VERIFY_MAX_N = 64
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.
-# It transports the n x n identity in floating point, about n^3 work per integrator step
-# on the dense coefficient field, and solves nothing exactly. ``kz`` wall time with points
-# 0..n-2, pole 2, radius 0.4: 0.86 s at n = 12, 0.96 s at 16, 1.20 s at 32, 2.73 s at 64.
+# It transports the n x n identity in floating point, about n^2 work per integrator step
+# (A(z) applied as a star action, no matrix), and solves nothing exactly. ``kz`` wall time
+# with points 0..n-2, pole 2, radius 0.4 (best of 7, BLAS on one thread): 0.59 s at
+# n = 12, 0.61 s at 16, 0.62 s at 32, 0.63 s at 64, of which about 0.6 s is importing
+# kzsolve and scipy.integrate.
 MONODROMY_MAX_N = 64
 MONODROMY_MAX_DEVIATION = 1e-8
 

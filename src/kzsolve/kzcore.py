@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import Sequence
 
 from .exactalg import GaussianRational, ScalarLike, Vector, ZERO, _parts
 
@@ -58,15 +59,22 @@ def eval_A(sys: KZSystem, z: ScalarLike) -> Vector:
     poles.
     """
     z = GaussianRational.coerce(z)
+    w = _inverses(sys.points, z)
+    # 1/(z - z_k) is never 0, so a zero weight marks z as a pole
+    if not all(x or y for x, y in zip(w.re, w.im)):
+        raise ValueError(f"A(z) evaluated at the pole z = {z}")
+    return w
+
+
+def _inverses(points: Sequence[GaussianRational], z: GaussianRational) -> Vector:
+    """(1/(z - z_k))_k over one shared denominator from int parts, 0 where z_k = z."""
     zx, zy, zd = _parts(z)
     parts = []
-    for zk in sys.points:
+    for zk in points:
         kx, ky, kd = _parts(zk)
         # z - z_k = (a + b*i) / e, so 1/(z - z_k) = e (a - b*i) / (a^2 + b^2)
         a, b, e = zx * kd - kx * zd, zy * kd - ky * zd, zd * kd
-        if not (a or b):
-            raise ValueError(f"A(z) evaluated at the pole z = {z}")
-        parts.append((e * a, -e * b, a * a + b * b))
+        parts.append((e * a, -e * b, a * a + b * b) if a or b else (0, 0, 1))
     den = lcm(*(d for _, _, d in parts))
     return Vector.from_parts(
         [x * (den // d) for x, _, d in parts], [y * (den // d) for _, y, d in parts], den

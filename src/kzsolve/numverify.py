@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -20,7 +20,7 @@ import numpy as np
 # perfbench's tracer self-test asserts ``numverify.solve_ansatz is ansatz.solve_ansatz``.
 from .ansatz import RationalVectorFunction, solve_ansatz  # noqa: F401
 from .kzcore import KZSystem
-from .symrep import star_generators
+from .symrep import star_act_array
 
 
 @dataclass(frozen=True)
@@ -124,20 +124,6 @@ def default_clearance(sys: KZSystem) -> float:
     return 0.1 * dmin
 
 
-def _coefficient_field(sys: KZSystem) -> Callable[[complex], np.ndarray]:
-    poles = [p.to_complex() for p in sys.points]
-    mats = [
-        np.array([[e.to_complex() for e in row] for row in P.data])
-        for P in star_generators(sys.n)
-    ]
-    def A(z: complex) -> np.ndarray:
-        out = np.zeros((sys.n, sys.n), dtype=complex)
-        for zk, Pk in zip(poles, mats):
-            out += Pk / (z - zk)
-        return out
-    return A
-
-
 def _check_clearance(sys: KZSystem, path: Path, clearance: float):
     for zk in sys.points:
         d = path.min_distance_to(zk.to_complex())
@@ -152,7 +138,7 @@ def _transport(sys: KZSystem, path: Path, W0: np.ndarray, tol: float):
     # transport needs it, so the exact commands never load it.
     from scipy.integrate import solve_ivp
 
-    A = _coefficient_field(sys)
+    poles = np.array([p.to_complex() for p in sys.points])
     rho = float(sys.rho)
     shape = W0.shape
     y = np.asarray(W0, dtype=complex).ravel()
@@ -161,10 +147,9 @@ def _transport(sys: KZSystem, path: Path, W0: np.ndarray, tol: float):
         if seg.length == 0:
             continue
         def fun(t, yy):
-            z = seg.point(t)
-            dz = seg.velocity(t)
-            W = yy.reshape(shape)
-            return (dz * rho * (A(z) @ W)).ravel()
+            # dz/dt * rho * A(z) as star weights
+            w = seg.velocity(t) * rho / (seg.point(t) - poles)
+            return star_act_array(w, yy.reshape(shape)).ravel()
         sol = solve_ivp(fun, (0.0, 1.0), y, method="DOP853", rtol=tol, atol=tol)
         if not sol.success:
             raise RuntimeError(f"integrator failed along segment: {sol.message}")
@@ -277,9 +262,8 @@ def residual_scan(
         clearance = default_clearance(sys)
     value = _complex_function(fn)
     deriv = _complex_function(fn.derivative())
-    A = _coefficient_field(sys)
     rho = float(sys.rho)
-    poles = [p.to_complex() for p in sys.points]
+    poles = np.array([p.to_complex() for p in sys.points])
     centroid = sum(poles) / len(poles)
     dmax = max(abs(p - centroid) for p in poles)
     pts: list[complex] = []
@@ -297,6 +281,6 @@ def residual_scan(
         ring += 1
     worst = 0.0
     for z in pts:
-        defect = deriv(z) - rho * (A(z) @ value(z))
+        defect = deriv(z) - rho * star_act_array(1 / (z - poles), value(z))
         worst = max(worst, float(np.linalg.norm(defect)))
     return worst

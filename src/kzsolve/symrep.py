@@ -1,12 +1,14 @@
-"""Natural-representation matrices of the symmetric group used as KZ residues.
+"""The star transpositions of the symmetric group, used as KZ residues.
 
-The residue matrices are the transpositions (1 k+1) acting on coordinates,
-the "star" generators. Outside elimination a residue operator
-sum_k w_k P_k is carried as its weight tuple w, and this is the only module
-that knows what the weights mean: :func:`star_apply` applies one P_k as a
-coordinate swap, :func:`star_act` applies a weighted sum in O(n) int
-operations on the vector's shared-denominator parts, and
-:func:`star_sum` builds the dense arrowhead matrix for elimination. The
+The residues are the transpositions P_k = (1 k+1) acting on coordinates,
+the "star" generators; no dense generator matrix is built here. A
+residue operator sum_k w_k P_k is carried as its weight tuple w, and this
+is the only module that knows what the weights mean: :func:`star_apply`
+applies one P_k as a coordinate swap, :func:`star_act` applies a weighted
+sum in O(n) int operations on the vector's shared-denominator parts,
+:func:`star_act_array` applies it to a floating vector or matrix in
+O(n) work per column, and :func:`star_sum` builds the dense arrowhead
+matrix where elimination needs one. The
 generator sum T governs the large-z behaviour of the system, so its
 integer spectrum is computed and sanity-checked here as well, from the
 characteristic polynomial of the arrowhead's parts, without any matrix.
@@ -19,30 +21,6 @@ from typing import Sequence
 
 from .exactalg import Matrix, ONE, ScalarLike, Vector, ZERO
 from .exactalg import char_poly, integer_eigenvalues
-
-
-def transposition_matrix(n: int, i: int, j: int) -> Matrix:
-    """Permutation matrix of the transposition (i j) on n points, 1-based."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices out of range: ({i},{j}) for n={n}")
-    if i == j:
-        raise ValueError("a transposition needs two distinct points")
-    rows = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = ONE
-    a, b = i - 1, j - 1
-    rows[a][a] = ZERO
-    rows[b][b] = ZERO
-    rows[a][b] = ONE
-    rows[b][a] = ONE
-    return Matrix(rows)
-
-
-def star_generators(n: int) -> list[Matrix]:
-    """The n-1 star transposition matrices (1 2), (1 3), ..., (1 n)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return [transposition_matrix(n, 1, k + 1) for k in range(1, n)]
 
 
 def star_apply(k: int, v: Vector) -> Vector:
@@ -99,11 +77,20 @@ def star_act(weights: Sequence[ScalarLike], v: Vector) -> Vector:
     return Vector.from_parts(re, im, w.den * v.den)
 
 
-def t_matrix(n: int) -> Matrix:
-    """Sum T of the star generators as a dense matrix."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return star_sum([ONE] * (n - 1))
+def star_act_array(weights, W):
+    """(sum_k w_k P_k) W for a float array W of n rows (a vector or a matrix).
+
+    ``weights`` is a length n - 1 array; any other length fails in ``w @ D``
+    with a ``ValueError``. With D = W[1:] - W[0], the product is sum(w) W,
+    plus w.D in row 1, minus w_k D[k-1] in row k+1: O(n) work per column and
+    no matrix. Only the arguments' array methods are used, so this module
+    imports no numpy.
+    """
+    D = W[1:] - W[0]
+    out = W * weights.sum()
+    out[0] += weights @ D
+    out[1:] -= (D.T * weights).T
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ denominator; the int loops must print exactly what they print.
 ``reference_frobenius_solve`` finds each series family as the nullspace
 of the stacked lower-order coefficients, where the library reads the
 families off the recursion's parameter bookkeeping.
+``transposition_matrix``, ``star_generators`` and ``t_matrix`` are the
+dense permutation matrices the library never builds: it carries every
+residue sum as star weights.
 """
 
 import random
@@ -266,6 +269,37 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
             continue
         families.append(SeriesFamily(pole_index=k, start=start, order=order, basis=fam))
     return families
+
+
+def transposition_matrix(n: int, i: int, j: int) -> Matrix:
+    """Permutation matrix of the transposition (i j) on n points, 1-based."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"indices out of range: ({i},{j}) for n={n}")
+    if i == j:
+        raise ValueError("a transposition needs two distinct points")
+    rows = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = ONE
+    a, b = i - 1, j - 1
+    rows[a][a] = ZERO
+    rows[b][b] = ZERO
+    rows[a][b] = ONE
+    rows[b][a] = ONE
+    return Matrix(rows)
+
+
+def star_generators(n: int) -> list[Matrix]:
+    """The n-1 star transposition matrices (1 2), (1 3), ..., (1 n)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return [transposition_matrix(n, 1, k + 1) for k in range(1, n)]
+
+
+def t_matrix(n: int) -> Matrix:
+    """Sum T of the star generators as a dense matrix."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return star_sum([ONE] * (n - 1))
 
 
 def reference_scale(s, v):

@@ -12,6 +12,7 @@ from conftest import (
     reference_matvec,
     reference_scale,
     reference_sub,
+    star_generators,
 )
 from kzsolve.ansatz import (
     RationalVectorFunction,
@@ -23,7 +24,7 @@ from kzsolve.ansatz import (
 )
 from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar
 from kzsolve.kzcore import eval_A, new_system
-from kzsolve.symrep import star_act, star_generators
+from kzsolve.symrep import star_act
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]

@@ -424,9 +424,9 @@ class TestMonodromy:
         assert code == 0
         assert json.loads(out)["deviation"] < 1e-8
 
-    def test_scaling_to_n16(self, capsys):
+    def test_scaling_to_cap(self, capsys):
         start = time.perf_counter()
-        for n in range(3, 17):
+        for n in range(3, MONODROMY_MAX_N + 1):
             code, out, _ = run(
                 capsys, ["monodromy", *system_args(n), "--pole", "2", "--radius", "0.4"]
             )

@@ -21,7 +21,9 @@ from conftest import (
     reference_solve_affine,
     reference_sub,
     row_sum_bound,
+    t_matrix,
     to_sympy,
+    transposition_matrix,
 )
 from kzsolve import exactalg
 from kzsolve.exactalg import (
@@ -37,7 +39,7 @@ from kzsolve.exactalg import (
     parse_scalar,
     solve_affine,
 )
-from kzsolve.symrep import star_sum, t_matrix, transposition_matrix
+from kzsolve.symrep import star_sum
 
 
 class TestParsing:

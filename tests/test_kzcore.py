@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import matmul, random_points
+from conftest import matmul, random_points, star_generators, t_matrix
 from kzsolve.exactalg import GaussianRational, Matrix
 from kzsolve.kzcore import eval_A, local_coefficients, new_system
-from kzsolve.symrep import star_generators, star_sum, t_matrix
+from kzsolve.symrep import star_sum
 
 
 class TestNewSystem:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import star_generators
 from kzsolve import numverify
 from kzsolve.ansatz import RationalVectorFunction
 from kzsolve.exactalg import Vector
@@ -15,6 +16,7 @@ from kzsolve.numverify import (
     residual_scan,
 )
 from kzsolve.s4explicit import y1, y2, y3
+from kzsolve.symrep import star_act_array
 
 CANON = [0, 1, 2]
 
@@ -25,6 +27,35 @@ def canon_sys():
 
 def as_complex(vec):
     return np.array([c.to_complex() for c in vec])
+
+
+class TestStarActArray:
+    def test_matches_dense_generator_sum(self):
+        # oracle: sum_k P_k / (z - z_k) built from the dense reference generators
+        rng = np.random.default_rng(13)
+        for n in range(2, 10):
+            gens = [
+                np.array([[e.to_complex() for e in row] for row in P.data])
+                for P in star_generators(n)
+            ]
+            for _ in range(4):
+                poles = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+                z = complex(rng.normal(), rng.normal())
+                w = 1 / (z - poles)
+                A = sum(wk * Pk for wk, Pk in zip(w, gens))
+                vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+                mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                for W in (vec, mat):
+                    before = W.copy()
+                    got = star_act_array(w, W)
+                    want = A @ W
+                    assert got.shape == want.shape
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), n
+                    assert np.array_equal(W, before)
+
+    def test_weight_count_must_match(self):
+        with pytest.raises(ValueError):
+            star_act_array(np.ones(3, dtype=complex), np.ones(3, dtype=complex))
 
 
 class TestPaths:

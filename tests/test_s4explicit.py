@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import generic_points, leibniz_det, random_points, random_scalar
+from conftest import (
+    generic_points,
+    leibniz_det,
+    random_points,
+    random_scalar,
+    star_generators,
+    t_matrix,
+)
 from kzsolve.ansatz import check_conditions, in_span, residual, solve_ansatz
 from kzsolve.exactalg import GaussianRational, Matrix, Vector
 from kzsolve.kzcore import new_system
@@ -16,7 +23,6 @@ from kzsolve.s4explicit import (
     y3,
     y4,
 )
-from kzsolve.symrep import star_generators, t_matrix
 
 CANON = [0, 1, 2]
 

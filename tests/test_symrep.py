@@ -3,17 +3,17 @@ import time
 
 import pytest
 
-from conftest import entries_str, matmul, random_scalar, reference_star_act
-from kzsolve.exactalg import Matrix, Vector
-from kzsolve.symrep import (
-    star_act,
-    star_apply,
+from conftest import (
+    entries_str,
+    matmul,
+    random_scalar,
+    reference_star_act,
     star_generators,
-    star_sum,
     t_matrix,
-    t_spectrum,
     transposition_matrix,
 )
+from kzsolve.exactalg import Matrix, Vector
+from kzsolve.symrep import star_act, star_apply, star_sum, t_spectrum
 
 
 class TestTranspositionMatrix:

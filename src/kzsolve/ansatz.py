@@ -26,7 +26,7 @@ from .exactalg import (
     nullspace,
     solve_affine,
 )
-from .kzcore import KZSystem, _inverses, eval_A, local_coefficients
+from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
 from .symrep import star_act, star_apply, star_sum
 
 
@@ -284,20 +284,15 @@ def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector
 
 
 def sample_points(points, count: int) -> list[GaussianRational]:
-    """Deterministic exact sample points away from all poles."""
+    """Deterministic exact sample points away from all poles: bound+1, ..., bound+count.
+
+    bound exceeds max(|Re p|, |Im p|) for every pole p, so no real pole reaches
+    a sample and no non-real pole equals one: no sample needs testing.
+    """
     bound = 0
     for p in points:
-        p = GaussianRational.coerce(p)
-        b = p.abs_floor()
-        bound = max(bound, int(b) + 1)
-    out: list[GaussianRational] = []
-    c = bound + 1
-    while len(out) < count:
-        cand = GaussianRational(c)
-        if all(not (cand - GaussianRational.coerce(p)).is_zero() for p in points):
-            out.append(cand)
-        c += 1
-    return out
+        bound = max(bound, int(GaussianRational.coerce(p).abs_floor()) + 1)
+    return [GaussianRational(c) for c in range(bound + 1, bound + 1 + count)]
 
 
 def _unknown_layout(s: int, pole_order: int, poly_degree: int):
@@ -326,7 +321,7 @@ def solve_ansatz(
     if poly_degree < 0:
         raise ValueError("poly_degree must be at least 0")
     n, s, p, deg = sys.n, sys.s, pole_order, poly_degree
-    rho = GaussianRational(sys.rho)
+    rho = sys.rho
     blocks, pole_block, poly_block = _unknown_layout(s, p, deg)
     width = n * blocks
     locals_ = [local_coefficients(sys, k + 1, p - 1) for k in range(s)]
@@ -348,30 +343,43 @@ def solve_ansatz(
                         im[c] += y * f
             rows.append(Vector.from_parts(re, im, den))
 
-    def rho_P(k: int, w: GaussianRational) -> Matrix:
-        """w * rho * P_(k+1) as a dense matrix."""
-        return star_sum([w * rho if j == k else ZERO for j in range(s)])
+    def weighted_P(k: int, x: int, y: int, d: int) -> Matrix:
+        """(x + y*i) / d * P_(k+1) as a dense matrix."""
+        re, im = [0] * s, [0] * s
+        re[k], im[k] = x, y
+        return star_sum(Vector.from_parts(re, im, d))
+
+    # z_k^t for t = 0..deg as int parts over the points' shared denominator to the t
+    zpow = [([1] * s, [0] * s, 1), *_powers(Vector(sys.points), deg)]
 
     for k in range(s):
-        a = [star_sum(locals_[k].coeff(j)) for j in range(-1, p)]  # a[j + 1] is a(j)
-        zk = sys.points[k]
+        loc = locals_[k]
+        a = [star_sum(loc.coeff(j)) for j in range(-1, p)]  # a[j + 1] is a(j)
         # deep pole orders -(r'+1), r' = pole_order..1
         for rp in range(p, 0, -1):
             terms = [(pole_block(k, rp), ident.scale(rp))]
             terms += [(pole_block(k, r), a[r - rp]) for r in range(rp, p + 1)]
             add_equation(terms)
-        # surviving simple pole at z_k
+        # surviving simple pole at z_k; the weight rho / (z_k - z_j)^r of the
+        # pole term (j, r) is entry j of a(r - 1) times (-1)^(r-1)
         terms = [(pole_block(k, r), a[r]) for r in range(1, p + 1)]
+        signed = [(r, 1 if r % 2 else -1, w) for r, w in enumerate(loc.regular, start=1)]
         terms += [
-            (pole_block(j, r), rho_P(k, ONE / (zk - zj) ** r))
-            for j, zj in enumerate(sys.points) if j != k
-            for r in range(1, p + 1)
+            (pole_block(j, r), weighted_P(k, c * w.re[j], c * w.im[j], w.den))
+            for j in range(s) if j != k
+            for r, c, w in signed
         ]
-        terms += [(poly_block(dd), rho_P(k, zk ** dd)) for dd in range(deg + 1)]
+        terms += [
+            (poly_block(dd), weighted_P(k, rho * re[k], rho * im[k], d))
+            for dd, (re, im, d) in enumerate(zpow)
+        ]
         add_equation(terms)
     # growth matching at infinity; G[t] = sum_k z_k^t P_k drives the
     # large-z expansion rho*A(z) = sum_t rho*G[t] z^(-t-1)
-    minus_rho_G = [star_sum([-rho * zk ** t for zk in sys.points]) for t in range(deg)]
+    minus_rho_G = [
+        star_sum(Vector.from_parts([-rho * x for x in re], [-rho * y for y in im], d))
+        for re, im, d in zpow[:deg]
+    ]
     for e in range(deg):
         terms = [(poly_block(e + 1), ident.scale(e + 1))]
         terms += [(poly_block(d), minus_rho_G[d - e - 1]) for d in range(e + 1, deg + 1)]

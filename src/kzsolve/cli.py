@@ -42,14 +42,15 @@ NULLSPACE_MAX_POLY_DEGREE = 16
 
 # Largest --order of ``kz series``. Only the orders t = -rho and t = rho run an
 # elimination; the others take a closed form, and the cost is the convolution of the
-# carried parameters with the local coefficients, about order^2 at a fixed n. ``kz``
-# wall time at order 64, pole 1: 0.53 s at n = 6, 0.79 s at n = 8.
+# carried parameters with the local coefficients, about order^2 at a fixed n. The
+# coefficients themselves are int powers, one multiplication per entry and order. ``kz``
+# wall time at order 64, pole 1 (best of 3): 0.70 s at n = 6, 0.92 s at n = 8.
 SERIES_MAX_ORDER = 64
 
 # Largest --n of ``kz series`` and ``kz verify``, measured as ``kz`` wall time with
-# points 0..n-2 (same machine). ``series`` at pole 1: 0.33 s at n = 32, 0.57 s at 64 and
-# 3.3 s at 128 with order 3; at n = 32, 0.83 s with order 16 and 17.6 s, for a 54 MB
-# report, at SERIES_MAX_ORDER.
+# points 0..n-2 (same machine). ``series`` at pole 1 (best of 3): 0.48 s at n = 32,
+# 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32, 0.89 s with order
+# 16 and 17.4 s, for a 54 MB report, at SERIES_MAX_ORDER, still all in the convolution.
 # ``verify`` evaluates residuals at s(p + 1) + d points, O(n^2) int operations each, and
 # at rho = -1 the pole-balance conditions, one n-term combination per pole, O(n^3): 0.67 s
 # at n = 64, 4.5 s at 128 (cap lifted, in-process) for a random simple-pole file solution.

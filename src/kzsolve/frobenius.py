@@ -7,7 +7,7 @@ W' = rho*A*W yields the order-by-order recursion
     [tI - a(-1)] b_t = sum_{j >= 0} a(j) b_{t-1-j}
 
 with the rho-folded local coefficients a(j) of :mod:`kzsolve.kzcore`, star
-weight tuples that act on vectors through :func:`kzsolve.symrep.star_act`.
+weight ``Vector``s that act on vectors through :func:`kzsolve.symrep.star_act`.
 The lowest order m must be an eigenvalue of a(-1) = rho*P_k, so rho or
 -rho. The recursion is run with the free parameters carried symbolically,
 with R the matrix whose column p is the right-hand side of parameter p.
@@ -146,12 +146,10 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     basis: dict[int, list[Vector]] = {}
     starts = []  # (t, number of parameters carried into t) for each t that adds fresh ones
     nparams = 0
-    # lifted once, each a(j) acts on every carried parameter
-    coeffs = [Vector(loc.coeff(j)) for j in range(order - m_min)]
     for t in range(m_min, order + 1):
         rhs = []
         for p in range(nparams):
-            src = [(coeffs[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
+            src = [(loc.regular[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
             rhs.append(linear_combination(((1, star_act(a, b)) for a, b in src if not b.is_zero()), n))
         if t * t != rho * rho:
             # P_k^2 = I, so (tI - rho*P_k)^-1 = (tI + rho*P_k) / (t^2 - rho^2): each

@@ -4,10 +4,11 @@ A(z) is a sum of first-order poles whose residues are the star transposition
 matrices of S_n, one pole per generator, so s = n - 1. Every operator built
 here is a weighted sum of those residues and is returned as its weights
 (w_1, ..., w_s), meaning sum_k w_k P_k; :mod:`kzsolve.symrep` applies or
-densifies it. A(z)'s weights come as a ``Vector`` of int parts over one
-shared denominator, the local coefficients as tuples of scalars. The
-local expansion of rho*A about a pole feeds the series recursion in
-:mod:`kzsolve.frobenius`.
+densifies it. A(z)'s weights and every local coefficient come as a
+``Vector`` of int parts over one shared denominator, built from the int
+parts of the poles with no ``Fraction`` arithmetic. The local expansion
+of rho*A about a pole feeds the series recursion in
+:mod:`kzsolve.frobenius` and the pole matching in :mod:`kzsolve.ansatz`.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .exactalg import GaussianRational, ScalarLike, Vector, ZERO, _parts
-
-Weights = tuple[GaussianRational, ...]
+from .exactalg import GaussianRational, ScalarLike, Vector, _parts
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,17 @@ def _inverses(points: Sequence[GaussianRational], z: GaussianRational) -> Vector
 class LocalCoefficients:
     """rho-folded Laurent coefficients of rho*A(z) about one pole.
 
-    Every coefficient is a star weight tuple. ``minus_one`` is the residue
-    rho*P_k; ``regular[j]`` multiplies (z - z_k)^j for j = 0..order.
+    Every coefficient is a star weight ``Vector``, the form
+    :func:`kzsolve.symrep.star_act` and :func:`kzsolve.symrep.star_sum`
+    take as is. ``minus_one`` is the residue rho*P_k, rho at entry k;
+    ``regular[j]`` multiplies (z - z_k)^j for j = 0..order.
     """
 
     pole_index: int
-    minus_one: Weights
-    regular: tuple[Weights, ...]
+    minus_one: Vector
+    regular: tuple[Vector, ...]
 
-    def coeff(self, j: int) -> Weights:
+    def coeff(self, j: int) -> Vector:
         if j == -1:
             return self.minus_one
         return self.regular[j]
@@ -103,21 +104,40 @@ def local_coefficients(sys: KZSystem, k: int, order: int) -> LocalCoefficients:
     """Expand rho*A(z) about pole k (1-based) to the given regular order.
 
     Geometric expansion of each foreign pole term:
-    1/(z - z_l) = sum_j (-1)^j (z - z_k)^j / (z_k - z_l)^(j+1).
+    1/(z - z_l) = sum_j (-1)^j (z - z_k)^j / (z_k - z_l)^(j+1), so
+    a(j) = rho (-1)^j u^(j+1) entrywise for u_l = 1/(z_k - z_l), u_k = 0.
+    Each order multiplies the int parts of the previous power by u once
+    and reduces by one gcd; no ``Fraction`` power or division is taken.
     """
     if not (1 <= k <= sys.s):
         raise ValueError(f"pole index {k} out of range 1..{sys.s}")
     if order < -1:
         raise ValueError("expansion order must be at least -1")
-    ki = k - 1
-    rho = GaussianRational(sys.rho)
-    zk = sys.points[ki]
-    minus_one = tuple(rho if li == ki else ZERO for li in range(sys.s))
+    s, rho = sys.s, sys.rho
+    u = _inverses(sys.points, sys.points[k - 1])
+    head = [0] * s
+    head[k - 1] = rho
+    minus_one = Vector.from_parts(head, [0] * s, 1)
     regular = []
-    for j in range(order + 1):
-        sign = rho if j % 2 == 0 else -rho
-        regular.append(tuple(
-            ZERO if li == ki else sign / (zk - zl) ** (j + 1)
-            for li, zl in enumerate(sys.points)
-        ))
+    for j, (re, im, den) in enumerate(_powers(u, order + 1)):
+        c = rho if j % 2 == 0 else -rho
+        regular.append(Vector.from_parts([c * x for x in re], [c * y for y in im], den))
     return LocalCoefficients(pole_index=k, minus_one=minus_one, regular=tuple(regular))
+
+
+def _powers(w: Vector, count: int) -> list[tuple[Sequence[int], Sequence[int], int]]:
+    """Entrywise w^1, ..., w^count as int parts (re, im, w.den^t), not reduced.
+
+    One complex int multiplication per entry per power; the caller reduces.
+    """
+    out = []
+    re, im, den = w.re, w.im, w.den
+    for t in range(count):
+        if t:
+            re, im = (
+                [x * a - y * b for x, y, a, b in zip(re, im, w.re, w.im)],
+                [x * b + y * a for x, y, a, b in zip(re, im, w.re, w.im)],
+            )
+            den *= w.den
+        out.append((re, im, den))
+    return out

@@ -2,7 +2,7 @@
 
 The residues are the transpositions P_k = (1 k+1) acting on coordinates,
 the "star" generators; no dense generator matrix is built here. A
-residue operator sum_k w_k P_k is carried as its weight tuple w, and this
+residue operator sum_k w_k P_k is carried as its weights w, and this
 is the only module that knows what the weights mean: :func:`star_apply`
 applies one P_k as a coordinate swap, :func:`star_act` applies a weighted
 sum in O(n) int operations on the vector's shared-denominator parts,
@@ -37,9 +37,10 @@ def star_sum(weights: Sequence[ScalarLike]) -> Matrix:
     """Dense sum_k w_k P_k over the n = len(weights) + 1 point star generators.
 
     An arrowhead: w_k at (1, k+1) and (k+1, 1), sum(w) - w_k at (k+1, k+1)
-    and 0 at (1, 1), filled in O(n^2) from the weights' int parts.
+    and 0 at (1, 1), filled in O(n^2) from the weights' int parts. A
+    ``Vector`` of weights is used as is; other weights are lifted to one.
     """
-    w = Vector(weights)
+    w = weights if isinstance(weights, Vector) else Vector(weights)
     if not w.dim:
         raise ValueError("need at least one weight")
     n = w.dim + 1

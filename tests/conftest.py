@@ -16,6 +16,10 @@ The ``reference_*`` vector operations (scale, add, sub, dot, matrix times
 vector, star action) work entry by entry on ``GaussianRational`` lists,
 as the library did before a ``Vector`` became int parts over one shared
 denominator; the int loops must print exactly what they print.
+``reference_local_coefficients`` is the geometric expansion of rho*A about a
+pole, each weight computed alone as rho (-1)^j / (z_k - z_l)^(j+1) in
+``GaussianRational`` arithmetic, where the library raises one int-part
+vector of inverses to successive powers.
 ``reference_frobenius_solve`` finds each series family as the nullspace
 of the stacked lower-order coefficients, where the library reads the
 families off the recursion's parameter bookkeeping.
@@ -212,6 +216,22 @@ def reference_solve_affine(A: Matrix, b):
     return True, Vector(x), _rref_kernel(rows, pivots, A.cols)
 
 
+def reference_local_coefficients(sys, k: int, order: int):
+    """(a(-1), [a(0), ..., a(order)]) of rho*A about pole k as lists of scalars."""
+    ki = k - 1
+    rho = GaussianRational(sys.rho)
+    zk = sys.points[ki]
+    minus_one = [rho if li == ki else ZERO for li in range(sys.s)]
+    regular = []
+    for j in range(order + 1):
+        sign = rho if j % 2 == 0 else -rho
+        regular.append([
+            ZERO if li == ki else sign / (zk - zl) ** (j + 1)
+            for li, zl in enumerate(sys.points)
+        ])
+    return minus_one, regular
+
+
 def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
     """``frobenius_solve``, with each later family found as the parameter
     combinations in the nullspace of the stacked coefficients below its start."""
@@ -226,11 +246,10 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
     basis: dict[int, list[Vector]] = {}
     starts = []
     nparams = 0
-    coeffs = [Vector(loc.coeff(j)) for j in range(order - m_min)]
     for t in range(m_min, order + 1):
         rhs = []
         for p in range(nparams):
-            src = [(coeffs[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
+            src = [(loc.regular[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
             rhs.append(linear_combination(((1, star_act(a, b)) for a, b in src if not b.is_zero()), n))
         L = ident.scale(t) - residue
         bordered = L.hstack(Matrix.from_columns([-col for col in rhs])) if rhs else L

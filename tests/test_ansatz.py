@@ -207,6 +207,22 @@ class TestResidual:
             count += 1
 
 
+class TestSamplePoints:
+    def test_consecutive_integers_past_every_pole(self):
+        rng = random.Random(214)
+        configs = [random_points(rng, rng.randint(2, 8), span=9) for _ in range(30)]
+        # real integer poles at the edge: the largest one, b, sits just below the first sample b + 2
+        configs += [[b, b - 1, -b] for b in range(1, 6)] + [[0, -1]]
+        configs.append([3, GaussianRational(3, 3), GaussianRational(-2, 1)])
+        for pts in configs:
+            pts = [GaussianRational.coerce(p) for p in pts]
+            bound = 1 + max(int(max(abs(p.re), abs(p.im))) for p in pts)
+            for count in (1, 4, 11):
+                samples = sample_points(pts, count)
+                assert samples == [GaussianRational(c) for c in range(bound + 1, bound + 1 + count)]
+                assert all(z != p for z in samples for p in pts)
+
+
 class TestSolveAnsatz:
     def test_dimension_four_canonical(self):
         basis = solve_ansatz(canon_sys())

@@ -382,6 +382,15 @@ class TestSeries:
         code, _, _ = run(capsys, ["series", *SYS_ARGS, "--pole", "7", "--order", "3"])
         assert code == 2
 
+    def test_scaling_to_cap(self, capsys):
+        start = time.perf_counter()
+        for n in range(3, SERIES_MAX_N + 1):
+            code, out, _ = run(capsys, ["series", *system_args(n), "--pole", "1", "--order", "3"])
+            assert code == 0, n
+            families = json.loads(out)["families"]
+            assert [(f["start"], f["dimension"]) for f in families] == [(-1, n), (1, 1)], n
+        assert time.perf_counter() - start < 10.0
+
 
 class TestMonodromy:
     def test_small_deviation(self, capsys):
@@ -483,6 +492,15 @@ class TestEigen:
         assert code == 2
         assert out == ""
         assert "256" in err
+
+    def test_scaling_to_cap(self, capsys):
+        start = time.perf_counter()
+        for n in [*range(3, 17), 32, 64, 128, EIGEN_MAX_N]:
+            code, out, _ = run(capsys, ["eigen", "--n", str(n)])
+            assert code == 0, n
+            spectrum = {str(n - 1): 1, str(n - 2): n - 2, "-1": 1}
+            assert json.loads(out)["spectrum"] == spectrum, n
+        assert time.perf_counter() - start < 10.0
 
     def test_n12_finishes(self):
         """`kz eigen` finishes at n = 12: the root search is bounded by the size of T."""

@@ -195,8 +195,8 @@ class TestResonancePruning:
     )
     def test_pruned_families(self, monkeypatch, rho, expected):
         def fake_local(sys, k, order):
-            regular = tuple((0, 1) if j == 0 else (0, 0) for j in range(order + 1))
-            return LocalCoefficients(k, (rho, 0), regular)
+            regular = tuple(Vector([0, 1] if j == 0 else [0, 0]) for j in range(order + 1))
+            return LocalCoefficients(k, Vector([rho, 0]), regular)
 
         monkeypatch.setattr(frobenius, "local_coefficients", fake_local)
         sys = new_system(3, rho, [0, 1])

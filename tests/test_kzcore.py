@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import matmul, random_points, star_generators, t_matrix
-from kzsolve.exactalg import GaussianRational, Matrix
+from conftest import matmul, random_points, reference_local_coefficients, star_generators, t_matrix
+from kzsolve.exactalg import GaussianRational, Matrix, Vector
 from kzsolve.kzcore import eval_A, local_coefficients, new_system
 from kzsolve.symrep import star_sum
 
@@ -77,6 +77,24 @@ class TestLocalCoefficients:
             for k in (1, 2, 3):
                 a = star_sum(local_coefficients(sys, k, -1).minus_one)
                 assert matmul(a, a) == Matrix.identity(4)
+
+    def test_matches_reference(self):
+        """Entry by entry equal to rho (-1)^j / (z_k - z_l)^(j+1), each weight computed alone."""
+        rng = random.Random(202)
+        for count in (2, 3, 4, 5):
+            pts = random_points(rng, count, span=7)
+            for rho in range(-3, 4):
+                sys = new_system(count + 1, rho, pts)
+                for k in range(1, count + 1):
+                    for order in range(-1, 9):
+                        loc = local_coefficients(sys, k, order)
+                        minus_one, regular = reference_local_coefficients(sys, k, order)
+                        assert isinstance(loc.minus_one, Vector)
+                        assert list(loc.minus_one) == minus_one
+                        assert len(loc.regular) == len(regular) == order + 1
+                        for got, want in zip(loc.regular, regular):
+                            assert isinstance(got, Vector)
+                            assert list(got) == want
 
     def test_index_out_of_range(self):
         sys = new_system(4, -1, [0, 1, 2])

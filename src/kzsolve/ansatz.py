@@ -12,7 +12,6 @@ shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .exactalg import (
     GaussianRational,
@@ -20,14 +19,13 @@ from .exactalg import (
     ONE,
     ScalarLike,
     Vector,
-    ZERO,
     _combine,
     _parts,
     nullspace,
     solve_affine,
 )
 from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
-from .symrep import star_act, star_apply, star_sum
+from .symrep import star_act, star_rows
 
 
 @dataclass(frozen=True)
@@ -110,16 +108,11 @@ class RationalVectorFunction:
 
     def eval(self, z: ScalarLike) -> Vector:
         z = GaussianRational.coerce(z)
-        inverses = []
-        for zk, group in zip(self.points, self.pole_coeffs):
-            d = z - zk
-            if d.is_zero():
-                if any(not v.is_zero() for v in group):
-                    raise ValueError(f"evaluation at the pole z = {zk}")
-                inverses.append(ZERO)
-            else:
-                inverses.append(ONE / d)
-        return self._at(z, Vector(inverses))
+        inverses = _inverses(self.points, z)
+        for x, y, zk, group in zip(inverses.re, inverses.im, self.points, self.pole_coeffs):
+            if not (x or y) and any(not v.is_zero() for v in group):
+                raise ValueError(f"evaluation at the pole z = {zk}")
+        return self._at(z, inverses)
 
     def _at(self, z: GaussianRational, inverses: Vector, derivative: bool = False) -> Vector:
         """W(z), or W'(z), given ``inverses[k] = 1/(z - z_k)``, or 0 where W has no pole term at z.
@@ -257,7 +250,9 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
         raise ValueError("conditions expect simple poles and an affine polynomial")
     res = fn.residues
     qc, ql = fn.q_const, fn.q_linear
-    sym = tuple(L - star_apply(k, L) for k, L in enumerate(res, start=1))
+    # P_k is the star action with a unit weight at k
+    units = [Vector.unit(sys.s, k) for k in range(sys.s)]
+    sym = tuple(L - star_act(u, L) for u, L in zip(units, res))
     # balance k is sum_{j != k} w_j (P_k L_j + P_j L_k) + P_k (z_k q_linear + q_const)
     # with w_j = 1/(z_k - z_j): P_k of one combination plus one star action on L_k
     balance = []
@@ -265,7 +260,7 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
         w = _inverses(sys.points, zk)
         terms = [(x, y, w.den, L) for x, y, L in zip(w.re, w.im, res)]
         inner = _combine([*terms, (*_parts(zk), ql), (1, 0, 1, qc)], sys.n)
-        balance.append(star_apply(k, inner) + star_act(w, Lk))
+        balance.append(star_act(units[k - 1], inner) + star_act(w, Lk))
     growth = ql + star_act([ONE] * sys.s, ql)
     return ConditionReport(
         residue_symmetry=sym, pole_balance=tuple(balance), growth=growth
@@ -325,64 +320,54 @@ def solve_ansatz(
     blocks, pole_block, poly_block = _unknown_layout(s, p, deg)
     width = n * blocks
     locals_ = [local_coefficients(sys, k + 1, p - 1) for k in range(s)]
-    ident = Matrix.identity(n)
 
+    # each equation is n rows: the sum of (shift*I + sum_j w_j P_j) times the
+    # unknown block u over its terms (u, shift, w)
     rows: list[Vector] = []
 
-    def add_equation(terms: list[tuple[int, Matrix]]):
-        """Append n rows: the sum of M times the block u over all (u, M)."""
-        for i in range(n):
-            pieces = [(u * n, M.row(i)) for u, M in terms]
-            den = lcm(*(v.den for _, v in pieces))
-            re, im = [0] * width, [0] * width
-            for base, v in pieces:
-                f = den // v.den
-                for c, (x, y) in enumerate(zip(v.re, v.im), start=base):
-                    if x or y:
-                        re[c] += x * f
-                        im[c] += y * f
-            rows.append(Vector.from_parts(re, im, den))
+    def add_equation(terms: list[tuple[int, int, Vector]]):
+        rows.extend(star_rows([(u * n, shift, w) for u, shift, w in terms], n, width))
 
-    def weighted_P(k: int, x: int, y: int, d: int) -> Matrix:
-        """(x + y*i) / d * P_(k+1) as a dense matrix."""
+    def weighted_P(k: int, x: int, y: int, d: int) -> Vector:
+        """The weights of (x + y*i) / d * P_(k+1)."""
         re, im = [0] * s, [0] * s
         re[k], im[k] = x, y
-        return star_sum(Vector.from_parts(re, im, d))
+        return Vector.from_parts(re, im, d)
 
     # z_k^t for t = 0..deg as int parts over the points' shared denominator to the t
     zpow = [([1] * s, [0] * s, 1), *_powers(Vector(sys.points), deg)]
 
     for k in range(s):
         loc = locals_[k]
-        a = [star_sum(loc.coeff(j)) for j in range(-1, p)]  # a[j + 1] is a(j)
-        # deep pole orders -(r'+1), r' = pole_order..1
+        # deep pole orders -(r'+1), r' = pole_order..1: (r'I + a(-1)) on block r'
+        # plus a(r - r' - 1) on each deeper block r
         for rp in range(p, 0, -1):
-            terms = [(pole_block(k, rp), ident.scale(rp))]
-            terms += [(pole_block(k, r), a[r - rp]) for r in range(rp, p + 1)]
+            terms = [(pole_block(k, rp), rp, loc.minus_one)]
+            terms += [(pole_block(k, r), 0, loc.coeff(r - rp - 1)) for r in range(rp + 1, p + 1)]
             add_equation(terms)
         # surviving simple pole at z_k; the weight rho / (z_k - z_j)^r of the
         # pole term (j, r) is entry j of a(r - 1) times (-1)^(r-1)
-        terms = [(pole_block(k, r), a[r]) for r in range(1, p + 1)]
+        terms = [(pole_block(k, r), 0, loc.coeff(r - 1)) for r in range(1, p + 1)]
         signed = [(r, 1 if r % 2 else -1, w) for r, w in enumerate(loc.regular, start=1)]
         terms += [
-            (pole_block(j, r), weighted_P(k, c * w.re[j], c * w.im[j], w.den))
+            (pole_block(j, r), 0, weighted_P(k, c * w.re[j], c * w.im[j], w.den))
             for j in range(s) if j != k
             for r, c, w in signed
         ]
         terms += [
-            (poly_block(dd), weighted_P(k, rho * re[k], rho * im[k], d))
+            (poly_block(dd), 0, weighted_P(k, rho * re[k], rho * im[k], d))
             for dd, (re, im, d) in enumerate(zpow)
         ]
         add_equation(terms)
     # growth matching at infinity; G[t] = sum_k z_k^t P_k drives the
     # large-z expansion rho*A(z) = sum_t rho*G[t] z^(-t-1)
     minus_rho_G = [
-        star_sum(Vector.from_parts([-rho * x for x in re], [-rho * y for y in im], d))
+        Vector.from_parts([-rho * x for x in re], [-rho * y for y in im], d)
         for re, im, d in zpow[:deg]
     ]
     for e in range(deg):
-        terms = [(poly_block(e + 1), ident.scale(e + 1))]
-        terms += [(poly_block(d), minus_rho_G[d - e - 1]) for d in range(e + 1, deg + 1)]
+        terms = [(poly_block(e + 1), e + 1, minus_rho_G[0])]
+        terms += [(poly_block(d), 0, minus_rho_G[d - e - 1]) for d in range(e + 2, deg + 1)]
         add_equation(terms)
 
     kernel = nullspace(Matrix(rows))

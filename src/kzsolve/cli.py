@@ -33,13 +33,6 @@ from .s4explicit import y1, y2, y3, y4
 # n = 64, 0.27 s at 128 and 0.91 s at 256 (2-core machine, Python 3.11), ~3.4x per doubling.
 EIGEN_MAX_N = 256
 
-# Largest --pole-order and --poly-degree of ``kz nullspace``: one elimination of
-# about 2u x u for u = n((n - 1) pole_order + poly_degree + 1) unknowns. ``kz`` wall
-# time at n = 6: 0.50 s at pole order 4, 0.60 s at degree 16; n = 8: 0.90 s at degree 16
-# (2-core machine, Python 3.11).
-NULLSPACE_MAX_POLE_ORDER = 4
-NULLSPACE_MAX_POLY_DEGREE = 16
-
 # Largest --order of ``kz series``. Only the orders t = -rho and t = rho run an
 # elimination; the others take a closed form, and the cost is the convolution of the
 # carried parameters with the local coefficients, about order^2 at a fixed n. The
@@ -58,10 +51,15 @@ SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 
 # Largest unknown count u = n((n - 1) pole_order + poly_degree + 1) of the ansatz that
-# ``kz nullspace`` solves: one sparse elimination of about 2u x u modulo word-size
-# primes, plus the exact assembly and residual checks around it. The (1, 1) shape took
-# 0.40 s at n = 10 (u = 110), 0.47 s at n = 12 (u = 156), 0.68 s at n = 13 and 0.76 s at
-# n = 14 (best of 7). Every valid shape has u >= n^2, so the cap also bounds n <= 12.
+# ``kz nullspace`` solves, the one bound on its shape: a sparse elimination of about
+# 2u x u modulo word-size primes, plus the exact assembly and residual checks around it.
+# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.30 s of wall time (best of 7),
+# 0.10 s of it in-process. In-process at the corners the cap admits, points 0..n-2 at
+# rho = -1: at most 0.14 s for n = 3 at (25, 0) and (1, 49), n = 4 at (12, 0) and
+# (1, 35) and n = 6 at (1, 16). Gaussian poles with denominators up to 41: at most 0.84 s
+# at rho = -1 and 3.2 s at the slowest, n = 3, rho = -25, (25, 0), over rho in -1, -3, 2,
+# -7, -25, 40 (2-core machine, Python 3.11). Every valid shape has u >= n^2, so the cap
+# also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.
@@ -236,8 +234,6 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_nullspace(args) -> dict:
-    _refuse_over_cap("--pole-order", args.pole_order, NULLSPACE_MAX_POLE_ORDER)
-    _refuse_over_cap("--poly-degree", args.poly_degree, NULLSPACE_MAX_POLY_DEGREE)
     n, p, d = args.n, args.pole_order, args.poly_degree
     unknowns = n * ((n - 1) * p + d + 1)
     _refuse_over_cap(f"--n {n} at shape ({p}, {d}): unknown count", unknowns, ANSATZ_MAX_UNKNOWNS)

@@ -14,8 +14,9 @@ with R the matrix whose column p is the right-hand side of parameter p.
 Since P_k^2 = I, tI - a(-1) is invertible off the resonances t = +-rho,
 with inverse (tI + a(-1)) / (t^2 - rho^2): there every parameter carries on
 and x = R's column times that inverse, with no elimination. At t = +-rho,
-one certified nullspace of the bordered matrix [tI - a(-1) | -R], the only
-place a(-1) is densified, gives every (x, c) with [tI - a(-1)] x = R c.
+one certified nullspace of the bordered matrix [tI - a(-1) | -R], whose
+rows :func:`kzsolve.symrep.star_rows` writes from a(-1)'s weights, gives
+every (x, c) with [tI - a(-1)] x = R c.
 Vectors with c != 0 are the parameter combinations that continue (the
 others die at the resonance); vectors with c = 0 are fresh kernel
 freedoms, where new families start. The module returns the full solution
@@ -25,13 +26,13 @@ families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .ansatz import RationalVectorFunction
-from .exactalg import GaussianRational, Matrix, Vector, linear_combination, nullspace, solve_affine
+from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
+from .exactalg import nullspace, solve_affine
 from .kzcore import KZSystem, local_coefficients
-from .symrep import star_act, star_sum
+from .symrep import star_act, star_rows
 
 
 @dataclass(frozen=True)
@@ -150,17 +151,19 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
         rhs = []
         for p in range(nparams):
             src = [(loc.regular[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
-            rhs.append(linear_combination(((1, star_act(a, b)) for a, b in src if not b.is_zero()), n))
+            rhs.append(_combine([(1, 0, 1, star_act(a, b)) for a, b in src if not b.is_zero()], n))
         if t * t != rho * rho:
             # P_k^2 = I, so (tI - rho*P_k)^-1 = (tI + rho*P_k) / (t^2 - rho^2): each
-            # parameter carries on, x = that times its right-hand side, and none is fresh
+            # parameter carries on, x = that times its right-hand side, and none is fresh;
+            # _combine takes positive denominators, so the sign of t^2 - rho^2 goes on top
             d = t * t - rho * rho
+            sign, d = (1, d) if d > 0 else (-1, -d)
             basis[t] = [
-                linear_combination(((Fraction(t, d), r), (Fraction(1, d), star_act(loc.minus_one, r))), n)
+                _combine([(sign * t, 0, d, r), (sign, 0, d, star_act(loc.minus_one, r))], n)
                 for r in rhs
             ]
             continue
-        L = Matrix.identity(n).scale(t) - star_sum(loc.minus_one)
+        L = Matrix(star_rows([(0, t, -loc.minus_one)], n, n))
         bordered = L.hstack(Matrix.from_columns([-col for col in rhs])) if rhs else L
         carried, fresh = [], []
         for v in nullspace(bordered):

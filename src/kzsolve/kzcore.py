@@ -3,8 +3,8 @@
 A(z) is a sum of first-order poles whose residues are the star transposition
 matrices of S_n, one pole per generator, so s = n - 1. Every operator built
 here is a weighted sum of those residues and is returned as its weights
-(w_1, ..., w_s), meaning sum_k w_k P_k; :mod:`kzsolve.symrep` applies or
-densifies it. A(z)'s weights and every local coefficient come as a
+(w_1, ..., w_s), meaning sum_k w_k P_k; :mod:`kzsolve.symrep` applies it
+or writes it into the rows of a linear system. A(z)'s weights and every local coefficient come as a
 ``Vector`` of int parts over one shared denominator, built from the int
 parts of the poles with no ``Fraction`` arithmetic. The local expansion
 of rho*A about a pole feeds the series recursion in
@@ -85,7 +85,7 @@ class LocalCoefficients:
     """rho-folded Laurent coefficients of rho*A(z) about one pole.
 
     Every coefficient is a star weight ``Vector``, the form
-    :func:`kzsolve.symrep.star_act` and :func:`kzsolve.symrep.star_sum`
+    :func:`kzsolve.symrep.star_act` and :func:`kzsolve.symrep.star_rows`
     take as is. ``minus_one`` is the residue rho*P_k, rho at entry k;
     ``regular[j]`` multiplies (z - z_k)^j for j = 0..order.
     """

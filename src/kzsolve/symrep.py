@@ -2,55 +2,26 @@
 
 The residues are the transpositions P_k = (1 k+1) acting on coordinates,
 the "star" generators; no dense generator matrix is built here. A
-residue operator sum_k w_k P_k is carried as its weights w, and this
-is the only module that knows what the weights mean: :func:`star_apply`
-applies one P_k as a coordinate swap, :func:`star_act` applies a weighted
-sum in O(n) int operations on the vector's shared-denominator parts,
-:func:`star_act_array` applies it to a floating vector or matrix in
-O(n) work per column, and :func:`star_sum` builds the dense arrowhead
-matrix where elimination needs one. The
-generator sum T governs the large-z behaviour of the system, so its
-integer spectrum is computed and sanity-checked here as well, from the
-characteristic polynomial of the arrowhead's parts, without any matrix.
+residue operator c*I + sum_k w_k P_k is carried as its shift c and its
+weights w, and this is the only module that knows what the weights
+mean: :func:`star_act` applies a weighted sum to an exact vector in O(n)
+int operations on the vector's shared-denominator parts,
+:func:`star_act_array` applies it to a floating vector or matrix in O(n)
+work per column, and :func:`star_rows` writes operators straight into
+the rows of a linear system for elimination. The generator sum T governs
+the large-z behaviour of the system, so its integer spectrum is computed
+and sanity-checked here as well, from the characteristic polynomial of
+the arrowhead's parts, without any matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
-from .exactalg import Matrix, ONE, ScalarLike, Vector, ZERO
+from .exactalg import ONE, ScalarLike, Vector, ZERO
 from .exactalg import char_poly, integer_eigenvalues
-
-
-def star_apply(k: int, v: Vector) -> Vector:
-    """P_k v for the star transposition (1 k+1): swap coordinates 1 and k+1."""
-    if not 1 <= k < v.dim:
-        raise ValueError(f"star generator index {k} out of range 1..{v.dim - 1}")
-    re, im = list(v.re), list(v.im)
-    re[0], re[k] = re[k], re[0]
-    im[0], im[k] = im[k], im[0]
-    return Vector.from_parts(re, im, v.den)
-
-
-def star_sum(weights: Sequence[ScalarLike]) -> Matrix:
-    """Dense sum_k w_k P_k over the n = len(weights) + 1 point star generators.
-
-    An arrowhead: w_k at (1, k+1) and (k+1, 1), sum(w) - w_k at (k+1, k+1)
-    and 0 at (1, 1), filled in O(n^2) from the weights' int parts. A
-    ``Vector`` of weights is used as is; other weights are lifted to one.
-    """
-    w = weights if isinstance(weights, Vector) else Vector(weights)
-    if not w.dim:
-        raise ValueError("need at least one weight")
-    n = w.dim + 1
-    tr, ti = sum(w.re), sum(w.im)
-    rows = [Vector.from_parts((0, *w.re), (0, *w.im), w.den)]
-    for k, (a, b) in enumerate(zip(w.re, w.im), start=1):
-        re, im = [0] * n, [0] * n
-        re[0], im[0], re[k], im[k] = a, b, tr - a, ti - b
-        rows.append(Vector.from_parts(re, im, w.den))
-    return Matrix(rows)
 
 
 def star_act(weights: Sequence[ScalarLike], v: Vector) -> Vector:
@@ -92,6 +63,38 @@ def star_act_array(weights, W):
     out[0] += weights @ D
     out[1:] -= (D.T * weights).T
     return out
+
+
+def star_rows(terms: Sequence[tuple[int, int, Vector]], n: int, width: int) -> list[Vector]:
+    """The n rows of sum (shift*I + sum_k w_k P_k) over the (offset, shift, w) in ``terms``.
+
+    Each operator acts on columns offset..offset+n-1 of a system ``width``
+    columns wide: row 1 gets shift at ``offset`` and w_k at ``offset + k``,
+    row k+1 gets w_k at ``offset`` and shift + sum(w) - w_k at ``offset + k``,
+    and operators on the same columns add up. The weights' int parts are
+    lifted to one denominator, so the rows are an int loop with one lcm and
+    a gcd per row.
+    """
+    for _, _, w in terms:
+        if w.dim != n - 1:
+            raise ValueError(f"{w.dim} star weights do not act on dimension {n}")
+    den = lcm(*(w.den for _, _, w in terms))
+    re = [[0] * width for _ in range(n)]
+    im = [[0] * width for _ in range(n)]
+    for offset, shift, w in terms:
+        f = den // w.den
+        # row k+1's diagonal is this, shift + sum(w), less w_k
+        dr, di = shift * den + sum(w.re) * f, sum(w.im) * f
+        re[0][offset] += shift * den
+        for k, (a, b) in enumerate(zip(w.re, w.im), start=1):
+            a, b = a * f, b * f
+            re[0][offset + k] += a
+            im[0][offset + k] += b
+            re[k][offset] += a
+            im[k][offset] += b
+            re[k][offset + k] += dr - a
+            im[k][offset + k] += di - b
+    return [Vector.from_parts(x, y, den) for x, y in zip(re, im)]
 
 
 @dataclass(frozen=True)

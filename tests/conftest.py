@@ -23,9 +23,11 @@ vector of inverses to successive powers.
 ``reference_frobenius_solve`` finds each series family as the nullspace
 of the stacked lower-order coefficients, where the library reads the
 families off the recursion's parameter bookkeeping.
-``transposition_matrix``, ``star_generators`` and ``t_matrix`` are the
-dense permutation matrices the library never builds: it carries every
-residue sum as star weights.
+``transposition_matrix``, ``star_generators``, ``star_sum`` and
+``t_matrix`` are the dense permutation matrices the library never builds:
+it carries every residue sum as star weights. ``star_sum`` adds up
+scaled generator matrices, so it shares no code with ``star_act`` or
+``star_rows``.
 """
 
 import random
@@ -44,7 +46,7 @@ from kzsolve.exactalg import (
 )
 from kzsolve.frobenius import SeriesFamily, exponent_window
 from kzsolve.kzcore import local_coefficients
-from kzsolve.symrep import star_act, star_sum
+from kzsolve.symrep import star_act
 
 
 def perm_sign(p):
@@ -312,6 +314,16 @@ def star_generators(n: int) -> list[Matrix]:
     if n < 2:
         raise ValueError("need n >= 2")
     return [transposition_matrix(n, 1, k + 1) for k in range(1, n)]
+
+
+def star_sum(weights) -> Matrix:
+    """Dense sum_k w_k P_k over the star generators on len(weights) + 1 points."""
+    weights = list(weights)
+    gens = star_generators(len(weights) + 1)
+    total = Matrix.zero(len(weights) + 1, len(weights) + 1)
+    for w, P in zip(weights, gens):
+        total = total + P.scale(w)
+    return total
 
 
 def t_matrix(n: int) -> Matrix:

@@ -15,8 +15,6 @@ from kzsolve.cli import (
     ANSATZ_MAX_UNKNOWNS,
     EIGEN_MAX_N,
     MONODROMY_MAX_N,
-    NULLSPACE_MAX_POLE_ORDER,
-    NULLSPACE_MAX_POLY_DEGREE,
     SERIES_MAX_N,
     SERIES_MAX_ORDER,
     VERIFY_MAX_N,
@@ -190,6 +188,23 @@ class TestNullspace:
             assert json.loads(out)["dimension"] == n
         assert time.perf_counter() - start < 10.0
 
+    # (n, pole order, degree) at the unknown cap's corners, with the solution-space
+    # dimension at rho = -1; nothing above ANSATZ_MAX_UNKNOWNS is run
+    CORNERS = [(3, 25, 0, 2), (3, 1, 49, 3), (4, 12, 0, 3), (4, 1, 35, 4), (6, 1, 16, 6)]
+    GAUSSIAN_POINTS = ["(1/41,2/7)", "(-3/5,1)", "(2/3,-1/11)", "(5,1/2)", "(-7/3,-4/9)"]
+
+    def test_scaling_to_shape_corners(self, capsys):
+        start = time.perf_counter()
+        for n, p, d, dim in self.CORNERS:
+            assert n * ((n - 1) * p + d + 1) <= ANSATZ_MAX_UNKNOWNS
+            shape = ["--pole-order", str(p), "--poly-degree", str(d)]
+            gaussian = ["--n", str(n), "--rho", "-1", "--points", ",".join(self.GAUSSIAN_POINTS[:n - 1])]
+            for argv in (["nullspace", *system_args(n), *shape], ["nullspace", *gaussian, *shape]):
+                code, out, _ = run(capsys, argv)
+                assert code == 0, argv
+                assert json.loads(out)["dimension"] == dim, argv
+        assert time.perf_counter() - start < 10.0
+
     def test_failed_residual_exits_1(self, capsys, monkeypatch):
         basis = ansatz.solve_ansatz(new_system(4, -1, [0, 1, 2]))
         monkeypatch.setattr(ansatz, "solve_ansatz", lambda sys_, **shape: basis)
@@ -243,13 +258,14 @@ class TestCaps:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["nullspace", *SYS_ARGS, "--pole-order", str(NULLSPACE_MAX_POLE_ORDER + 1)],
-            ["nullspace", *SYS_ARGS, "--poly-degree", str(NULLSPACE_MAX_POLY_DEGREE + 1)],
             ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER + 1)],
             ["nullspace", *system_args(12), "--pole-order", "4"],
             ["nullspace", *system_args(8), "--poly-degree", "16"],
+            # u = 159, one past the corners n = 3 at (25, 0) and (1, 49)
+            ["nullspace", *system_args(3), "--pole-order", "26", "--poly-degree", "0"],
+            ["nullspace", *system_args(3), "--poly-degree", "50"],
         ],
-        ids=["pole-order", "poly-degree", "order", "n12-pole-order-4", "n8-poly-degree-16"],
+        ids=["order", "n12-pole-order-4", "n8-poly-degree-16", "n3-pole-order-26", "n3-poly-degree-50"],
     )
     def test_over_cap_refused(self, capsys, solvers_fail, argv):
         code, out, err = run(capsys, argv)
@@ -260,13 +276,16 @@ class TestCaps:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["nullspace", *SYS_ARGS, "--pole-order", str(NULLSPACE_MAX_POLE_ORDER),
-             "--poly-degree", str(NULLSPACE_MAX_POLY_DEGREE)],
+            ["nullspace", *SYS_ARGS, "--pole-order", "4", "--poly-degree", "16"],
             ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER)],
             ["nullspace", *system_args(6), "--pole-order", "4"],
             ["nullspace", *system_args(6), "--poly-degree", "16"],
+            # u = 68 and 84: only the unknown count bounds the shape
+            ["nullspace", *SYS_ARGS, "--pole-order", "5"],
+            ["nullspace", *SYS_ARGS, "--poly-degree", "17"],
         ],
-        ids=["nullspace", "series", "n6-pole-order-4", "n6-poly-degree-16"],
+        ids=["nullspace", "series", "n6-pole-order-4", "n6-poly-degree-16",
+             "pole-order", "poly-degree"],
     )
     def test_at_cap_reaches_the_solver(self, solvers_fail, argv):
         with pytest.raises(TestCaps.Reached):

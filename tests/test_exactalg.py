@@ -21,6 +21,7 @@ from conftest import (
     reference_solve_affine,
     reference_sub,
     row_sum_bound,
+    star_sum,
     t_matrix,
     to_sympy,
     transposition_matrix,
@@ -39,7 +40,6 @@ from kzsolve.exactalg import (
     parse_scalar,
     solve_affine,
 )
-from kzsolve.symrep import star_sum
 
 
 class TestParsing:

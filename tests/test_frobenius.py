@@ -8,6 +8,7 @@ from conftest import (
     dense_integer_eigenvalues,
     random_points,
     reference_frobenius_solve,
+    star_sum,
 )
 from kzsolve import frobenius
 from kzsolve.ansatz import RationalVectorFunction
@@ -19,7 +20,6 @@ from kzsolve.frobenius import (
     recursion_defect,
 )
 from kzsolve.kzcore import LocalCoefficients, local_coefficients, new_system
-from kzsolve.symrep import star_sum
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]

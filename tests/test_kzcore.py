@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import matmul, random_points, reference_local_coefficients, star_generators, t_matrix
+from conftest import (
+    matmul,
+    random_points,
+    reference_local_coefficients,
+    star_generators,
+    star_sum,
+    t_matrix,
+)
 from kzsolve.exactalg import GaussianRational, Matrix, Vector
 from kzsolve.kzcore import eval_A, local_coefficients, new_system
-from kzsolve.symrep import star_sum
 
 
 class TestNewSystem:

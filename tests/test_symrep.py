@@ -9,11 +9,12 @@ from conftest import (
     random_scalar,
     reference_star_act,
     star_generators,
+    star_sum,
     t_matrix,
     transposition_matrix,
 )
-from kzsolve.exactalg import Matrix, Vector
-from kzsolve.symrep import star_act, star_apply, star_sum, t_spectrum
+from kzsolve.exactalg import ZERO, Matrix, Vector
+from kzsolve.symrep import star_act, star_rows, t_spectrum
 
 
 class TestTranspositionMatrix:
@@ -77,11 +78,8 @@ class TestStarAction:
             v = Vector([random_scalar(rng) for _ in range(n)])
             w = [random_scalar(rng) for _ in range(n - 1)]
             for k in range(1, n):
-                assert star_apply(k, v) == gens[k - 1] * v
-            total = Matrix.zero(n, n)
-            for wk, P in zip(w, gens):
-                total = total + P.scale(wk)
-            assert star_sum(w) == total
+                # a unit weight at k is P_k alone
+                assert star_act(Vector.unit(n - 1, k - 1), v) == gens[k - 1] * v
             sparse = [wk if rng.random() < 0.5 else 0 for wk in w]
             for weights in (w, sparse, [0] * (n - 1)):
                 expected = Vector.zero(n)
@@ -92,14 +90,43 @@ class TestStarAction:
 
     def test_errors(self):
         v = Vector([1, 2, 3])
-        for k in (0, 3):
-            with pytest.raises(ValueError):
-                star_apply(k, v)
-        with pytest.raises(ValueError):
-            star_sum([])
         for weights in ([], [1], [1, 2, 3]):
             with pytest.raises(ValueError):
                 star_act(weights, v)
+
+
+def dense_rows(terms, n, width):
+    """The rows star_rows writes, from dense shift*I + star_sum(w) blocks placed at their offsets."""
+    rows = [[ZERO] * width for _ in range(n)]
+    for offset, shift, w in terms:
+        block = Matrix.identity(n).scale(shift) + star_sum(w)
+        for i in range(n):
+            for j in range(n):
+                rows[i][offset + j] = rows[i][offset + j] + block[i, j]
+    return [Vector(row) for row in rows]
+
+
+class TestStarRows:
+    def test_matches_dense_reference(self):
+        rng = random.Random(310)
+        for n in range(2, 10):
+            for shift in (0, rng.randint(1, 9), -rng.randint(1, 9)):
+                w = Vector([random_scalar(rng) for _ in range(n - 1)])
+                u = Vector([random_scalar(rng) for _ in range(n - 1)])
+                cases = [
+                    ([(0, shift, w)], n),
+                    ([(n, shift, w)], 3 * n),
+                    ([(2 * n, -shift, u)], 3 * n),
+                    # two terms on one block add up, beside a term on another block
+                    ([(n, shift, w), (0, -shift, u), (n, 1, u)], 2 * n + 1),
+                ]
+                for terms, width in cases:
+                    assert star_rows(terms, n, width) == dense_rows(terms, n, width), (n, shift)
+
+    def test_weight_count_must_be_n_minus_1(self):
+        for weights in ([], [1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError):
+                star_rows([(0, 1, Vector(weights))], 4, 8)
 
 
 class TestSTMatrices:

@@ -22,10 +22,9 @@ from .exactalg import (
     _combine,
     _parts,
     nullspace,
-    solve_affine,
 )
 from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
-from .symrep import star_act, star_rows
+from .symrep import _star_parts, star_act, star_rows
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,11 @@ class RationalVectorFunction:
                 raise ValueError(f"evaluation at the pole z = {zk}")
         return self._at(z, inverses)
 
-    def _at(self, z: GaussianRational, inverses: Vector, derivative: bool = False) -> Vector:
-        """W(z), or W'(z), given ``inverses[k] = 1/(z - z_k)``, or 0 where W has no pole term at z.
+    def _at(self, z: GaussianRational, inverses: Vector) -> Vector:
+        """W(z) given ``inverses[k] = 1/(z - z_k)``, or 0 where W has no pole term at z.
 
-        Every (z - z_k)^-r and z^d, and each derivative factor, is built by
+        The value behind :meth:`eval`; :func:`residual` has its own evaluator,
+        which builds W and W' together. Every (z - z_k)^-r and z^d is built by
         int multiplication from the int parts of the inverses and of z, so
         the sum is one int combination with no ``Fraction`` per term. A zero
         inverse zeroes its pole's terms, which the combination drops.
@@ -125,19 +125,17 @@ class RationalVectorFunction:
         den = inverses.den
         terms = []
         for x, y, group in zip(inverses.re, inverses.im, self.pole_coeffs):
-            # (z - z_k)^-r = (x + y*i)^r / den^r, or d/dz of it, -r (z - z_k)^-(r+1)
-            px, py, pd = (x * x - y * y, 2 * x * y, den * den) if derivative else (x, y, den)
-            for r, vec in enumerate(group, start=1):
+            # (z - z_k)^-r = (x + y*i)^r / den^r
+            px, py, pd = x, y, den
+            for vec in group:
                 if not vec.is_zero():
-                    terms.append((-r * px, -r * py, pd, vec) if derivative else (px, py, pd, vec))
-                if r < len(group):
-                    px, py, pd = px * x - py * y, px * y + py * x, pd * den
+                    terms.append((px, py, pd, vec))
+                px, py, pd = px * x - py * y, px * y + py * x, pd * den
         zx, zy, zd = _parts(z)
         px, py, pd = 1, 0, 1
-        for deg in range(1 if derivative else 0, len(self.poly_coeffs)):
-            vec = self.poly_coeffs[deg]
+        for vec in self.poly_coeffs:
             if not vec.is_zero():
-                terms.append((deg * px, deg * py, pd, vec) if derivative else (px, py, pd, vec))
+                terms.append((px, py, pd, vec))
             px, py, pd = px * zx - py * zy, px * zy + py * zx, pd * zd
         return _combine(terms, self.dim)
 
@@ -268,14 +266,94 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
 
 
 def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector:
-    """Exact defect W'(z) - rho*A(z)*W(z); zero everywhere iff W solves."""
-    if fn.points != sys.points:
-        raise ValueError("function pole set differs from the system's")
-    z = GaussianRational.coerce(z)
-    # A(z)'s weights 1/(z - z_k) are the inverses W and W' are built from
+    """Exact defect W'(z) - rho*A(z)*W(z); zero everywhere iff W solves.
+
+    The same evaluator that certifies :func:`solve_ansatz`'s kernel runs on
+    fn's coefficient vector in its own shape: one weight table at z, one int
+    loop over the nonzero coefficients and one reduction to a ``Vector``.
+    """
+    if fn.points != sys.points or fn.dim != sys.n:
+        raise ValueError("function pole set or dimension differs from the system's")
+    p, deg = fn.pole_order, fn.poly_degree
+    flat = coefficient_vector(fn, p, deg)
+    weights = _sample_weights(sys, GaussianRational.coerce(z), p, deg)
+    sr, si, tr, ti = _sides(sys, weights, _nonzero_entries(flat, sys.n))
+    return Vector.from_parts(
+        [a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], weights[3] * flat.den
+    )
+
+
+def _sample_weights(sys: KZSystem, z: GaussianRational, pole_order: int, poly_degree: int):
+    """The weights at z of W, W' and rho*A for every unknown block of a shape.
+
+    Returns (ar, ai, table, den). A(z)'s weights are rho/(z - z_k) =
+    (ar[k] + ai[k]*i) / E. Entry u of ``table`` holds the int parts of block
+    u's value weight over D and of its slope weight over D*E = den: for the
+    pole block (k, r), (z - z_k)^-r and -r (z - z_k)^-(r+1); for the
+    polynomial block d, z^d and d z^(d-1). Here E is the inverses' shared
+    denominator, D = E^p zd^deg and zd is z's, so past ``eval_A`` each
+    weight is an int product of the parts of z and of the inverses.
+    """
     inverses = eval_A(sys, z)
-    rhs = star_act(inverses, fn._at(z, inverses)).scale(sys.rho)
-    return fn._at(z, inverses, derivative=True) - rhs
+    e, rho = inverses.den, sys.rho
+    zx, zy, zd = _parts(z)
+    p, deg = pole_order, poly_degree
+    zpow = zd ** max(deg, 0)
+    # (z - z_k)^-r = (x + y*i)^r / E^r, lifted by E^(p-r) zd^deg to D
+    lift = [e ** (p - r) * zpow for r in range(1, p + 1)]
+    table = []
+    for x, y in zip(inverses.re, inverses.im):
+        px, py = x, y
+        for r, f in enumerate(lift, start=1):
+            nx, ny = px * x - py * y, px * y + py * x
+            table.append((px * f, py * f, -r * nx * f, -r * ny * f))
+            px, py = nx, ny
+    # z^d = (zx + zy*i)^d / zd^d, lifted by zd^(deg-d) E^p to D; the slope, one
+    # power lower, is lifted by one zd more and by E to D*E
+    ep = e ** p
+    qx, qy, sx, sy = 1, 0, 0, 0
+    for d in range(deg + 1):
+        f = zd ** (deg - d) * ep
+        g = f * zd * e
+        table.append((qx * f, qy * f, sx * g, sy * g))
+        sx, sy = (d + 1) * qx, (d + 1) * qy
+        qx, qy = qx * zx - qy * zy, qx * zy + qy * zx
+    ar = [rho * x for x in inverses.re]
+    ai = [rho * y for y in inverses.im]
+    return ar, ai, table, ep * zpow * e
+
+
+def _nonzero_entries(flat: Vector, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Block, coordinate, re and im of each nonzero entry of a flat vector, as four lists.
+
+    Parallel lists rather than a tuple per entry: a dense vector would
+    otherwise allocate one container per entry at every call, and the
+    garbage collector would run in proportion.
+    """
+    re, im = flat.re, flat.im
+    at = [i for i, (x, y) in enumerate(zip(re, im)) if x or y]
+    return [i // n for i in at], [i % n for i in at], [re[i] for i in at], [im[i] for i in at]
+
+
+def _sides(sys: KZSystem, weights, entries) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Numerators (re, im) of W'(z) and then of rho*A(z)*W(z), both over one denominator.
+
+    ``weights`` is a :func:`_sample_weights` table at z and ``entries`` are
+    the :func:`_nonzero_entries` of a flat vector in the same shape; the
+    denominator is the table's den times the vector's. One int loop sums
+    the numerators of W over D and of W' over D*E, and the star action of
+    A's numerators on W's lands over D*E too, so the sides compare as ints.
+    """
+    ar, ai, table, _ = weights
+    n = sys.n
+    wr, wi, sr, si = [0] * n, [0] * n, [0] * n, [0] * n
+    for u, j, x, y in zip(*entries):
+        a, b, c, d = table[u]
+        wr[j] += a * x - b * y
+        wi[j] += a * y + b * x
+        sr[j] += c * x - d * y
+        si[j] += c * y + d * x
+    return (sr, si, *_star_parts(ar, ai, wr, wi))
 
 
 def sample_points(points, count: int) -> list[GaussianRational]:
@@ -307,9 +385,13 @@ def solve_ansatz(
     Assembles the exact pole-matching conditions (orders -(pole_order+1)
     through -1 at every pole) and the polynomial-growth conditions at
     infinity into one linear system over all coefficient vectors, then
-    extracts its nullspace. Every basis element is independently verified
-    by exact residual sampling at enough points to certify the identity;
-    a verification failure raises rather than returning a wrong basis.
+    extracts its nullspace. Every kernel vector is certified before it
+    becomes a function: W' - rho*A*W times prod_k (z - z_k)^(p+1) is a
+    polynomial of degree below s(p + 1) + d, so it must vanish at that many
+    sample points. Each point gets one weight table (:func:`_sample_weights`)
+    and each vector one int loop over its nonzero entries (:func:`_sides`),
+    the evaluator behind :func:`residual`; it reads none of the assembled
+    rows. A nonzero defect raises rather than returning a wrong basis.
     """
     if pole_order < 1:
         raise ValueError("pole_order must be at least 1")
@@ -371,13 +453,16 @@ def solve_ansatz(
         add_equation(terms)
 
     kernel = nullspace(Matrix(rows))
-    basis = [_function_from_flat(sys, vec, p, deg) for vec in kernel]
-    checks = sample_points(sys.points, s * (p + 1) + deg)
-    for fn in basis:
-        for z in checks:
-            if not residual(sys, fn, z).is_zero():
+    # the certificate reads none of the rows: W' - rho*A*W of every kernel
+    # vector at every sample point, from one weight table per point
+    vectors = [_nonzero_entries(vec, n) for vec in kernel]
+    for z in sample_points(sys.points, s * (p + 1) + deg) if vectors else ():
+        weights = _sample_weights(sys, z, p, deg)
+        for entries in vectors:
+            sr, si, tr, ti = _sides(sys, weights, entries)
+            if sr != tr or si != ti:
                 raise ArithmeticError("assembled solution failed exact residual check")
-    return basis
+    return [_function_from_flat(sys, vec, p, deg) for vec in kernel]
 
 
 def _function_from_flat(
@@ -425,5 +510,7 @@ def in_span(
         return False
     cols = [coefficient_vector(b, pole_order, poly_degree) for b in basis]
     target = coefficient_vector(fn, pole_order, poly_degree)
-    sol = solve_affine(Matrix.from_columns(cols), target)
-    return sol.consistent
+    # fn is a member iff the column -target is free in [cols | -target]; then the
+    # RREF kernel's last vector is (x, 1), and else every kernel vector ends in 0
+    kernel = nullspace(Matrix.from_columns([*cols, -target]))
+    return bool(kernel) and not kernel[-1][-1].is_zero()

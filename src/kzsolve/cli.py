@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -44,22 +45,24 @@ SERIES_MAX_ORDER = 64
 # points 0..n-2 (same machine). ``series`` at pole 1 (best of 3): 0.48 s at n = 32,
 # 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32, 0.89 s with order
 # 16 and 17.4 s, for a 54 MB report, at SERIES_MAX_ORDER, still all in the convolution.
-# ``verify`` evaluates residuals at s(p + 1) + d points, O(n^2) int operations each, and
-# at rho = -1 the pole-balance conditions, one n-term combination per pole, O(n^3): 0.67 s
-# at n = 64, 4.5 s at 128 (cap lifted, in-process) for a random simple-pole file solution.
+# ``verify`` evaluates residuals at s(p + 1) + d points, each one weight table at the point
+# and one int loop over the O(n^2) coefficients, and at rho = -1 the pole-balance
+# conditions, one n-term combination per pole, O(n^3): 0.56-0.66 s at n = 64 and 4.7 s at
+# 128 (cap lifted), in-process (best of 3) for a random simple-pole file solution.
 SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 
 # Largest unknown count u = n((n - 1) pole_order + poly_degree + 1) of the ansatz that
 # ``kz nullspace`` solves, the one bound on its shape: a sparse elimination of about
-# 2u x u modulo word-size primes, plus the exact assembly and residual checks around it.
-# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.30 s of wall time (best of 7),
-# 0.10 s of it in-process. In-process at the corners the cap admits, points 0..n-2 at
-# rho = -1: at most 0.14 s for n = 3 at (25, 0) and (1, 49), n = 4 at (12, 0) and
-# (1, 35) and n = 6 at (1, 16). Gaussian poles with denominators up to 41: at most 0.84 s
-# at rho = -1 and 3.2 s at the slowest, n = 3, rho = -25, (25, 0), over rho in -1, -3, 2,
-# -7, -25, 40 (2-core machine, Python 3.11). Every valid shape has u >= n^2, so the cap
-# also bounds n <= 12.
+# 2u x u modulo word-size primes, plus the exact assembly around it and the certificate
+# after it, one weight table per sample point and one int loop per kernel vector.
+# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.36-0.38 s of wall time (best
+# of 7), 0.06-0.11 s of it in-process. In-process at the corners the cap admits, points
+# 0..n-2 at rho = -1: at most 0.15 s for n = 3 at (25, 0) and (1, 49), n = 4 at (12, 0)
+# and (1, 35) and n = 6 at (1, 16). Gaussian poles with denominators up to 41: at most
+# 0.83 s at rho = -1 and 2.7-3.3 s at the slowest, n = 3, rho = -25, (25, 0), over rho in
+# -1, -3, 2, -7, -25, 40 (2-core machine, Python 3.11). Every valid shape has u >= n^2, so
+# the cap also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.
@@ -70,6 +73,28 @@ ANSATZ_MAX_UNKNOWNS = 156
 # kzsolve and scipy.integrate.
 MONODROMY_MAX_N = 64
 MONODROMY_MAX_DEVIATION = 1e-8
+
+
+def _refuse_unresolvable_monodromy(tol: float, radius: float, rho: int) -> None:
+    """Refuse a loop whose float transport cannot resolve the deviation bound.
+
+    The local solutions at a pole grow like (z - z_k)^(+-rho), so the transported
+    identity spans a range of about radius^(-2|rho|), and the integrator's relative
+    error tol is amplified by that range. At radius 0.4 and tol 1e-12 that floor
+    reaches 1e-8 from |rho| = 6 on; at |rho| = 10 the deviation measured 1.1e-5 where
+    the monodromy is the identity, a "fail" that says nothing of the monodromy. A
+    tolerance no finer than the bound is the caller's own choice and is judged as it
+    is; an unusable tolerance or radius is refused by the transport.
+    """
+    if not (0 < tol < MONODROMY_MAX_DEVIATION and radius > 0):
+        return
+    # compared in logs: radius^(-2|rho|) overflows a float at large |rho|
+    if math.log(tol) - 2 * abs(rho) * math.log(radius) >= math.log(MONODROMY_MAX_DEVIATION):
+        raise ValueError(
+            f"--rho {rho} at --radius {radius}: the float transport's error floor "
+            f"tol * radius^(-2|rho|) must be below the deviation bound "
+            f"{MONODROMY_MAX_DEVIATION:.0e}; use a larger radius or a finer --tol"
+        )
 
 
 def _refuse_over_cap(flag: str, value: int, cap: int) -> None:
@@ -287,6 +312,7 @@ def cmd_series(args) -> dict:
 
 def cmd_monodromy(args) -> dict:
     _refuse_over_cap("--n", args.n, MONODROMY_MAX_N)
+    _refuse_unresolvable_monodromy(args.tol, args.radius, args.rho)
     sys_ = _build_system(args)
     t0 = time.perf_counter()
     result = numverify.monodromy(sys_, args.pole, args.radius, args.tol)

@@ -293,8 +293,12 @@ class Vector:
         re, im = [], []
         for v in parts:
             f = den // v.den
-            re += [x * f for x in v.re]
-            im += [y * f for y in v.im]
+            if f == 1:
+                re += v.re
+                im += v.im
+            else:
+                re += [x * f for x in v.re]
+                im += [y * f for y in v.im]
         # canonical without a gcd pass, by the argument in __init__: each
         # prime of den keeps a numerator prime to it in the deepest part
         return _make(tuple(re), tuple(im), den)

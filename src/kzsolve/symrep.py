@@ -5,7 +5,9 @@ the "star" generators; no dense generator matrix is built here. A
 residue operator c*I + sum_k w_k P_k is carried as its shift c and its
 weights w, and this is the only module that knows what the weights
 mean: :func:`star_act` applies a weighted sum to an exact vector in O(n)
-int operations on the vector's shared-denominator parts,
+int operations on the vector's shared-denominator parts (its int loop,
+:func:`_star_parts`, also serves the residual evaluator of
+:mod:`kzsolve.ansatz`, which works on raw numerators),
 :func:`star_act_array` applies it to a floating vector or matrix in O(n)
 work per column, and :func:`star_rows` writes operators straight into
 the rows of a linear system for elimination. The generator sum T governs
@@ -35,18 +37,28 @@ def star_act(weights: Sequence[ScalarLike], v: Vector) -> Vector:
     w = weights if isinstance(weights, Vector) else Vector(weights)
     if w.dim != v.dim - 1:
         raise ValueError(f"{w.dim} star weights do not act on dimension {v.dim}")
-    tr, ti = sum(w.re), sum(w.im)
-    hr, hi = v.re[0], v.im[0]
+    return Vector.from_parts(*_star_parts(w.re, w.im, v.re, v.im), w.den * v.den)
+
+
+def _star_parts(
+    wr: Sequence[int], wi: Sequence[int], vr: Sequence[int], vi: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Numerators of (sum_k w_k P_k) v from the weights' and the vector's int numerators.
+
+    The result is over the product of their denominators and is not reduced.
+    """
+    tr, ti = sum(wr), sum(wi)
+    hr, hi = vr[0], vi[0]
     re, im = [0], [0]
     sr = si = 0
-    for a, b, x, y in zip(w.re, w.im, v.re[1:], v.im[1:]):
+    for a, b, x, y in zip(wr, wi, vr[1:], vi[1:]):
         sr += a * x - b * y
         si += a * y + b * x
         cr, ci = tr - a, ti - b
         re.append(a * hr - b * hi + cr * x - ci * y)
         im.append(a * hi + b * hr + cr * y + ci * x)
     re[0], im[0] = sr, si
-    return Vector.from_parts(re, im, w.den * v.den)
+    return re, im
 
 
 def star_act_array(weights, W):

@@ -14,6 +14,7 @@ from conftest import (
     reference_sub,
     star_generators,
 )
+from kzsolve import ansatz
 from kzsolve.ansatz import (
     RationalVectorFunction,
     check_conditions,
@@ -304,6 +305,83 @@ class TestSolveAnsatz:
         assert len(basis) == 8
         for fn in basis:
             assert check_conditions(sys, fn).passed
+
+
+class TestCertificate:
+    """solve_ansatz raises rather than return a kernel vector that is not a solution."""
+
+    CASES = [
+        (4, -1, ["0", "1", "2"], 1, 1),
+        (4, -2, ["(0,1)", "1", "(2,-1)"], 2, 2),
+        (5, 1, ["0", "1", "2", "3"], 2, 1),
+    ]
+    IDS = ["int-1-1", "gaussian-2-2", "n5-2-1"]
+
+    @pytest.mark.parametrize("n, rho, points, p, d", CASES, ids=IDS)
+    @pytest.mark.parametrize("entry", ["first", "last"])
+    def test_corrupted_kernel_raises(self, monkeypatch, n, rho, points, p, d, entry):
+        sys = new_system(n, rho, [parse_scalar(z) for z in points])
+        assert solve_ansatz(sys, p, d)
+        real = ansatz.nullspace
+
+        def corrupted(M):
+            # adds den, that is 1, to one entry of the last kernel vector
+            kernel = real(M)
+            v = kernel[-1]
+            i = 0 if entry == "first" else v.dim - 1
+            re = list(v.re)
+            re[i] += v.den
+            return [*kernel[:-1], Vector.from_parts(re, v.im, v.den)]
+
+        monkeypatch.setattr(ansatz, "nullspace", corrupted)
+        with pytest.raises(ArithmeticError):
+            solve_ansatz(sys, p, d)
+
+    @pytest.mark.parametrize("n, rho, points, p, d", CASES, ids=IDS)
+    def test_one_weight_table_per_sample_point(self, monkeypatch, n, rho, points, p, d):
+        sys = new_system(n, rho, [parse_scalar(z) for z in points])
+        seen = []
+
+        def counted(sys_, z):
+            seen.append(z)
+            return eval_A(sys_, z)
+
+        monkeypatch.setattr(ansatz, "eval_A", counted)
+        assert solve_ansatz(sys, p, d)
+        assert seen == sample_points(sys.points, sys.s * (p + 1) + d)
+
+
+class TestInSpan:
+    def test_non_member_runs_one_elimination(self, monkeypatch):
+        sys = canon_sys()
+        basis = solve_ansatz(sys)
+        real, calls = ansatz.nullspace, []
+
+        def counted(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(ansatz, "nullspace", counted)
+        constant = RationalVectorFunction(
+            dim=4, points=sys.points, pole_coeffs=((), (), ()), poly_coeffs=(Vector([1, 0, 0, 0]),)
+        )
+        assert not in_span(basis, constant)
+        assert len(calls) == 1
+
+    def test_verdicts(self):
+        sys = canon_sys()
+        basis = solve_ansatz(sys)
+        zero = RationalVectorFunction.zero(sys.points, 4)
+        assert in_span(basis, zero)
+        assert in_span(basis, y1(CANON).scale(3) - y2(CANON))
+        assert not in_span(basis[:3], basis[3])
+        assert not in_span([], y1(CANON))
+        bumped = RationalVectorFunction.simple(
+            sys.points, (Vector([1, 0, 0, 0]), Vector.zero(4), Vector.zero(4))
+        )
+        assert not in_span(basis, y1(CANON) + bumped)
+        # a shape larger than the basis': the deeper blocks are zero columns
+        assert in_span(basis, y4(CANON), pole_order=2, poly_degree=3)
 
 
 class TestEquivalenceProperties:

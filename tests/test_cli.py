@@ -324,9 +324,24 @@ class TestCaps:
         assert json.loads(out)["overall"] == "pass"
 
 
+GAUSS_ARGS = ["--n", "4", "--rho", "-2", "--points", "(0,1),1,(2,-1)"]
+
+# Not a solution: Gaussian entries, an empty pole group, a pole of order 2 and a
+# quadratic part, so every residual of its report is nonzero.
+GAUSS_FILE = {
+    "n": 4, "rho": -2, "points": ["(0,1)", "1", "(2,-1)"],
+    "pole_coefficients": [
+        [["1", "(0,1)", "-1/2", "0"], ["0", "2", "0", "1/3"]],
+        [["(3,-1)", "0", "0", "1"]],
+        [],
+    ],
+    "poly_coefficients": [["0", "1", "0", "0"], ["1/5", "0", "0", "(1,1)"], ["0", "0", "-1", "0"]],
+}
+
 # SHA-256 of stdout and the exit code of each exact README command, plus three
-# other couplings. Exact reports must stay byte-identical through refactors, so
-# any changed byte fails here; change a digest only for an intended new output.
+# other couplings and two failing verify reports. Exact reports must stay
+# byte-identical through refactors, so any changed byte fails here; change a
+# digest only for an intended new output.
 GOLDEN = [
     (["verify", *SYS_ARGS, "--solution", "all"], 0,
      "0c021cf63e5ca164298d42887608dd3e9d3ebb9ce27e47bab3ee8b24bc723a94"),
@@ -345,15 +360,24 @@ GOLDEN = [
      "1fd685e5497d4491ba683a4a52753d024db9a5fc95b74392f869a1658d13230f"),
     (["series", "--n", "4", "--rho", "2", "--points", "0,1,2", "--pole", "1", "--order", "3"], 0,
      "85030637a32d5804ed91969e5b1d1beca24c34929b838071b20630eddb244c11"),
+    (["verify", *SYS_ARGS, "--solution", "file:bumped.json"], 1,
+     "5a36552b1cd19acdb21848d328e89fa9f323c87e18e060c0a7fd86afe3e2f502"),
+    (["verify", *GAUSS_ARGS, "--solution", "file:gauss.json"], 1,
+     "e2f7c0f708b8ef5b2f83c5f49180580e3f9cfbfd225bbc601203427e6498a99d"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_golden_report(capsys, monkeypatch, tmp_path, argv, code, digest):
-    # w.json, the README's solution file, is the first basis function of the README system
+    # w.json, the README's solution file, is the first basis function of the README
+    # system; bumped.json adds 1 to its first residue entry
     monkeypatch.chdir(tmp_path)
     main(["nullspace", *SYS_ARGS])
-    (tmp_path / "w.json").write_text(json.dumps(json.loads(capsys.readouterr().out)["basis"][0]))
+    w = json.loads(capsys.readouterr().out)["basis"][0]
+    (tmp_path / "w.json").write_text(json.dumps(w))
+    w["pole_coefficients"][0][0][0] = str(parse_scalar(w["pole_coefficients"][0][0][0]) + 1)
+    (tmp_path / "bumped.json").write_text(json.dumps(w))
+    (tmp_path / "gauss.json").write_text(json.dumps(GAUSS_FILE))
     got_code, out, _ = run(capsys, argv)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
@@ -448,6 +472,28 @@ class TestMonodromy:
         code, out, _ = run(
             capsys,
             ["monodromy", *system_args(4, rho), "--pole", "2", "--radius", "0.4"],
+        )
+        assert code == 0
+        assert json.loads(out)["deviation"] < 1e-8
+
+    @pytest.mark.parametrize("rho", [10, -10, 1000])
+    def test_unresolvable_coupling_refused(self, capsys, monkeypatch, rho):
+        # tol * radius^(-2|rho|) is 9.1e-5 at |rho| = 10: refused before any transport
+        def reached(*args, **kwargs):
+            raise AssertionError("transport reached")
+
+        monkeypatch.setattr(numverify, "monodromy", reached)
+        code, out, err = run(
+            capsys, ["monodromy", *system_args(4, rho), "--pole", "2", "--radius", "0.4"]
+        )
+        assert (code, out) == (2, "")
+        assert "deviation bound 1e-08" in err
+
+    @pytest.mark.parametrize("rho", [-5, 5])
+    def test_largest_resolvable_coupling_runs(self, capsys, rho):
+        # tol * radius^(-2|rho|) is 9.5e-9, just below the bound
+        code, out, _ = run(
+            capsys, ["monodromy", *system_args(4, rho), "--pole", "2", "--radius", "0.4"]
         )
         assert code == 0
         assert json.loads(out)["deviation"] < 1e-8

@@ -12,6 +12,7 @@ shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactalg import (
     GaussianRational,
@@ -360,12 +361,20 @@ def sample_points(points, count: int) -> list[GaussianRational]:
     """Deterministic exact sample points away from all poles: bound+1, ..., bound+count.
 
     bound exceeds max(|Re p|, |Im p|) for every pole p, so no real pole reaches
-    a sample and no non-real pole equals one: no sample needs testing.
+    a sample and no non-real pole equals one: no sample needs testing. It is
+    read from the parts' int numerators and denominators, and the samples
+    share one zero imaginary part, so no Fraction arithmetic runs.
     """
-    bound = 0
-    for p in points:
-        bound = max(bound, int(GaussianRational.coerce(p).abs_floor()) + 1)
-    return [GaussianRational(c) for c in range(bound + 1, bound + 1 + count)]
+    bound = max(
+        (
+            abs(x.numerator) // x.denominator + 1
+            for p in map(GaussianRational.coerce, points)
+            for x in (p.re, p.im)
+        ),
+        default=0,
+    )
+    zero = Fraction(0)
+    return [GaussianRational(Fraction(c), zero) for c in range(bound + 1, bound + 1 + count)]
 
 
 def _unknown_layout(s: int, pole_order: int, poly_degree: int):

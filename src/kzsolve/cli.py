@@ -68,9 +68,10 @@ ANSATZ_MAX_UNKNOWNS = 156
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.
 # It transports the n x n identity in floating point, about n^2 work per integrator step
 # (A(z) applied as a star action, no matrix), and solves nothing exactly. ``kz`` wall time
-# with points 0..n-2, pole 2, radius 0.4 (best of 7, BLAS on one thread): 0.59 s at
-# n = 12, 0.61 s at 16, 0.62 s at 32, 0.63 s at 64, of which about 0.6 s is importing
-# kzsolve and scipy.integrate.
+# with points 0..n-2, pole 2, radius 0.4 (best of 7, BLAS on one thread): 0.28 s at
+# n = 12, 0.32 s at 16, 0.35 s at 32, 0.45 s at 64, of which about 0.29 s is starting
+# Python and importing kzsolve and numpy (no scipy); the transport itself takes 13 ms at
+# n = 12 and 53 ms at n = 64 in-process (2-core machine, Python 3.11).
 MONODROMY_MAX_N = 64
 MONODROMY_MAX_DEVIATION = 1e-8
 

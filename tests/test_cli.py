@@ -589,3 +589,67 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# One command line per subcommand; only monodromy integrates in floating point.
+SUBCOMMANDS = {
+    "verify": ["verify", *SYS_ARGS, "--solution", "all"],
+    "nullspace": ["nullspace", *SYS_ARGS],
+    "series": ["series", *SYS_ARGS, "--pole", "1", "--order", "3"],
+    "eigen": ["eigen", "--n", "8"],
+    "monodromy": ["monodromy", *SYS_ARGS, "--pole", "2", "--radius", "0.4"],
+}
+
+
+def _run_isolated(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this checkout; it prints one JSON line."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _numerical_modules() -> str:
+    return "sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})"
+
+
+def test_package_import_leaves_numpy_and_scipy_unloaded():
+    code = (
+        "import json, sys\n"
+        "import kzsolve\n"
+        f"after_package = {_numerical_modules()}\n"
+        "import kzsolve.cli\n"
+        f"print(json.dumps([after_package, {_numerical_modules()}]))\n"
+    )
+    assert _run_isolated(code) == [[], []]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_subcommand_loads_only_what_it_runs(command):
+    """Exact commands load neither numpy nor scipy; monodromy loads numpy alone."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from kzsolve import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({SUBCOMMANDS[command]!r})\n"
+        f"print(json.dumps([status, {_numerical_modules()}]))\n"
+    )
+    want = ["numpy"] if command == "monodromy" else []
+    assert _run_isolated(code) == [0, want]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_subcommand_runs_without_scipy(command):
+    # a None entry makes every import of scipy raise ImportError
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from kzsolve import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({SUBCOMMANDS[command]!r})\n"
+        "print(json.dumps(status))\n"
+    )
+    assert _run_isolated(code) == 0

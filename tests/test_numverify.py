@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import star_generators
 from kzsolve import numverify
 from kzsolve.ansatz import RationalVectorFunction
-from kzsolve.exactalg import Vector
+from kzsolve.exactalg import GaussianRational, Vector
 from kzsolve.kzcore import new_system
 from kzsolve.numverify import (
     Path,
@@ -94,6 +95,14 @@ class TestIntegrate:
         monkeypatch.setattr(numverify, "_transport", reached)
         with pytest.raises(ValueError, match="tolerance"):
             integrate(canon_sys(), Path.line(3 + 0j, 4 + 0j), np.ones(4, dtype=complex), tol)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_derivative_at_start_fails(self):
+        # W0 is finite, but A(z) W0 overflows to inf - inf: the first step is NaN
+        W0 = np.array([1e308, -1e308, 1e308, -1e308], dtype=complex)
+        with pytest.raises(RuntimeError, match="integrator failed"):
+            integrate(canon_sys(), Path.line(3 + 0j, 4 + 0j), W0, 1e-10)
 
     def test_transport_matches_exact_evaluation(self):
         sys = canon_sys()
@@ -203,3 +212,127 @@ class TestResidualScan:
         sys = canon_sys()
         fn = RationalVectorFunction.zero(sys.points, 4)
         assert residual_scan(sys, fn, 32) == 0.0
+
+
+TOLS = (1e-6, 1e-9, 1e-12, 1e-15)  # 1e-15 is below the rtol floor of 100 eps
+RHOS = (-2, -1, 1, 3)
+
+
+def _oracle_dop853(fun, y, tol):
+    """scipy's DOP853 over t in [0, 1]: (y(1), accepted steps), or its failure message."""
+    integrate_module = pytest.importorskip("scipy.integrate")
+    sol = integrate_module.solve_ivp(fun, (0.0, 1.0), y, method="DOP853", rtol=tol, atol=tol)
+    if not sol.success:
+        assert sol.status == -1
+        return None, sol.message
+    return sol.y[:, -1], sol.t.size - 1
+
+
+def _oracle_transport(sys, path, W0, tol):
+    """numverify._transport as it stood on scipy's solve_ivp: the reference."""
+    poles = np.array([p.to_complex() for p in sys.points])
+    rho = float(sys.rho)
+    shape = W0.shape
+    y = np.asarray(W0, dtype=complex).ravel()
+    steps = 0
+    for seg in path.segments:
+        if seg.length == 0:
+            continue
+        def fun(t, yy):
+            w = seg.velocity(t) * rho / (seg.point(t) - poles)
+            return star_act_array(w, yy.reshape(shape)).ravel()
+        y, seg_steps = _oracle_dop853(fun, y, tol)
+        assert y is not None, seg_steps
+        steps += seg_steps
+    return y.reshape(shape), steps
+
+
+def _points(n, gaussian):
+    # integer poles 0..n-2, or the same shifted by i/2 at every odd one
+    return [
+        GaussianRational(k, Fraction(k % 2, 2) if gaussian else 0) for k in range(n - 1)
+    ]
+
+
+def _loop_cases():
+    """(n, rho, gaussian, pole, tol): every pole of every listed system at n <= 6,
+    the tolerance rotating with the pole; at n = 12 rho, pole kind and tolerance
+    rotate with the pole, so that the sweep stays a few seconds."""
+    for n in (3, 4, 5, 6):
+        for rho in RHOS:
+            for gaussian in (False, True):
+                for k in range(1, n):
+                    yield n, rho, gaussian, k, TOLS[(k + rho + gaussian) % 4]
+    for k in range(1, 12):
+        yield 12, RHOS[k % 4], bool(k % 2), k, TOLS[(k + k // 4) % 4]
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+class TestDop853MatchesScipy:
+    """The in-house DOP853 takes scipy's steps double for double."""
+
+    def test_tableau_is_scipys(self):
+        DOP853 = pytest.importorskip("scipy.integrate").DOP853
+        s = DOP853.n_stages
+        A = np.zeros((s, s))
+        for row, coeffs in enumerate(numverify._DOP853_A):
+            A[row, :row] = coeffs
+        assert np.array_equal(A, DOP853.A)
+        assert np.array_equal(numverify._DOP853_C, DOP853.C)
+        assert np.array_equal(numverify._DOP853_B, DOP853.B)
+        assert np.array_equal(numverify._DOP853_E3, DOP853.E3)
+        assert np.array_equal(numverify._DOP853_E5, DOP853.E5)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 12])
+    def test_monodromy_loops(self, n):
+        for case_n, rho, gaussian, k, tol in _loop_cases():
+            if case_n != n:
+                continue
+            sys = new_system(n, rho, _points(n, gaussian))
+            path = Path.circle(sys.points[k - 1].to_complex(), 0.4)
+            identity = np.eye(n, dtype=complex)
+            want, want_steps = _oracle_transport(sys, path, identity, tol)
+            got, got_steps = numverify._transport(sys, path, identity, tol)
+            case = (n, rho, gaussian, k, tol)
+            assert np.array_equal(got, want), case
+            assert got_steps == want_steps, case
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_lines_and_polylines(self, tol):
+        four = canon_sys()
+        six = new_system(6, 3, _points(6, True))
+        vector = as_complex(y1(CANON).eval(3))
+        matrix = np.array([[1, 2j], [0, 1], [3, 0], [1, -1j]], dtype=complex)
+        cases = [
+            (four, Path.line(3 + 0j, 4 + 1j), vector),
+            (four, Path.polyline([3 + 0j, 3 + 2j, -1 + 2j, -1 + 0.5j]), vector),
+            (four, Path.polyline([4 + 0j, 4 - 1j, 0.5 - 1j, 0.5 + 0j]), matrix),
+            (six, Path.line(-1 + 0j, 2 + 2j), np.eye(6, dtype=complex)[:, :3]),
+            (six, Path.polyline([-1 + 1j, 5 + 1j, 5 - 1j]), np.arange(6, dtype=complex)),
+        ]
+        for sys, path, W0 in cases:
+            want, want_steps = _oracle_transport(sys, path, W0, tol)
+            got, got_steps = numverify._transport(sys, path, W0, tol)
+            assert got.shape == W0.shape
+            assert np.array_equal(got, want), (sys.n, path, tol)
+            assert got_steps == want_steps, (sys.n, path, tol)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_failure_where_scipy_fails(self, tol):
+        # a RHS that turns NaN part-way, and a solution that blows up at t = 1/2
+        y0 = np.array([2.0 + 0j, 1j])
+
+        def turns_nan(t, y):
+            return y * (math.nan if t > 0.4 else 1j)
+
+        def blows_up(t, y):
+            return y * y
+
+        for fun in (turns_nan, blows_up):
+            y, message = _oracle_dop853(fun, y0, tol)
+            assert y is None, fun.__name__
+            with pytest.raises(RuntimeError) as info:
+                numverify._dop853(fun, y0, tol, tol)
+            assert str(info.value) == f"integrator failed along segment: {message}"

@@ -32,7 +32,6 @@ from .ansatz import (
 from .s4explicit import (
     FundamentalSolution,
     IndependenceCertificate,
-    S4Coefficients,
     fundamental_matrix,
     independence_certificate,
     y1,
@@ -77,7 +76,6 @@ __all__ = [
     "solve_ansatz",
     "FundamentalSolution",
     "IndependenceCertificate",
-    "S4Coefficients",
     "fundamental_matrix",
     "independence_certificate",
     "y1",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactalg import (
     GaussianRational,
@@ -103,6 +104,18 @@ class RationalVectorFunction:
     @property
     def q_linear(self) -> Vector:
         return self.poly_coeffs[1] if len(self.poly_coeffs) >= 2 else Vector.zero(self.dim)
+
+    @cached_property
+    def _own_entries(self):
+        """:func:`_nonzero_entries` and denominator of the coefficient vector in its own shape.
+
+        Read by every :func:`residual` call; the fields are frozen and every
+        ``Vector`` immutable, so it is flattened once per function. The
+        cache is no field: equality and hash still compare the fields.
+        """
+        flat = coefficient_vector(self, self.pole_order, self.poly_degree)
+        # tuples, as every caller shares them
+        return tuple(map(tuple, _nonzero_entries(flat, self.dim))), flat.den
 
     # -- algebra ------------------------------------------------------------
 
@@ -270,17 +283,17 @@ def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector
     """Exact defect W'(z) - rho*A(z)*W(z); zero everywhere iff W solves.
 
     The same evaluator that certifies :func:`solve_ansatz`'s kernel runs on
-    fn's coefficient vector in its own shape: one weight table at z, one int
-    loop over the nonzero coefficients and one reduction to a ``Vector``.
+    fn's coefficient vector in its own shape, flattened once per function:
+    one weight table at z, one int loop over the nonzero coefficients and
+    one reduction to a ``Vector``.
     """
     if fn.points != sys.points or fn.dim != sys.n:
         raise ValueError("function pole set or dimension differs from the system's")
-    p, deg = fn.pole_order, fn.poly_degree
-    flat = coefficient_vector(fn, p, deg)
-    weights = _sample_weights(sys, GaussianRational.coerce(z), p, deg)
-    sr, si, tr, ti = _sides(sys, weights, _nonzero_entries(flat, sys.n))
+    entries, den = fn._own_entries
+    weights = _sample_weights(sys, GaussianRational.coerce(z), fn.pole_order, fn.poly_degree)
+    sr, si, tr, ti = _sides(sys, weights, entries)
     return Vector.from_parts(
-        [a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], weights[3] * flat.den
+        [a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], weights[3] * den
     )
 
 

@@ -23,6 +23,10 @@ vector of inverses to successive powers.
 ``reference_frobenius_solve`` finds each series family as the nullspace
 of the stacked lower-order coefficients, where the library reads the
 families off the recursion's parameter bookkeeping.
+``S4Coefficients`` and ``reference_s4_columns`` build the four closed-form
+n = 4 columns from ``GaussianRational`` quotients of the pole differences,
+as the library did before each column computed its own coefficients from
+the int parts of those differences.
 ``transposition_matrix``, ``star_generators``, ``star_sum`` and
 ``t_matrix`` are the dense permutation matrices the library never builds:
 it carries every residue sum as star weights. ``star_sum`` adds up
@@ -31,9 +35,11 @@ scaled generator matrices, so it shares no code with ``star_act`` or
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from kzsolve.ansatz import RationalVectorFunction
 from kzsolve.exactalg import (
     ONE,
     ZERO,
@@ -290,6 +296,80 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
             continue
         families.append(SeriesFamily(pole_index=k, start=start, order=order, basis=fam))
     return families
+
+
+@dataclass(frozen=True)
+class S4Coefficients:
+    """All scalar coefficients entering the four explicit n = 4 solutions.
+
+    The reference for :mod:`kzsolve.s4explicit`, in ``GaussianRational``
+    arithmetic straight from the pole differences; the library computes each
+    column's own coefficients from the int parts of b1, b2 and b3 instead.
+    The third and fourth columns each use a private (a, b, c) family from
+    different formulas, stored separately here.
+    """
+
+    alpha: GaussianRational
+    beta: GaussianRational
+    betas: tuple[GaussianRational, GaussianRational, GaussianRational]
+    alphas: tuple[GaussianRational, GaussianRational, GaussianRational]
+    y3_abc: tuple[GaussianRational, GaussianRational, GaussianRational]
+    y4_abcde: tuple[GaussianRational, ...]
+
+    @classmethod
+    def from_points(cls, points) -> "S4Coefficients":
+        z1, z2, z3 = (GaussianRational.coerce(p) for p in points)
+        if z1 == z2 or z2 == z3 or z1 == z3:
+            raise ValueError("pole locations must be distinct")
+        alpha = -(z3 - z2) / (z3 - z1)
+        beta = (z3 - z2) / (z2 - z1)
+        b1, b2, b3 = z2 - z3, z3 - z1, z1 - z2
+        y3 = (-b1 / b3, -b3 / b2, b1 * b1 / (b2 * b3))
+        a1 = ONE / (z3 - z2)
+        a2 = ONE / (z1 - z3)
+        a3 = ONE / (z2 - z1)
+        d = -(a1 * a1 / (a2 * a3 ** 3)) * (a1 * a2 + a3 * a3)
+        y4 = (-a1 / a3, -(a3 / a2) * d, a1 * a1 / (a2 * a3), d, ONE + a1 / a2)
+        return cls(
+            alpha=alpha, beta=beta, betas=(b1, b2, b3), alphas=(a1, a2, a3), y3_abc=y3, y4_abcde=y4
+        )
+
+
+def reference_s4_columns(points) -> tuple[RationalVectorFunction, ...]:
+    """y1, y2, y3 and y4 built from :class:`S4Coefficients` by scaling
+    ``Vector``s with ``GaussianRational`` coefficients."""
+    co = S4Coefficients.from_points(points)
+    z1, z2, z3 = pts = tuple(GaussianRational.coerce(p) for p in points)
+    b1, b2, b3 = co.betas
+    a1, a2, a3 = co.alphas
+    denom = (z2 - z1) * (z3 - z1)
+    combo = (
+        Vector([1, 1, -1, -1]).scale(z1)
+        + Vector([1, -1, 1, -1]).scale(z2)
+        + Vector([1, -1, -1, 1]).scale(z3)
+    )
+    col1 = RationalVectorFunction.simple(
+        pts,
+        (
+            Vector([1, 1, -1, -1]),
+            Vector([1, -1, 1, -1]).scale(co.alpha),
+            Vector([1, -1, -1, 1]).scale(co.beta),
+        ),
+        combo.scale(ONE / denom),
+        Vector([3, -1, -1, -1]).scale(-ONE / denom),
+    )
+    col2 = RationalVectorFunction.simple(pts, tuple(Vector([1, 1, 1, 1]).scale(b) for b in co.betas))
+    a, b, c = co.y3_abc
+    col3 = RationalVectorFunction.simple(
+        pts,
+        (Vector([0, 0, 1, a]).scale(b1), Vector([0, b, 0, c]).scale(b2), Vector([0, 1, a, 0]).scale(b3)),
+    )
+    a, b, c, d, e = co.y4_abcde
+    col4 = RationalVectorFunction.simple(
+        pts,
+        (Vector([0, 0, 1, a]).scale(a1), Vector([0, b, 0, c]).scale(a2), Vector([0, d, e, 0]).scale(a3)),
+    )
+    return col1, col2, col3, col4
 
 
 def transposition_matrix(n: int, i: int, j: int) -> Matrix:

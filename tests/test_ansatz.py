@@ -195,6 +195,24 @@ class TestResidual:
             want_residual = reference_sub(slope, reference_scale(GaussianRational(sys.rho), a_w))
             assert str(residual(sys, fn, z)) == entries_str(want_residual)
 
+    def test_function_flattened_once(self, monkeypatch):
+        # the flattening is cached on the function but is no field of it:
+        # equal functions stay equal and hash alike
+        flatten, calls = ansatz.coefficient_vector, []
+        monkeypatch.setattr(
+            ansatz, "coefficient_vector", lambda *args: calls.append(args) or flatten(*args)
+        )
+        sys = canon_sys()
+        fn, twin = y1(CANON), y1(CANON)
+        for z in sample_points(sys.points, 7):
+            assert residual(sys, fn, z).is_zero()
+        assert len(calls) == 1
+        assert fn == twin and hash(fn) == hash(twin)
+        bumped = RationalVectorFunction.simple(
+            sys.points, (fn.residues[0] + Vector.unit(4, 0), *fn.residues[1:]), fn.q_const, fn.q_linear
+        )
+        assert bumped != fn and not residual(sys, bumped, 5).is_zero()
+
     def test_y1_vanishes_at_random_points(self):
         rng = random.Random(400)
         sys = canon_sys()

@@ -364,6 +364,9 @@ GOLDEN = [
      "5a36552b1cd19acdb21848d328e89fa9f323c87e18e060c0a7fd86afe3e2f502"),
     (["verify", *GAUSS_ARGS, "--solution", "file:gauss.json"], 1,
      "e2f7c0f708b8ef5b2f83c5f49180580e3f9cfbfd225bbc601203427e6498a99d"),
+    # the closed-form columns on Gaussian poles with denominators
+    (["verify", "--n", "4", "--rho", "-1", "--points=1/2,(0,1),(-3/2,2/3)", "--solution", "all"], 0,
+     "d83ca202827f830b49804c94a1fe60d9ed03f7cacdab6557bf642cbb1dbb422a"),
 ]
 
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    S4Coefficients,
     generic_points,
     leibniz_det,
     random_points,
     random_scalar,
+    reference_s4_columns,
     star_generators,
     t_matrix,
 )
@@ -15,7 +17,6 @@ from kzsolve.ansatz import check_conditions, in_span, residual, solve_ansatz
 from kzsolve.exactalg import GaussianRational, Matrix, Vector
 from kzsolve.kzcore import new_system
 from kzsolve.s4explicit import (
-    S4Coefficients,
     fundamental_matrix,
     independence_certificate,
     y1,
@@ -59,6 +60,49 @@ class TestCoefficients:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
             S4Coefficients.from_points([0, 0, 1])
+
+
+class TestMatchesReference:
+    """Every column equals the one the reference coefficients build by
+    scaling ``Vector``s with ``GaussianRational`` quotients."""
+
+    @staticmethod
+    def gaussian(rng, span):
+        return GaussianRational(
+            F(rng.randint(-span, span), rng.randint(1, span)),
+            F(rng.randint(-span, span), rng.randint(1, span)),
+        )
+
+    def configurations(self, rng, count):
+        """Integer, Gaussian-with-denominators and midpoint-locus triples, in turn."""
+        made = 0
+        while made < count:
+            if made % 3 == 0:
+                pts = [GaussianRational(x) for x in rng.sample(range(-30, 31), 3)]
+            elif made % 3 == 1:
+                pts = [self.gaussian(rng, 9) for _ in range(3)]
+            else:
+                # the midpoint locus 2 z2 = z1 + z3, where y4 is a multiple of y3
+                z1, z3 = self.gaussian(rng, 9), self.gaussian(rng, 9)
+                pts = [z1, (z1 + z3) / GaussianRational(2), z3]
+            if len(set(pts)) == 3:
+                made += 1
+                yield pts
+
+    def test_random_configurations(self):
+        rng = random.Random(508)
+        midpoints = 0
+        for pts in self.configurations(rng, 600):
+            midpoints += (pts[1] + pts[1] - pts[0] - pts[2]).is_zero()
+            for build, want in zip((y1, y2, y3, y4), reference_s4_columns(pts)):
+                assert build(pts) == want, (build.__name__, pts)
+        assert midpoints >= 200
+
+
+@pytest.mark.parametrize("build", [y1, y2, y3, y4, independence_certificate])
+def test_coincident_poles_rejected(build):
+    with pytest.raises(ValueError, match=r"^pole locations must be distinct$"):
+        build([0, 0, 1])
 
 
 class TestY1:

@@ -9,7 +9,6 @@ from .exactalg import (
     integer_eigenvalues,
     nullspace,
     parse_scalar,
-    solve_affine,
 )
 from .symrep import t_spectrum
 from .kzcore import KZSystem, eval_A, local_coefficients, new_system
@@ -56,7 +55,6 @@ __all__ = [
     "integer_eigenvalues",
     "nullspace",
     "parse_scalar",
-    "solve_affine",
     "t_spectrum",
     "KZSystem",
     "eval_A",

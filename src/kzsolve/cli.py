@@ -121,7 +121,10 @@ def _split_top_level(text: str) -> list[str]:
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in {text!r}")
     parts.append("".join(cur))
-    return [p for p in (s.strip() for s in parts) if p]
+    parts = [p.strip() for p in parts]
+    if not all(parts):
+        raise ValueError(f"empty item in comma list {text!r}")
+    return parts
 
 
 def _build_system(args) -> KZSystem:

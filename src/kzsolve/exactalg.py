@@ -18,8 +18,7 @@ of :mod:`kzsolve.ansatz`, call ``_combine`` directly.
 :func:`nullspace` is multimodular: it eliminates each row's int parts
 modulo word-size primes, reconstructs the rational kernel by Chinese
 remaindering and Wang's rational reconstruction, and returns it only once
-an exact certificate proves it is M's RREF kernel. An affine solve is the
-nullspace of the bordered matrix [A | -b]. :func:`determinant` is a
+an exact certificate proves it is M's RREF kernel. :func:`determinant` is a
 forward fraction-free (Bareiss) elimination over the Gaussian integers.
 A ``Matrix`` multiplies vectors and scalars, never another matrix: the one
 spectrum needed is that of an arrowhead, whose characteristic polynomial
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import re as _re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
@@ -961,39 +959,8 @@ def integer_eigenvalues(coeffs: Sequence[GaussianRational], bound: int) -> dict[
     return out
 
 
-@dataclass(frozen=True)
+# Nothing constructs an AffineSolution. The class stays only because
+# perfbench's tracer imports it: ``_max_bits`` reads ``from kzsolve.exactalg
+# import AffineSolution`` on every traced elimination.
 class AffineSolution:
-    """Outcome of an exact affine solve Ax = b.
-
-    When inconsistent, ``certificate`` holds a row functional y with
-    yA = 0 but yb != 0, exposing the violated combination.
-    """
-
-    consistent: bool
-    particular: Vector | None
-    kernel: list[Vector]
-    certificate: Vector | None
-
-
-def solve_affine(A: Matrix, b: Vector) -> AffineSolution:
-    """Solve Ax = b exactly as the bordered nullspace of [A | -b].
-
-    The system is consistent iff -b's column is free, and then its kernel
-    vector, the last one, is (x, 1) with Ax = b; the other kernel vectors,
-    truncated to A's columns, span A's kernel. When inconsistent, the
-    certificate is the first vector of A's left nullspace that sees b.
-    Every vector is certified by ``nullspace``'s re-substitution.
-    """
-    if A.rows != b.dim:
-        raise ValueError("right-hand side length must match row count")
-    n = A.cols
-    kernel = nullspace(A.hstack(Matrix.from_columns([-b])))
-    if kernel and not kernel[-1][n].is_zero():
-        return AffineSolution(
-            True, kernel[-1].segment(0, n), [v.segment(0, n) for v in kernel[:-1]], None
-        )
-    left = nullspace(Matrix.from_columns([A.row(i) for i in range(A.rows)]))
-    cert = next((y for y in left if not y.dot(b).is_zero()), None)
-    if cert is None:
-        raise ArithmeticError("inconsistent affine system without a certificate")
-    return AffineSolution(False, None, [], cert)
+    pass

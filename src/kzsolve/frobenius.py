@@ -30,7 +30,7 @@ from math import comb
 
 from .ansatz import RationalVectorFunction
 from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
-from .exactalg import nullspace, solve_affine
+from .exactalg import nullspace
 from .kzcore import KZSystem, local_coefficients
 from .symrep import star_act, star_rows
 
@@ -99,18 +99,6 @@ class SeriesFamily:
             for q in range(self.start, self.order + 1)
         ]
         return _trimmed_series(self.pole_index, self.start, coeffs)
-
-    def match_leading(self, target: Vector):
-        """Parameters whose member has leading coefficient ``target``.
-
-        Returns None when the target is outside the span of attainable
-        leading coefficients.
-        """
-        lead = Matrix.from_columns(self.basis[self.start])
-        sol = solve_affine(lead, target)
-        if not sol.consistent:
-            return None
-        return sol.particular
 
 
 def exponent_window(sys: KZSystem, k: int) -> tuple[int, int]:

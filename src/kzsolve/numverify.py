@@ -322,14 +322,8 @@ class MonodromyResult:
     tol: float
 
 
-def monodromy(
-    sys: KZSystem,
-    k: int,
-    radius: float,
-    tol: float,
-    turns: int = 1,
-) -> MonodromyResult:
-    """Transport the n x n identity once (or more) around pole k.
+def monodromy(sys: KZSystem, k: int, radius: float, tol: float) -> MonodromyResult:
+    """Transport the n x n identity once around pole k.
 
     The loop is the counterclockwise circle of the given radius, based at
     its rightmost point. A closed loop maps any start Y0 to M Y0, so the
@@ -351,9 +345,9 @@ def monodromy(
     )
     if margin <= 0:
         raise ValueError("circle of this radius encloses or touches another pole")
-    path = Path.circle(zk, radius, turns=turns)
-    clearance = min(default_clearance(sys), radius, margin) * 0.999
-    _check_clearance(sys, path, clearance)
+    # the circle keeps distance radius from z_k and at least margin from every other
+    # pole, so unlike integrate's caller-supplied paths it needs no clearance check
+    path = Path.circle(zk, radius)
     identity = np.eye(sys.n, dtype=complex)
     transport, steps = _transport(sys, path, identity, tol)
     deviation = float(np.linalg.norm(transport - identity, ord="fro"))

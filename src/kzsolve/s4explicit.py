@@ -142,6 +142,10 @@ def y4(points) -> RationalVectorFunction:
     return RationalVectorFunction.simple(pts, res)
 
 
+# determinant probes independence_certificate tries before it reports failure
+_PROBES = 24
+
+
 @dataclass(frozen=True)
 class IndependenceCertificate:
     """Outcome of the exact determinant probe for column independence."""
@@ -153,9 +157,7 @@ class IndependenceCertificate:
 
 
 def independence_certificate(
-    points,
-    columns: tuple[RationalVectorFunction, ...] | None = None,
-    max_probes: int = 24,
+    points, columns: tuple[RationalVectorFunction, ...] | None = None
 ) -> IndependenceCertificate:
     """Certify functional independence by probing the column determinant.
 
@@ -172,7 +174,7 @@ def independence_certificate(
     start = 2 + max(int(p.abs_bound()) for p in pts)
     probe = det = None
     tried = 0
-    while tried < max_probes:
+    while tried < _PROBES:
         probe = GaussianRational(start + tried)
         tried += 1
         det = determinant(Matrix.from_columns([col.eval(probe) for col in columns]))

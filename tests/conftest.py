@@ -5,9 +5,12 @@ elimination code: determinants come from the Leibniz permutation
 expansion and ranks from exhaustive minor search, so they can vouch for
 the fast implementations. ``reference_rref`` is plain division-based
 Gauss-Jordan elimination on ``GaussianRational`` rows;
-``reference_nullspace`` and ``reference_solve_affine`` read their
-answers off it, and the library's multimodular ``nullspace`` and
-``solve_affine`` must return exactly the same vectors.
+``reference_nullspace`` reads its answer off it, and the library's
+multimodular ``nullspace`` must return exactly the same vectors.
+``reference_solve_affine`` reads Ax = b off the RREF of [A | b]: it
+vouches for the bordered kernel of [A | -b], the library's one affine
+read (``ansatz.in_span``), and supplies the parameters of series members
+with a prescribed leading coefficient.
 ``reference_char_poly`` is the dense Faddeev-LeVerrier trace recursion,
 built on ``matmul``, the dense product the library itself no longer
 has; it vouches for the arrowhead ``char_poly`` and feeds

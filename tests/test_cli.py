@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import reference_solve_affine
 from kzsolve import ansatz, frobenius, numverify, symrep
 from kzsolve.cli import (
     ANSATZ_MAX_UNKNOWNS,
@@ -20,7 +21,7 @@ from kzsolve.cli import (
     VERIFY_MAX_N,
     main,
 )
-from kzsolve.exactalg import Matrix, Vector, parse_scalar, solve_affine
+from kzsolve.exactalg import Matrix, Vector, parse_scalar
 from kzsolve.kzcore import new_system
 
 SYS_ARGS = ["--n", "4", "--rho", "-1", "--points", "0,1,2"]
@@ -121,6 +122,17 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", *SYS_ARGS, "--solution", f"file:{path}"])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "points", ["0,,1,2", ",0,1,2", "0,1,2,", "0, ,1,2"],
+        ids=["doubled", "leading", "trailing", "blank"],
+    )
+    def test_empty_point_item_exits_2(self, capsys, points):
+        code, out, err = run(
+            capsys, ["verify", "--n", "4", "--rho", "-1", "--points", points, "--solution", "y2"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_complex_points_parse(self, capsys):
         code, out, _ = run(
@@ -411,8 +423,10 @@ class TestSeries:
             for member in fam["basis_series"]
         ]
         target = Vector([parse_scalar(t) for t in ("1", "1", "-1", "-1")])
-        sol = solve_affine(Matrix.from_columns(cols), target)
-        assert sol.consistent
+        lead = Matrix.from_columns(cols)
+        consistent, params, _ = reference_solve_affine(lead, target)
+        assert consistent
+        assert lead * params == target
 
     def test_zero_leading_coefficient_exits_1(self, capsys, monkeypatch):
         zero = Vector.zero(4)

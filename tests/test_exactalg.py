@@ -38,7 +38,6 @@ from kzsolve.exactalg import (
     integer_eigenvalues,
     nullspace,
     parse_scalar,
-    solve_affine,
 )
 
 
@@ -245,13 +244,6 @@ def division_reference_cases():
 
 def strs(vectors):
     return [[str(a) for a in v] for v in vectors]
-
-
-def left_annihilates(y: Vector, A: Matrix) -> bool:
-    """yA = 0, one column of A at a time."""
-    return all(
-        Vector([A[i, j] for i in range(A.rows)]).dot(y).is_zero() for j in range(A.cols)
-    )
 
 
 class TestNullspace:
@@ -566,29 +558,36 @@ class TestIntegerEigenvalues:
         assert integer_eigenvalues([ONE, ZERO, -ONE], 1) == {1: 1, -1: 1}
 
 
+def bordered_read(A: Matrix, b: Vector):
+    """``(consistent, particular, kernel)`` of Ax = b, read as ``in_span`` reads it.
+
+    Ax = b is consistent iff -b's column of [A | -b] is free; then the RREF
+    kernel's last vector is (x, 1), and the others, cut to A's columns, are
+    A's kernel. Otherwise every kernel vector ends in 0.
+    """
+    kernel = nullspace(A.hstack(Matrix.from_columns([-b])))
+    if kernel and not kernel[-1][-1].is_zero():
+        assert kernel[-1][-1] == ONE
+        cut = [v.segment(0, A.cols) for v in kernel]
+        return True, cut[-1], cut[:-1]
+    assert all(v[-1].is_zero() for v in kernel)
+    return False, None, []
+
+
 class TestSolveAffine:
+    """Ax = b off the bordered kernel of [A | -b], the one affine read of the library."""
+
     def test_identity_solve(self):
-        sol = solve_affine(Matrix.identity(3), Vector.unit(3, 0))
-        assert sol.consistent
-        assert sol.particular == Vector.unit(3, 0)
-        assert sol.kernel == []
+        consistent, particular, kernel = bordered_read(Matrix.identity(3), Vector.unit(3, 0))
+        assert consistent
+        assert particular == Vector.unit(3, 0)
+        assert kernel == []
 
     def test_zero_zero(self):
-        sol = solve_affine(Matrix.zero(2, 2), Vector.zero(2))
-        assert sol.consistent
-        assert sol.particular == Vector.zero(2)
-        assert len(sol.kernel) == 2
-
-    def test_inconsistent_with_certificate(self):
-        A = Matrix.zero(2, 2)
-        b = Vector.unit(2, 0)
-        sol = solve_affine(A, b)
-        assert not sol.consistent
-        y = sol.certificate
-        assert y is not None
-        # y certifies: y*A = 0 while y*b != 0
-        assert all((Vector([A[i, j] for i in range(2)]).dot(y)).is_zero() for j in range(2))
-        assert not y.dot(b).is_zero()
+        consistent, particular, kernel = bordered_read(Matrix.zero(2, 2), Vector.zero(2))
+        assert consistent
+        assert particular == Vector.zero(2)
+        assert len(kernel) == 2
 
     def test_random_consistent_systems(self):
         rng = random.Random(106)
@@ -596,47 +595,21 @@ class TestSolveAffine:
             A = random_matrix(rng, 4)
             x = Vector([random_scalar(rng) for _ in range(4)])
             b = A * x
-            sol = solve_affine(A, b)
-            assert sol.consistent
-            assert (A * sol.particular - b).is_zero()
-            for v in sol.kernel:
+            consistent, particular, kernel = bordered_read(A, b)
+            assert consistent
+            assert (A * particular - b).is_zero()
+            for v in kernel:
                 assert (A * v).is_zero()
 
     def test_matches_division_reference(self):
         for A, b in division_reference_cases():
             if b is None:
                 continue
-            sol = solve_affine(A, b)
+            read = bordered_read(A, b)
             consistent, particular, kernel = reference_solve_affine(A, b)
-            assert sol.consistent == consistent
-            assert str(sol.particular) == str(particular)
-            assert strs(sol.kernel) == strs(kernel)
-            if not consistent:
-                assert left_annihilates(sol.certificate, A)
-                assert not sol.certificate.dot(b).is_zero()
-
-    def test_random_inconsistent_certificates(self):
-        # A of rank k < rows (a product through k, or zero) and a generic b
-        rng = random.Random(114)
-        inconsistent = 0
-        for _ in range(60):
-            rows, cols = rng.randint(2, 7), rng.randint(1, 7)
-            k = rng.randint(0, min(rows - 1, cols))
-            if k:
-                A = matmul(
-                    Matrix(sparse_rows(rng, rows, k, 0.3)), Matrix(sparse_rows(rng, k, cols, 0.3))
-                )
-            else:
-                A = Matrix.zero(rows, cols)
-            b = Vector([random_scalar(rng) for _ in range(rows)])
-            sol = solve_affine(A, b)
-            if sol.consistent:
-                assert (A * sol.particular - b).is_zero()
-                continue
-            inconsistent += 1
-            assert left_annihilates(sol.certificate, A)
-            assert not sol.certificate.dot(b).is_zero()
-        assert inconsistent >= 50
+            assert read[0] == consistent
+            assert str(read[1]) == str(particular)
+            assert strs(read[2]) == strs(kernel)
 
     def test_consistency_matches_sympy(self):
         # consistent iff rank A == rank [A | b]
@@ -659,7 +632,7 @@ class TestSolveAffine:
                 b = Vector([random_scalar(rng, span=3) for _ in range(rows)])
             augmented = [list(row) + [bi] for row, bi in zip(A.data, b)]
             expected = sympy_rank(A.data) == sympy_rank(augmented)
-            assert solve_affine(A, b).consistent == expected
+            assert bordered_read(A, b)[0] == expected
             seen.add(expected)
         assert seen == {True, False}
 
@@ -679,6 +652,6 @@ class TestSolveAffine:
         monkeypatch.setattr(exactalg, "_rref_mod", corrupt_free_column)
         counted_images(monkeypatch)
         with pytest.raises(ArithmeticError):
-            solve_affine(Matrix([[1, 1], [1, 1]]), Vector([2, 2]))
+            bordered_read(Matrix([[1, 1], [1, 1]]), Vector([2, 2]))
         with pytest.raises(ArithmeticError):
             nullspace(Matrix([[1, 1], [1, 1]]))

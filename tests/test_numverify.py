@@ -170,9 +170,10 @@ class TestMonodromy:
 
     def test_double_loop_is_square(self):
         sys = canon_sys()
-        one = monodromy(sys, 2, 0.4, 1e-12, turns=1)
-        two = monodromy(sys, 2, 0.4, 1e-12, turns=2)
-        assert np.linalg.norm(two.transport - one.transport @ one.transport) < 1e-8
+        one = monodromy(sys, 2, 0.4, 1e-12).transport
+        z2 = sys.points[1].to_complex()
+        two = integrate(sys, Path.circle(z2, 0.4, turns=2), np.eye(4, dtype=complex), 1e-12)
+        assert np.linalg.norm(two - one @ one) < 1e-8
 
     def test_radius_enclosing_other_pole(self):
         sys = canon_sys()

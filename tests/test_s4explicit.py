@@ -250,10 +250,10 @@ class TestFundamentalMatrix:
 class TestIndependenceCertificate:
     def test_repeated_column_never_certifies(self):
         cols = (y1(CANON), y1(CANON), y3(CANON), y4(CANON))
-        cert = independence_certificate(CANON, cols, max_probes=6)
+        cert = independence_certificate(CANON, cols)
         assert not cert.ok
         assert cert.det.is_zero()
-        assert cert.probes_tried == 6
+        assert cert.probes_tried == 24
 
     def test_midpoint_configuration_degenerates(self):
         """At 2*z2 = z1 + z3 the fourth column is a multiple of the third,

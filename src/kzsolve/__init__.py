@@ -29,9 +29,7 @@ from .ansatz import (
     solve_ansatz,
 )
 from .s4explicit import (
-    FundamentalSolution,
     IndependenceCertificate,
-    fundamental_matrix,
     independence_certificate,
     y1,
     y2,
@@ -72,9 +70,7 @@ __all__ = [
     "in_span",
     "residual",
     "solve_ansatz",
-    "FundamentalSolution",
     "IndependenceCertificate",
-    "fundamental_matrix",
     "independence_certificate",
     "y1",
     "y2",

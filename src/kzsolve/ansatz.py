@@ -76,11 +76,6 @@ class RationalVectorFunction:
             poly_coeffs=poly,
         )
 
-    @classmethod
-    def zero(cls, points, n: int):
-        pts = tuple(GaussianRational.coerce(p) for p in points)
-        return cls(dim=n, points=pts, pole_coeffs=((),) * len(pts), poly_coeffs=())
-
     # -- shape accessors ----------------------------------------------------
 
     @property
@@ -187,37 +182,6 @@ class RationalVectorFunction:
             ),
             poly_coeffs=tuple(v.scale(s) for v in self.poly_coeffs),
         )
-
-    def __rmul__(self, s):
-        return self.scale(s)
-
-    def __add__(self, other: "RationalVectorFunction") -> "RationalVectorFunction":
-        if self.points != other.points or self.dim != other.dim:
-            raise ValueError("functions live on different pole sets")
-        new_poles = []
-        for g1, g2 in zip(self.pole_coeffs, other.pole_coeffs):
-            depth = max(len(g1), len(g2))
-            merged = []
-            for r in range(depth):
-                a = g1[r] if r < len(g1) else Vector.zero(self.dim)
-                b = g2[r] if r < len(g2) else Vector.zero(self.dim)
-                merged.append(a + b)
-            new_poles.append(tuple(merged))
-        depth = max(len(self.poly_coeffs), len(other.poly_coeffs))
-        poly = []
-        for d in range(depth):
-            a = self.poly_coeffs[d] if d < len(self.poly_coeffs) else Vector.zero(self.dim)
-            b = other.poly_coeffs[d] if d < len(other.poly_coeffs) else Vector.zero(self.dim)
-            poly.append(a + b)
-        return RationalVectorFunction(
-            dim=self.dim,
-            points=self.points,
-            pole_coeffs=tuple(new_poles),
-            poly_coeffs=tuple(poly),
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,11 @@ def _residual_checks(sys_: KZSystem, label: str, fn, count: int) -> list[dict]:
     return checks
 
 
+def _sample_count(sys_: KZSystem, fn) -> int:
+    """s(p + 1) + max(d, 0): the residual samples that pin down a function of fn's shape."""
+    return sys_.s * (fn.pole_order + 1) + max(fn.poly_degree, 0)
+
+
 def cmd_verify(args) -> dict:
     _refuse_over_cap("--n", args.n, VERIFY_MAX_N)
     sys_ = _build_system(args)
@@ -244,7 +249,12 @@ def cmd_verify(args) -> dict:
             raise ValueError(f"cannot read solution file: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"solution file is not valid JSON: {exc}") from exc
-        targets.append((path, _solution_from_json(data, sys_)))
+        fn = _solution_from_json(data, sys_)
+        # no more residual samples than a simple-pole, affine solution needs at the --n cap
+        _refuse_over_cap(
+            "solution file's sample count", _sample_count(sys_, fn), 2 * (VERIFY_MAX_N - 1) + 1
+        )
+        targets.append((path, fn))
     else:
         raise ValueError(f"unknown solution selector {selector!r}")
 
@@ -254,10 +264,7 @@ def cmd_verify(args) -> dict:
         simple_shape = fn.pole_order <= 1 and fn.poly_degree <= 1
         if sys_.rho == -1 and simple_shape:
             checks.extend(_condition_checks(sys_, label, fn))
-        count = max(
-            full_count,
-            sys_.s * (fn.pole_order + 1) + max(fn.poly_degree, 0),
-        )
+        count = max(full_count, _sample_count(sys_, fn))
         checks.extend(_residual_checks(sys_, label, fn, count))
     return _report("verify", checks)
 

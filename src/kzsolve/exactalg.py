@@ -364,19 +364,6 @@ class Vector:
             im = [sr * y for y in self.im]
         return Vector.from_parts(re, im, sd * self.den)
 
-    def __rmul__(self, s):
-        return self.scale(s)
-
-    def dot(self, other: "Vector") -> GaussianRational:
-        """Bilinear dot product (no conjugation)."""
-        if len(self.re) != len(other.re):
-            raise ValueError("vector dimension mismatch")
-        sr = si = 0
-        for x, y, u, v in zip(self.re, self.im, other.re, other.im):
-            sr += x * u - y * v
-            si += x * v + y * u
-        return _entry(sr, si, self.den * other.den)
-
     def is_zero(self) -> bool:
         return not (any(self.re) or any(self.im))
 
@@ -505,15 +492,9 @@ class Matrix:
         self._check_same_shape(other)
         return Matrix(a - b for a, b in zip(self._vecs, other._vecs))
 
-    def __neg__(self):
-        return Matrix(-a for a in self._vecs)
-
     def scale(self, s: ScalarLike) -> "Matrix":
         s = GaussianRational.coerce(s)
         return Matrix(a.scale(s) for a in self._vecs)
-
-    def __rmul__(self, s):
-        return self.scale(s)
 
     def __mul__(self, other):
         if isinstance(other, Vector):
@@ -540,16 +521,10 @@ class Matrix:
             )
         return self.scale(other)
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self._vecs)
-
     def __eq__(self, other):
         if isinstance(other, Matrix):
             return self._vecs == other._vecs
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self._vecs)
 
     def _check_same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:

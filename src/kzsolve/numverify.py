@@ -105,10 +105,6 @@ class Path:
             (CircularArc(center, radius, 0.0, 2 * math.pi * turns),)
         )
 
-    @property
-    def length(self) -> float:
-        return sum(seg.length for seg in self.segments)
-
     def min_distance_to(self, p: complex) -> float:
         if not self.segments:
             return math.inf

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .ansatz import RationalVectorFunction
-from .exactalg import GaussianRational, Matrix, ScalarLike, Vector, _parts, determinant
+from .exactalg import GaussianRational, Matrix, Vector, _parts, determinant
 
 # a Gaussian integer x + y*i as (x, y)
 Gauss = tuple[int, int]
@@ -181,40 +181,3 @@ def independence_certificate(
         if not det.is_zero():
             return IndependenceCertificate(ok=True, probe=probe, det=det, probes_tried=tried)
     return IndependenceCertificate(ok=False, probe=probe, det=det, probes_tried=tried)
-
-
-@dataclass(frozen=True)
-class FundamentalSolution:
-    """The four explicit columns, optional mixing constants, certificate."""
-
-    columns: tuple[RationalVectorFunction, ...]
-    constants: tuple[GaussianRational, ...] | None
-    combined: RationalVectorFunction | None
-    certificate: IndependenceCertificate
-
-    def eval_matrix(self, z: ScalarLike) -> Matrix:
-        return Matrix.from_columns([col.eval(z) for col in self.columns])
-
-
-def fundamental_matrix(points, constants=None) -> FundamentalSolution:
-    """Bundle the four explicit solutions into a candidate fundamental matrix.
-
-    When mixing constants are supplied the corresponding combination is
-    exposed as well. The attached certificate records whether the columns
-    are actually independent at this configuration.
-    """
-    pts = _three_points(points)
-    cols = (y1(pts), y2(pts), y3(pts), y4(pts))
-    cert = independence_certificate(pts, cols)
-    combined = None
-    consts = None
-    if constants is not None:
-        consts = tuple(GaussianRational.coerce(c) for c in constants)
-        if len(consts) != 4:
-            raise ValueError("need exactly four mixing constants")
-        combined = RationalVectorFunction.zero(pts, 4)
-        for c, col in zip(consts, cols):
-            combined = combined + col.scale(c)
-    return FundamentalSolution(
-        columns=cols, constants=consts, combined=combined, certificate=cert
-    )

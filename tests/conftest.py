@@ -30,6 +30,9 @@ families off the recursion's parameter bookkeeping.
 n = 4 columns from ``GaussianRational`` quotients of the pole differences,
 as the library did before each column computed its own coefficients from
 the int parts of those differences.
+``zero_function`` and ``combine_functions`` build the zero function and
+linear combinations of ``RationalVectorFunction``s coefficient by
+coefficient, for tests that need sums the library never forms.
 ``transposition_matrix``, ``star_generators``, ``star_sum`` and
 ``t_matrix`` are the dense permutation matrices the library never builds:
 it carries every residue sum as star weights. ``star_sum`` adds up
@@ -373,6 +376,42 @@ def reference_s4_columns(points) -> tuple[RationalVectorFunction, ...]:
         (Vector([0, 0, 1, a]).scale(a1), Vector([0, b, 0, c]).scale(a2), Vector([0, d, e, 0]).scale(a3)),
     )
     return col1, col2, col3, col4
+
+
+def zero_function(points, n: int) -> RationalVectorFunction:
+    """The zero function of dimension n on the poles ``points``: no coefficients at all."""
+    pts = tuple(GaussianRational.coerce(p) for p in points)
+    return RationalVectorFunction(dim=n, points=pts, pole_coeffs=((),) * len(pts), poly_coeffs=())
+
+
+def combine_functions(terms) -> RationalVectorFunction:
+    """sum_j s_j f_j over (s_j, f_j) in ``terms``, all on the same poles and dimension.
+
+    Each coefficient of the result is one ``linear_combination`` of the
+    matching coefficients, in the widest shape any term has: a term
+    without a given coefficient contributes zero to it.
+    """
+    terms = list(terms)
+    first = terms[0][1]
+    if any(fn.points != first.points or fn.dim != first.dim for _, fn in terms):
+        raise ValueError("functions live on different pole sets")
+    n = first.dim
+
+    def combined(groups):
+        depth = max(len(g) for g in groups)
+        return tuple(
+            linear_combination(((s, g[r]) for (s, _), g in zip(terms, groups) if r < len(g)), n)
+            for r in range(depth)
+        )
+
+    return RationalVectorFunction(
+        dim=n,
+        points=first.points,
+        pole_coeffs=tuple(
+            combined([fn.pole_coeffs[k] for _, fn in terms]) for k in range(len(first.points))
+        ),
+        poly_coeffs=combined([fn.poly_coeffs for _, fn in terms]),
+    )
 
 
 def transposition_matrix(n: int, i: int, j: int) -> Matrix:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    combine_functions,
     entries_str,
     random_points,
     random_scalar,
@@ -13,6 +14,7 @@ from conftest import (
     reference_scale,
     reference_sub,
     star_generators,
+    zero_function,
 )
 from kzsolve import ansatz
 from kzsolve.ansatz import (
@@ -105,7 +107,7 @@ class TestCheckConditions:
 
     def test_zero_function_passes(self):
         sys = canon_sys()
-        rep = check_conditions(sys, RationalVectorFunction.zero(sys.points, 4))
+        rep = check_conditions(sys, zero_function(sys.points, 4))
         assert rep.passed
 
     def test_single_entry_residue_fails(self):
@@ -147,7 +149,7 @@ class TestResidual:
 
     def test_at_pole_raises(self):
         sys = canon_sys()
-        for fn in (y2(CANON), RationalVectorFunction.zero(sys.points, 4)):
+        for fn in (y2(CANON), zero_function(sys.points, 4)):
             for zk in sys.points:
                 with pytest.raises(ValueError):
                     residual(sys, fn, zk)
@@ -389,15 +391,15 @@ class TestInSpan:
     def test_verdicts(self):
         sys = canon_sys()
         basis = solve_ansatz(sys)
-        zero = RationalVectorFunction.zero(sys.points, 4)
+        zero = zero_function(sys.points, 4)
         assert in_span(basis, zero)
-        assert in_span(basis, y1(CANON).scale(3) - y2(CANON))
+        assert in_span(basis, combine_functions([(3, y1(CANON)), (-1, y2(CANON))]))
         assert not in_span(basis[:3], basis[3])
         assert not in_span([], y1(CANON))
         bumped = RationalVectorFunction.simple(
             sys.points, (Vector([1, 0, 0, 0]), Vector.zero(4), Vector.zero(4))
         )
-        assert not in_span(basis, y1(CANON) + bumped)
+        assert not in_span(basis, combine_functions([(1, y1(CANON)), (1, bumped)]))
         # a shape larger than the basis': the deeper blocks are zero columns
         assert in_span(basis, y4(CANON), pole_order=2, poly_degree=3)
 
@@ -456,6 +458,6 @@ class TestEquivalenceProperties:
 
     def test_sum_of_passing_passes(self):
         sys = canon_sys()
-        combo = y1(CANON) + y4(CANON)
+        combo = combine_functions([(1, y1(CANON)), (1, y4(CANON))])
         assert check_conditions(sys, combo).passed
         assert residual(sys, combo, 9).is_zero()

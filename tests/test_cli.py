@@ -336,6 +336,51 @@ class TestCaps:
         assert json.loads(out)["overall"] == "pass"
 
 
+# a simple-pole, affine solution at the --n cap: s(p + 1) + d = 2 (VERIFY_MAX_N - 1) + 1
+VERIFY_MAX_SAMPLES = 2 * (VERIFY_MAX_N - 1) + 1
+
+
+def shaped_file(path: Path, pole_order: int, degree: int) -> Path:
+    """A solution file for SYS_ARGS: e_1 at every pole order at pole 1, and e_1 z^degree."""
+    e1 = ["1", "0", "0", "0"]
+    path.write_text(json.dumps({
+        "n": 4, "rho": -1, "points": ["0", "1", "2"],
+        "pole_coefficients": [[e1] * pole_order, [], []],
+        "poly_coefficients": [["0"] * 4] * degree + [e1],
+    }))
+    return path
+
+
+class TestVerifyFileShape:
+    """A solution file whose shape needs more residual samples than the cap is refused."""
+
+    @pytest.mark.parametrize(
+        "pole_order, degree", [(0, 125), (41, 2), (0, 1600)], ids=["degree", "pole-order", "d1600"]
+    )
+    def test_over_bound_refused_before_any_residual(
+        self, capsys, monkeypatch, tmp_path, pole_order, degree
+    ):
+        def reached(*args, **kwargs):
+            raise AssertionError("residual reached")
+
+        monkeypatch.setattr(ansatz, "residual", reached)
+        path = shaped_file(tmp_path / "w.json", pole_order, degree)
+        code, out, err = run(capsys, ["verify", *SYS_ARGS, "--solution", f"file:{path}"])
+        assert (code, out) == (2, "")
+        count = 3 * (pole_order + 1) + degree
+        assert f"sample count {count} exceeds the cap {VERIFY_MAX_SAMPLES}" in err
+
+    @pytest.mark.parametrize("pole_order, degree", [(0, 124), (41, 1)], ids=["degree", "pole-order"])
+    def test_at_bound_runs(self, capsys, tmp_path, pole_order, degree):
+        path = shaped_file(tmp_path / "w.json", pole_order, degree)
+        code, out, err = run(capsys, ["verify", *SYS_ARGS, "--solution", f"file:{path}"])
+        # e_1 z^d is no solution: the report is complete and fails
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["checks"]
+        assert len(checks) == VERIFY_MAX_SAMPLES
+        assert all("residual" in c["name"] for c in checks)
+
+
 GAUSS_ARGS = ["--n", "4", "--rho", "-2", "--points", "(0,1),1,(2,-1)"]
 
 # Not a solution: Gaussian entries, an empty pole group, a pole of order 2 and a

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import star_generators
+from conftest import star_generators, zero_function
 from kzsolve import numverify
 from kzsolve.ansatz import RationalVectorFunction
 from kzsolve.exactalg import GaussianRational, Vector
@@ -211,7 +211,7 @@ class TestResidualScan:
 
     def test_zero_function_is_exactly_zero(self):
         sys = canon_sys()
-        fn = RationalVectorFunction.zero(sys.points, 4)
+        fn = zero_function(sys.points, 4)
         assert residual_scan(sys, fn, 32) == 0.0
 
 

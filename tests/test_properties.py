@@ -59,3 +59,12 @@ def test_vector_round_trip(entries):
     assert hash(Vector(v.data)) == hash(v)
     assert list(v) == entries
     assert str(v) == "[" + ", ".join(str(a) for a in entries) + "]"
+
+
+@deterministic
+@given(rationals, scalars)
+def test_reflected_subtraction_and_division(a, g):
+    # an int or Fraction on the left leaves the operator to the Gaussian rational
+    assert a - g == GaussianRational(a) - g
+    if not g.is_zero():
+        assert a / g == GaussianRational(a) / g

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     S4Coefficients,
+    combine_functions,
     generic_points,
     leibniz_det,
     random_points,
@@ -17,7 +18,6 @@ from kzsolve.ansatz import check_conditions, in_span, residual, solve_ansatz
 from kzsolve.exactalg import GaussianRational, Matrix, Vector
 from kzsolve.kzcore import new_system
 from kzsolve.s4explicit import (
-    fundamental_matrix,
     independence_certificate,
     y1,
     y2,
@@ -203,32 +203,22 @@ def _safe_probe(pts):
 
 
 class TestFundamentalMatrix:
-    def test_columns_reproduced_by_unit_constants(self):
-        for i, build in enumerate((y1, y2, y3, y4)):
-            consts = [0] * 4
-            consts[i] = 1
-            fund = fundamental_matrix(CANON, consts)
-            want = build(CANON)
-            got = fund.combined
-            probe = GaussianRational(6)
-            assert got.eval(probe) == want.eval(probe)
-            assert got.eval(GaussianRational(11)) == want.eval(GaussianRational(11))
-
     def test_generic_configuration_certifies(self):
-        fund = fundamental_matrix([1, 3, 7])
-        assert fund.certificate.ok
-        assert not fund.certificate.det.is_zero()
+        pts = [1, 3, 7]
+        cert = independence_certificate(pts)
+        assert cert.ok
+        assert not cert.det.is_zero()
         # cross-check the probe determinant with the Leibniz oracle
-        M = fund.eval_matrix(fund.certificate.probe)
-        assert leibniz_det(M) == fund.certificate.det
+        M = Matrix.from_columns([build(pts).eval(cert.probe) for build in (y1, y2, y3, y4)])
+        assert leibniz_det(M) == cert.det
 
     def test_combined_random_constants_solves(self):
         rng = random.Random(505)
         pts = generic_points(rng)
         sys = new_system(4, -1, pts)
         consts = [random_scalar(rng) for _ in range(4)]
-        fund = fundamental_matrix(pts, consts)
-        assert residual(sys, fund.combined, _safe_probe(pts)).is_zero()
+        combined = combine_functions(zip(consts, (y1(pts), y2(pts), y3(pts), y4(pts))))
+        assert residual(sys, combined, _safe_probe(pts)).is_zero()
 
     def test_random_generic_configurations_certify(self):
         rng = random.Random(506)

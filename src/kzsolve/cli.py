@@ -30,8 +30,9 @@ from .kzcore import KZSystem, new_system
 from .s4explicit import y1, y2, y3, y4
 
 
-# Largest --n of ``kz eigen``: t_spectrum(n) is O(n^2) exact operations, measured 0.08 s at
-# n = 64, 0.27 s at 128 and 0.91 s at 256 (2-core machine, Python 3.11), ~3.4x per doubling.
+# Largest --n of ``kz eigen``: t_spectrum(n) is O(n^2) exact operations. ``kz eigen`` wall
+# time over six runs: 0.25-0.3 s at n = 64 and 1.35-1.8 s at 256 (2-core machine, Python
+# 3.11; it drifts with the host's load).
 EIGEN_MAX_N = 256
 
 # Largest --order of ``kz series``. Only the orders t = -rho and t = rho run an
@@ -76,25 +77,32 @@ MONODROMY_MAX_N = 64
 MONODROMY_MAX_DEVIATION = 1e-8
 
 
-def _refuse_unresolvable_monodromy(tol: float, radius: float, rho: int) -> None:
+def _refuse_unresolvable_monodromy(sys_: KZSystem, pole: int, radius: float, tol: float) -> None:
     """Refuse a loop whose float transport cannot resolve the deviation bound.
 
-    The local solutions at a pole grow like (z - z_k)^(+-rho), so the transported
-    identity spans a range of about radius^(-2|rho|), and the integrator's relative
-    error tol is amplified by that range. At radius 0.4 and tol 1e-12 that floor
-    reaches 1e-8 from |rho| = 6 on; at |rho| = 10 the deviation measured 1.1e-5 where
-    the monodromy is the identity, a "fail" that says nothing of the monodromy. A
-    tolerance no finer than the bound is the caller's own choice and is judged as it
-    is; an unusable tolerance or radius is refused by the transport.
+    Near a pole z_j the local solutions grow like (z - z_j)^(+-rho), so the transported
+    identity spans about d^(-2|rho|), d the loop's least distance to a pole: radius from
+    its own, margin (:func:`numverify.loop_margin`) from the nearest other. That range
+    amplifies the integrator's relative error tol. Where the floor reaches the bound, a
+    "fail" says nothing of the monodromy: with tol 1e-12 the deviation measured 1.1e-5
+    at radius 0.4 and |rho| = 10, and 3.5e-4 at radius 0.9 (margin 0.1) and rho = 3,
+    where the monodromy is the identity. A tolerance no finer than the bound is judged
+    as it is; an unusable tolerance, radius or pole is refused by the transport.
     """
     if not (0 < tol < MONODROMY_MAX_DEVIATION and radius > 0):
         return
-    # compared in logs: radius^(-2|rho|) overflows a float at large |rho|
-    if math.log(tol) - 2 * abs(rho) * math.log(radius) >= math.log(MONODROMY_MAX_DEVIATION):
+    margin = numverify.loop_margin(sys_, pole, radius)
+    if margin <= 0:
+        return
+    rho = sys_.rho
+    # compared in logs: d^(-2|rho|) overflows a float at large |rho|
+    floor = math.log(tol) - 2 * abs(rho) * math.log(min(radius, margin))
+    if floor >= math.log(MONODROMY_MAX_DEVIATION):
         raise ValueError(
-            f"--rho {rho} at --radius {radius}: the float transport's error floor "
-            f"tol * radius^(-2|rho|) must be below the deviation bound "
-            f"{MONODROMY_MAX_DEVIATION:.0e}; use a larger radius or a finer --tol"
+            f"--rho {rho} at --radius {radius}, {margin:.3g} from the nearest other pole: "
+            f"the float transport's error floor tol * min(radius, margin)^(-2|rho|) must be "
+            f"below the deviation bound {MONODROMY_MAX_DEVIATION:.0e}; use another radius "
+            f"or a finer --tol"
         )
 
 
@@ -323,8 +331,8 @@ def cmd_series(args) -> dict:
 
 def cmd_monodromy(args) -> dict:
     _refuse_over_cap("--n", args.n, MONODROMY_MAX_N)
-    _refuse_unresolvable_monodromy(args.tol, args.radius, args.rho)
     sys_ = _build_system(args)
+    _refuse_unresolvable_monodromy(sys_, args.pole, args.radius, args.tol)
     t0 = time.perf_counter()
     result = numverify.monodromy(sys_, args.pole, args.radius, args.tol)
     elapsed = (time.perf_counter() - t0) * 1000.0

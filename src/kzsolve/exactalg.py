@@ -9,8 +9,9 @@ module.
 A ``Vector`` does not hold scalars: it stores the int real and imaginary
 parts of its entries over one shared positive denominator, in lowest
 terms, so vector arithmetic is int loops with one gcd per result and no
-per-entry ``Fraction``. A ``Matrix`` is a tuple of row vectors. Both hand
-out ``GaussianRational`` entries when read. :func:`linear_combination`
+per-entry ``Fraction``; it hands out ``GaussianRational`` entries when
+read. A ``Matrix`` is elimination input, a tuple of row vectors built from
+rows or columns, and multiplies only a ``Vector``. :func:`linear_combination`
 lifts its scalars to int parts for ``_combine``, the one combining loop;
 callers that already hold int parts, such as the partial-fraction powers
 of :mod:`kzsolve.ansatz`, call ``_combine`` directly.
@@ -20,9 +21,9 @@ modulo word-size primes, reconstructs the rational kernel by Chinese
 remaindering and Wang's rational reconstruction, and returns it only once
 an exact certificate proves it is M's RREF kernel. :func:`determinant` is a
 forward fraction-free (Bareiss) elimination over the Gaussian integers.
-A ``Matrix`` multiplies vectors and scalars, never another matrix: the one
-spectrum needed is that of an arrowhead, whose characteristic polynomial
-:func:`char_poly` expands from the head, diagonal and border alone.
+No matrix product is needed: the one spectrum needed is that of an
+arrowhead, whose characteristic polynomial :func:`char_poly` expands from
+the head, diagonal and border alone.
 """
 
 from __future__ import annotations
@@ -425,7 +426,8 @@ def _combine(terms: Iterable[tuple[int, int, int, Vector]], dim: int) -> Vector:
 
 
 class Matrix:
-    """Dense exact matrix, stored as its row vectors."""
+    """Dense exact elimination input, stored as its row vectors; its one
+    product, with a ``Vector``, certifies :func:`nullspace`'s kernel."""
 
     __slots__ = ("rows", "cols", "_vecs")
 
@@ -444,14 +446,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([Vector.unit(n, i) for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([Vector.zero(cols)] * rows)
-
-    @staticmethod
     def from_columns(columns: Sequence[Vector]) -> "Matrix":
         if not columns:
             raise ValueError("need at least one column")
@@ -467,76 +461,37 @@ class Matrix:
             for i in range(n)
         )
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        """[self | other], row by row."""
-        if self.rows != other.rows:
-            raise ValueError("matrix shape mismatch")
-        return Matrix(Vector.concat((a, b)) for a, b in zip(self._vecs, other._vecs))
-
-    @property
-    def data(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        return tuple(v.data for v in self._vecs)
-
-    def row(self, i: int) -> Vector:
-        return self._vecs[i]
-
-    def __getitem__(self, key):
-        i, j = key
-        return self._vecs[i][j]
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(a + b for a, b in zip(self._vecs, other._vecs))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(a - b for a, b in zip(self._vecs, other._vecs))
-
-    def scale(self, s: ScalarLike) -> "Matrix":
-        s = GaussianRational.coerce(s)
-        return Matrix(a.scale(s) for a in self._vecs)
-
     def __mul__(self, other):
-        if isinstance(other, Vector):
-            if self.cols != other.dim:
-                raise ValueError("matrix/vector shape mismatch")
-            # only products of two nonzero entries: assembled systems and
-            # kernel vectors are mostly exact zeros
-            support = [(j, u, v) for j, (u, v) in enumerate(zip(other.re, other.im)) if u or v]
-            sums = []
-            for row in self._vecs:
-                xr, xi = row.re, row.im
-                sr = si = 0
-                for j, u, v in support:
-                    x, y = xr[j], xi[j]
-                    if x or y:
-                        sr += x * u - y * v
-                        si += x * v + y * u
-                sums.append((sr, si, row.den))
-            den = lcm(*(d for _, _, d in sums))
-            return Vector.from_parts(
-                [sr * (den // d) for sr, _, d in sums],
-                [si * (den // d) for _, si, d in sums],
-                den * other.den,
-            )
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if isinstance(other, Matrix):
-            return self._vecs == other._vecs
-        return NotImplemented
-
-    def _check_same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape mismatch")
+        if not isinstance(other, Vector):
+            return NotImplemented
+        if self.cols != other.dim:
+            raise ValueError("matrix/vector shape mismatch")
+        # only products of two nonzero entries: assembled systems and
+        # kernel vectors are mostly exact zeros
+        support = [(j, u, v) for j, (u, v) in enumerate(zip(other.re, other.im)) if u or v]
+        sums = []
+        for row in self._vecs:
+            xr, xi = row.re, row.im
+            sr = si = 0
+            for j, u, v in support:
+                x, y = xr[j], xi[j]
+                if x or y:
+                    sr += x * u - y * v
+                    si += x * v + y * u
+            sums.append((sr, si, row.den))
+        den = lcm(*(d for _, _, d in sums))
+        return Vector.from_parts(
+            [sr * (den // d) for sr, _, d in sums],
+            [si * (den // d) for _, si, d in sums],
+            den * other.den,
+        )
 
     def __str__(self):
-        return "[" + "; ".join(
-            ", ".join(str(a) for a in row) for row in self.data
-        ) + "]"
+        return "[" + "; ".join(", ".join(str(a) for a in v) for v in self._vecs) + "]"
 
     def __repr__(self):
         return f"Matrix({self})"
+
 
 # -- elimination ------------------------------------------------------------
 

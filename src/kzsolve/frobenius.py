@@ -15,8 +15,8 @@ Since P_k^2 = I, tI - a(-1) is invertible off the resonances t = +-rho,
 with inverse (tI + a(-1)) / (t^2 - rho^2): there every parameter carries on
 and x = R's column times that inverse, with no elimination. At t = +-rho,
 one certified nullspace of the bordered matrix [tI - a(-1) | -R], whose
-rows :func:`kzsolve.symrep.star_rows` writes from a(-1)'s weights, gives
-every (x, c) with [tI - a(-1)] x = R c.
+first n columns are the rows :func:`kzsolve.symrep.star_rows` writes from
+a(-1)'s weights, gives every (x, c) with [tI - a(-1)] x = R c.
 Vectors with c != 0 are the parameter combinations that continue (the
 others die at the resonance); vectors with c = 0 are fresh kernel
 freedoms, where new families start. The module returns the full solution
@@ -151,8 +151,9 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
                 for r in rhs
             ]
             continue
-        L = Matrix(star_rows([(0, t, -loc.minus_one)], n, n))
-        bordered = L.hstack(Matrix.from_columns([-col for col in rhs])) if rhs else L
+        # tI - a(-1) is symmetric, so the rows star_rows writes are also its columns
+        L = star_rows([(0, t, -loc.minus_one)], n, n)
+        bordered = Matrix.from_columns([*L, *(-col for col in rhs)])
         carried, fresh = [], []
         for v in nullspace(bordered):
             (fresh if v.segment(n, v.dim).is_zero() else carried).append(v)

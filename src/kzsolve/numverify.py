@@ -318,6 +318,17 @@ class MonodromyResult:
     tol: float
 
 
+def loop_margin(sys: KZSystem, k: int, radius: float) -> float:
+    """Distance from the circle of this radius about pole k to the nearest other pole.
+
+    Not positive when the circle encloses or touches another pole.
+    """
+    if not (1 <= k <= sys.s):
+        raise ValueError(f"pole index {k} out of range 1..{sys.s}")
+    zk = sys.points[k - 1].to_complex()
+    return min(abs(z.to_complex() - zk) for j, z in enumerate(sys.points) if j != k - 1) - radius
+
+
 def monodromy(sys: KZSystem, k: int, radius: float, tol: float) -> MonodromyResult:
     """Transport the n x n identity once around pole k.
 
@@ -328,22 +339,15 @@ def monodromy(sys: KZSystem, k: int, radius: float, tol: float) -> MonodromyResu
     """
     import numpy as np
 
-    if not (1 <= k <= sys.s):
-        raise ValueError(f"pole index {k} out of range 1..{sys.s}")
+    margin = loop_margin(sys, k, radius)
     if not radius > 0:  # NaN included
         raise ValueError("radius must be positive")
     _check_tolerance(tol)
-    zk = sys.points[k - 1].to_complex()
-    margin = min(
-        abs(sys.points[j].to_complex() - zk) - radius
-        for j in range(sys.s)
-        if j != k - 1
-    )
     if margin <= 0:
         raise ValueError("circle of this radius encloses or touches another pole")
     # the circle keeps distance radius from z_k and at least margin from every other
     # pole, so unlike integrate's caller-supplied paths it needs no clearance check
-    path = Path.circle(zk, radius)
+    path = Path.circle(sys.points[k - 1].to_complex(), radius)
     identity = np.eye(sys.n, dtype=complex)
     transport, steps = _transport(sys, path, identity, tol)
     deviation = float(np.linalg.norm(transport - identity, ord="fro"))

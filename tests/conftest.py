@@ -1,10 +1,14 @@
 """Shared independent oracles and random-input helpers for the test suite.
 
-The determinant and rank oracles deliberately avoid the library's
-elimination code: determinants come from the Leibniz permutation
-expansion and ranks from exhaustive minor search, so they can vouch for
-the fast implementations. ``reference_rref`` is plain division-based
-Gauss-Jordan elimination on ``GaussianRational`` rows;
+Dense matrices here are lists of ``GaussianRational`` rows, combined by
+``dense_combination``, ``matmul`` and the ``reference_*`` list operations,
+so no dense oracle shares an int-part loop with the library; a
+``Matrix`` is built only to hand input to ``nullspace`` or
+``determinant``. The determinant and rank oracles deliberately avoid the
+library's elimination code: determinants come from the Leibniz
+permutation expansion and ranks from exhaustive minor search, so they can
+vouch for the fast implementations. ``reference_rref`` is plain
+division-based Gauss-Jordan elimination on ``GaussianRational`` rows;
 ``reference_nullspace`` reads its answer off it, and the library's
 multimodular ``nullspace`` must return exactly the same vectors.
 ``reference_solve_affine`` reads Ax = b off the RREF of [A | b]: it
@@ -12,8 +16,8 @@ vouches for the bordered kernel of [A | -b], the library's one affine
 read (``ansatz.in_span``), and supplies the parameters of series members
 with a prescribed leading coefficient.
 ``reference_char_poly`` is the dense Faddeev-LeVerrier trace recursion,
-built on ``matmul``, the dense product the library itself no longer
-has; it vouches for the arrowhead ``char_poly`` and feeds
+built on ``matmul``, a dense product the library does not have; it
+vouches for the arrowhead ``char_poly`` and feeds
 ``integer_eigenvalues`` on matrices that are not arrowheads.
 The ``reference_*`` vector operations (scale, add, sub, dot, matrix times
 vector, star action) work entry by entry on ``GaussianRational`` lists,
@@ -36,8 +40,8 @@ coefficient, for tests that need sums the library never forms.
 ``transposition_matrix``, ``star_generators``, ``star_sum`` and
 ``t_matrix`` are the dense permutation matrices the library never builds:
 it carries every residue sum as star weights. ``star_sum`` adds up
-scaled generator matrices, so it shares no code with ``star_act`` or
-``star_rows``.
+scaled generator matrices entry by entry, so it shares no code with
+``star_act`` or ``star_rows``.
 """
 
 import random
@@ -71,72 +75,82 @@ def perm_sign(p):
     return sign
 
 
-def leibniz_det(M: Matrix) -> GaussianRational:
+def leibniz_det(M) -> GaussianRational:
     """Determinant by direct permutation expansion (independent oracle)."""
-    assert M.rows == M.cols
-    n = M.rows
+    n = len(M)
+    assert all(len(row) == n for row in M)
     total = GaussianRational(0)
     for p in permutations(range(n)):
         term = GaussianRational(perm_sign(p))
         for i in range(n):
-            term = term * M[i, p[i]]
+            term = term * M[i][p[i]]
         total = total + term
     return total
 
 
-def brute_rank(M: Matrix) -> int:
+def brute_rank(M) -> int:
     """Rank as the largest size of a nonzero minor (independent oracle)."""
-    n, m = M.rows, M.cols
+    n, m = len(M), len(M[0])
     for size in range(min(n, m), 0, -1):
         for rows in combinations(range(n), size):
             for cols in combinations(range(m), size):
-                sub = Matrix([[M[i, j] for j in cols] for i in rows])
-                if not leibniz_det(sub).is_zero():
+                if not leibniz_det([[M[i][j] for j in cols] for i in rows]).is_zero():
                     return size
     return 0
 
 
-def matmul(A: Matrix, B: Matrix) -> Matrix:
+def identity(n: int) -> list[list[GaussianRational]]:
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def dense_combination(terms) -> list[list[GaussianRational]]:
+    """sum_j s_j M_j over (s_j, M_j) in ``terms``, row lists of one shape."""
+    total = None
+    for s, M in terms:
+        scaled = [reference_scale(GaussianRational.coerce(s), row) for row in M]
+        total = scaled if total is None else [reference_add(a, b) for a, b in zip(total, scaled)]
+    return total
+
+
+def matmul(A, B) -> list[list[GaussianRational]]:
     """Dense exact product A B."""
-    if A.cols != B.rows:
+    if len(A[0]) != len(B):
         raise ValueError("matrix shape mismatch")
-    cols = list(zip(*B.data))
-    return Matrix(
-        [[sum((a * b for a, b in zip(row, col)), ZERO) for col in cols] for row in A.data]
-    )
+    cols = list(zip(*B))
+    return [[reference_dot(row, col) for col in cols] for row in A]
 
 
-def trace(M: Matrix) -> GaussianRational:
-    return sum((M[i, i] for i in range(M.rows)), ZERO)
+def trace(M) -> GaussianRational:
+    return sum((M[i][i] for i in range(len(M))), ZERO)
 
 
-def reference_char_poly(M: Matrix) -> list[GaussianRational]:
+def reference_char_poly(M) -> list[GaussianRational]:
     """Monic characteristic polynomial of M, coefficients of det(xI - M).
 
     Returned in descending powers: [1, c1, ..., cn]. Computed by the
     Faddeev-LeVerrier trace recursion, exact over the rationals.
     """
-    if M.rows != M.cols:
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise ValueError("char_poly needs a square matrix")
-    n = M.rows
-    ident = Matrix.identity(n)
+    ident = identity(n)
     coeffs = [ONE]
     N = M
     c = -trace(N)
     coeffs.append(c)
     for k in range(2, n + 1):
-        N = matmul(M, N + ident.scale(c))
+        N = matmul(M, dense_combination([(ONE, N), (c, ident)]))
         c = -(trace(N) / k)
         coeffs.append(c)
     return coeffs
 
 
-def row_sum_bound(M: Matrix) -> int:
+def row_sum_bound(M) -> int:
     """max_i sum_j |m_ij|, each modulus over-estimated: caps every eigenvalue."""
-    return int(max(sum(a.abs_bound() for a in row) for row in M.data))
+    return int(max(sum(a.abs_bound() for a in row) for row in M))
 
 
-def dense_integer_eigenvalues(M: Matrix) -> dict[int, int]:
+def dense_integer_eigenvalues(M) -> dict[int, int]:
     """Integer eigenvalues of any square M, from its reference polynomial."""
     return integer_eigenvalues(reference_char_poly(M), row_sum_bound(M))
 
@@ -207,27 +221,28 @@ def _rref_kernel(rows, pivots, ncols):
     return basis
 
 
-def reference_nullspace(M: Matrix) -> list[Vector]:
+def reference_nullspace(M) -> list[Vector]:
     """Kernel basis of M read off its division-based RREF."""
-    rows = [list(r) for r in M.data]
-    return _rref_kernel(rows, reference_rref(rows), M.cols)
+    rows = [[GaussianRational.coerce(a) for a in r] for r in M]
+    return _rref_kernel(rows, reference_rref(rows), len(rows[0]))
 
 
-def reference_solve_affine(A: Matrix, b):
+def reference_solve_affine(A, b):
     """``(consistent, particular, kernel)`` of Ax = b from the RREF of [A | b].
 
     Pivots are restricted to A's columns, so b's column is transformed
     but never a pivot: the system is consistent iff it ends at zero in
     every row below the rank.
     """
-    rows = [list(r) + [bi] for r, bi in zip(A.data, b)]
-    pivots = reference_rref(rows, A.cols)
-    if any(not rows[i][A.cols].is_zero() for i in range(len(pivots), A.rows)):
+    cols = len(A[0])
+    rows = [list(r) + [bi] for r, bi in zip(A, b)]
+    pivots = reference_rref(rows, cols)
+    if any(not row[cols].is_zero() for row in rows[len(pivots):]):
         return False, None, []
-    x = [ZERO] * A.cols
+    x = [ZERO] * cols
     for i, pc in enumerate(pivots):
-        x[pc] = rows[i][A.cols]
-    return True, Vector(x), _rref_kernel(rows, pivots, A.cols)
+        x[pc] = rows[i][cols]
+    return True, Vector(x), _rref_kernel(rows, pivots, cols)
 
 
 def reference_local_coefficients(sys, k: int, order: int):
@@ -254,8 +269,7 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
         raise ValueError(f"truncation order must reach the window end {m_max}")
     n = sys.n
     loc = local_coefficients(sys, k, max(order - 1 - m_min, -1))
-    ident = Matrix.identity(n)
-    residue = star_sum(loc.minus_one)
+    negated = dense_combination([(-1, star_sum(loc.minus_one))])
 
     basis: dict[int, list[Vector]] = {}
     starts = []
@@ -265,10 +279,11 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
         for p in range(nparams):
             src = [(loc.regular[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
             rhs.append(linear_combination(((1, star_act(a, b)) for a, b in src if not b.is_zero()), n))
-        L = ident.scale(t) - residue
-        bordered = L.hstack(Matrix.from_columns([-col for col in rhs])) if rhs else L
+        # tI - a(-1): t added on the diagonal of -a(-1)
+        L = [[a + t if i == j else a for j, a in enumerate(row)] for i, row in enumerate(negated)]
+        bordered = [row + [-col[i] for col in rhs] for i, row in enumerate(L)]
         carried, fresh = [], []
-        for v in nullspace(bordered):
+        for v in nullspace(Matrix(bordered)):
             (fresh if v.segment(n, v.dim).is_zero() else carried).append(v)
         kept = carried + fresh
         pruned = len(carried) < nparams
@@ -287,10 +302,7 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
         if start == m_min:
             fam = {q: list(basis[q]) for q in range(start, order + 1)}
         else:
-            stacked = []
-            for q in range(m_min, start):
-                columns = Matrix.from_columns(basis[q])
-                stacked += [columns.row(i) for i in range(n)]
+            stacked = [row for q in range(m_min, start) for row in zip(*basis[q])]
             K = nullspace(Matrix(stacked))
             if not K:
                 continue
@@ -414,41 +426,32 @@ def combine_functions(terms) -> RationalVectorFunction:
     )
 
 
-def transposition_matrix(n: int, i: int, j: int) -> Matrix:
+def transposition_matrix(n: int, i: int, j: int) -> list[list[GaussianRational]]:
     """Permutation matrix of the transposition (i j) on n points, 1-based."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices out of range: ({i},{j}) for n={n}")
     if i == j:
         raise ValueError("a transposition needs two distinct points")
-    rows = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = ONE
+    rows = identity(n)
     a, b = i - 1, j - 1
-    rows[a][a] = ZERO
-    rows[b][b] = ZERO
-    rows[a][b] = ONE
-    rows[b][a] = ONE
-    return Matrix(rows)
+    rows[a], rows[b] = rows[b], rows[a]
+    return rows
 
 
-def star_generators(n: int) -> list[Matrix]:
+def star_generators(n: int) -> list[list[list[GaussianRational]]]:
     """The n-1 star transposition matrices (1 2), (1 3), ..., (1 n)."""
     if n < 2:
         raise ValueError("need n >= 2")
     return [transposition_matrix(n, 1, k + 1) for k in range(1, n)]
 
 
-def star_sum(weights) -> Matrix:
+def star_sum(weights) -> list[list[GaussianRational]]:
     """Dense sum_k w_k P_k over the star generators on len(weights) + 1 points."""
     weights = list(weights)
-    gens = star_generators(len(weights) + 1)
-    total = Matrix.zero(len(weights) + 1, len(weights) + 1)
-    for w, P in zip(weights, gens):
-        total = total + P.scale(w)
-    return total
+    return dense_combination(zip(weights, star_generators(len(weights) + 1)))
 
 
-def t_matrix(n: int) -> Matrix:
+def t_matrix(n: int) -> list[list[GaussianRational]]:
     """Sum T of the star generators as a dense matrix."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -531,7 +534,5 @@ def generic_points(rng: random.Random, span: int = 6):
             return [z1, z2, z3]
 
 
-def random_matrix(rng: random.Random, n: int, span: int = 4) -> Matrix:
-    return Matrix(
-        [[random_scalar(rng, span) for _ in range(n)] for _ in range(n)]
-    )
+def random_matrix(rng: random.Random, n: int, span: int = 4) -> list[list[GaussianRational]]:
+    return [[random_scalar(rng, span) for _ in range(n)] for _ in range(n)]

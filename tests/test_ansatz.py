@@ -193,7 +193,7 @@ class TestResidual:
                     slope = reference_add(slope, reference_scale(d * z ** (d - 1), Q.data))
             a_w = [ZERO] * n
             for zk, P in zip(sys.points, star_generators(n)):
-                a_w = reference_add(a_w, reference_scale(ONE / (z - zk), reference_matvec(P.data, want)))
+                a_w = reference_add(a_w, reference_scale(ONE / (z - zk), reference_matvec(P, want)))
             want_residual = reference_sub(slope, reference_scale(GaussianRational(sys.rho), a_w))
             assert str(residual(sys, fn, z)) == entries_str(want_residual)
 

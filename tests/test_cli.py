@@ -468,10 +468,9 @@ class TestSeries:
             for member in fam["basis_series"]
         ]
         target = Vector([parse_scalar(t) for t in ("1", "1", "-1", "-1")])
-        lead = Matrix.from_columns(cols)
-        consistent, params, _ = reference_solve_affine(lead, target)
+        consistent, params, _ = reference_solve_affine(list(zip(*cols)), target)
         assert consistent
-        assert lead * params == target
+        assert Matrix.from_columns(cols) * params == target
 
     def test_zero_leading_coefficient_exits_1(self, capsys, monkeypatch):
         zero = Vector.zero(4)
@@ -556,6 +555,32 @@ class TestMonodromy:
         # tol * radius^(-2|rho|) is 9.5e-9, just below the bound
         code, out, _ = run(
             capsys, ["monodromy", *system_args(4, rho), "--pole", "2", "--radius", "0.4"]
+        )
+        assert code == 0
+        assert json.loads(out)["deviation"] < 1e-8
+
+    @pytest.mark.parametrize(
+        "rho, radius", [(3, 0.9), (-3, 0.9), (4, 0.9), (-5, 0.9), (2, 0.95), (3, 0.95)]
+    )
+    def test_floor_near_a_neighbouring_pole_refused(self, capsys, monkeypatch, rho, radius):
+        # the loop about z = 1 passes 1 - radius from the poles 0 and 2, so the floor is
+        # tol * (1 - radius)^(-2|rho|); transported, these cases deviated 2e-8 to 1.5e5
+        # from the identity, which is their monodromy
+        def reached(*args, **kwargs):
+            raise AssertionError("transport reached")
+
+        monkeypatch.setattr(numverify, "monodromy", reached)
+        code, out, err = run(
+            capsys, ["monodromy", *system_args(4, rho), "--pole", "2", "--radius", str(radius)]
+        )
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1 and "deviation bound 1e-08" in err
+
+    @pytest.mark.parametrize("radius", [0.9, 0.95])
+    def test_unit_coupling_near_a_neighbouring_pole_runs(self, capsys, radius):
+        # the floor is 1e-10 at radius 0.9 and 4e-10 at 0.95
+        code, out, _ = run(
+            capsys, ["monodromy", *system_args(4, 1), "--pole", "2", "--radius", str(radius)]
         )
         assert code == 0
         assert json.loads(out)["deviation"] < 1e-8

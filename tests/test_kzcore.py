@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    dense_combination,
+    identity,
     matmul,
     random_points,
     reference_local_coefficients,
@@ -11,7 +13,7 @@ from conftest import (
     star_sum,
     t_matrix,
 )
-from kzsolve.exactalg import GaussianRational, Matrix, Vector
+from kzsolve.exactalg import GaussianRational, Vector
 from kzsolve.kzcore import eval_A, local_coefficients, new_system
 
 
@@ -41,11 +43,7 @@ class TestEvalA:
     def test_direct_substitution(self):
         sys = new_system(4, -1, [0, 1, 2])
         P1, P2, P3 = star_generators(4)
-        expected = (
-            P1.scale(Fraction(1, 3))
-            + P2.scale(Fraction(1, 2))
-            + P3.scale(Fraction(1, 1))
-        )
+        expected = dense_combination([(Fraction(1, 3), P1), (Fraction(1, 2), P2), (Fraction(1, 1), P3)])
         assert star_sum(eval_A(sys, 3)) == expected
 
     def test_pole_error(self):
@@ -57,24 +55,24 @@ class TestEvalA:
         # z*A(z) - T = sum_k P_k z_k/(z - z_k): entries vanish like 1/z
         sys = new_system(4, -1, [0, 1, 2])
         z = GaussianRational(10 ** 6)
-        diff = star_sum(eval_A(sys, z)).scale(z) - t_matrix(4)
-        for i in range(4):
-            for j in range(4):
-                assert diff[i, j].abs_bound() < Fraction(1, 100000)
+        diff = dense_combination([(z, star_sum(eval_A(sys, z))), (-1, t_matrix(4))])
+        for row in diff:
+            for a in row:
+                assert a.abs_bound() < Fraction(1, 100000)
 
 
 class TestLocalCoefficients:
     def test_residue_term(self):
         sys = new_system(4, -1, [0, 1, 2])
         loc = local_coefficients(sys, 1, 0)
-        assert star_sum(loc.minus_one) == star_generators(4)[0].scale(-1)
+        assert star_sum(loc.minus_one) == dense_combination([(-1, star_generators(4)[0])])
 
     def test_order_zero_frozen(self):
         # independent geometric expansion: a0 = -sum_{l != 1} P_l/(z1 - z_l)
         sys = new_system(4, -1, [0, 1, 2])
         loc = local_coefficients(sys, 1, 0)
         P2, P3 = star_generators(4)[1:]
-        expected = P2 + P3.scale(Fraction(1, 2))
+        expected = dense_combination([(1, P2), (Fraction(1, 2), P3)])
         assert star_sum(loc.regular[0]) == expected
 
     def test_residue_squares_to_identity(self):
@@ -82,7 +80,7 @@ class TestLocalCoefficients:
             sys = new_system(4, rho, [0, 1, 2])
             for k in (1, 2, 3):
                 a = star_sum(local_coefficients(sys, k, -1).minus_one)
-                assert matmul(a, a) == Matrix.identity(4)
+                assert matmul(a, a) == identity(4)
 
     def test_matches_reference(self):
         """Entry by entry equal to rho (-1)^j / (z_k - z_l)^(j+1), each weight computed alone."""
@@ -112,10 +110,9 @@ class TestLocalCoefficients:
         for rho in (-1, 1, 2):
             pts = random_points(rng)
             sys = new_system(4, rho, pts)
-            total = Matrix.zero(4, 4)
-            for k in (1, 2, 3):
-                total = total + star_sum(local_coefficients(sys, k, -1).minus_one)
-            assert total == t_matrix(4).scale(rho)
+            residues = [star_sum(local_coefficients(sys, k, -1).minus_one) for k in (1, 2, 3)]
+            total = dense_combination((1, a) for a in residues)
+            assert total == dense_combination([(rho, t_matrix(4))])
 
     def test_truncation_consistency_with_tail_bound(self):
         """Partial sums reproduce rho*A near the pole within the geometric tail."""
@@ -134,11 +131,10 @@ class TestLocalCoefficients:
                 dmin = min(floors)
                 u = GaussianRational(dmin / 4)  # |u| well under half the gap
                 loc = local_coefficients(sys, k, N)
-                partial = star_sum(loc.minus_one).scale(GaussianRational(1) / u)
-                for j in range(N + 1):
-                    partial = partial + star_sum(loc.regular[j]).scale(u ** j)
-                target = star_sum(eval_A(sys, zk + u)).scale(GaussianRational(sys.rho))
-                diff = target - partial
+                terms = [(GaussianRational(1) / u, star_sum(loc.minus_one))]
+                terms += [(u ** j, star_sum(loc.regular[j])) for j in range(N + 1)]
+                target = star_sum(eval_A(sys, zk + u))
+                diff = dense_combination([(sys.rho, target), *((-s, M) for s, M in terms)])
                 # tail bound: sum_{j>N} |u|^j * sum_l 1/|d_l|^{j+1}
                 ub = u.abs_bound()
                 tail = Fraction(0)
@@ -146,6 +142,6 @@ class TestLocalCoefficients:
                     r = ub / fl
                     assert r < 1
                     tail += (r ** (N + 1)) / (fl * (1 - r))
-                for i in range(4):
-                    for j in range(4):
-                        assert diff[i, j].abs_bound() <= tail
+                for row in diff:
+                    for a in row:
+                        assert a.abs_bound() <= tail

@@ -13,6 +13,7 @@ from kzsolve.numverify import (
     Path,
     default_clearance,
     integrate,
+    loop_margin,
     monodromy,
     residual_scan,
 )
@@ -36,7 +37,7 @@ class TestStarActArray:
         rng = np.random.default_rng(13)
         for n in range(2, 10):
             gens = [
-                np.array([[e.to_complex() for e in row] for row in P.data])
+                np.array([[e.to_complex() for e in row] for row in P])
                 for P in star_generators(n)
             ]
             for _ in range(4):
@@ -184,6 +185,16 @@ class TestMonodromy:
         sys = canon_sys()
         with pytest.raises(ValueError):
             monodromy(sys, 5, 0.2, 1e-10)
+
+    def test_loop_margin(self):
+        # the poles 0, 1 and 2 are 1 apart: each loop keeps 1 - radius from its nearest neighbour
+        sys = canon_sys()
+        for k in (1, 2, 3):
+            assert loop_margin(sys, k, 0.4) == pytest.approx(0.6)
+        assert loop_margin(sys, 2, 0.95) == pytest.approx(0.05)
+        assert loop_margin(sys, 2, 1.0) == 0.0 and loop_margin(sys, 1, 1.5) < 0
+        with pytest.raises(ValueError):
+            loop_margin(sys, 4, 0.4)
 
     def test_plus_one_coupling_basis_is_single_valued(self):
         # the general-coupling solver finds a full rational basis (deeper

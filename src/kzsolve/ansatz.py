@@ -115,38 +115,20 @@ class RationalVectorFunction:
     # -- algebra ------------------------------------------------------------
 
     def eval(self, z: ScalarLike) -> Vector:
+        """W(z), from the weight table that :func:`residual` reads.
+
+        z may be a pole at which W has no term: that pole's inverse is 0,
+        so its weights are 0 and its (zero) coefficients drop out.
+        """
         z = GaussianRational.coerce(z)
         inverses = _inverses(self.points, z)
         for x, y, zk, group in zip(inverses.re, inverses.im, self.points, self.pole_coeffs):
             if not (x or y) and any(not v.is_zero() for v in group):
                 raise ValueError(f"evaluation at the pole z = {zk}")
-        return self._at(z, inverses)
-
-    def _at(self, z: GaussianRational, inverses: Vector) -> Vector:
-        """W(z) given ``inverses[k] = 1/(z - z_k)``, or 0 where W has no pole term at z.
-
-        The value behind :meth:`eval`; :func:`residual` has its own evaluator,
-        which builds W and W' together. Every (z - z_k)^-r and z^d is built by
-        int multiplication from the int parts of the inverses and of z, so
-        the sum is one int combination with no ``Fraction`` per term. A zero
-        inverse zeroes its pole's terms, which the combination drops.
-        """
-        den = inverses.den
-        terms = []
-        for x, y, group in zip(inverses.re, inverses.im, self.pole_coeffs):
-            # (z - z_k)^-r = (x + y*i)^r / den^r
-            px, py, pd = x, y, den
-            for vec in group:
-                if not vec.is_zero():
-                    terms.append((px, py, pd, vec))
-                px, py, pd = px * x - py * y, px * y + py * x, pd * den
-        zx, zy, zd = _parts(z)
-        px, py, pd = 1, 0, 1
-        for vec in self.poly_coeffs:
-            if not vec.is_zero():
-                terms.append((px, py, pd, vec))
-            px, py, pd = px * zx - py * zy, px * zy + py * zx, pd * zd
-        return _combine(terms, self.dim)
+        table, den = _weight_table(inverses, z, self.pole_order, self.poly_degree)
+        entries, fden = self._own_entries
+        wr, wi, _, _ = _value_slope(table, entries, self.dim)
+        return Vector.from_parts(wr, wi, den * fden)
 
     __call__ = eval
 
@@ -246,34 +228,48 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
 def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector:
     """Exact defect W'(z) - rho*A(z)*W(z); zero everywhere iff W solves.
 
-    The same evaluator that certifies :func:`solve_ansatz`'s kernel runs on
+    The evaluator that certifies :func:`solve_ansatz`'s kernel, and whose
+    weight table :meth:`RationalVectorFunction.eval` reads too, runs on
     fn's coefficient vector in its own shape, flattened once per function:
-    one weight table at z, one int loop over the nonzero coefficients and
-    one reduction to a ``Vector``.
+    one weight table at z, one int loop over the nonzero coefficients, one
+    star action and one reduction to a ``Vector``.
     """
     if fn.points != sys.points or fn.dim != sys.n:
         raise ValueError("function pole set or dimension differs from the system's")
     entries, den = fn._own_entries
-    weights = _sample_weights(sys, GaussianRational.coerce(z), fn.pole_order, fn.poly_degree)
-    sr, si, tr, ti = _sides(sys, weights, entries)
+    z = GaussianRational.coerce(z)
+    ar, ai, table, d = _sample_weights(sys, z, fn.pole_order, fn.poly_degree)
+    wr, wi, sr, si = _value_slope(table, entries, sys.n)
+    tr, ti = _star_parts(ar, ai, wr, wi)
     return Vector.from_parts(
-        [a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], weights[3] * den
+        [a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], d * den
     )
 
 
 def _sample_weights(sys: KZSystem, z: GaussianRational, pole_order: int, poly_degree: int):
-    """The weights at z of W, W' and rho*A for every unknown block of a shape.
+    """rho*A(z)'s weights and the :func:`_weight_table` at z, which must avoid the poles.
 
-    Returns (ar, ai, table, den). A(z)'s weights are rho/(z - z_k) =
-    (ar[k] + ai[k]*i) / E. Entry u of ``table`` holds the int parts of block
-    u's value weight over D and of its slope weight over D*E = den: for the
-    pole block (k, r), (z - z_k)^-r and -r (z - z_k)^-(r+1); for the
-    polynomial block d, z^d and d z^(d-1). Here E is the inverses' shared
-    denominator, D = E^p zd^deg and zd is z's, so past ``eval_A`` each
-    weight is an int product of the parts of z and of the inverses.
+    Returns (ar, ai, table, den): rho/(z - z_k) = (ar[k] + ai[k]*i) / E for
+    the inverses' denominator E, and den = D*E, the slopes' denominator, so
+    the star action of (ar, ai) on W's numerators lands over den as W' does.
     """
     inverses = eval_A(sys, z)
-    e, rho = inverses.den, sys.rho
+    table, d = _weight_table(inverses, z, pole_order, poly_degree)
+    ar, ai = [sys.rho * x for x in inverses.re], [sys.rho * y for y in inverses.im]
+    return ar, ai, table, d * inverses.den
+
+
+def _weight_table(inverses: Vector, z: GaussianRational, pole_order: int, poly_degree: int):
+    """The value and slope weights at z of every unknown block of a shape, and D.
+
+    ``inverses[k]`` is 1/(z - z_k) over E, 0 at a pole, which zeroes that
+    pole's weights. Entry u holds the int parts of block u's value weight
+    over D and of its slope weight over D*E: for the pole block (k, r),
+    (z - z_k)^-r and -r (z - z_k)^-(r+1); for the polynomial block d, z^d
+    and d z^(d-1). D = E^p zd^deg for z's denominator zd, so each weight is
+    an int product of the parts of z and of the inverses.
+    """
+    e = inverses.den
     zx, zy, zd = _parts(z)
     p, deg = pole_order, poly_degree
     zpow = zd ** max(deg, 0)
@@ -296,9 +292,7 @@ def _sample_weights(sys: KZSystem, z: GaussianRational, pole_order: int, poly_de
         table.append((qx * f, qy * f, sx * g, sy * g))
         sx, sy = (d + 1) * qx, (d + 1) * qy
         qx, qy = qx * zx - qy * zy, qx * zy + qy * zx
-    ar = [rho * x for x in inverses.re]
-    ai = [rho * y for y in inverses.im]
-    return ar, ai, table, ep * zpow * e
+    return table, ep * zpow
 
 
 def _nonzero_entries(flat: Vector, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -313,17 +307,13 @@ def _nonzero_entries(flat: Vector, n: int) -> tuple[list[int], list[int], list[i
     return [i // n for i in at], [i % n for i in at], [re[i] for i in at], [im[i] for i in at]
 
 
-def _sides(sys: KZSystem, weights, entries) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Numerators (re, im) of W'(z) and then of rho*A(z)*W(z), both over one denominator.
+def _value_slope(table, entries, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Numerators (re, im) of W(z) over D and of W'(z) over D*E, in one int loop.
 
-    ``weights`` is a :func:`_sample_weights` table at z and ``entries`` are
-    the :func:`_nonzero_entries` of a flat vector in the same shape; the
-    denominator is the table's den times the vector's. One int loop sums
-    the numerators of W over D and of W' over D*E, and the star action of
-    A's numerators on W's lands over D*E too, so the sides compare as ints.
+    ``table`` is a :func:`_weight_table` and ``entries`` are the
+    :func:`_nonzero_entries` of a flat vector in its shape; both
+    denominators also carry the vector's.
     """
-    ar, ai, table, _ = weights
-    n = sys.n
     wr, wi, sr, si = [0] * n, [0] * n, [0] * n, [0] * n
     for u, j, x, y in zip(*entries):
         a, b, c, d = table[u]
@@ -331,7 +321,7 @@ def _sides(sys: KZSystem, weights, entries) -> tuple[list[int], list[int], list[
         wi[j] += a * y + b * x
         sr[j] += c * x - d * y
         si[j] += c * y + d * x
-    return (sr, si, *_star_parts(ar, ai, wr, wi))
+    return wr, wi, sr, si
 
 
 def sample_points(points, count: int) -> list[GaussianRational]:
@@ -375,9 +365,10 @@ def solve_ansatz(
     becomes a function: W' - rho*A*W times prod_k (z - z_k)^(p+1) is a
     polynomial of degree below s(p + 1) + d, so it must vanish at that many
     sample points. Each point gets one weight table (:func:`_sample_weights`)
-    and each vector one int loop over its nonzero entries (:func:`_sides`),
-    the evaluator behind :func:`residual`; it reads none of the assembled
-    rows. A nonzero defect raises rather than returning a wrong basis.
+    and each vector one int loop over its nonzero entries (:func:`_value_slope`)
+    and one star action, the evaluator behind :func:`residual`; it reads
+    none of the assembled rows. A nonzero defect raises rather than
+    returning a wrong basis.
     """
     if pole_order < 1:
         raise ValueError("pole_order must be at least 1")
@@ -443,10 +434,10 @@ def solve_ansatz(
     # vector at every sample point, from one weight table per point
     vectors = [_nonzero_entries(vec, n) for vec in kernel]
     for z in sample_points(sys.points, s * (p + 1) + deg) if vectors else ():
-        weights = _sample_weights(sys, z, p, deg)
+        ar, ai, table, _ = _sample_weights(sys, z, p, deg)
         for entries in vectors:
-            sr, si, tr, ti = _sides(sys, weights, entries)
-            if sr != tr or si != ti:
+            wr, wi, sr, si = _value_slope(table, entries, n)
+            if (sr, si) != _star_parts(ar, ai, wr, wi):
                 raise ArithmeticError("assembled solution failed exact residual check")
     return [_function_from_flat(sys, vec, p, deg) for vec in kernel]
 

@@ -156,20 +156,27 @@ def _solution_json(fn: ansatz.RationalVectorFunction, n: int, rho: int) -> dict:
     }
 
 
+def _json_list(value) -> list:
+    # iterating a string would read "012" as the points 0, 1, 2
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _solution_from_json(data: dict, sys_: KZSystem) -> ansatz.RationalVectorFunction:
     try:
-        if any(isinstance(data[key], float) for key in ("n", "rho")):
-            # int() would truncate 4.7 to 4 and overflow on 1e400, JSON's infinity
+        n, rho = data["n"], data["rho"]
+        # not int(): it would read "4" as 4, true as 1 and truncate 4.7 to 4
+        if type(n) is not int or type(rho) is not int:
             raise ValueError("n and rho must be integers")
-        n, rho = int(data["n"]), int(data["rho"])
-        points = tuple(parse_scalar(p) for p in data["points"])
+        points = tuple(parse_scalar(p) for p in _json_list(data["points"]))
         poles = tuple(
-            tuple(Vector([parse_scalar(e) for e in vec]) for vec in group)
-            for group in data["pole_coefficients"]
+            tuple(Vector([parse_scalar(e) for e in _json_list(vec)]) for vec in _json_list(group))
+            for group in _json_list(data["pole_coefficients"])
         )
         poly = tuple(
-            Vector([parse_scalar(e) for e in vec])
-            for vec in data["poly_coefficients"]
+            Vector([parse_scalar(e) for e in _json_list(vec)])
+            for vec in _json_list(data["poly_coefficients"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed solution file: {exc}") from exc

@@ -99,11 +99,9 @@ class Path:
         return Path(segs)
 
     @staticmethod
-    def circle(center: complex, radius: float, turns: int = 1) -> "Path":
-        """Counterclockwise loop(s) starting at the rightmost point."""
-        return Path(
-            (CircularArc(center, radius, 0.0, 2 * math.pi * turns),)
-        )
+    def circle(center: complex, radius: float) -> "Path":
+        """Counterclockwise loop starting at the rightmost point."""
+        return Path((CircularArc(center, radius, 0.0, 2 * math.pi),))
 
     def min_distance_to(self, p: complex) -> float:
         if not self.segments:
@@ -120,7 +118,8 @@ def default_clearance(sys: KZSystem) -> float:
     return 0.1 * dmin
 
 
-def _check_clearance(sys: KZSystem, path: Path, clearance: float):
+def _check_clearance(sys: KZSystem, path: Path):
+    clearance = default_clearance(sys)
     for zk in sys.points:
         d = path.min_distance_to(zk.to_complex())
         if d < clearance * (1 - 1e-9):
@@ -293,18 +292,13 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError("tolerance must be finite and positive")
 
 
-def integrate(
-    sys: KZSystem,
-    path: Path,
-    W0: np.ndarray,
-    tol: float,
-    clearance: float | None = None,
-) -> np.ndarray:
-    """Adaptive transport of an initial (matrix or vector) value along a path."""
+def integrate(sys: KZSystem, path: Path, W0: np.ndarray, tol: float) -> np.ndarray:
+    """Adaptive transport of an initial (matrix or vector) value along a path.
+
+    A path that passes closer than :func:`default_clearance` to a pole is refused.
+    """
     _check_tolerance(tol)
-    if clearance is None:
-        clearance = default_clearance(sys)
-    _check_clearance(sys, path, clearance)
+    _check_clearance(sys, path)
     W, _ = _transport(sys, path, W0, tol)
     return W
 
@@ -378,22 +372,16 @@ def _complex_function(fn: RationalVectorFunction):
     return value
 
 
-def residual_scan(
-    sys: KZSystem,
-    fn: RationalVectorFunction,
-    samples: int = 64,
-    clearance: float | None = None,
-) -> float:
+def residual_scan(sys: KZSystem, fn: RationalVectorFunction, samples: int = 64) -> float:
     """Max floating defect of W' - rho*A*W over a deterministic sample set.
 
     Samples live on concentric rings around the pole centroid; any ring
-    point closer than the clearance to some pole is discarded and made up
-    for on a larger ring.
+    point closer than :func:`default_clearance` to some pole is discarded
+    and made up for on a larger ring.
     """
     import numpy as np
 
-    if clearance is None:
-        clearance = default_clearance(sys)
+    clearance = default_clearance(sys)
     value = _complex_function(fn)
     deriv = _complex_function(fn.derivative())
     rho = float(sys.rho)

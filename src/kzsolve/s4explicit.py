@@ -177,7 +177,8 @@ def independence_certificate(
     while tried < _PROBES:
         probe = GaussianRational(start + tried)
         tried += 1
-        det = determinant(Matrix.from_columns([col.eval(probe) for col in columns]))
+        # the columns' values as rows: the transpose has the same determinant
+        det = determinant(Matrix([col.eval(probe) for col in columns]))
         if not det.is_zero():
             return IndependenceCertificate(ok=True, probe=probe, det=det, probes_tried=tried)
     return IndependenceCertificate(ok=False, probe=probe, det=det, probes_tried=tried)

@@ -103,9 +103,15 @@ class TestVerify:
             (None, None),
             ("n", 4.7),
             ("n", math.inf),
+            ("points", "012"),
+            ("pole_coefficients", [["1111"]] * 3),
+            ("poly_coefficients", ""),
+            ("n", "4"),
+            ("rho", True),
         ],
         ids=["short-vector", "one-pole-group", "numeric-entries", "numeric-points", "bad-n",
-             "not-utf8", "fractional-n", "overflowing-n"],
+             "not-utf8", "fractional-n", "overflowing-n", "string-points", "string-vector",
+             "string-poly", "string-n", "boolean-rho"],
     )
     def test_malformed_file_exits_2(self, capsys, tmp_path, field, value):
         w = {
@@ -119,7 +125,9 @@ class TestVerify:
         text = json.dumps(w).replace("Infinity", "1e400").encode()
         path = tmp_path / "w.json"
         path.write_bytes(text if field is not None else b"\xff\xfe" + text)
-        code, out, err = run(capsys, ["verify", *SYS_ARGS, "--solution", f"file:{path}"])
+        # ask for the coupling int() reads from the file: true would pass as 1
+        args = ["--n", "4", "--rho", str(int(w["rho"])), "--points", "0,1,2"]
+        code, out, err = run(capsys, ["verify", *args, "--solution", f"file:{path}"])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
 

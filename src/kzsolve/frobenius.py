@@ -13,14 +13,17 @@ The lowest order m must be an eigenvalue of a(-1) = rho*P_k, so rho or
 with R the matrix whose column p is the right-hand side of parameter p.
 Since P_k^2 = I, tI - a(-1) is invertible off the resonances t = +-rho,
 with inverse (tI + a(-1)) / (t^2 - rho^2): there every parameter carries on
-and x = R's column times that inverse, with no elimination. At t = +-rho,
-one certified nullspace of the bordered matrix [tI - a(-1) | -R], whose
-first n columns are the rows :func:`kzsolve.symrep.star_rows` writes from
-a(-1)'s weights, gives every (x, c) with [tI - a(-1)] x = R c.
-Vectors with c != 0 are the parameter combinations that continue (the
-others die at the resonance); vectors with c = 0 are fresh kernel
-freedoms, where new families start. The module returns the full solution
-families.
+and x = (t r + rho P_k r) / (t^2 - rho^2) for its right-hand side r, P_k r
+being r with entries 1 and k+1 exchanged. At t = eps*rho the operator is
+rho(eps*I - P_k), whose kernel and image are the fixed and the
+anti-fixed vectors of the transposition (Coddington & Levinson, Theory of
+Ordinary Differential Equations, ch. 4). So every (x, c) with
+[tI - a(-1)] x = R c is written in closed form: the c that continue are
+the nullspace of at most n - 1 condition rows of R, the only elimination
+of a solve, and the others die at the resonance; the vectors with c = 0
+are fresh kernel freedoms, where new families start. Each resonant vector
+is certified by exact re-substitution. The module returns the full
+solution families.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .ansatz import RationalVectorFunction
-from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
+from .exactalg import GaussianRational, Matrix, Vector, _combine, _make, linear_combination
 from .exactalg import nullspace
 from .kzcore import KZSystem, local_coefficients
-from .symrep import star_act, star_rows
+from .symrep import star_act
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,16 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     """All truncated series solution families at pole k, through ``order``.
 
     Runs the recursion upward from the least admissible exponent with the
-    free parameters carried symbolically. Off resonance an order is the
-    closed form; at t = +-rho it solves one bordered system
-    [tI - a(-1) | -R] (see the module docstring): its kernel vectors
-    with c != 0 recombine the carried parameters, dropping combinations
-    that cannot continue, and those with c = 0 add fresh parameters. The
-    orders that add fresh parameters are the admissible starting exponents;
-    one family is returned per start whose leading coefficient is not
-    identically zero.
+    free parameters carried symbolically. Every order is in closed form.
+    Off resonance each parameter carries on through the inverse of
+    tI - a(-1). At t = +-rho, :func:`_resonant_order` writes the RREF kernel
+    of [tI - a(-1) | -R] (see the module docstring): its vectors with
+    c != 0 recombine the carried parameters, dropping combinations that
+    cannot continue, and those with c = 0 add fresh parameters. For
+    rho != 0 the one elimination is the nullspace of the condition rows at
+    t = |rho|, the resonance that parameters reach. The orders that add fresh
+    parameters are the admissible starting exponents; one family is
+    returned per start whose leading coefficient is not identically zero.
     """
     m_min, m_max = exponent_window(sys, k)
     if order < m_max:
@@ -147,35 +152,29 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             d = t * t - rho * rho
             sign, d = (1, d) if d > 0 else (-1, -d)
             basis[t] = [
-                _combine([(sign * t, 0, d, r), (sign, 0, d, star_act(loc.minus_one, r))], n)
+                _combine([(sign * t, 0, d, r), (sign * rho, 0, d, _transposed(r, k))], n)
                 for r in rhs
             ]
             continue
-        # tI - a(-1) is symmetric, so the rows star_rows writes are also its columns
-        L = star_rows([(0, t, -loc.minus_one)], n, n)
-        bordered = Matrix.from_columns([*L, *(-col for col in rhs)])
-        carried, fresh = [], []
-        for v in nullspace(bordered):
-            (fresh if v.segment(n, v.dim).is_zero() else carried).append(v)
+        combos, carried, fresh = _resonant_order(t, rho, k, loc.minus_one, rhs)
         kept = carried + fresh
-        # unless a parameter combination died, the c are the unit vectors in order
+        # unless a parameter combination died, the combinations are the unit vectors in order
         pruned = len(carried) < nparams
         for q in basis:
-            older = [linear_combination(zip(v[n:], basis[q]), n) for v in carried] if pruned else basis[q]
+            older = [linear_combination(zip(c, basis[q]), n) for c in combos] if pruned else basis[q]
             basis[q] = older + [Vector.zero(n)] * len(fresh)
-        basis[t] = [v.segment(0, n) for v in kept]
+        basis[t] = kept
         nparams = len(kept)
-        if fresh:
-            starts.append((t, len(carried)))
+        starts.append((t, len(carried)))
 
     # The family starting at t is spanned by the parameter combinations whose
-    # coefficients vanish below t. L is singular only at t = -rho and t = rho, the only
-    # orders that add or prune parameters; the family at m_min takes them all. At m_max,
-    # fresh kernel vectors come from free x-columns of the RREF, so c = 0, and carried
-    # ones from free c-columns, so their c parts are independent. They recombine the
-    # parameters of m_min, whose columns there are a kernel basis of L, so below m_max
-    # the carried columns are independent and the fresh ones zero: the family at m_max
-    # is the fresh parameters, last in the list.
+    # coefficients vanish below t. Only t = -rho and t = rho add or prune parameters
+    # (one order when rho = 0), and the family at m_min takes them all. At m_max the
+    # fresh vectors have c = 0, and the carried ones recombine m_min's parameters by
+    # the c of a nullspace basis, which are independent. m_min's columns there are a
+    # kernel basis of tI - a(-1), so below m_max the carried columns are independent
+    # and the fresh ones zero: the family at m_max is the fresh parameters, last in
+    # the list.
     families = []
     for start, first in starts:
         fam = {q: basis[q][first:] for q in range(start, order + 1)}
@@ -185,6 +184,73 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             SeriesFamily(pole_index=k, start=start, order=order, basis=fam)
         )
     return families
+
+
+def _transposed(v: Vector, k: int) -> Vector:
+    """P_k v: v with entries 1 and k + 1 exchanged, still in canonical form."""
+    re, im = list(v.re), list(v.im)
+    re[0], re[k], im[0], im[k] = re[k], re[0], im[k], im[0]
+    return _make(tuple(re), tuple(im), v.den)
+
+
+def _over(re: list[int], im: list[int], den: int, q: int) -> Vector:
+    """The vector (re + im*i) / (den*q) for a nonzero int q."""
+    if q < 0:
+        re, im, q = [-x for x in re], [-y for y in im], -q
+    return Vector.from_parts(re, im, den * q)
+
+
+def _resonant_order(
+    t: int, rho: int, k: int, minus_one: Vector, rhs: list[Vector]
+) -> tuple[list[Vector], list[Vector], list[Vector]]:
+    """The RREF kernel of [tI - a(-1) | -R] at t = eps*rho, written in closed form.
+
+    Returns the combinations c that carry on, their solutions x of
+    [tI - a(-1)] x = R c, and the fresh kernel vectors (c = 0), each list in
+    the kernel's RREF order. tI - rho*P_k = rho(eps*I - P_k): for eps = 1 its
+    kernel is Fix(P_k) and its image Anti(P_k), for eps = -1 the other way
+    round, so R c is reached iff (I + eps*P_k) R c = 0. The c are the
+    nullspace of those condition rows, R_1 + eps*R_(k+1) and, for eps = 1,
+    R_i for i not in {1, k+1}. Each x is 0 on the free columns of
+    tI - a(-1) (2..n for eps = 1, k+1 for eps = -1). rho = 0 is a double
+    resonance at t = 0 with a(-1) = 0: every unit vector is fresh, and as
+    t = 0 is then the first order no parameter is carried. Every vector is
+    re-substituted into a(-1) as given, or ArithmeticError is raised.
+    """
+    n = minus_one.dim + 1
+    if rho == 0:
+        fresh = [Vector.unit(n, i) for i in range(n)]
+        conditions = rhs
+    elif t == rho:
+        fresh = [Vector.unit(n, f) for f in range(1, n)]
+        fresh[k - 1] = Vector.unit(n, 0) + Vector.unit(n, k)
+        conditions = []
+        for r in rhs:
+            re, im = list(r.re), list(r.im)
+            re[0] += re.pop(k)
+            im[0] += im.pop(k)
+            conditions.append(Vector.from_parts(re, im, r.den))
+    else:
+        fresh = [Vector.unit(n, k) - Vector.unit(n, 0)]
+        conditions = [Vector.from_parts([r.re[0] - r.re[k]], [r.im[0] - r.im[k]], r.den) for r in rhs]
+    combos = nullspace(Matrix.from_columns(conditions)) if rhs else []
+    # a zero condition matrix has the unit vectors for its RREF kernel
+    targets = rhs if len(combos) == len(rhs) else [linear_combination(zip(c, rhs), n) for c in combos]
+    carried = []
+    for r in targets:
+        if t == rho:
+            # rho(x_1 - x_(k+1)) (e_1 - e_(k+1)) = r with x = x_1 e_1
+            carried.append(_over([r.re[0]] + [0] * (n - 1), [r.im[0]] + [0] * (n - 1), r.den, rho))
+        else:
+            # -rho(I + P_k) x = r with x_(k+1) = 0: x_1 = -r_1/rho, x_i = -r_i/(2 rho)
+            re, im = list(r.re), list(r.im)
+            re[0], im[0], re[k], im[k] = 2 * re[0], 2 * im[0], 0, 0
+            carried.append(_over(re, im, r.den, -2 * rho))
+    zero = Vector.zero(n)
+    for x, r in zip(carried + fresh, targets + [zero] * len(fresh)):
+        if _combine([(t, 0, 1, x), (-1, 0, 1, star_act(minus_one, x))], n) != r:
+            raise ArithmeticError(f"resonant order {t} failed exact re-substitution")
+    return combos, carried, fresh
 
 
 def recursion_defect(sys: KZSystem, series: LocalSeries, t: int) -> Vector:

@@ -432,6 +432,13 @@ GOLDEN = [
     # the closed-form columns on Gaussian poles with denominators
     (["verify", "--n", "4", "--rho", "-1", "--points=1/2,(0,1),(-3/2,2/3)", "--solution", "all"], 0,
      "d83ca202827f830b49804c94a1fe60d9ed03f7cacdab6557bf642cbb1dbb422a"),
+    # rho = 0, a double resonance at t = 0, and a series on Gaussian poles with
+    # denominators, both recorded before the resonant orders took their closed form
+    (["series", "--n", "4", "--rho", "0", "--points=0,1,2", "--pole", "1", "--order", "3"], 0,
+     "0f98c72d2a470a4b9fc906704f5fd742bc3a94bafbe613ed481a34cb84b838fc"),
+    (["series", "--n", "5", "--rho", "-2", "--points=1/2,(0,1),(-3/2,2/3),(2,-1/3)",
+      "--pole", "2", "--order", "4"], 0,
+     "59e636d4b8cd8184eaf60b2fa603884ab317ed5ba5ebdbd27fcb924fb5d9486e"),
 ]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import conftest
 from conftest import (
     brute_rank,
     dense_combination,
@@ -26,6 +27,13 @@ from kzsolve.kzcore import LocalCoefficients, local_coefficients, new_system
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]
+
+
+def printed(fams):
+    return [
+        (f.start, {q: [str(col) for col in cols] for q, cols in f.basis.items()})
+        for f in fams
+    ]
 
 
 def canon_sys(rho=-1):
@@ -122,27 +130,24 @@ class TestFrobeniusSolve:
             assert regular[0].start == 1
             assert regular[0].dimension == 1
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_families_match_reference(self, n):
-        def printed(fams):
-            return [
-                (f.start, {q: [str(col) for col in cols] for q, cols in f.basis.items()})
-                for f in fams
-            ]
-
-        integer = list(range(n - 1))
-        gaussian = [GaussianRational(j, (-1) ** j) for j in range(n - 1)]
         # Gaussian-rational poles with denominators
         fractional = random_points(random.Random(310 + n), n - 1, 4)
-        for rho in range(-3, 4):
-            for points in (integer, gaussian, fractional):
-                sys = new_system(n, rho, points)
-                for k in range(1, n):
-                    # past |rho| nothing is pruned, so the families at |rho| + 6
-                    # hold those at every lower truncation order
-                    for order in (abs(rho), abs(rho) + 6):
-                        got = frobenius_solve(sys, k, order)
-                        assert printed(got) == printed(reference_frobenius_solve(sys, k, order))
+        if n <= 6:
+            integer = list(range(n - 1))
+            gaussian = [GaussianRational(j, (-1) ** j) for j in range(n - 1)]
+            cases = [(rho, pts) for rho in range(-3, 4) for pts in (integer, gaussian, fractional)]
+        else:
+            cases = [(rho, fractional) for rho in (-2, 2)]
+        for rho, points in cases:
+            sys = new_system(n, rho, points)
+            for k in range(1, n):
+                # past |rho| nothing is pruned, so the families at |rho| + 6
+                # hold those at every lower truncation order
+                for order in (abs(rho), abs(rho) + 6):
+                    got = frobenius_solve(sys, k, order)
+                    assert printed(got) == printed(reference_frobenius_solve(sys, k, order))
 
     def test_instantiated_members_satisfy_recursion(self):
         rng = random.Random(300)
@@ -181,7 +186,30 @@ class TestResonancePruning:
     I + P_1 reaches only when a = c, so two carried parameters become one
     and order 1 adds the -1 eigenvector of P_1 as a fresh parameter. For
     rho = 1 the order -1 seed (1, -1, 0) dies at order 1 altogether.
+    Each fake has a nonzero condition matrix at its second resonance, and
+    the families must also match the bordered-nullspace reference run on
+    the same fake.
     """
+
+    @staticmethod
+    def fake(monkeypatch, head, regular):
+        def fake_local(sys, k, order):
+            zero = Vector([0] * len(head))
+            return LocalCoefficients(
+                k, Vector(head), tuple(regular[j] if j < len(regular) else zero for j in range(order + 1))
+            )
+
+        monkeypatch.setattr(frobenius, "local_coefficients", fake_local)
+        monkeypatch.setattr(conftest, "local_coefficients", fake_local)
+
+    @staticmethod
+    def check_members(sys, fams, order):
+        for fam in fams:
+            for i in range(fam.dimension):
+                params = [1 if j == i else 0 for j in range(fam.dimension)]
+                series = fam.instantiate(params)
+                for t in range(series.start, order + 1):
+                    assert recursion_defect(sys, series, t).is_zero()
 
     @pytest.mark.parametrize(
         "rho, expected",
@@ -196,23 +224,50 @@ class TestResonancePruning:
         ids=["rho-1", "rho+1"],
     )
     def test_pruned_families(self, monkeypatch, rho, expected):
-        def fake_local(sys, k, order):
-            regular = tuple(Vector([0, 1] if j == 0 else [0, 0]) for j in range(order + 1))
-            return LocalCoefficients(k, Vector([rho, 0]), regular)
-
-        monkeypatch.setattr(frobenius, "local_coefficients", fake_local)
+        self.fake(monkeypatch, [rho, 0], [Vector([0, 1])])
         sys = new_system(3, rho, [0, 1])
         fams = frobenius_solve(sys, 1, 1)
         assert [(f.start, f.basis) for f in fams] == [
             (start, {q: [Vector(c) for c in cols] for q, cols in basis.items()})
             for start, basis in expected
         ]
-        for fam in fams:
-            for i in range(fam.dimension):
-                params = [1 if j == i else 0 for j in range(fam.dimension)]
-                series = fam.instantiate(params)
-                for t in range(series.start, 2):
-                    assert recursion_defect(sys, series, t).is_zero()
+        assert printed(fams) == printed(reference_frobenius_solve(sys, 1, 1))
+        self.check_members(sys, fams, 1)
+
+    @pytest.mark.parametrize(
+        "rho, dimensions",
+        # rho = -1: one condition row, and one of the four carried combinations
+        # dies; rho = 1: three condition rows, and the seed dies altogether
+        [(-1, [(-1, 3), (1, 1)]), (1, [(1, 3)])],
+        ids=["rho-1", "rho+1"],
+    )
+    def test_gaussian_weights_match_reference(self, monkeypatch, rho, dimensions):
+        self.fake(monkeypatch, [0, rho, 0], [
+            Vector([GaussianRational(1, 1), 0, GaussianRational(2, -1)]),
+            Vector([GaussianRational(0, 1), GaussianRational(-1, 2), 3]),
+        ])
+        sys = new_system(4, rho, [0, 1, 2])
+        for order in (1, 4):
+            fams = frobenius_solve(sys, 2, order)
+            assert [(f.start, f.dimension) for f in fams] == dimensions
+            assert printed(fams) == printed(reference_frobenius_solve(sys, 2, order))
+            self.check_members(sys, fams, order)
+
+    def test_certificate_catches_a_residue_off_the_coupling(self, monkeypatch):
+        # a(-1) = (rho + 1) P_k while the closed form is written for rho*P_k
+        real = frobenius.local_coefficients
+
+        def off_by_one(sys, k, order):
+            loc = real(sys, k, order)
+            head = [0] * sys.s
+            head[k - 1] = sys.rho + 1
+            return LocalCoefficients(k, Vector(head), loc.regular)
+
+        monkeypatch.setattr(frobenius, "local_coefficients", off_by_one)
+        for rho in (-2, -1, 0, 1, 2):
+            sys = new_system(4, rho, [0, 1, 2])
+            with pytest.raises(ArithmeticError):
+                frobenius_solve(sys, 2, abs(rho) + 1)
 
 
 class TestLaurentOfRational:

@@ -26,7 +26,7 @@ from .exactalg import (
     nullspace,
 )
 from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
-from .symrep import _star_parts, star_act, star_rows
+from .symrep import _star_parts, star_act, star_rows, transpose
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,7 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
         raise ValueError("conditions expect simple poles and an affine polynomial")
     res = fn.residues
     qc, ql = fn.q_const, fn.q_linear
-    # P_k is the star action with a unit weight at k
-    units = [Vector.unit(sys.s, k) for k in range(sys.s)]
-    sym = tuple(L - star_act(u, L) for u, L in zip(units, res))
+    sym = tuple(L - transpose(L, k) for k, L in enumerate(res, start=1))
     # balance k is sum_{j != k} w_j (P_k L_j + P_j L_k) + P_k (z_k q_linear + q_const)
     # with w_j = 1/(z_k - z_j): P_k of one combination plus one star action on L_k
     balance = []
@@ -218,7 +216,7 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
         w = _inverses(sys.points, zk)
         terms = [(x, y, w.den, L) for x, y, L in zip(w.re, w.im, res)]
         inner = _combine([*terms, (*_parts(zk), ql), (1, 0, 1, qc)], sys.n)
-        balance.append(star_act(units[k - 1], inner) + star_act(w, Lk))
+        balance.append(transpose(inner, k) + star_act(w, Lk))
     growth = ql + star_act([ONE] * sys.s, ql)
     return ConditionReport(
         residue_symmetry=sym, pole_balance=tuple(balance), growth=growth
@@ -402,11 +400,11 @@ def solve_ansatz(
         # plus a(r - r' - 1) on each deeper block r
         for rp in range(p, 0, -1):
             terms = [(pole_block(k, rp), rp, loc.minus_one)]
-            terms += [(pole_block(k, r), 0, loc.coeff(r - rp - 1)) for r in range(rp + 1, p + 1)]
+            terms += [(pole_block(k, r), 0, loc.regular[r - rp - 1]) for r in range(rp + 1, p + 1)]
             add_equation(terms)
         # surviving simple pole at z_k; the weight rho / (z_k - z_j)^r of the
         # pole term (j, r) is entry j of a(r - 1) times (-1)^(r-1)
-        terms = [(pole_block(k, r), 0, loc.coeff(r - 1)) for r in range(1, p + 1)]
+        terms = [(pole_block(k, r), 0, loc.regular[r - 1]) for r in range(1, p + 1)]
         signed = [(r, 1 if r % 2 else -1, w) for r, w in enumerate(loc.regular, start=1)]
         terms += [
             (pole_block(j, r), 0, weighted_P(k, c * w.re[j], c * w.im[j], w.den))
@@ -482,7 +480,14 @@ def in_span(
     pole_order: int = 1,
     poly_degree: int = 1,
 ) -> bool:
-    """Exact membership of fn in the linear span of a solution basis."""
+    """Exact membership of fn in the linear span of a solution basis.
+
+    Coefficients compare only over the same poles and dimension, so a basis
+    function whose ``points`` or ``dim`` differ from fn's raises, as
+    :func:`residual` does.
+    """
+    if any(b.points != fn.points or b.dim != fn.dim for b in basis):
+        raise ValueError("basis function pole set or dimension differs from the function's")
     if not basis:
         return False
     cols = [coefficient_vector(b, pole_order, poly_degree) for b in basis]

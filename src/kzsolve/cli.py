@@ -35,17 +35,21 @@ from .s4explicit import y1, y2, y3, y4
 # 3.11; it drifts with the host's load).
 EIGEN_MAX_N = 256
 
-# Largest --order of ``kz series``. Only the orders t = -rho and t = rho run an
-# elimination; the others take a closed form, and the cost is the convolution of the
-# carried parameters with the local coefficients, about order^2 at a fixed n. The
-# coefficients themselves are int powers, one multiplication per entry and order. ``kz``
-# wall time at order 64, pole 1 (best of 3): 0.70 s at n = 6, 0.92 s at n = 8.
+# Largest --order of ``kz series`` at rho = -1: the recursion runs every order from
+# -|rho| to --order, so the cap is on --order + |rho|, at most SERIES_MAX_ORDER + 1.
+# Every order takes a closed form, and the cost is the convolution of the carried
+# parameters with the local coefficients, about the square of the order count at a
+# fixed n; only t = |rho| eliminates, at most n - 1 condition rows. In-process at
+# n = 32, points 0..30, pole 1 (2-core machine, two sessions): 14-20 s, 230-240 MB of
+# peak RSS and a 54 MB report at rho = -1, order 64; 13.2 s and the same sizes at
+# rho = -32, order 33; and, refused, 113.8 s and 862 MB of peak RSS at rho = -64,
+# order 64.
 SERIES_MAX_ORDER = 64
 
 # Largest --n of ``kz series`` and ``kz verify``, measured as ``kz`` wall time with
 # points 0..n-2 (same machine). ``series`` at pole 1 (best of 3): 0.48 s at n = 32,
 # 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32, 0.89 s with order
-# 16 and 17.4 s, for a 54 MB report, at SERIES_MAX_ORDER, still all in the convolution.
+# 16 and 14-20 s, for a 54 MB report, at SERIES_MAX_ORDER, still all in the convolution.
 # ``verify`` evaluates residuals at s(p + 1) + d points, each one weight table at the point
 # and one int loop over the O(n^2) coefficients, and at rho = -1 the pole-balance
 # conditions, one n-term combination per pole, O(n^3): 0.56-0.66 s at n = 64 and 4.7 s at
@@ -304,7 +308,7 @@ def cmd_nullspace(args) -> dict:
 
 def cmd_series(args) -> dict:
     _refuse_over_cap("--n", args.n, SERIES_MAX_N)
-    _refuse_over_cap("--order", args.order, SERIES_MAX_ORDER)
+    _refuse_over_cap("--order + |--rho|", args.order + abs(args.rho), SERIES_MAX_ORDER + 1)
     sys_ = _build_system(args)
     window = frobenius.exponent_window(sys_, args.pole)
     families = frobenius.frobenius_solve(sys_, args.pole, args.order)

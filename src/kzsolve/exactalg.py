@@ -11,10 +11,11 @@ parts of its entries over one shared positive denominator, in lowest
 terms, so vector arithmetic is int loops with one gcd per result and no
 per-entry ``Fraction``; it hands out ``GaussianRational`` entries when
 read. A ``Matrix`` is elimination input, a tuple of row vectors built from
-rows or columns, and multiplies only a ``Vector``. :func:`linear_combination`
-lifts its scalars to int parts for ``_combine``, the one combining loop;
-callers that already hold int parts, such as the partial-fraction powers
-of :mod:`kzsolve.ansatz`, call ``_combine`` directly.
+rows or columns, and multiplies only a ``Vector``. ``_combine`` is the one
+combining loop: ``+``, ``-``, ``scale`` and :func:`linear_combination`
+lift their scalars to int parts and call it, and callers that already
+hold int parts, such as :mod:`kzsolve.frobenius` and the condition check
+of :mod:`kzsolve.ansatz`, call it directly.
 
 :func:`nullspace` is multimodular: it eliminates each row's int parts
 modulo word-size primes, reconstructs the rational kernel by Chinese
@@ -326,44 +327,17 @@ class Vector:
             return self.data[i]
         return _entry(self.re[i], self.im[i], self.den)
 
-    def _lift(self, other: "Vector") -> tuple[int, int, int]:
-        """Factors that bring self and other to their lcm denominator, and that lcm."""
-        if len(self.re) != len(other.re):
-            raise ValueError("vector dimension mismatch")
-        a, b = self.den, other.den
-        if a == b:
-            return 1, 1, a
-        g = gcd(a, b)
-        return b // g, a // g, a // g * b
-
     def __add__(self, other: "Vector") -> "Vector":
-        fa, fb, den = self._lift(other)
-        return Vector.from_parts(
-            [x * fa + u * fb for x, u in zip(self.re, other.re)],
-            [y * fa + v * fb for y, v in zip(self.im, other.im)],
-            den,
-        )
+        return _combine([(1, 0, 1, self), (1, 0, 1, other)], len(self.re))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        fa, fb, den = self._lift(other)
-        return Vector.from_parts(
-            [x * fa - u * fb for x, u in zip(self.re, other.re)],
-            [y * fa - v * fb for y, v in zip(self.im, other.im)],
-            den,
-        )
+        return _combine([(1, 0, 1, self), (-1, 0, 1, other)], len(self.re))
 
     def __neg__(self):
         return _make(tuple(-x for x in self.re), tuple(-y for y in self.im), self.den)
 
     def scale(self, s: ScalarLike) -> "Vector":
-        sr, si, sd = _parts(GaussianRational.coerce(s))
-        if si:
-            re = [sr * x - si * y for x, y in zip(self.re, self.im)]
-            im = [sr * y + si * x for x, y in zip(self.re, self.im)]
-        else:
-            re = [sr * x for x in self.re]
-            im = [sr * y for y in self.im]
-        return Vector.from_parts(re, im, sd * self.den)
+        return linear_combination([(s, self)], len(self.re))
 
     def is_zero(self) -> bool:
         return not (any(self.re) or any(self.im))
@@ -795,15 +769,8 @@ def determinant(M: Matrix) -> GaussianRational:
     return GaussianRational(Fraction(qr, den), Fraction(qi, den))
 
 
-def _poly_eval(coeffs: Sequence[GaussianRational], x: GaussianRational):
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _poly_deflate(coeffs, x):
-    """Divide a monic polynomial by (t - x); returns quotient or None."""
+    """Divide a monic polynomial by (t - x); the quotient, or None if the remainder p(x) is not 0."""
     out = [coeffs[0]]
     for c in coeffs[1:]:
         out.append(c + x * out[-1])
@@ -852,8 +819,9 @@ def integer_eigenvalues(coeffs: Sequence[GaussianRational], bound: int) -> dict[
     cap that, unlike a Cauchy bound, stays small as coefficients grow.
     Candidates come from a rational-root search: after clearing
     denominators the constant coefficient is a Gaussian integer whose norm
-    any integer root must divide in square. Each candidate is confirmed by
-    exact evaluation and its multiplicity by repeated deflation.
+    any integer root must divide in square. Each candidate is deflated
+    exactly while the remainder, its value there, is zero, and the number
+    of deflations is its multiplicity.
     """
     out: dict[int, int] = {}
     # strip zero roots
@@ -873,19 +841,13 @@ def integer_eigenvalues(coeffs: Sequence[GaussianRational], bound: int) -> dict[
             continue
         for x in (mag, -mag):
             xg = GaussianRational(x)
-            if not _poly_eval(coeffs, xg).is_zero():
-                continue
             mult = 0
             rest = coeffs
-            while True:
-                q = _poly_deflate(rest, xg)
-                if q is None:
-                    break
+            while len(rest) > 1 and (q := _poly_deflate(rest, xg)) is not None:
                 mult += 1
                 rest = q
-                if len(rest) == 1:
-                    break
-            out[x] = mult
+            if mult:
+                out[x] = mult
     return out
 
 

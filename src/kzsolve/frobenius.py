@@ -14,7 +14,7 @@ with R the matrix whose column p is the right-hand side of parameter p.
 Since P_k^2 = I, tI - a(-1) is invertible off the resonances t = +-rho,
 with inverse (tI + a(-1)) / (t^2 - rho^2): there every parameter carries on
 and x = (t r + rho P_k r) / (t^2 - rho^2) for its right-hand side r, P_k r
-being r with entries 1 and k+1 exchanged. At t = eps*rho the operator is
+being :func:`kzsolve.symrep.transpose` of r. At t = eps*rho the operator is
 rho(eps*I - P_k), whose kernel and image are the fixed and the
 anti-fixed vectors of the transposition (Coddington & Levinson, Theory of
 Ordinary Differential Equations, ch. 4). So every (x, c) with
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .ansatz import RationalVectorFunction
-from .exactalg import GaussianRational, Matrix, Vector, _combine, _make, linear_combination
+from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
 from .exactalg import nullspace
 from .kzcore import KZSystem, local_coefficients
-from .symrep import star_act
+from .symrep import star_act, transpose
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             d = t * t - rho * rho
             sign, d = (1, d) if d > 0 else (-1, -d)
             basis[t] = [
-                _combine([(sign * t, 0, d, r), (sign * rho, 0, d, _transposed(r, k))], n)
+                _combine([(sign * t, 0, d, r), (sign * rho, 0, d, transpose(r, k))], n)
                 for r in rhs
             ]
             continue
@@ -184,13 +184,6 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             SeriesFamily(pole_index=k, start=start, order=order, basis=fam)
         )
     return families
-
-
-def _transposed(v: Vector, k: int) -> Vector:
-    """P_k v: v with entries 1 and k + 1 exchanged, still in canonical form."""
-    re, im = list(v.re), list(v.im)
-    re[0], re[k], im[0], im[k] = re[k], re[0], im[k], im[0]
-    return _make(tuple(re), tuple(im), v.den)
 
 
 def _over(re: list[int], im: list[int], den: int, q: int) -> Vector:
@@ -266,7 +259,7 @@ def recursion_defect(sys: KZSystem, series: LocalSeries, t: int) -> Vector:
     lhs = b.scale(t) - star_act(loc.minus_one, b)
     rhs = Vector.zero(n)
     for j in range(t - series.start):
-        rhs = rhs + star_act(loc.coeff(j), series.coeff(t - 1 - j))
+        rhs = rhs + star_act(loc.regular[j], series.coeff(t - 1 - j))
     return lhs - rhs
 
 

@@ -94,11 +94,6 @@ class LocalCoefficients:
     minus_one: Vector
     regular: tuple[Vector, ...]
 
-    def coeff(self, j: int) -> Vector:
-        if j == -1:
-            return self.minus_one
-        return self.regular[j]
-
 
 def local_coefficients(sys: KZSystem, k: int, order: int) -> LocalCoefficients:
     """Expand rho*A(z) about pole k (1-based) to the given regular order.

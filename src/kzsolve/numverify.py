@@ -48,44 +48,34 @@ class LineSegment:
 
 
 @dataclass(frozen=True)
-class CircularArc:
+class Circle:
+    """One counterclockwise turn about ``center``, starting at its rightmost point."""
+
     center: complex
     radius: float
-    theta0: float
-    theta1: float
 
     def point(self, t: float) -> complex:
-        th = self.theta0 + t * (self.theta1 - self.theta0)
+        th = t * (2 * math.pi)
         return self.center + self.radius * cmath.exp(1j * th)
 
     def velocity(self, t: float) -> complex:
-        th = self.theta0 + t * (self.theta1 - self.theta0)
-        return 1j * (self.theta1 - self.theta0) * self.radius * cmath.exp(1j * th)
+        th = t * (2 * math.pi)
+        return 1j * (2 * math.pi) * self.radius * cmath.exp(1j * th)
 
     @property
     def length(self) -> float:
-        return self.radius * abs(self.theta1 - self.theta0)
+        return self.radius * (2 * math.pi)
 
     def distance_to(self, p: complex) -> float:
-        v = p - self.center
-        if v == 0:
-            return self.radius
-        ang = cmath.phase(v)
-        lo, hi = sorted((self.theta0, self.theta1))
-        # bring ang into [lo, lo + 2*pi) and test membership in the sweep
-        k = math.floor((ang - lo) / (2 * math.pi))
-        ang -= k * 2 * math.pi
-        if ang <= hi:
-            return abs(abs(v) - self.radius)
-        return min(abs(p - self.point(0.0)), abs(p - self.point(1.0)))
+        return abs(abs(p - self.center) - self.radius)
 
 
-Segment = Union[LineSegment, CircularArc]
+Segment = Union[LineSegment, Circle]
 
 
 @dataclass(frozen=True)
 class Path:
-    """Piecewise path of line segments and circular arcs."""
+    """Piecewise path of line segments and full circles."""
 
     segments: tuple[Segment, ...]
 
@@ -101,7 +91,7 @@ class Path:
     @staticmethod
     def circle(center: complex, radius: float) -> "Path":
         """Counterclockwise loop starting at the rightmost point."""
-        return Path((CircularArc(center, radius, 0.0, 2 * math.pi),))
+        return Path((Circle(center, radius),))
 
     def min_distance_to(self, p: complex) -> float:
         if not self.segments:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -402,6 +403,23 @@ class TestInSpan:
         assert not in_span(basis, combine_functions([(1, y1(CANON)), (1, bumped)]))
         # a shape larger than the basis': the deeper blocks are zero columns
         assert in_span(basis, y4(CANON), pole_order=2, poly_degree=3)
+
+
+    def test_functions_on_other_poles_or_dimensions_refused(self):
+        # the same coefficients on poles 0,1,3 are no solution there, so the
+        # coefficient read alone must not call them a member
+        sys = canon_sys()
+        basis = solve_ansatz(sys)
+        other = new_system(4, -1, [0, 1, 3])
+        moved = dataclasses.replace(basis[0], points=other.points)
+        assert any(not residual(other, moved, z).is_zero() for z in sample_points(other.points, 7))
+        for members, fn in (
+            (basis, moved),
+            ([moved, *basis[1:]], basis[0]),
+            (basis, zero_function(sys.points, 5)),
+        ):
+            with pytest.raises(ValueError):
+                in_span(members, fn)
 
 
 class TestEquivalenceProperties:

@@ -279,13 +279,15 @@ class TestCaps:
         "argv",
         [
             ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER + 1)],
+            # order + |rho| = 80: every order from -40 to 40 runs
+            ["series", *system_args(4, rho=-40), "--pole", "1", "--order", "40"],
             ["nullspace", *system_args(12), "--pole-order", "4"],
             ["nullspace", *system_args(8), "--poly-degree", "16"],
             # u = 159, one past the corners n = 3 at (25, 0) and (1, 49)
             ["nullspace", *system_args(3), "--pole-order", "26", "--poly-degree", "0"],
             ["nullspace", *system_args(3), "--poly-degree", "50"],
         ],
-        ids=["order", "n12-pole-order-4", "n8-poly-degree-16", "n3-pole-order-26", "n3-poly-degree-50"],
+        ids=["order", "order-rho", "n12-pole-order-4", "n8-poly-degree-16", "n3-pole-order-26", "n3-poly-degree-50"],
     )
     def test_over_cap_refused(self, capsys, solvers_fail, argv):
         code, out, err = run(capsys, argv)
@@ -298,13 +300,14 @@ class TestCaps:
         [
             ["nullspace", *SYS_ARGS, "--pole-order", "4", "--poly-degree", "16"],
             ["series", *SYS_ARGS, "--pole", "1", "--order", str(SERIES_MAX_ORDER)],
+            ["series", *system_args(4, rho=-32), "--pole", "1", "--order", "33"],
             ["nullspace", *system_args(6), "--pole-order", "4"],
             ["nullspace", *system_args(6), "--poly-degree", "16"],
             # u = 68 and 84: only the unknown count bounds the shape
             ["nullspace", *SYS_ARGS, "--pole-order", "5"],
             ["nullspace", *SYS_ARGS, "--poly-degree", "17"],
         ],
-        ids=["nullspace", "series", "n6-pole-order-4", "n6-poly-degree-16",
+        ids=["nullspace", "series", "series-rho", "n6-pole-order-4", "n6-poly-degree-16",
              "pole-order", "poly-degree"],
     )
     def test_at_cap_reaches_the_solver(self, solvers_fail, argv):
@@ -648,6 +651,23 @@ class TestEigen:
         code, out, _ = run(capsys, ["eigen", "--n", "5", "--format", "text"])
         assert code == 0
         assert "overall: pass" in out
+
+    def test_missing_multiplicity_fails_the_report(self, capsys, monkeypatch):
+        # the checks, not t_spectrum, judge the multiplicities
+        real = symrep.integer_eigenvalues
+
+        def short(coeffs, bound):
+            eig = real(coeffs, bound)
+            eig[2] -= 1
+            return eig
+
+        monkeypatch.setattr(symrep, "integer_eigenvalues", short)
+        code, out, _ = run(capsys, ["eigen", "--n", "4"])
+        assert code == 1
+        report = json.loads(out)
+        failed = [c["name"] for c in report["checks"] if c["verdict"] == "fail"]
+        assert failed == ["multiplicities sum to n"]
+        assert report["spectrum"] == {"-1": 1, "2": 1, "3": 1}
 
     def test_over_cap_refused_before_any_work(self, capsys, monkeypatch):
         def never(n):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -173,7 +173,15 @@ class TestSharedDenominator:
             ):
                 assert canonical(got)
                 assert str(got) == entries_str(want)
+                # +, - and scale run _combine: the parts must be the oracle's
+                # entries over their lcm denominator, so == and hash compare tuples
+                den = lcm(1, *(x.denominator for e in want for x in (e.re, e.im)))
+                assert got.den == den
+                assert got.re == tuple(int(e.re * den) for e in want)
+                assert got.im == tuple(int(e.im * den) for e in want)
             assert u.is_zero() == all(x.is_zero() for x in a)
+            with pytest.raises(ValueError):
+                u + Vector(b + [ONE])
 
     def test_matvec_matches_entrywise_reference(self):
         rng = random.Random(122)

@@ -19,7 +19,7 @@ from conftest import (
     transposition_matrix,
 )
 from kzsolve.exactalg import ONE, ZERO, Vector
-from kzsolve.symrep import star_act, star_rows, t_spectrum
+from kzsolve.symrep import star_act, star_rows, t_spectrum, transpose
 
 
 class TestTranspositionMatrix:
@@ -81,8 +81,10 @@ class TestStarAction:
             v = Vector([random_scalar(rng) for _ in range(n)])
             w = [random_scalar(rng) for _ in range(n - 1)]
             for k in range(1, n):
-                # a unit weight at k is P_k alone
-                assert list(star_act(Vector.unit(n - 1, k - 1), v)) == reference_matvec(gens[k - 1], v)
+                # a unit weight at k is P_k alone, and transpose applies P_k alone
+                P_v = reference_matvec(gens[k - 1], v)
+                assert list(star_act(Vector.unit(n - 1, k - 1), v)) == P_v
+                assert transpose(v, k) == Vector(P_v) and transpose(transpose(v, k), k) == v
             sparse = [wk if rng.random() < 0.5 else 0 for wk in w]
             for weights in (w, sparse, [0] * (n - 1)):
                 expected = [ZERO] * n

@@ -30,26 +30,28 @@ from .kzcore import KZSystem, new_system
 from .s4explicit import y1, y2, y3, y4
 
 
-# Largest --n of ``kz eigen``: t_spectrum(n) is O(n^2) exact operations. ``kz eigen`` wall
-# time over six runs: 0.25-0.3 s at n = 64 and 1.35-1.8 s at 256 (2-core machine, Python
-# 3.11; it drifts with the host's load).
+# Largest --n of ``kz eigen``: t_spectrum(n) is O(n) exact operations to group T's equal
+# diagonal entries, then a degree-2 root search. In-process (best of 3) it takes 3.3 ms at
+# n = 64 and 12.5 ms at 256; ``kz eigen`` wall time over six runs is 0.13-0.21 s at both,
+# nearly all interpreter start (2-core machine, Python 3.11; it drifts with the host's
+# load). Raise the cap only with ``test_scaling_to_cap`` extended to the new cap.
 EIGEN_MAX_N = 256
 
 # Largest --order of ``kz series`` at rho = -1: the recursion runs every order from
 # -|rho| to --order, so the cap is on --order + |rho|, at most SERIES_MAX_ORDER + 1.
 # Every order takes a closed form, and the cost is the convolution of the carried
 # parameters with the local coefficients, about the square of the order count at a
-# fixed n; only t = |rho| eliminates, at most n - 1 condition rows. In-process at
-# n = 32, points 0..30, pole 1 (2-core machine, two sessions): 14-20 s, 230-240 MB of
-# peak RSS and a 54 MB report at rho = -1, order 64; 13.2 s and the same sizes at
-# rho = -32, order 33; and, refused, 113.8 s and 862 MB of peak RSS at rho = -64,
-# order 64.
+# fixed n, one int loop per parameter and order; only t = |rho| eliminates, at most
+# n - 1 condition rows. In-process at n = 32, points 0..30, pole 1 (2-core machine):
+# 11.8-12.8 s, 191 MB of peak RSS and a 54 MB report at rho = -1, order 64; 10.6 s and
+# the same sizes at rho = -32, order 33; and, refused, 113.8 s and 862 MB of peak RSS at
+# rho = -64, order 64, measured with a convolution that built one vector per term.
 SERIES_MAX_ORDER = 64
 
 # Largest --n of ``kz series`` and ``kz verify``, measured as ``kz`` wall time with
 # points 0..n-2 (same machine). ``series`` at pole 1 (best of 3): 0.48 s at n = 32,
 # 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32, 0.89 s with order
-# 16 and 14-20 s, for a 54 MB report, at SERIES_MAX_ORDER, still all in the convolution.
+# 16 and 12-13 s, for a 54 MB report, at SERIES_MAX_ORDER, still mostly the convolution.
 # ``verify`` evaluates residuals at s(p + 1) + d points, each one weight table at the point
 # and one int loop over the O(n^2) coefficients, and at rho = -1 the pole-balance
 # conditions, one n-term combination per pole, O(n^3): 0.56-0.66 s at n = 64 and 4.7 s at

@@ -23,8 +23,10 @@ remaindering and Wang's rational reconstruction, and returns it only once
 an exact certificate proves it is M's RREF kernel. :func:`determinant` is a
 forward fraction-free (Bareiss) elimination over the Gaussian integers.
 No matrix product is needed: the one spectrum needed is that of an
-arrowhead, whose characteristic polynomial :func:`char_poly` expands from
-the head, diagonal and border alone.
+arrowhead, whose characteristic polynomial :func:`char_poly` factors from
+the head, diagonal and border alone, each repeated diagonal value as a
+power and the rest as the polynomial of a reduced arrowhead with one
+diagonal entry per distinct value.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, islice
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
@@ -378,25 +380,34 @@ def linear_combination(terms: Iterable[tuple[ScalarLike, Vector]], dim: int) -> 
 def _combine(terms: Iterable[tuple[int, int, int, Vector]], dim: int) -> Vector:
     """sum_j (x_j + y_j*i) / d_j * v_j over (x_j, y_j, d_j, v_j) in ``terms``, d_j > 0.
 
-    The scalars' int parts need not be in lowest terms: every term is
-    lifted to one denominator, summed in one int loop and reduced by one gcd.
+    The scalars' int parts need not be in lowest terms: every term with a
+    nonzero scalar and vector is lifted to one denominator, summed in one
+    int loop and reduced by one gcd.
     """
     lifted = []
     for sr, si, sd, v in terms:
         if v.dim != dim:
             raise ValueError("vector dimension mismatch")
-        if sr or si:
+        if (sr or si) and (any(v.re) or any(v.im)):
             lifted.append((sr, si, sd * v.den, v))
+    if not lifted:
+        return Vector.zero(dim)
     den = lcm(*(d for _, _, d, _ in lifted))
-    re, im = [0] * dim, [0] * dim
+    re = im = None
     for sr, si, d, v in lifted:
         f = den // d
         sr, si = sr * f, si * f
-        for j, (x, y) in enumerate(zip(v.re, v.im)):
-            if x or y:
-                re[j] += sr * x - si * y
-                im[j] += sr * y + si * x
-    return Vector.from_parts(re, im, den)
+        if si:
+            xr = [sr * x - si * y for x, y in zip(v.re, v.im)]
+            xi = [sr * y + si * x for x, y in zip(v.re, v.im)]
+        else:
+            # a real scalar: no imaginary products, and no products at all on a real vector
+            xr = [sr * x for x in v.re]
+            xi = [sr * y for y in v.im] if any(v.im) else None
+        re = xr if re is None else list(map(add, re, xr))
+        if xi is not None:
+            im = xi if im is None else list(map(add, im, xi))
+    return Vector.from_parts(re, im or [0] * dim, den)
 
 
 class Matrix:
@@ -779,31 +790,46 @@ def _poly_deflate(coeffs, x):
     return out[:-1]
 
 
-def char_poly(head: ScalarLike, diagonal: Sequence, border: Sequence) -> list[GaussianRational]:
-    """Monic det(xI - M) in descending powers, [1, c1, ..., cn], for an arrowhead M.
+def char_poly(
+    head: ScalarLike, diagonal: Sequence, border: Sequence
+) -> tuple[list[GaussianRational], dict[GaussianRational, int]]:
+    """det(xI - M) for an arrowhead M, factored by its repeated diagonal entries.
 
     M has ``head`` at (1, 1), ``diagonal[k-1]`` at (k+1, k+1), ``border[k-1]``
-    at (1, k+1) and (k+1, 1) and zeros elsewhere, so with Q = prod_k (x - d_k)
-    det(xI - M) = (x - a) Q - sum_k b_k^2 Q / (x - d_k). Each quotient is one
-    exact deflation of Q, shared by equal d_k: O(n^2) scalar operations.
+    at (1, k+1) and (k+1, 1) and zeros elsewhere, so
+    det(xI - M) = (x - a) prod_k (x - d_k) - sum_k b_k^2 prod_{l != k} (x - d_l).
+    Group the k by equal d_k into groups G of value d_G and weight
+    beta_G = sum_{k in G} b_k^2. Every term then holds (x - d_G)^(|G|-1), and
+    with Q = prod_G (x - d_G)
+
+        det(xI - M) = prod_G (x - d_G)^(|G|-1) * [(x - a) Q - sum_G beta_G Q / (x - d_G)],
+
+    the bracket being the characteristic polynomial of the reduced arrowhead,
+    one diagonal entry d_G per group (O'Leary & Stewart, J. Comput. Phys. 90,
+    1990, deflate an arrowhead the same way). Returns ``(coeffs, repeated)``:
+    the bracket, monic in descending powers [1, c1, ..., c_(g+1)] for g groups,
+    and {d_G: |G| - 1} for every group of two or more. A d_G with beta_G = 0 is
+    also a root of the bracket. O(n) scalar operations to group, O(g^2) after.
     """
     a = GaussianRational.coerce(head)
     d = [GaussianRational.coerce(x) for x in diagonal]
     b = [GaussianRational.coerce(x) for x in border]
     if len(d) != len(b):
         raise ValueError("arrowhead diagonal and border lengths differ")
-    Q = [ONE]
-    for dk in d:
-        Q = _poly_times_linear(Q, dk)
-    out = _poly_times_linear(Q, a)
     weight: dict[GaussianRational, GaussianRational] = {}
+    size: dict[GaussianRational, int] = {}
     for dk, bk in zip(d, b):
         weight[dk] = weight.get(dk, ZERO) + bk * bk
-    for dk, s in weight.items():
-        # Q / (x - d_k) has degree n - 2: it lands on the last n - 1 coefficients
-        for i, c in enumerate(_poly_deflate(Q, dk), start=2):
+        size[dk] = size.get(dk, 0) + 1
+    Q = [ONE]
+    for dg in weight:
+        Q = _poly_times_linear(Q, dg)
+    out = _poly_times_linear(Q, a)
+    for dg, s in weight.items():
+        # Q / (x - d_G) has degree g - 1: it lands on the last g coefficients
+        for i, c in enumerate(_poly_deflate(Q, dg), start=2):
             out[i] = out[i] - s * c
-    return out
+    return out, {dg: m - 1 for dg, m in size.items() if m > 1}
 
 
 def _poly_times_linear(coeffs, x):
@@ -814,9 +840,10 @@ def _poly_times_linear(coeffs, x):
 def integer_eigenvalues(coeffs: Sequence[GaussianRational], bound: int) -> dict[int, int]:
     """Integer roots of magnitude at most ``bound``, with multiplicities.
 
-    ``coeffs`` is monic in descending powers, as :func:`char_poly` returns
-    it. For a characteristic polynomial the matrix's row-sum norm is a
-    cap that, unlike a Cauchy bound, stays small as coefficients grow.
+    ``coeffs`` is monic in descending powers, as the reduced polynomial of
+    :func:`char_poly` is. For a characteristic polynomial the matrix's
+    row-sum norm is a cap that, unlike a Cauchy bound, stays small as
+    coefficients grow.
     Candidates come from a rational-root search: after clearing
     denominators the constant coefficient is a Gaussian integer whose norm
     any integer root must divide in square. Each candidate is deflated

@@ -7,35 +7,38 @@ W' = rho*A*W yields the order-by-order recursion
     [tI - a(-1)] b_t = sum_{j >= 0} a(j) b_{t-1-j}
 
 with the rho-folded local coefficients a(j) of :mod:`kzsolve.kzcore`, star
-weight ``Vector``s that act on vectors through :func:`kzsolve.symrep.star_act`.
+weight ``Vector``s. Each parameter's right-hand side is one int loop over
+the star action's numerators (:func:`kzsolve.symrep._star_parts`), every
+a(j) lifted with its b_{t-1-j} to one denominator and one gcd at the end.
 The lowest order m must be an eigenvalue of a(-1) = rho*P_k, so rho or
 -rho. The recursion is run with the free parameters carried symbolically,
 with R the matrix whose column p is the right-hand side of parameter p.
 Since P_k^2 = I, tI - a(-1) is invertible off the resonances t = +-rho,
 with inverse (tI + a(-1)) / (t^2 - rho^2): there every parameter carries on
-and x = (t r + rho P_k r) / (t^2 - rho^2) for its right-hand side r, P_k r
-being :func:`kzsolve.symrep.transpose` of r. At t = eps*rho the operator is
-rho(eps*I - P_k), whose kernel and image are the fixed and the
-anti-fixed vectors of the transposition (Coddington & Levinson, Theory of
-Ordinary Differential Equations, ch. 4). So every (x, c) with
-[tI - a(-1)] x = R c is written in closed form: the c that continue are
-the nullspace of at most n - 1 condition rows of R, the only elimination
-of a solve, and the others die at the resonance; the vectors with c = 0
-are fresh kernel freedoms, where new families start. Each resonant vector
-is certified by exact re-substitution. The module returns the full
-solution families.
+and x = (t r + rho P_k r) / (t^2 - rho^2) for its right-hand side r, written
+on r's int parts: P_k r is r with entries 1 and k+1 exchanged. At
+t = eps*rho the operator is rho(eps*I - P_k), whose kernel and image are
+the fixed and the anti-fixed vectors of the transposition (Coddington &
+Levinson, Theory of Ordinary Differential Equations, ch. 4). So every
+(x, c) with [tI - a(-1)] x = R c is written in closed form: the c that
+continue are the nullspace of at most n - 1 condition rows of R, the only
+elimination of a solve, and the others die at the resonance; the vectors
+with c = 0 are fresh kernel freedoms, where new families start. Each
+resonant vector is certified by exact re-substitution. The module returns
+the full solution families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from .ansatz import RationalVectorFunction
 from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
 from .exactalg import nullspace
 from .kzcore import KZSystem, local_coefficients
-from .symrep import star_act, transpose
+from .symrep import _star_parts, star_act
 
 
 @dataclass(frozen=True)
@@ -141,20 +144,21 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
     starts = []  # (t, number of parameters carried into t) for each t that adds fresh ones
     nparams = 0
     for t in range(m_min, order + 1):
-        rhs = []
-        for p in range(nparams):
-            src = [(loc.regular[j], basis[t - 1 - j][p]) for j in range(t - m_min)]
-            rhs.append(_combine([(1, 0, 1, star_act(a, b)) for a, b in src if not b.is_zero()], n))
+        rhs = [
+            _convolution(loc.regular, [basis[t - 1 - j][p] for j in range(t - m_min)], n)
+            for p in range(nparams)
+        ]
         if t * t != rho * rho:
             # P_k^2 = I, so (tI - rho*P_k)^-1 = (tI + rho*P_k) / (t^2 - rho^2): each
             # parameter carries on, x = that times its right-hand side, and none is fresh;
-            # _combine takes positive denominators, so the sign of t^2 - rho^2 goes on top
-            d = t * t - rho * rho
-            sign, d = (1, d) if d > 0 else (-1, -d)
-            basis[t] = [
-                _combine([(sign * t, 0, d, r), (sign * rho, 0, d, transpose(r, k))], n)
-                for r in rhs
-            ]
+            # P_k r is r with entries 1 and k+1 exchanged, so x is (t + rho) r off them
+            xs = []
+            for r in rhs:
+                re, im = [(t + rho) * x for x in r.re], [(t + rho) * y for y in r.im]
+                re[0], re[k] = t * r.re[0] + rho * r.re[k], t * r.re[k] + rho * r.re[0]
+                im[0], im[k] = t * r.im[0] + rho * r.im[k], t * r.im[k] + rho * r.im[0]
+                xs.append(_over(re, im, r.den, t * t - rho * rho))
+            basis[t] = xs
             continue
         combos, carried, fresh = _resonant_order(t, rho, k, loc.minus_one, rhs)
         kept = carried + fresh
@@ -184,6 +188,24 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             SeriesFamily(pole_index=k, start=start, order=order, basis=fam)
         )
     return families
+
+
+def _convolution(coeffs: tuple[Vector, ...], terms: list[Vector], n: int) -> Vector:
+    """sum_j a(j) b_j for the star weights a(j) = ``coeffs[j]`` and b_j = ``terms[j]``.
+
+    One int loop: each a(j) is lifted to the lcm of the products a(j).den * b_j.den,
+    the numerators of a(j) b_j are summed over it and reduced by one gcd.
+    """
+    pairs = [(a, b) for a, b in zip(coeffs, terms) if not b.is_zero()]
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    re, im = [0] * n, [0] * n
+    for a, b in pairs:
+        f = den // (a.den * b.den)
+        wr, wi = (a.re, a.im) if f == 1 else ([f * x for x in a.re], [f * y for y in a.im])
+        sr, si = _star_parts(wr, wi, b.re, b.im)
+        re = list(map(add, re, sr))
+        im = list(map(add, im, si))
+    return Vector.from_parts(re, im, den)
 
 
 def _over(re: list[int], im: list[int], den: int, q: int) -> Vector:

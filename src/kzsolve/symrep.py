@@ -11,11 +11,13 @@ int operations on the vector's shared-denominator parts (its int loop,
 :func:`star_act_array` applies it to a floating vector or matrix in O(n)
 work per column, and :func:`star_rows` writes operators straight into
 the rows of a linear system for elimination. A lone P_k is no weighted
-sum: :func:`transpose` exchanges two entries, and it is the one way the
-library applies a single residue. The generator sum T governs the
-large-z behaviour of the system, so its integer spectrum is computed
-here as well, from the characteristic polynomial of the arrowhead's
-parts, without any matrix.
+sum: :func:`transpose` exchanges two entries of a ``Vector`` (the
+Frobenius recursion folds the same exchange into the int parts of its
+closed form). The generator sum T governs the large-z behaviour of the
+system, so its integer spectrum is computed here as well, from the
+factored characteristic polynomial of the arrowhead's parts, without any
+matrix: T's n - 1 equal diagonal entries leave a reduced polynomial of
+degree 2.
 """
 
 from __future__ import annotations
@@ -130,8 +132,10 @@ def t_spectrum(n: int) -> TSpectrum:
     """Integer spectrum of T with multiplicities and its integer window.
 
     For n >= 3 the spectrum is {n-1, n-2, -1} and the window is [-1, n-1].
-    The spectrum is returned as the root search finds it, so a caller can
-    check it against T; only a window other than [-1, n-1] raises, as no
+    The root search runs on the reduced arrowhead of :func:`char_poly`, of
+    degree 2 for T, and each repeated diagonal value that is an integer adds
+    its extra multiplicity. The spectrum is returned as found, so a caller
+    can check it against T; only a window other than [-1, n-1] raises, as no
     caller could read a wrong window off the result.
     """
     if n < 3:
@@ -142,7 +146,11 @@ def t_spectrum(n: int) -> TSpectrum:
     # arrowhead: head 0, diagonal sum(w) - w_k, border w_k; the row-sum norm caps eigenvalues
     rows = [w, *([d, wk] for d, wk in zip(diagonal, w))]
     bound = int(max(sum(a.abs_bound() for a in row) for row in rows))
-    eig = integer_eigenvalues(char_poly(ZERO, diagonal, w), bound)
+    reduced, repeated = char_poly(ZERO, diagonal, w)
+    eig = integer_eigenvalues(reduced, bound)
+    for d, m in repeated.items():
+        if d.im == 0 and d.re.denominator == 1:
+            eig[int(d.re)] = eig.get(int(d.re), 0) + m
     if min(eig) != -1 or max(eig) != n - 1:
         raise ArithmeticError("T spectrum window is not [-1, n-1]")
     return TSpectrum(n=n, eigenvalues=eig, least=min(eig), greatest=max(eig))

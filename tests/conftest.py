@@ -18,7 +18,12 @@ with a prescribed leading coefficient.
 ``reference_char_poly`` is the dense Faddeev-LeVerrier trace recursion,
 built on ``matmul``, a dense product the library does not have; it
 vouches for the arrowhead ``char_poly`` and feeds
-``integer_eigenvalues`` on matrices that are not arrowheads.
+``integer_eigenvalues`` on matrices that are not arrowheads. Past n = 16
+it is too slow (19 s at n = 32), so ``expanded_char_poly``, the arrowhead
+identity expanded to all n + 1 coefficients as the library did before it
+factored out the repeated diagonal values, stands in for it there.
+``expand_factored`` multiplies ``char_poly``'s powers back into its
+reduced polynomial, the form both references compare against.
 The ``reference_*`` vector operations (scale, add, sub, dot, matrix times
 vector, star action) work entry by entry on ``GaussianRational`` lists,
 as the library did before a ``Vector`` became int parts over one shared
@@ -142,6 +147,47 @@ def reference_char_poly(M) -> list[GaussianRational]:
         N = matmul(M, dense_combination([(ONE, N), (c, ident)]))
         c = -(trace(N) / k)
         coeffs.append(c)
+    return coeffs
+
+
+def _times_linear(coeffs, x):
+    """A polynomial in descending powers times (t - x)."""
+    return [c - x * p for c, p in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+
+
+def expanded_char_poly(head, diagonal, border) -> list[GaussianRational]:
+    """det(xI - M) for an arrowhead M, all n + 1 coefficients in descending powers.
+
+    With Q = prod_k (x - d_k) it is (x - a) Q - sum_k b_k^2 Q / (x - d_k), each
+    quotient a synthetic division of the expanded Q.
+    """
+    a = GaussianRational.coerce(head)
+    d = [GaussianRational.coerce(x) for x in diagonal]
+    b = [GaussianRational.coerce(x) for x in border]
+    Q = [ONE]
+    for dk in d:
+        Q = _times_linear(Q, dk)
+    out = _times_linear(Q, a)
+    quotients = {}
+    for dk, bk in zip(d, b):
+        if dk not in quotients:
+            quotient = [Q[0]]
+            for c in Q[1:-1]:
+                quotient.append(c + dk * quotient[-1])
+            quotients[dk] = quotient
+        # Q / (x - d_k) has degree n - 2: it lands on the last n - 1 coefficients
+        weight = bk * bk
+        for i, c in enumerate(quotients[dk], start=2):
+            out[i] = out[i] - weight * c
+    return out
+
+
+def expand_factored(factored) -> list[GaussianRational]:
+    """The reduced polynomial of ``char_poly`` times (x - d)^m for each repeated d."""
+    coeffs, repeated = factored
+    for d, m in repeated.items():
+        for _ in range(m):
+            coeffs = _times_linear(coeffs, d)
     return coeffs
 
 

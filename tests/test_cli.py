@@ -653,15 +653,15 @@ class TestEigen:
         assert "overall: pass" in out
 
     def test_missing_multiplicity_fails_the_report(self, capsys, monkeypatch):
-        # the checks, not t_spectrum, judge the multiplicities
-        real = symrep.integer_eigenvalues
+        # the checks, not t_spectrum, judge the multiplicities: n - 2 = 2 loses one
+        # of the repeats char_poly factors out of T's diagonal
+        real = symrep.char_poly
 
-        def short(coeffs, bound):
-            eig = real(coeffs, bound)
-            eig[2] -= 1
-            return eig
+        def short(head, diagonal, border):
+            coeffs, repeated = real(head, diagonal, border)
+            return coeffs, {d: m - 1 for d, m in repeated.items()}
 
-        monkeypatch.setattr(symrep, "integer_eigenvalues", short)
+        monkeypatch.setattr(symrep, "char_poly", short)
         code, out, _ = run(capsys, ["eigen", "--n", "4"])
         assert code == 1
         report = json.loads(out)

@@ -9,6 +9,8 @@ from conftest import (
     dense_combination,
     dense_integer_eigenvalues,
     entries_str,
+    expand_factored,
+    expanded_char_poly,
     identity,
     leibniz_det,
     matmul,
@@ -479,6 +481,17 @@ def arrowhead_parts(M):
     return M[0][0], [M[k][k] for k in range(1, n)], [M[0][k] for k in range(1, n)]
 
 
+def arrowhead(head, diagonal, border):
+    """The dense arrowhead with ``head`` at (1, 1), ``diagonal`` below it and ``border`` around."""
+    n = len(diagonal) + 1
+    rows = [[ZERO] * n for _ in range(n)]
+    rows[0][0] = GaussianRational.coerce(head)
+    for k, (d, b) in enumerate(zip(diagonal, border), start=1):
+        rows[k][k] = GaussianRational.coerce(d)
+        rows[0][k] = rows[k][0] = GaussianRational.coerce(b)
+    return rows
+
+
 def star_sums(seed: int):
     """Seeded Gaussian-rational star sums for n = 2..8, some weights zero."""
     rng = random.Random(seed)
@@ -492,13 +505,16 @@ def star_sums(seed: int):
 class TestCharPoly:
     def test_transposition_2(self):
         coeffs = char_poly(*arrowhead_parts(transposition_matrix(2, 1, 2)))
-        assert coeffs == [GaussianRational(1), GaussianRational(0), GaussianRational(-1)]
+        assert coeffs == ([GaussianRational(1), GaussianRational(0), GaussianRational(-1)], {})
 
     def test_general_head(self):
         # nonzero head and repeated diagonal entries, against the dense recursion
         i = GaussianRational(0, 1)
         M = exact_rows([[i, 2, -1, 3], [2, 5, 0, 0], [-1, 0, 5, 0], [3, 0, 0, 0]])
-        assert char_poly(*arrowhead_parts(M)) == reference_char_poly(M)
+        coeffs, repeated = char_poly(*arrowhead_parts(M))
+        assert len(coeffs) == 4
+        assert repeated == {5: 1}
+        assert expand_factored((coeffs, repeated)) == reference_char_poly(M)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -507,11 +523,57 @@ class TestCharPoly:
     def test_generator_sum_matches_reference(self):
         for n in range(2, 13):
             T = t_matrix(n)
-            assert char_poly(*arrowhead_parts(T)) == reference_char_poly(T)
+            assert expand_factored(char_poly(*arrowhead_parts(T))) == reference_char_poly(T)
+
+    def test_generator_sum_reduces_to_degree_two(self):
+        # T: head 0, n - 1 diagonal entries n - 2, border 1; the dense recursion
+        # is too slow past n = 16, so the expanded arrowhead product stands in
+        for n in range(3, 65):
+            parts = (ZERO, [GaussianRational(n - 2)] * (n - 1), [ONE] * (n - 1))
+            coeffs, repeated = char_poly(*parts)
+            # x^2 - (n - 2)x - (n - 1) = (x - (n - 1))(x + 1)
+            assert coeffs == [ONE, GaussianRational(2 - n), GaussianRational(1 - n)]
+            assert repeated == {n - 2: n - 2}
+            assert expand_factored((coeffs, repeated)) == expanded_char_poly(*parts)
 
     def test_star_sums_match_reference(self):
         for M in star_sums(111):
-            assert char_poly(*arrowhead_parts(M)) == reference_char_poly(M)
+            assert expand_factored(char_poly(*arrowhead_parts(M))) == reference_char_poly(M)
+
+    def test_repeated_gaussian_diagonals_match_reference(self):
+        # diagonal values drawn from a pool of three, so most arrowheads have groups
+        rng = random.Random(113)
+        for n in range(2, 9):
+            for _ in range(4):
+                pool = [random_scalar(rng, span=3) for _ in range(3)]
+                diagonal = [rng.choice(pool) for _ in range(n - 1)]
+                border = [ZERO if rng.random() < 0.2 else random_scalar(rng, span=3) for _ in range(n - 1)]
+                head = random_scalar(rng, span=3)
+                coeffs, repeated = char_poly(head, diagonal, border)
+                sizes = {d: diagonal.count(d) for d in diagonal}
+                assert repeated == {d: m - 1 for d, m in sizes.items() if m > 1}
+                assert len(coeffs) == len(sizes) + 2
+                M = arrowhead(head, diagonal, border)
+                assert expand_factored((coeffs, repeated)) == reference_char_poly(M)
+                assert expanded_char_poly(head, diagonal, border) == reference_char_poly(M)
+
+    def test_zero_group_weight_is_a_root_of_the_reduced_polynomial(self):
+        # beta_G = 0 from zero borders and from 1^2 + i^2: d_G is then also a root of
+        # the reduced polynomial, and its multiplicity is |G| - 1 plus that root's
+        i = GaussianRational(0, 1)
+        cases = [
+            (1, [2, 2, 2, 3], [0, 0, 0, 1], 2, 3),
+            (0, [2, 2, 5], [ONE, i, 1], 2, 2),
+            (4, [-1, -1, -1, -1, 2], [ONE, i, ONE, i, 1], -1, 4),
+        ]
+        for head, diagonal, border, d, mult in cases:
+            coeffs, repeated = char_poly(head, diagonal, border)
+            M = arrowhead(head, diagonal, border)
+            bound = row_sum_bound(M)
+            assert integer_eigenvalues(coeffs, bound)[d] == 1
+            assert repeated[GaussianRational(d)] + 1 == mult
+            assert dense_integer_eigenvalues(M)[d] == mult
+            assert expand_factored((coeffs, repeated)) == reference_char_poly(M)
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -524,7 +586,7 @@ class TestCharPoly:
             return [dm.domain.to_sympy(c) for c in dm.charpoly()]
 
         for M in [t_matrix(n) for n in range(2, 13)] + list(star_sums(112)):
-            ours = char_poly(*arrowhead_parts(M))
+            ours = expand_factored(char_poly(*arrowhead_parts(M)))
             assert [to_sympy(c) for c in ours] == sympy_charpoly(M)
 
     def test_integer_roots_are_exact_roots(self):

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .exactalg import (
     GaussianRational,
     Matrix,
-    ONE,
     ScalarLike,
     Vector,
     _combine,
@@ -26,7 +26,7 @@ from .exactalg import (
     nullspace,
 )
 from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
-from .symrep import _star_parts, star_act, star_rows, transpose
+from .symrep import _star_parts, star_rows
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,12 @@ class RationalVectorFunction:
 
     # -- shape accessors ----------------------------------------------------
 
-    @property
+    # cached like _own_entries: every residual call reads the shape
+    @cached_property
     def pole_order(self) -> int:
         return max((len(g) for g in self.pole_coeffs), default=0)
 
-    @property
+    @cached_property
     def poly_degree(self) -> int:
         return len(self.poly_coeffs) - 1
 
@@ -125,7 +126,7 @@ class RationalVectorFunction:
         for x, y, zk, group in zip(inverses.re, inverses.im, self.points, self.pole_coeffs):
             if not (x or y) and any(not v.is_zero() for v in group):
                 raise ValueError(f"evaluation at the pole z = {zk}")
-        table, den = _weight_table(inverses, z, self.pole_order, self.poly_degree)
+        table, den = _weight_table(self.points, z, self.pole_order, self.poly_degree)
         entries, fden = self._own_entries
         wr, wi, _, _ = _value_slope(table, entries, self.dim)
         return Vector.from_parts(wr, wi, den * fden)
@@ -206,20 +207,42 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
         raise ValueError("function pole set differs from the system's")
     if fn.pole_order > 1 or fn.poly_degree > 1:
         raise ValueError("conditions expect simple poles and an affine polynomial")
+    n, s = sys.n, sys.s
     res = fn.residues
     qc, ql = fn.q_const, fn.q_linear
-    sym = tuple(L - transpose(L, k) for k, L in enumerate(res, start=1))
+    sym = []
+    for k, L in enumerate(res, start=1):
+        # (I - P_k) L is L_1 - L_(k+1) at entry 1, its negative at entry k+1, 0 elsewhere
+        re, im = [0] * n, [0] * n
+        re[0], im[0] = L.re[0] - L.re[k], L.im[0] - L.im[k]
+        re[k], im[k] = -re[0], -im[0]
+        sym.append(Vector.from_parts(re, im, L.den))
     # balance k is sum_{j != k} w_j (P_k L_j + P_j L_k) + P_k (z_k q_linear + q_const)
     # with w_j = 1/(z_k - z_j): P_k of one combination plus one star action on L_k
     balance = []
     for k, (zk, Lk) in enumerate(zip(sys.points, res), start=1):
         w = _inverses(sys.points, zk)
         terms = [(x, y, w.den, L) for x, y, L in zip(w.re, w.im, res)]
-        inner = _combine([*terms, (*_parts(zk), ql), (1, 0, 1, qc)], sys.n)
-        balance.append(transpose(inner, k) + star_act(w, Lk))
-    growth = ql + star_act([ONE] * sys.s, ql)
+        inner = _combine([*terms, (*_parts(zk), ql), (1, 0, 1, qc)], n)
+        tr, ti = _star_parts(w.re, w.im, Lk.re, Lk.im)
+        # inner's parts with entries 1 and k+1 swapped, plus the star action, over one lcm
+        sd = w.den * Lk.den
+        den = lcm(inner.den, sd)
+        f, g = den // inner.den, den // sd
+        xr, xi = list(inner.re), list(inner.im)
+        xr[0], xr[k], xi[0], xi[k] = xr[k], xr[0], xi[k], xi[0]
+        balance.append(
+            Vector.from_parts(
+                [f * a + g * b for a, b in zip(xr, tr)], [f * a + g * b for a, b in zip(xi, ti)], den
+            )
+        )
+    # (I + T) q_linear is sum(q) at entry 1 and q_1 + s q_(k+1) at entry k+1
+    qr, qi = ql.re, ql.im
+    growth = Vector.from_parts(
+        [sum(qr), *(qr[0] + s * x for x in qr[1:])], [sum(qi), *(qi[0] + s * y for y in qi[1:])], ql.den
+    )
     return ConditionReport(
-        residue_symmetry=sym, pole_balance=tuple(balance), growth=growth
+        residue_symmetry=tuple(sym), pole_balance=tuple(balance), growth=growth
     )
 
 
@@ -230,7 +253,10 @@ def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector
     weight table :meth:`RationalVectorFunction.eval` reads too, runs on
     fn's coefficient vector in its own shape, flattened once per function:
     one weight table at z, one int loop over the nonzero coefficients, one
-    star action and one reduction to a ``Vector``.
+    star action and one reduction to a ``Vector``. The table and the
+    inverses at z are memoised (at most 32 entries each, keyed on the
+    poles, z and the shape), so every function of one shape checked at the
+    same point, as ``kz verify`` checks several, shares one table.
     """
     if fn.points != sys.points or fn.dim != sys.n:
         raise ValueError("function pole set or dimension differs from the system's")
@@ -250,23 +276,35 @@ def _sample_weights(sys: KZSystem, z: GaussianRational, pole_order: int, poly_de
     Returns (ar, ai, table, den): rho/(z - z_k) = (ar[k] + ai[k]*i) / E for
     the inverses' denominator E, and den = D*E, the slopes' denominator, so
     the star action of (ar, ai) on W's numerators lands over den as W' does.
+    ``eval_A`` runs on every call and refuses a pole; the inverses and the
+    table come from their memos (at most 32 entries each), so every function
+    checked at z shares them.
     """
     inverses = eval_A(sys, z)
-    table, d = _weight_table(inverses, z, pole_order, poly_degree)
+    table, d = _weight_table(sys.points, z, pole_order, poly_degree)
     ar, ai = [sys.rho * x for x in inverses.re], [sys.rho * y for y in inverses.im]
     return ar, ai, table, d * inverses.den
 
 
-def _weight_table(inverses: Vector, z: GaussianRational, pole_order: int, poly_degree: int):
+@lru_cache(maxsize=32)
+def _weight_table(
+    points: tuple[GaussianRational, ...], z: GaussianRational, pole_order: int, poly_degree: int
+):
     """The value and slope weights at z of every unknown block of a shape, and D.
 
-    ``inverses[k]`` is 1/(z - z_k) over E, 0 at a pole, which zeroes that
-    pole's weights. Entry u holds the int parts of block u's value weight
-    over D and of its slope weight over D*E: for the pole block (k, r),
-    (z - z_k)^-r and -r (z - z_k)^-(r+1); for the polynomial block d, z^d
-    and d z^(d-1). D = E^p zd^deg for z's denominator zd, so each weight is
-    an int product of the parts of z and of the inverses.
+    Memoised on (points, z, shape), at most 32 entries: it depends on
+    nothing else (rho enters only in :func:`_sample_weights`), and every
+    function of one shape checked at z reads the same table. The table is
+    a tuple of int tuples, so callers share it.
+
+    ``_inverses(points, z)[k]`` is 1/(z - z_k) over E, 0 at a pole, which
+    zeroes that pole's weights. Entry u holds the int parts of block u's
+    value weight over D and of its slope weight over D*E: for the pole
+    block (k, r), (z - z_k)^-r and -r (z - z_k)^-(r+1); for the polynomial
+    block d, z^d and d z^(d-1). D = E^p zd^deg for z's denominator zd, so
+    each weight is an int product of the parts of z and of the inverses.
     """
+    inverses = _inverses(points, z)
     e = inverses.den
     zx, zy, zd = _parts(z)
     p, deg = pole_order, poly_degree
@@ -290,7 +328,7 @@ def _weight_table(inverses: Vector, z: GaussianRational, pole_order: int, poly_d
         table.append((qx * f, qy * f, sx * g, sy * g))
         sx, sy = (d + 1) * qx, (d + 1) * qy
         qx, qy = qx * zx - qy * zy, qx * zy + qy * zx
-    return table, ep * zpow
+    return tuple(table), ep * zpow
 
 
 def _nonzero_entries(flat: Vector, n: int) -> tuple[list[int], list[int], list[int], list[int]]:

@@ -53,9 +53,10 @@ SERIES_MAX_ORDER = 64
 # 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32, 0.89 s with order
 # 16 and 12-13 s, for a 54 MB report, at SERIES_MAX_ORDER, still mostly the convolution.
 # ``verify`` evaluates residuals at s(p + 1) + d points, each one weight table at the point
-# and one int loop over the O(n^2) coefficients, and at rho = -1 the pole-balance
-# conditions, one n-term combination per pole, O(n^3): 0.56-0.66 s at n = 64 and 4.7 s at
-# 128 (cap lifted), in-process (best of 3) for a random simple-pole file solution.
+# (memoised, so the solutions of ``--solution all`` share it) and one int loop over the
+# O(n^2) coefficients, and at rho = -1 the pole-balance conditions, one n-term combination
+# per pole, O(n^3): 0.37 s at n = 64 and 3.0 s at 128 (cap lifted), in-process (best of 3,
+# memos emptied before each run) for a random simple-pole file solution.
 SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 
@@ -146,19 +147,15 @@ def _build_system(args) -> KZSystem:
     return new_system(args.n, args.rho, points)
 
 
-def _vector_json(v: Vector) -> list[str]:
-    return [str(c) for c in v]
-
-
 def _solution_json(fn: ansatz.RationalVectorFunction, n: int, rho: int) -> dict:
     return {
         "n": n,
         "rho": rho,
         "points": [str(p) for p in fn.points],
         "pole_coefficients": [
-            [_vector_json(vec) for vec in group] for group in fn.pole_coeffs
+            [vec.entry_strings() for vec in group] for group in fn.pole_coeffs
         ],
-        "poly_coefficients": [_vector_json(vec) for vec in fn.poly_coeffs],
+        "poly_coefficients": [vec.entry_strings() for vec in fn.poly_coeffs],
     }
 
 
@@ -320,7 +317,7 @@ def cmd_series(args) -> dict:
             "dimension": fam.dimension,
             "order": fam.order,
             "basis_series": [
-                {str(q): _vector_json(fam.basis[q][i]) for q in range(fam.start, fam.order + 1)}
+                {str(q): fam.basis[q][i].entry_strings() for q in range(fam.start, fam.order + 1)}
                 for i in range(fam.dimension)
             ],
         }

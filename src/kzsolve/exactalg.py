@@ -54,9 +54,15 @@ def _as_fraction(x) -> Fraction:
 
 
 class GaussianRational:
-    """Immutable exact complex scalar with rational real/imaginary parts."""
+    """Immutable exact complex scalar with rational real/imaginary parts.
 
-    __slots__ = ("re", "im")
+    The hash is computed once and kept in a slot set on first use, since
+    ``Fraction.__hash__`` is costly and poles and sample points key the
+    memos of :mod:`kzsolve.kzcore` and :mod:`kzsolve.ansatz`. It equals the
+    hash of the real part, a ``Fraction`` or int, when the scalar is real.
+    """
+
+    __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
@@ -176,9 +182,12 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.re) if self.im == 0 else hash((self.re, self.im))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self):
         if self.im == 0:
@@ -241,6 +250,12 @@ def _entry(x: int, y: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(x, den), Fraction(y, den))
 
 
+def _part_str(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for den > 0, from one gcd."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 class Vector:
     """Dense exact vector: int real and imaginary parts over one shared denominator.
 
@@ -248,7 +263,8 @@ class Vector:
     and ``gcd(den, *re, *im) == 1``, so equal vectors have equal parts and
     ``==`` and ``hash`` compare plain tuples. Arithmetic is an int loop and
     one gcd per result; entries become ``GaussianRational`` only when read
-    (indexing, slicing, iteration, ``data``, ``str``).
+    (indexing, slicing, iteration, ``data``). ``str`` and
+    :meth:`entry_strings` print the entries from the int parts.
     """
 
     __slots__ = ("re", "im", "den")
@@ -352,8 +368,17 @@ class Vector:
     def __hash__(self):
         return hash((self.re, self.im, self.den))
 
+    def entry_strings(self) -> list[str]:
+        """Each entry as ``str`` prints its ``GaussianRational``: ``a/b``, or ``(re,im)``
+        when im != 0, written from the int parts with one gcd per part."""
+        den = self.den
+        return [
+            f"({_part_str(x, den)},{_part_str(y, den)})" if y else _part_str(x, den)
+            for x, y in zip(self.re, self.im)
+        ]
+
     def __str__(self):
-        return "[" + ", ".join(str(a) for a in self.data) + "]"
+        return "[" + ", ".join(self.entry_strings()) + "]"
 
     def __repr__(self):
         return f"Vector({self})"

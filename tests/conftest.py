@@ -47,6 +47,9 @@ coefficient, for tests that need sums the library never forms.
 it carries every residue sum as star weights. ``star_sum`` adds up
 scaled generator matrices entry by entry, so it shares no code with
 ``star_act`` or ``star_rows``.
+The autouse fixture ``cold_memos`` empties the library's process-wide
+memos (``MEMOS``) before every test, so a test that counts the work behind
+them reads its own misses, not hits left by an earlier test.
 """
 
 import random
@@ -54,7 +57,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from kzsolve.ansatz import RationalVectorFunction
+import pytest
+
+from kzsolve.ansatz import RationalVectorFunction, _weight_table
 from kzsolve.exactalg import (
     ONE,
     ZERO,
@@ -66,8 +71,17 @@ from kzsolve.exactalg import (
     nullspace,
 )
 from kzsolve.frobenius import SeriesFamily, exponent_window
-from kzsolve.kzcore import local_coefficients
+from kzsolve.kzcore import _inverses, local_coefficients
 from kzsolve.symrep import star_act
+
+# the library's memos on input data (exactalg._prime, a fixed table of primes, is none)
+MEMOS = (_inverses, _weight_table)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def perm_sign(p):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    MEMOS,
     combine_functions,
     entries_str,
+    generic_points,
     random_points,
     random_scalar,
     reference_add,
@@ -15,11 +17,15 @@ from conftest import (
     reference_scale,
     reference_sub,
     star_generators,
+    star_sum,
+    transposition_matrix,
     zero_function,
 )
 from kzsolve import ansatz
 from kzsolve.ansatz import (
     RationalVectorFunction,
+    _sample_weights,
+    _weight_table,
     check_conditions,
     in_span,
     residual,
@@ -27,7 +33,7 @@ from kzsolve.ansatz import (
     solve_ansatz,
 )
 from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar
-from kzsolve.kzcore import eval_A, new_system
+from kzsolve.kzcore import _inverses, eval_A, new_system
 from kzsolve.symrep import star_act
 from kzsolve.s4explicit import y1, y2, y3, y4
 
@@ -131,6 +137,56 @@ class TestCheckConditions:
         sys = canon_sys()
         with pytest.raises(ValueError):
             check_conditions(sys, y2(CANON).derivative())
+
+    @staticmethod
+    def dense_conditions(sys, fn):
+        """The three conditions from dense P_k matrices, in GaussianRational arithmetic."""
+        n, s = sys.n, sys.s
+        P = [transposition_matrix(n, 1, k + 1) for k in range(1, s + 1)]
+        res = [list(L) for L in fn.residues]
+        qc, ql = list(fn.q_const), list(fn.q_linear)
+        sym = [reference_sub(L, reference_matvec(Pk, L)) for Pk, L in zip(P, res)]
+        balance = []
+        for k, zk in enumerate(sys.points):
+            # sum_{j != k} (P_k L_j + P_j L_k) / (z_k - z_j) + P_k (z_k q_linear + q_const)
+            acc = reference_matvec(P[k], reference_add(reference_scale(zk, ql), qc))
+            for j, zj in enumerate(sys.points):
+                if j != k:
+                    pair = reference_add(reference_matvec(P[k], res[j]), reference_matvec(P[j], res[k]))
+                    acc = reference_add(acc, reference_scale(ONE / (zk - zj), pair))
+            balance.append(acc)
+        growth = reference_add(ql, reference_matvec(star_sum([ONE] * s), ql))
+        return sym, balance, growth
+
+    @staticmethod
+    def corrupted(rng, points, n):
+        """A simple-pole, affine function with random Gaussian coefficients."""
+        def vec():
+            return Vector([random_scalar(rng) for _ in range(n)])
+        return RationalVectorFunction.simple(points, tuple(vec() for _ in points), vec(), vec())
+
+    def test_matches_dense_oracle(self):
+        rng = random.Random(2610)
+        cases = []
+        for _ in range(4):
+            pts = generic_points(rng)
+            cases += [(4, pts, build(pts), True) for build in (y1, y2, y3, y4)]
+        for n in (3, 4, 5, 6) * 2:
+            pts = random_points(rng, n - 1)
+            cases.append((n, pts, self.corrupted(rng, pts, n), False))
+        for n, pts, fn, solves in cases:
+            sys = new_system(n, -1, pts)
+            rep = check_conditions(sys, fn)
+            sym, balance, growth = self.dense_conditions(sys, fn)
+            assert [list(v) for v in rep.residue_symmetry] == sym
+            assert [list(v) for v in rep.pole_balance] == balance
+            assert list(rep.growth) == growth
+            families = (rep.residue_symmetry, rep.pole_balance, (rep.growth,))
+            if solves:
+                assert rep.passed
+            else:
+                # every family is nonzero, so the comparison above read real values
+                assert all(any(not v.is_zero() for v in fam) for fam in families)
 
 
 class TestResidual:
@@ -479,3 +535,70 @@ class TestEquivalenceProperties:
         combo = combine_functions([(1, y1(CANON)), (1, y4(CANON))])
         assert check_conditions(sys, combo).passed
         assert residual(sys, combo, 9).is_zero()
+
+
+class TestWeightMemo:
+    """One weight table per sample point and shape, keyed on everything it depends on."""
+
+    @staticmethod
+    def verify(sys, fns, zs):
+        """The ``kz verify`` recipe: conditions, then residuals at every sample point."""
+        return [(check_conditions(sys, fn).named(), [residual(sys, fn, z) for z in zs]) for fn in fns]
+
+    def test_one_table_per_point_and_shape_in_a_verify(self):
+        sys = new_system(4, -1, [0, GaussianRational(1, -2), Fraction(5, 3)])
+        zs = sample_points(sys.points, 7)
+        fns = [build(sys.points) for build in (y1, y2, y3, y4)]
+        for _, res in self.verify(sys, fns, zs):
+            assert all(r.is_zero() for r in res)
+        # y1 is of shape (1, 1), y2..y4 of shape (1, -1); inverses at 3 poles and 7 points
+        assert _weight_table.cache_info().misses == 14
+        assert _inverses.cache_info().misses == 10
+
+    def test_same_poles_other_rho_get_other_weights(self):
+        z = GaussianRational(9)
+        a = _sample_weights(canon_sys(-1), z, 1, 1)
+        b = _sample_weights(canon_sys(2), z, 1, 1)
+        assert a[2:] == b[2:]  # the table does not depend on rho
+        assert a[:2] != b[:2]
+        assert residual(canon_sys(-1), y1(CANON), z).is_zero()
+        assert not residual(canon_sys(2), y1(CANON), z).is_zero()
+
+    def test_other_poles_get_other_tables(self):
+        z = GaussianRational(9)
+        other = [0, 1, 3]
+        for p, d in ((1, 1), (1, -1), (2, 0)):
+            assert _weight_table(canon_sys().points, z, p, d) != _weight_table(
+                new_system(4, -1, other).points, z, p, d
+            )
+        # warm tables for CANON do not leak into the other configuration
+        assert residual(canon_sys(), y1(CANON), z).is_zero()
+        assert residual(new_system(4, -1, other), y1(other), z).is_zero()
+
+    def test_cached_values_are_immutable(self):
+        sys = canon_sys()
+        table, den = _weight_table(sys.points, GaussianRational(5), 2, 1)
+        assert isinstance(table, tuple) and isinstance(den, int)
+        assert all(isinstance(row, tuple) and all(type(x) is int for x in row) for row in table)
+        assert isinstance(_inverses(sys.points, GaussianRational(5)), Vector)
+
+    def test_cold_and_warm_runs_agree(self):
+        rng = random.Random(2611)
+        configs = [new_system(4, -1, generic_points(rng)) for _ in range(3)]
+        runs = []
+        for sys in configs:
+            zs = sample_points(sys.points, 7)
+            fns = [build(sys.points) for build in (y1, y2, y3, y4)]
+            bad = RationalVectorFunction.simple(
+                sys.points, (fns[0].residues[0] + Vector.unit(4, 1), *fns[0].residues[1:]),
+                fns[0].q_const, fns[0].q_linear,
+            )
+            runs.append((sys, [*fns, bad], zs))
+        for memo in MEMOS:
+            memo.cache_clear()
+        cold = [self.verify(*run) for run in runs]
+        warm = [self.verify(*run) for run in reversed(runs)][::-1]
+        assert warm == cold
+        assert _weight_table.cache_info().hits > 0
+        # the corrupted candidate's residuals, so the comparison reads nonzero values
+        assert not all(r.is_zero() for r in cold[0][4][1])

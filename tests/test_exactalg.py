@@ -157,9 +157,23 @@ class TestSharedDenominator:
             v = Vector(a)
             assert canonical(v)
             assert str(v) == entries_str(a)
+            assert v.entry_strings() == [str(x) for x in a]
             assert list(v) == a and list(v.data) == a
             assert [v[i] for i in range(v.dim)] == a and v[1:3] == tuple(a[1:3])
             assert Vector(v.data) == v
+
+    def test_entry_strings_of_zero_negative_integer_and_imaginary_entries(self):
+        a = [
+            ZERO,
+            GaussianRational(-3),
+            GaussianRational(Fraction(-5, 6)),
+            GaussianRational(0, -2),
+            GaussianRational(Fraction(-1, 3), 4),
+            GaussianRational(7, Fraction(-2, 9)),
+        ]
+        assert Vector(a).entry_strings() == ["0", "-3", "-5/6", "(0,-2)", "(-1/3,4)", "(7,-2/9)"]
+        assert Vector.zero(3).entry_strings() == ["0"] * 3
+        assert Vector([4, -8]).entry_strings() == ["4", "-8"]
 
     def test_ops_match_entrywise_reference(self):
         for rng, a, b in self.cases(121):

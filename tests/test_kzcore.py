@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from importlib import import_module
+from pkgutil import iter_modules
 
 import pytest
 
 from conftest import (
+    MEMOS,
     dense_combination,
     identity,
     matmul,
@@ -13,8 +16,10 @@ from conftest import (
     star_sum,
     t_matrix,
 )
+import kzsolve
+from kzsolve import exactalg
 from kzsolve.exactalg import GaussianRational, Vector
-from kzsolve.kzcore import eval_A, local_coefficients, new_system
+from kzsolve.kzcore import _inverses, eval_A, local_coefficients, new_system
 
 
 class TestNewSystem:
@@ -145,3 +150,55 @@ class TestLocalCoefficients:
                 for row in diff:
                     for a in row:
                         assert a.abs_bound() <= tail
+
+
+class TestMemos:
+    """The memos are keyed on everything their values depend on, bounded and immutable."""
+
+    def test_every_input_memo_is_listed_and_bounded(self):
+        modules = [import_module(f"kzsolve.{m.name}") for m in iter_modules(kzsolve.__path__)]
+        memos = {id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")}
+        # exactalg._prime is the fixed table of word-size primes, the same for every input
+        memos.pop(id(exactalg._prime))
+        assert sorted(memos) == sorted(map(id, MEMOS))
+        for memo in MEMOS:
+            assert memo.cache_parameters()["maxsize"] <= 32
+
+    def test_different_poles_get_different_inverses_at_the_same_z(self):
+        z = GaussianRational(7)
+        a = _inverses(new_system(4, -1, [0, 1, 2]).points, z)
+        b = _inverses(new_system(4, -1, [0, 1, 3]).points, z)
+        assert a == Vector([Fraction(1, 7), Fraction(1, 6), Fraction(1, 5)])
+        assert b == Vector([Fraction(1, 7), Fraction(1, 6), Fraction(1, 4)])
+        assert _inverses.cache_info().misses == 2
+
+    def test_cached_inverses_are_a_shared_vector(self):
+        sys = new_system(4, -1, [0, GaussianRational(1, 2), 2])
+        first = eval_A(sys, 5)
+        assert isinstance(first, Vector)
+        assert eval_A(sys, GaussianRational(5)) is first
+        assert _inverses.cache_info().hits == 1
+
+    def test_pole_refused_on_a_warm_memo(self):
+        sys = new_system(4, -1, [0, 1, 2])
+        _inverses(sys.points, GaussianRational(1))  # a pole: inverse 0 there
+        with pytest.raises(ValueError):
+            eval_A(sys, 1)
+
+    @pytest.mark.parametrize("x", [Fraction(3, 4), Fraction(-7, 3), Fraction(5), 5, 0, -12])
+    def test_real_hash_equals_the_fraction_hash_before_and_after_the_slot_is_set(self, x):
+        a = GaussianRational(x)
+        with pytest.raises(AttributeError):
+            a._hash
+        assert hash(a) == hash(Fraction(x)) == hash(x)
+        assert a._hash == hash(x)
+        assert hash(a) == hash(Fraction(x)) == hash(x)
+        assert hash(GaussianRational(x, 0)) == hash(x)
+
+    def test_gaussian_hash_is_set_once(self):
+        a = GaussianRational(Fraction(1, 2), Fraction(-3, 5))
+        with pytest.raises(AttributeError):
+            a._hash
+        h = hash(a)
+        assert h == hash((Fraction(1, 2), Fraction(-3, 5))) == a._hash == hash(a)
+        assert hash(GaussianRational(Fraction(1, 2), Fraction(-3, 5))) == h

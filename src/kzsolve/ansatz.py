@@ -4,9 +4,10 @@ A candidate is W(z) = sum_k sum_r L[k][r] (z - z_k)^-r + sum_d Q_d z^d.
 For coupling rho = -1 and the simple-pole, affine-polynomial shape the
 equation W' = rho*A*W reduces to three families of exact conditions
 (residue symmetry, per-pole balance, growth matching). For any integer
-rho and any shape the same matching logic is assembled into one exact
-linear system whose nullspace is the complete space of solutions of that
-shape.
+rho and any shape the complete space of solutions of that shape is glued
+from local data: each pole's principal part comes from its own Frobenius
+recursion (:mod:`kzsolve.frobenius`), and one exact nullspace of the
+simple-pole and growth rows joins them to the polynomial part.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import cycle
 from math import lcm
 
 from .exactalg import (
@@ -25,8 +27,9 @@ from .exactalg import (
     _parts,
     nullspace,
 )
+from .frobenius import _principal_part
 from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
-from .symrep import _star_parts, star_rows
+from .symrep import _star_parts, star_rows, transpose
 
 
 @dataclass(frozen=True)
@@ -394,66 +397,71 @@ def solve_ansatz(
 ) -> list[RationalVectorFunction]:
     """Complete basis of rational solutions of the prescribed shape.
 
-    Assembles the exact pole-matching conditions (orders -(pole_order+1)
-    through -1 at every pole) and the polynomial-growth conditions at
-    infinity into one linear system over all coefficient vectors, then
-    extracts its nullspace. Every kernel vector is certified before it
-    becomes a function: W' - rho*A*W times prod_k (z - z_k)^(p+1) is a
-    polynomial of degree below s(p + 1) + d, so it must vanish at that many
-    sample points. Each point gets one weight table (:func:`_sample_weights`)
-    and each vector one int loop over its nonzero entries (:func:`_value_slope`)
-    and one star action, the evaluator behind :func:`residual`; it reads
-    none of the assembled rows. A nonzero defect raises rather than
-    returning a wrong basis.
+    The pole-matching rows of orders -(p+1) through -2 at pole k are its
+    own Frobenius recursion for t = -p..-1 with nothing below -p, so they
+    are solved, not assembled: pole k's principal part is zero unless
+    p >= |rho| > 0, and then a combination of the columns of
+    :func:`kzsolve.frobenius._principal_part` (n - 1 of them for rho < 0,
+    one for rho > 0). The one elimination is the nullspace of the rows
+    that couple the poles, on those pole parameters and the n(d + 1)
+    polynomial coefficients: the s*n simple-pole rows (t = 0) and the n*d
+    growth rows at infinity. Block k of the simple-pole rows is taken
+    times P_k: P_k times the own-pole term (each column's right-hand side
+    at t = 0), plus rho times W's regular part at z_k. The kernel is mapped
+    back to the flat unknowns and brought to the full system's RREF kernel
+    (:func:`_rref_kernel_form`), which the kernel space alone determines,
+    so the basis is the one the full system's nullspace returns.
+
+    Every kernel vector is certified before it becomes a function:
+    W' - rho*A*W times prod_k (z - z_k)^(p+1) is a polynomial of degree
+    below s(p + 1) + d, so it must vanish at that many sample points. Each
+    point gets one weight table (:func:`_sample_weights`) and each vector
+    one int loop over its nonzero entries (:func:`_value_slope`) and one
+    star action, the evaluator behind :func:`residual`; it reads none of
+    the glued rows. A nonzero defect raises rather than returning a wrong
+    basis.
     """
     if pole_order < 1:
         raise ValueError("pole_order must be at least 1")
     if poly_degree < 0:
         raise ValueError("poly_degree must be at least 0")
     n, s, p, deg = sys.n, sys.s, pole_order, poly_degree
-    rho = sys.rho
-    blocks, pole_block, poly_block = _unknown_layout(s, p, deg)
-    width = n * blocks
-    locals_ = [local_coefficients(sys, k + 1, p - 1) for k in range(s)]
-
-    # each equation is n rows: the sum of (shift*I + sum_j w_j P_j) times the
-    # unknown block u over its terms (u, shift, w)
-    rows: list[Vector] = []
-
-    def add_equation(terms: list[tuple[int, int, Vector]]):
-        rows.extend(star_rows([(u * n, shift, w) for u, shift, w in terms], n, width))
-
-    def weighted_P(k: int, x: int, y: int, d: int) -> Vector:
-        """The weights of (x + y*i) / d * P_(k+1)."""
-        re, im = [0] * s, [0] * s
-        re[k], im[k] = x, y
-        return Vector.from_parts(re, im, d)
-
+    rho, m = sys.rho, abs(sys.rho)
+    zero = Vector.zero(n)
+    locals_ = [local_coefficients(sys, k + 1, m - 1) for k in range(s)] if 0 < m <= p else []
+    # (columns, own-pole terms) per pole; no pole carries a parameter unless 0 < |rho| <= p
+    parts = [_principal_part(k + 1, rho, loc) for k, loc in enumerate(locals_)]
+    params = sum(len(cols) for cols, _ in parts)
+    width = params + n * (deg + 1)
     # z_k^t for t = 0..deg as int parts over the points' shared denominator to the t
     zpow = [([1] * s, [0] * s, 1), *_powers(Vector(sys.points), deg)]
 
+    # pole j's columns at each order b_-r, stacked one after the other
+    stacked = [[Vector.concat([col[r] for col in cols]) for r in range(m)] for cols, _ in parts]
+    rows: list[Vector] = []
     for k in range(s):
-        loc = locals_[k]
-        # deep pole orders -(r'+1), r' = pole_order..1: (r'I + a(-1)) on block r'
-        # plus a(r - r' - 1) on each deeper block r
-        for rp in range(p, 0, -1):
-            terms = [(pole_block(k, rp), rp, loc.minus_one)]
-            terms += [(pole_block(k, r), 0, loc.regular[r - rp - 1]) for r in range(rp + 1, p + 1)]
-            add_equation(terms)
-        # surviving simple pole at z_k; the weight rho / (z_k - z_j)^r of the
-        # pole term (j, r) is entry j of a(r - 1) times (-1)^(r-1)
-        terms = [(pole_block(k, r), 0, loc.regular[r - 1]) for r in range(1, p + 1)]
-        signed = [(r, 1 if r % 2 else -1, w) for r, w in enumerate(loc.regular, start=1)]
-        terms += [
-            (pole_block(j, r), 0, weighted_P(k, c * w.re[j], c * w.im[j], w.den))
-            for j in range(s) if j != k
-            for r, c, w in signed
-        ]
-        terms += [
-            (poly_block(dd), 0, weighted_P(k, rho * re[k], rho * im[k], d))
-            for dd, (re, im, d) in enumerate(zpow)
-        ]
-        add_equation(terms)
+        # block k of the simple-pole rows times P_k, as one stacked segment per pole:
+        # P_k times the own-pole term of pole k's columns, rho times the value at z_k
+        # of every other pole's columns, and then rho z_k^d Q_d; the weight
+        # rho / (z_k - z_j)^r is entry j of a(r - 1) times (-1)^(r-1)
+        segments = []
+        for j, (cols, own) in enumerate(parts):
+            if j == k:
+                segments.append(Vector.concat([transpose(r, k + 1) for r in own]))
+                continue
+            terms = zip(cycle((1, -1)), locals_[k].regular, stacked[j])
+            terms = [(c * a.re[j], c * a.im[j], a.den, b) for c, a, b in terms]
+            segments.append(_combine(terms, n * len(cols)))
+        den = lcm(*(v.den for v in segments), *(d for _, _, d in zpow))
+        lifted = [(den // v.den, v.re, v.im) for v in segments]
+        poly = [(rho * re[k] * (den // d), rho * im[k] * (den // d)) for re, im, d in zpow]
+        for i in range(n):
+            # entry i of every column in a segment sits n apart
+            re = [f * x for f, xs, _ in lifted for x in xs[i::n]] + [0] * (width - params)
+            im = [f * y for f, _, ys in lifted for y in ys[i::n]] + [0] * (width - params)
+            for d, (x, y) in enumerate(poly):
+                re[params + d * n + i], im[params + d * n + i] = x, y
+            rows.append(Vector.from_parts(re, im, den))
     # growth matching at infinity; G[t] = sum_k z_k^t P_k drives the
     # large-z expansion rho*A(z) = sum_t rho*G[t] z^(-t-1)
     minus_rho_G = [
@@ -461,11 +469,21 @@ def solve_ansatz(
         for re, im, d in zpow[:deg]
     ]
     for e in range(deg):
-        terms = [(poly_block(e + 1), e + 1, minus_rho_G[0])]
-        terms += [(poly_block(d), 0, minus_rho_G[d - e - 1]) for d in range(e + 2, deg + 1)]
-        add_equation(terms)
+        terms = [(params + (e + 1) * n, e + 1, minus_rho_G[0])]
+        terms += [(params + d * n, 0, minus_rho_G[d - e - 1]) for d in range(e + 2, deg + 1)]
+        rows.extend(star_rows(terms, n, width))
 
-    kernel = nullspace(Matrix(rows))
+    flat = []
+    for v in nullspace(Matrix(rows)):
+        # pole k's blocks b_-1..b_-p, the combination of its columns by its parameters
+        blocks, at = [] if parts else [zero] * (s * p), 0
+        for cols, _ in parts:
+            coeffs = list(zip(v.re[at:], v.im[at:], cols))
+            blocks += [_combine([(x, y, v.den, c[r]) for x, y, c in coeffs], n) for r in range(m)]
+            blocks += [zero] * (p - m)
+            at += len(cols)
+        flat.append(Vector.concat(blocks + [v.segment(at, v.dim)]))
+    kernel = _rref_kernel_form(flat)
     # the certificate reads none of the rows: W' - rho*A*W of every kernel
     # vector at every sample point, from one weight table per point
     vectors = [_nonzero_entries(vec, n) for vec in kernel]
@@ -476,6 +494,39 @@ def solve_ansatz(
             if (sr, si) != _star_parts(ar, ai, wr, wi):
                 raise ArithmeticError("assembled solution failed exact residual check")
     return [_function_from_flat(sys, vec, p, deg) for vec in kernel]
+
+
+def _rref_kernel_form(vectors: list[Vector]) -> list[Vector]:
+    """The RREF kernel of any matrix whose kernel the independent ``vectors`` span.
+
+    That kernel has one vector per free column f, 1 at f, 0 at the other
+    free columns and at every column right of f; f is the last nonzero
+    entry of some kernel vector. So each vector is cleared, from the last
+    coordinate, at the free columns found so far until its last nonzero
+    entry is a new one and scaled to 1 there; then each, in order of its
+    free column, is cleared at the free columns left of it. Vectors that
+    already have that form, as :func:`solve_ansatz`'s do, come back as they
+    are after one scan each.
+    """
+    found: dict[int, Vector] = {}
+    for v in vectors:
+        while (f := _last_nonzero(v)) in found:
+            v = _combine([(1, 0, 1, v), (-v.re[f], -v.im[f], v.den, found[f])], v.dim)
+        x, y = v.re[f], v.im[f]
+        if (x, y) != (v.den, 0):
+            v = _combine([(v.den * x, -v.den * y, x * x + y * y, v)], v.dim)
+        found[f] = v
+    kernel: list[Vector] = []
+    free = sorted(found)
+    for f in free:
+        v = found[f]
+        terms = [(-v.re[g], -v.im[g], v.den, u) for g, u in zip(free, kernel) if v.re[g] or v.im[g]]
+        kernel.append(_combine([(1, 0, 1, v), *terms], v.dim) if terms else v)
+    return kernel
+
+
+def _last_nonzero(v: Vector) -> int:
+    return max(i for i, (x, y) in enumerate(zip(v.re, v.im)) if x or y)
 
 
 def _function_from_flat(
@@ -522,14 +573,14 @@ def in_span(
 
     Coefficients compare only over the same poles and dimension, so a basis
     function whose ``points`` or ``dim`` differ from fn's raises, as
-    :func:`residual` does.
+    :func:`residual` does. The empty basis spans the zero function alone.
     """
     if any(b.points != fn.points or b.dim != fn.dim for b in basis):
         raise ValueError("basis function pole set or dimension differs from the function's")
-    if not basis:
-        return False
-    cols = [coefficient_vector(b, pole_order, poly_degree) for b in basis]
     target = coefficient_vector(fn, pole_order, poly_degree)
+    if not basis:
+        return target.is_zero()
+    cols = [coefficient_vector(b, pole_order, poly_degree) for b in basis]
     # fn is a member iff the column -target is free in [cols | -target]; then the
     # RREF kernel's last vector is (x, 1), and else every kernel vector ends in 0
     kernel = nullspace(Matrix.from_columns([*cols, -target]))

@@ -25,7 +25,9 @@ continue are the nullspace of at most n - 1 condition rows of R, the only
 elimination of a solve, and the others die at the resonance; the vectors
 with c = 0 are fresh kernel freedoms, where new families start. Each
 resonant vector is certified by exact re-substitution. The module returns
-the full solution families.
+the full solution families, and to :mod:`kzsolve.ansatz` the principal
+parts a pole admits (:func:`_principal_part`): the same recursion from
+t = -|rho| up to t = -1, re-substituted at every order.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, lcm
 from operator import add
+from typing import TYPE_CHECKING
 
-from .ansatz import RationalVectorFunction
 from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
 from .exactalg import nullspace
-from .kzcore import KZSystem, local_coefficients
+from .kzcore import KZSystem, LocalCoefficients, local_coefficients
 from .symrep import _star_parts, star_act
+
+if TYPE_CHECKING:
+    from .ansatz import RationalVectorFunction
 
 
 @dataclass(frozen=True)
@@ -149,16 +154,8 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
             for p in range(nparams)
         ]
         if t * t != rho * rho:
-            # P_k^2 = I, so (tI - rho*P_k)^-1 = (tI + rho*P_k) / (t^2 - rho^2): each
-            # parameter carries on, x = that times its right-hand side, and none is fresh;
-            # P_k r is r with entries 1 and k+1 exchanged, so x is (t + rho) r off them
-            xs = []
-            for r in rhs:
-                re, im = [(t + rho) * x for x in r.re], [(t + rho) * y for y in r.im]
-                re[0], re[k] = t * r.re[0] + rho * r.re[k], t * r.re[k] + rho * r.re[0]
-                im[0], im[k] = t * r.im[0] + rho * r.im[k], t * r.im[k] + rho * r.im[0]
-                xs.append(_over(re, im, r.den, t * t - rho * rho))
-            basis[t] = xs
+            # each parameter carries on and none is fresh
+            basis[t] = [_off_resonance(t, rho, k, r) for r in rhs]
             continue
         combos, carried, fresh = _resonant_order(t, rho, k, loc.minus_one, rhs)
         kept = carried + fresh
@@ -206,6 +203,18 @@ def _convolution(coeffs: tuple[Vector, ...], terms: list[Vector], n: int) -> Vec
         re = list(map(add, re, sr))
         im = list(map(add, im, si))
     return Vector.from_parts(re, im, den)
+
+
+def _off_resonance(t: int, rho: int, k: int, r: Vector) -> Vector:
+    """The x with [tI - a(-1)] x = r at pole k, for t^2 != rho^2.
+
+    P_k^2 = I, so (tI - rho*P_k)^-1 = (tI + rho*P_k) / (t^2 - rho^2); P_k r
+    is r with entries 1 and k+1 exchanged, so x is (t + rho) r off them.
+    """
+    re, im = [(t + rho) * x for x in r.re], [(t + rho) * y for y in r.im]
+    re[0], re[k] = t * r.re[0] + rho * r.re[k], t * r.re[k] + rho * r.re[0]
+    im[0], im[k] = t * r.im[0] + rho * r.im[k], t * r.im[k] + rho * r.im[0]
+    return _over(re, im, r.den, t * t - rho * rho)
 
 
 def _over(re: list[int], im: list[int], den: int, q: int) -> Vector:
@@ -263,9 +272,40 @@ def _resonant_order(
             carried.append(_over(re, im, r.den, -2 * rho))
     zero = Vector.zero(n)
     for x, r in zip(carried + fresh, targets + [zero] * len(fresh)):
-        if _combine([(t, 0, 1, x), (-1, 0, 1, star_act(minus_one, x))], n) != r:
-            raise ArithmeticError(f"resonant order {t} failed exact re-substitution")
+        _resubstitute(t, minus_one, x, r)
     return combos, carried, fresh
+
+
+def _resubstitute(t: int, minus_one: Vector, x: Vector, r: Vector) -> None:
+    """Raise ArithmeticError unless [tI - a(-1)] x = r exactly."""
+    if _combine([(t, 0, 1, x), (-1, 0, 1, star_act(minus_one, x))], r.dim) != r:
+        raise ArithmeticError(f"order {t} failed exact re-substitution")
+
+
+def _principal_part(
+    k: int, rho: int, loc: LocalCoefficients
+) -> tuple[list[list[Vector]], list[Vector]]:
+    """The principal parts at pole k that the recursion admits with nothing below -|rho|.
+
+    For 0 < |rho|, the orders t = -|rho|..-1 with b_t = 0 below -|rho|: at
+    t = -|rho| the fresh vectors of :func:`_resonant_order` (n - 1 for
+    rho < 0, one for rho > 0), each carried to t = -1 by the off-resonance
+    closed form, as :func:`frobenius_solve` carries its parameters, and
+    re-substituted. Returns one column per fresh vector, its b_-1, ..., b_-|rho|
+    in that order, and the column's right-hand side at t = 0,
+    sum_j a(j) b_(-1-j). ``loc`` must reach the regular order |rho| - 1.
+    """
+    m, n = abs(rho), loc.minus_one.dim + 1
+    _, _, fresh = _resonant_order(-m, rho, k, loc.minus_one, [])
+    cols = [[v] for v in fresh]  # b_-|rho| first, reversed on return
+    for t in range(1 - m, 1):
+        rhs = [_convolution(loc.regular, col[::-1], n) for col in cols]
+        if t == 0:
+            return [col[::-1] for col in cols], rhs
+        for col, r in zip(cols, rhs):
+            x = _off_resonance(t, rho, k, r)
+            _resubstitute(t, loc.minus_one, x, r)
+            col.append(x)
 
 
 def recursion_defect(sys: KZSystem, series: LocalSeries, t: int) -> Vector:

@@ -35,6 +35,11 @@ vector of inverses to successive powers.
 ``reference_frobenius_solve`` finds each series family as the nullspace
 of the stacked lower-order coefficients, where the library reads the
 families off the recursion's parameter bookkeeping.
+``reference_solve_ansatz`` assembles every pole-matching and growth
+condition of a shape into one system with ``star_rows`` and returns its
+``nullspace``, where the library solves each pole's deep rows by the local
+recursion and eliminates only the rows that glue the poles together: the
+library's basis must be exactly these vectors.
 ``S4Coefficients`` and ``reference_s4_columns`` build the four closed-form
 n = 4 columns from ``GaussianRational`` quotients of the pole differences,
 as the library did before each column computed its own coefficients from
@@ -59,7 +64,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from kzsolve.ansatz import RationalVectorFunction, _weight_table
+from kzsolve.ansatz import RationalVectorFunction, _unknown_layout, _weight_table
 from kzsolve.exactalg import (
     ONE,
     ZERO,
@@ -71,8 +76,8 @@ from kzsolve.exactalg import (
     nullspace,
 )
 from kzsolve.frobenius import SeriesFamily, exponent_window
-from kzsolve.kzcore import _inverses, local_coefficients
-from kzsolve.symrep import star_act
+from kzsolve.kzcore import _inverses, _powers, local_coefficients
+from kzsolve.symrep import star_act, star_rows
 
 # the library's memos on input data (exactalg._prime, a fixed table of primes, is none)
 MEMOS = (_inverses, _weight_table)
@@ -374,6 +379,72 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
             continue
         families.append(SeriesFamily(pole_index=k, start=start, order=order, basis=fam))
     return families
+
+
+def reference_solve_ansatz(sys, pole_order: int, poly_degree: int) -> list[Vector]:
+    """``solve_ansatz``'s kernel, flattened, from the full system of its shape.
+
+    Assembles every pole-matching condition (orders -(pole_order+1) through
+    -1 at every pole) and the growth conditions at infinity into one system
+    over all coefficient vectors and returns its ``nullspace``, where the
+    library solves each pole's deep rows by the local recursion and
+    eliminates only the gluing rows.
+    """
+    n, s, p, deg = sys.n, sys.s, pole_order, poly_degree
+    rho = sys.rho
+    blocks, pole_block, poly_block = _unknown_layout(s, p, deg)
+    width = n * blocks
+    locals_ = [local_coefficients(sys, k + 1, p - 1) for k in range(s)]
+
+    # each equation is n rows: the sum of (shift*I + sum_j w_j P_j) times the
+    # unknown block u over its terms (u, shift, w)
+    rows: list[Vector] = []
+
+    def add_equation(terms):
+        rows.extend(star_rows([(u * n, shift, w) for u, shift, w in terms], n, width))
+
+    def weighted_P(k: int, x: int, y: int, d: int) -> Vector:
+        """The weights of (x + y*i) / d * P_(k+1)."""
+        re, im = [0] * s, [0] * s
+        re[k], im[k] = x, y
+        return Vector.from_parts(re, im, d)
+
+    # z_k^t for t = 0..deg as int parts over the points' shared denominator to the t
+    zpow = [([1] * s, [0] * s, 1), *_powers(Vector(sys.points), deg)]
+
+    for k in range(s):
+        loc = locals_[k]
+        # deep pole orders -(r'+1), r' = pole_order..1: (r'I + a(-1)) on block r'
+        # plus a(r - r' - 1) on each deeper block r
+        for rp in range(p, 0, -1):
+            terms = [(pole_block(k, rp), rp, loc.minus_one)]
+            terms += [(pole_block(k, r), 0, loc.regular[r - rp - 1]) for r in range(rp + 1, p + 1)]
+            add_equation(terms)
+        # surviving simple pole at z_k; the weight rho / (z_k - z_j)^r of the
+        # pole term (j, r) is entry j of a(r - 1) times (-1)^(r-1)
+        terms = [(pole_block(k, r), 0, loc.regular[r - 1]) for r in range(1, p + 1)]
+        signed = [(r, 1 if r % 2 else -1, w) for r, w in enumerate(loc.regular, start=1)]
+        terms += [
+            (pole_block(j, r), 0, weighted_P(k, c * w.re[j], c * w.im[j], w.den))
+            for j in range(s) if j != k
+            for r, c, w in signed
+        ]
+        terms += [
+            (poly_block(dd), 0, weighted_P(k, rho * re[k], rho * im[k], d))
+            for dd, (re, im, d) in enumerate(zpow)
+        ]
+        add_equation(terms)
+    # growth matching at infinity; G[t] = sum_k z_k^t P_k drives the
+    # large-z expansion rho*A(z) = sum_t rho*G[t] z^(-t-1)
+    minus_rho_G = [
+        Vector.from_parts([-rho * x for x in re], [-rho * y for y in im], d)
+        for re, im, d in zpow[:deg]
+    ]
+    for e in range(deg):
+        terms = [(poly_block(e + 1), e + 1, minus_rho_G[0])]
+        terms += [(poly_block(d), 0, minus_rho_G[d - e - 1]) for d in range(e + 2, deg + 1)]
+        add_equation(terms)
+    return nullspace(Matrix(rows))
 
 
 @dataclass(frozen=True)

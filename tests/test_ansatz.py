@@ -10,11 +10,13 @@ from conftest import (
     combine_functions,
     entries_str,
     generic_points,
+    leibniz_det,
     random_points,
     random_scalar,
     reference_add,
     reference_matvec,
     reference_scale,
+    reference_solve_ansatz,
     reference_sub,
     star_generators,
     star_sum,
@@ -27,12 +29,23 @@ from kzsolve.ansatz import (
     _sample_weights,
     _weight_table,
     check_conditions,
+    coefficient_vector,
     in_span,
     residual,
     sample_points,
     solve_ansatz,
 )
-from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar
+from kzsolve.cli import ANSATZ_MAX_UNKNOWNS
+from kzsolve.exactalg import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    Matrix,
+    Vector,
+    linear_combination,
+    nullspace,
+    parse_scalar,
+)
 from kzsolve.kzcore import _inverses, eval_A, new_system
 from kzsolve.symrep import star_act
 from kzsolve.s4explicit import y1, y2, y3, y4
@@ -384,6 +397,57 @@ class TestSolveAnsatz:
             assert check_conditions(sys, fn).passed
 
 
+class TestGluedSolve:
+    """solve_ansatz, which solves each pole's deep rows by its own recursion and
+    eliminates only the gluing rows, returns the full system's RREF kernel."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_full_system(self, n):
+        # every rho in -3..3 on integer and on Gaussian poles with denominators;
+        # the pole orders 1, |rho| and |rho| + 1 each meet one degree in 0..2
+        rng = random.Random(2700 + n)
+        for rho in range(-3, 4):
+            integer, gaussian = rng.sample(range(-6, 7), n - 1), random_points(rng, n - 1)
+            for kind, pts in (("int", integer), ("gaussian", gaussian)):
+                sys = new_system(n, rho, pts)
+                shift = rng.randrange(3)
+                for i, p in enumerate(sorted({1, abs(rho), abs(rho) + 1} - {0})):
+                    d = (i + shift) % 3
+                    assert n * ((n - 1) * p + d + 1) <= ANSATZ_MAX_UNKNOWNS
+                    got = [coefficient_vector(fn, p, d) for fn in solve_ansatz(sys, p, d)]
+                    assert got == reference_solve_ansatz(sys, p, d), (kind, pts, rho, p, d)
+
+    def test_rref_kernel_form_of_any_basis(self):
+        # any basis of a kernel, here random combinations of the RREF kernel,
+        # is brought back to exactly the RREF kernel
+        rng = random.Random(2711)
+        for rows, cols in ((3, 7), (2, 6), (4, 9)):
+            M = Matrix([[random_scalar(rng, 3) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                        for _ in range(rows)])
+            kernel = nullspace(M)
+            while True:
+                mix = [[random_scalar(rng, 3) for _ in kernel] for _ in kernel]
+                if not leibniz_det(mix).is_zero():
+                    break
+            basis = [linear_combination(zip(row, kernel), cols) for row in mix]
+            assert ansatz._rref_kernel_form(basis) == kernel
+
+    def test_one_elimination_on_the_glued_columns(self, monkeypatch):
+        # n = 5 at rho = -2, shape (2, 1): 4 poles of 4 parameters and 10
+        # polynomial coefficients, where the full system is 65 x 50
+        points = [parse_scalar(z) for z in ("(-3/4,-1)", "3", "(1,1/2)", "(1/3,4/3)")]
+        sys = new_system(5, -2, points)
+        real, shapes = ansatz.nullspace, []
+
+        def counted(M):
+            shapes.append((M.rows, M.cols))
+            return real(M)
+
+        monkeypatch.setattr(ansatz, "nullspace", counted)
+        assert len(solve_ansatz(sys, 2, 1)) == 4
+        assert shapes == [(4 * 5 + 5, 4 * 4 + 10)]
+
+
 class TestCertificate:
     """solve_ansatz raises rather than return a kernel vector that is not a solution."""
 
@@ -460,6 +524,16 @@ class TestInSpan:
         # a shape larger than the basis': the deeper blocks are zero columns
         assert in_span(basis, y4(CANON), pole_order=2, poly_degree=3)
 
+    def test_empty_basis_spans_only_zero(self):
+        sys = canon_sys()
+        assert in_span([], zero_function(sys.points, 4))
+        assert in_span([], zero_function(sys.points, 4), pole_order=2, poly_degree=3)
+        assert in_span([], y1(CANON).scale(0))
+        assert not in_span([], y1(CANON))
+        constant = RationalVectorFunction(
+            dim=4, points=sys.points, pole_coeffs=((), (), ()), poly_coeffs=(Vector([0, 0, 0, 1]),)
+        )
+        assert not in_span([], constant)
 
     def test_functions_on_other_poles_or_dimensions_refused(self):
         # the same coefficients on poles 0,1,3 are no solution there, so the

@@ -442,6 +442,15 @@ GOLDEN = [
     (["series", "--n", "5", "--rho", "-2", "--points=1/2,(0,1),(-3/2,2/3),(2,-1/3)",
       "--pole", "2", "--order", "4"], 0,
      "59e636d4b8cd8184eaf60b2fa603884ab317ed5ba5ebdbd27fcb924fb5d9486e"),
+    # a deep principal part carried from t = -2 at rho = -2 (dimension 4) and at
+    # rho = 2 with p > rho on Gaussian poles (dimension 1), both recorded while the
+    # solver still eliminated the deep pole rows
+    (["nullspace", "--n", "5", "--rho", "-2", "--points=(-3/4,-1),3,(1,1/2),(1/3,4/3)",
+      "--pole-order", "2", "--poly-degree", "1"], 0,
+     "6327f2cab5ed34c3f4f6a896d2e47dc51020d1932ab8de6b2229d1820ebe881d"),
+    (["nullspace", "--n", "4", "--rho", "2", "--points=(1/2,1),(-2,1/3),3/4",
+      "--pole-order", "3", "--poly-degree", "1"], 0,
+     "5d1ed4317757ac762fc8499cab16339f818c75647e76d23b38e0025ff8b01c86"),
 ]
 
 

@@ -6,8 +6,12 @@ equation W' = rho*A*W reduces to three families of exact conditions
 (residue symmetry, per-pole balance, growth matching). For any integer
 rho and any shape the complete space of solutions of that shape is glued
 from local data: each pole's principal part comes from its own Frobenius
-recursion (:mod:`kzsolve.frobenius`), and one exact nullspace of the
-simple-pole and growth rows joins them to the polynomial part.
+recursion (:mod:`kzsolve.frobenius`), the polynomial part from the
+recursion at infinity through T's spectral projectors
+(:mod:`kzsolve.symrep`), and one exact nullspace of the simple-pole rows,
+with the constant term read back from one pole's block, joins them.
+Membership in a span is read off the span's RREF kernel, with no
+elimination.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from .exactalg import (
     _parts,
     nullspace,
 )
-from .frobenius import _principal_part
+from .frobenius import _convolution, _principal_part
 from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
-from .symrep import _star_parts, star_rows, transpose
+from .symrep import _star_parts, _t_kernel, _t_solve, transpose
 
 
 @dataclass(frozen=True)
@@ -402,15 +406,23 @@ def solve_ansatz(
     are solved, not assembled: pole k's principal part is zero unless
     p >= |rho| > 0, and then a combination of the columns of
     :func:`kzsolve.frobenius._principal_part` (n - 1 of them for rho < 0,
-    one for rho > 0). The one elimination is the nullspace of the rows
-    that couple the poles, on those pole parameters and the n(d + 1)
-    polynomial coefficients: the s*n simple-pole rows (t = 0) and the n*d
-    growth rows at infinity. Block k of the simple-pole rows is taken
-    times P_k: P_k times the own-pole term (each column's right-hand side
-    at t = 0), plus rho times W's regular part at z_k. The kernel is mapped
-    back to the flat unknowns and brought to the full system's RREF kernel
-    (:func:`_rref_kernel_form`), which the kernel space alone determines,
-    so the basis is the one the full system's nullspace returns.
+    one for rho > 0). The growth rows at infinity are the recursion
+    [cI - rho T] Q_c = rho sum_(t>=1) G[t] Q_(c+t) for c = d..1, solved
+    downward from Q_d through T's spectral projectors
+    (:func:`_polynomial_part`): Q_1..Q_d are a combination of the fresh
+    eigenvectors at the at most two resonant degrees c = rho*lambda, whose
+    solvability conditions hold identically. Block k of the s*n
+    simple-pole rows (t = 0) is taken times P_k: P_k times the own-pole
+    term (each column's right-hand side at t = 0), plus rho times W's
+    regular part at z_k, in which Q_0 enters every block as rho Q_0. So
+    for rho != 0 the one elimination is the nullspace of blocks 2..s less
+    block 1, on the pole and resonant parameters alone, and Q_0 is read
+    back from block 1. At rho = 0 no
+    pole or degree carries a parameter, every gluing row is zero and W is
+    the free constant Q_0. The kernel is mapped back to the flat unknowns
+    and brought to the full system's RREF kernel (:func:`_rref_kernel_form`),
+    which the kernel space alone determines, so the basis is the one the
+    full system's nullspace returns.
 
     Every kernel vector is certified before it becomes a function:
     W' - rho*A*W times prod_k (z - z_k)^(p+1) is a polynomial of degree
@@ -426,63 +438,12 @@ def solve_ansatz(
     if poly_degree < 0:
         raise ValueError("poly_degree must be at least 0")
     n, s, p, deg = sys.n, sys.s, pole_order, poly_degree
-    rho, m = sys.rho, abs(sys.rho)
-    zero = Vector.zero(n)
-    locals_ = [local_coefficients(sys, k + 1, m - 1) for k in range(s)] if 0 < m <= p else []
-    # (columns, own-pole terms) per pole; no pole carries a parameter unless 0 < |rho| <= p
-    parts = [_principal_part(k + 1, rho, loc) for k, loc in enumerate(locals_)]
-    params = sum(len(cols) for cols, _ in parts)
-    width = params + n * (deg + 1)
-    # z_k^t for t = 0..deg as int parts over the points' shared denominator to the t
-    zpow = [([1] * s, [0] * s, 1), *_powers(Vector(sys.points), deg)]
-
-    # pole j's columns at each order b_-r, stacked one after the other
-    stacked = [[Vector.concat([col[r] for col in cols]) for r in range(m)] for cols, _ in parts]
-    rows: list[Vector] = []
-    for k in range(s):
-        # block k of the simple-pole rows times P_k, as one stacked segment per pole:
-        # P_k times the own-pole term of pole k's columns, rho times the value at z_k
-        # of every other pole's columns, and then rho z_k^d Q_d; the weight
-        # rho / (z_k - z_j)^r is entry j of a(r - 1) times (-1)^(r-1)
-        segments = []
-        for j, (cols, own) in enumerate(parts):
-            if j == k:
-                segments.append(Vector.concat([transpose(r, k + 1) for r in own]))
-                continue
-            terms = zip(cycle((1, -1)), locals_[k].regular, stacked[j])
-            terms = [(c * a.re[j], c * a.im[j], a.den, b) for c, a, b in terms]
-            segments.append(_combine(terms, n * len(cols)))
-        den = lcm(*(v.den for v in segments), *(d for _, _, d in zpow))
-        lifted = [(den // v.den, v.re, v.im) for v in segments]
-        poly = [(rho * re[k] * (den // d), rho * im[k] * (den // d)) for re, im, d in zpow]
-        for i in range(n):
-            # entry i of every column in a segment sits n apart
-            re = [f * x for f, xs, _ in lifted for x in xs[i::n]] + [0] * (width - params)
-            im = [f * y for f, _, ys in lifted for y in ys[i::n]] + [0] * (width - params)
-            for d, (x, y) in enumerate(poly):
-                re[params + d * n + i], im[params + d * n + i] = x, y
-            rows.append(Vector.from_parts(re, im, den))
-    # growth matching at infinity; G[t] = sum_k z_k^t P_k drives the
-    # large-z expansion rho*A(z) = sum_t rho*G[t] z^(-t-1)
-    minus_rho_G = [
-        Vector.from_parts([-rho * x for x in re], [-rho * y for y in im], d)
-        for re, im, d in zpow[:deg]
-    ]
-    for e in range(deg):
-        terms = [(params + (e + 1) * n, e + 1, minus_rho_G[0])]
-        terms += [(params + d * n, 0, minus_rho_G[d - e - 1]) for d in range(e + 2, deg + 1)]
-        rows.extend(star_rows(terms, n, width))
-
-    flat = []
-    for v in nullspace(Matrix(rows)):
-        # pole k's blocks b_-1..b_-p, the combination of its columns by its parameters
-        blocks, at = [] if parts else [zero] * (s * p), 0
-        for cols, _ in parts:
-            coeffs = list(zip(v.re[at:], v.im[at:], cols))
-            blocks += [_combine([(x, y, v.den, c[r]) for x, y, c in coeffs], n) for r in range(m)]
-            blocks += [zero] * (p - m)
-            at += len(cols)
-        flat.append(Vector.concat(blocks + [v.segment(at, v.dim)]))
+    size = n * (s * p + deg + 1)
+    if sys.rho == 0:
+        # W' = 0: W is the constant Q_0
+        flat = [Vector.unit(size, s * p * n + i) for i in range(n)]
+    else:
+        flat = _glued_kernel(sys, p, deg)
     kernel = _rref_kernel_form(flat)
     # the certificate reads none of the rows: W' - rho*A*W of every kernel
     # vector at every sample point, from one weight table per point
@@ -496,22 +457,119 @@ def solve_ansatz(
     return [_function_from_flat(sys, vec, p, deg) for vec in kernel]
 
 
+def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
+    """A basis of the solutions of shape (p, deg) as flat vectors, for rho != 0.
+
+    The parameters are each pole's principal-part columns and the resonant
+    polynomial parameters; each has a flat image with its Q_0 read back from
+    block 1, and the nullspace of the gluing rows combines them.
+    """
+    n, s, rho = sys.n, sys.s, sys.rho
+    m = abs(rho)
+    locals_ = [local_coefficients(sys, k + 1, m - 1) for k in range(s)] if m <= p else []
+    # (columns, own-pole terms) per pole; no pole carries a parameter unless |rho| <= p
+    parts = [_principal_part(k + 1, rho, loc) for k, loc in enumerate(locals_)]
+    # z_k^t for t = 1..deg as int parts over the points' shared denominator to the t
+    zpow = _powers(Vector(sys.points), deg)
+    poly = _polynomial_part(n, rho, deg, zpow)
+    params = sum(len(cols) for cols, _ in parts) + len(poly)
+    if not params:
+        return []
+
+    # pole j's columns at each order b_-r, and the polynomial columns at each
+    # degree 1..deg, stacked one after the other
+    stacked = [[Vector.concat([col[r] for col in cols]) for r in range(m)] for cols, _ in parts]
+    qs = [Vector.concat([col[d] for col in poly]) for d in range(deg)]
+    # block k of the simple-pole rows times P_k, less rho Q_0, as one stacked
+    # segment per pole: P_k times the own-pole term of pole k's columns, rho
+    # times the value at z_k of every other pole's columns, and then
+    # rho z_k^d Q_d for d >= 1; the weight rho / (z_k - z_j)^r is entry j of
+    # a(r - 1) times (-1)^(r-1)
+    blocks = []
+    for k in range(s):
+        segments = []
+        for j, (cols, own) in enumerate(parts):
+            if j == k:
+                segments.append(Vector.concat([transpose(r, k + 1) for r in own]))
+                continue
+            terms = zip(cycle((1, -1)), locals_[k].regular, stacked[j])
+            terms = [(c * a.re[j], c * a.im[j], a.den, b) for c, a, b in terms]
+            segments.append(_combine(terms, n * len(cols)))
+        if poly:
+            terms = [(rho * re[k], rho * im[k], d, q) for (re, im, d), q in zip(zpow, qs)]
+            segments.append(_combine(terms, n * len(poly)))
+        blocks.append(Vector.concat(segments))
+    # block k less block 1 drops Q_0; entry i of every column sits n apart
+    rows = []
+    for block in blocks[1:]:
+        diff = _combine([(1, 0, 1, block), (-1, 0, 1, blocks[0])], n * params)
+        rows += [Vector.from_parts(diff.re[i::n], diff.im[i::n], diff.den) for i in range(n)]
+    # block 1 is rho Q_0 + blocks[0] = 0
+    q0 = _combine([(-1 if rho > 0 else 1, 0, m, blocks[0])], n * params)
+    q0s = iter(q0.segment(at, at + n) for at in range(0, n * params, n))
+    # each parameter's (flat block, vector) pairs: its pole's b_-1..b_-|rho|,
+    # or its Q_1..Q_deg, and its Q_0
+    images = []
+    for j, (cols, _) in enumerate(parts):
+        images += [[*enumerate(col, j * p), (s * p, next(q0s))] for col in cols]
+    images += [[(s * p, next(q0s)), *enumerate(col, s * p + 1)] for col in poly]
+    flat = []
+    for v in nullspace(Matrix(rows)):
+        terms = [[] for _ in range(s * p + deg + 1)]
+        for x, y, image in zip(v.re, v.im, images):
+            if x or y:
+                for u, b in image:
+                    terms[u].append((x, y, v.den, b))
+        flat.append(Vector.concat([_combine(t, n) for t in terms]))
+    return flat
+
+
+def _polynomial_part(n: int, rho: int, deg: int, zpow) -> list[list[Vector]]:
+    """Q_1..Q_deg of each resonant parameter.
+
+    The growth rows are [cI - rho T] Q_c = rho sum_(t>=1) G[t] Q_(c+t) for
+    c = deg..1, with G[t] = sum_k z_k^t P_k, so they are solved downward
+    from Q_deg by :func:`kzsolve.symrep._t_solve`: Q_c follows from the
+    parameters above it. At c = rho*lambda for an eigenvalue lambda of T
+    each vector of the kernel (:func:`kzsolve.symrep._t_kernel`) becomes a
+    fresh parameter with Q_c that vector and 0 above c. Such a degree
+    needs no condition on the parameters above it: for rho < 0 the only
+    resonance is c = |rho|, and for rho > 0 the only parameter above
+    c = rho(n - 2) is the one from c = rho(n - 1), whose Q_c are the
+    coefficients of the exact solution prod_k (z - z_k)^rho 1 (P_k 1 = 1),
+    so its right-hand side has no component in the resonant eigenspace.
+    """
+    # rho G[t] for t = 1..deg-1, star weights rho z_k^t; zpow holds z_k^1..z_k^deg
+    rho_g = [
+        Vector.from_parts([rho * x for x in re], [rho * y for y in im], d) for re, im, d in zpow[: deg - 1]
+    ]
+    poly: list[list[Vector]] = []
+    zero = Vector.zero(n)
+    for c in range(deg, 0, -1):
+        for col in poly:
+            col[c - 1] = _t_solve(c, rho, _convolution(rho_g, col[c:], n))
+        poly += [[zero] * (c - 1) + [v] + [zero] * (deg - c) for v in _t_kernel(c, rho, n)]
+    return poly
+
+
 def _rref_kernel_form(vectors: list[Vector]) -> list[Vector]:
-    """The RREF kernel of any matrix whose kernel the independent ``vectors`` span.
+    """The RREF kernel of any matrix whose kernel the ``vectors`` span.
 
     That kernel has one vector per free column f, 1 at f, 0 at the other
     free columns and at every column right of f; f is the last nonzero
     entry of some kernel vector. So each vector is cleared, from the last
     coordinate, at the free columns found so far until its last nonzero
     entry is a new one and scaled to 1 there; then each, in order of its
-    free column, is cleared at the free columns left of it. Vectors that
-    already have that form, as :func:`solve_ansatz`'s do, come back as they
-    are after one scan each.
+    free column, is cleared at the free columns left of it. A vector that
+    clears to zero depends on the ones before it and is dropped. Vectors
+    that already have that form come back as they are after one scan each.
     """
     found: dict[int, Vector] = {}
     for v in vectors:
         while (f := _last_nonzero(v)) in found:
             v = _combine([(1, 0, 1, v), (-v.re[f], -v.im[f], v.den, found[f])], v.dim)
+        if f is None:
+            continue
         x, y = v.re[f], v.im[f]
         if (x, y) != (v.den, 0):
             v = _combine([(v.den * x, -v.den * y, x * x + y * y, v)], v.dim)
@@ -525,8 +583,8 @@ def _rref_kernel_form(vectors: list[Vector]) -> list[Vector]:
     return kernel
 
 
-def _last_nonzero(v: Vector) -> int:
-    return max(i for i, (x, y) in enumerate(zip(v.re, v.im)) if x or y)
+def _last_nonzero(v: Vector) -> int | None:
+    return max((i for i, (x, y) in enumerate(zip(v.re, v.im)) if x or y), default=None)
 
 
 def _function_from_flat(
@@ -573,15 +631,18 @@ def in_span(
 
     Coefficients compare only over the same poles and dimension, so a basis
     function whose ``points`` or ``dim`` differ from fn's raises, as
-    :func:`residual` does. The empty basis spans the zero function alone.
+    :func:`residual` does. The basis's coefficient vectors are brought to
+    RREF kernel form (:func:`_rref_kernel_form`, which drops dependent
+    ones): each vector is 1 at its own free column and every other vector
+    is 0 there, so fn is a member iff it equals the sum of those vectors,
+    each weighted by fn's entry at its free column. The empty basis spans
+    the zero function alone.
     """
     if any(b.points != fn.points or b.dim != fn.dim for b in basis):
         raise ValueError("basis function pole set or dimension differs from the function's")
     target = coefficient_vector(fn, pole_order, poly_degree)
-    if not basis:
-        return target.is_zero()
-    cols = [coefficient_vector(b, pole_order, poly_degree) for b in basis]
-    # fn is a member iff the column -target is free in [cols | -target]; then the
-    # RREF kernel's last vector is (x, 1), and else every kernel vector ends in 0
-    kernel = nullspace(Matrix.from_columns([*cols, -target]))
-    return bool(kernel) and not kernel[-1][-1].is_zero()
+    kernel = _rref_kernel_form([coefficient_vector(b, pole_order, poly_degree) for b in basis])
+    # a kernel vector's free column is its last nonzero entry
+    free = [_last_nonzero(v) for v in kernel]
+    terms = [(target.re[f], target.im[f], target.den, v) for f, v in zip(free, kernel)]
+    return _combine(terms, target.dim) == target

@@ -62,16 +62,18 @@ VERIFY_MAX_N = 64
 
 # Largest unknown count u = n((n - 1) pole_order + poly_degree + 1) of the ansatz that
 # ``kz nullspace`` solves, the one bound on its shape. Each pole's deep rows are solved by
-# its own recursion, so the elimination, modulo word-size primes, is of the s*n + n*d
-# gluing rows by at most s(n - 1) pole parameters and n(d + 1) polynomial coefficients;
-# the certificate after it takes one weight table per sample point and one int loop per
-# kernel vector. ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.18 s of wall
-# time (best of 7), 0.06-0.07 s of it in-process. In-process at the corners the cap admits,
-# points 0..n-2 at rho = -1: at most 0.13 s for n = 3 at (25, 0) and (1, 49), n = 4 at
-# (12, 0) and (1, 35) and n = 6 at (1, 16). Gaussian poles with denominators up to 41: at
-# most 0.59-0.65 s at rho = -1, the slowest, n = 4 at (1, 35), and at most 0.39 s over
-# rho in -3, 2, -7, -25, 40 (2-core machine, Python 3.11). Every valid shape has u >= n^2,
-# so the cap also bounds n <= 12.
+# its own recursion and the polynomial part by the recursion at infinity, so the
+# elimination, modulo word-size primes, is of the (s - 1)n gluing rows by at most
+# s(n - 1) pole parameters and n - 1 resonant polynomial ones; the certificate after it
+# takes one weight table per sample point and one int loop per kernel vector.
+# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.17-0.26 s of wall time (best of
+# 7, on a host whose speed drifts by that much), 0.05 s of it in-process. In-process at
+# the corners the cap admits, the largest pole order at degree 0 and the largest degree at
+# pole order 1 for n = 3, 4 and 6 and rho = -1, 1 and -2: at most 0.02 s on points
+# 0..n-2, and at most 0.10-0.17 s on Gaussian poles with denominators up to 41, the
+# slowest n = 6 at rho = -2 and (5, 0). The Gaussian corner n = 4, rho = -1 at (1, 35)
+# takes 0.13-0.21 s of wall time (2-core machine, Python 3.11). Every valid shape has
+# u >= n^2, so the cap also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.

@@ -94,9 +94,9 @@ class LocalCoefficients:
     """rho-folded Laurent coefficients of rho*A(z) about one pole.
 
     Every coefficient is a star weight ``Vector``, the form
-    :func:`kzsolve.symrep.star_act` and :func:`kzsolve.symrep.star_rows`
-    take as is. ``minus_one`` is the residue rho*P_k, rho at entry k;
-    ``regular[j]`` multiplies (z - z_k)^j for j = 0..order.
+    :func:`kzsolve.symrep.star_act` takes as is. ``minus_one`` is the
+    residue rho*P_k, rho at entry k; ``regular[j]`` multiplies
+    (z - z_k)^j for j = 0..order.
     """
 
     pole_index: int

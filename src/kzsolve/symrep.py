@@ -6,24 +6,29 @@ residue operator c*I + sum_k w_k P_k is carried as its shift c and its
 weights w, and this is the only module that knows what the weights
 mean: :func:`star_act` applies a weighted sum to an exact vector in O(n)
 int operations on the vector's shared-denominator parts (its int loop,
-:func:`_star_parts`, also serves the residual evaluator of
-:mod:`kzsolve.ansatz`, which works on raw numerators),
+:func:`_star_parts`, also serves the residual evaluator and the growth
+recursion of :mod:`kzsolve.ansatz`, which work on raw numerators), and
 :func:`star_act_array` applies it to a floating vector or matrix in O(n)
-work per column, and :func:`star_rows` writes operators straight into
-the rows of a linear system for elimination. A lone P_k is no weighted
-sum: :func:`transpose` exchanges two entries of a ``Vector`` (the
-Frobenius recursion folds the same exchange into the int parts of its
-closed form). The generator sum T governs the large-z behaviour of the
-system, so its integer spectrum is computed here as well, from the
-factored characteristic polynomial of the arrowhead's parts, without any
-matrix: T's n - 1 equal diagonal entries leave a reduced polynomial of
-degree 2.
+work per column. No residue operator is written into the rows of a
+linear system. A lone P_k is no weighted sum: :func:`transpose`
+exchanges two entries of a ``Vector`` (the Frobenius recursion folds the
+same exchange into the int parts of its closed form). The generator sum
+T governs the large-z behaviour of the system, so its integer spectrum
+is computed here as well, from the factored characteristic polynomial
+of the arrowhead's parts, without any matrix: T's n - 1 equal diagonal
+entries leave a reduced polynomial of degree 2. Its three spectral
+projectors, E_(n-1) = 11^T/n, E_(-1) = ww^T/(n(n-1)) for
+w = (n-1, -1, ..., -1) and E_(n-2) = I - E_(n-1) - E_(-1), give
+(cI - rho T)^-1 in O(n) (:func:`_t_solve`, which at a resonance
+c = rho*lambda leaves lambda out) and the kernel at a resonance
+(:func:`_t_kernel`), which the recursion at infinity of
+:mod:`kzsolve.ansatz` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import prod
 from typing import Sequence
 
 from .exactalg import ONE, ScalarLike, Vector, ZERO, _make
@@ -88,38 +93,6 @@ def star_act_array(weights, W):
     return out
 
 
-def star_rows(terms: Sequence[tuple[int, int, Vector]], n: int, width: int) -> list[Vector]:
-    """The n rows of sum (shift*I + sum_k w_k P_k) over the (offset, shift, w) in ``terms``.
-
-    Each operator acts on columns offset..offset+n-1 of a system ``width``
-    columns wide: row 1 gets shift at ``offset`` and w_k at ``offset + k``,
-    row k+1 gets w_k at ``offset`` and shift + sum(w) - w_k at ``offset + k``,
-    and operators on the same columns add up. The weights' int parts are
-    lifted to one denominator, so the rows are an int loop with one lcm and
-    a gcd per row.
-    """
-    for _, _, w in terms:
-        if w.dim != n - 1:
-            raise ValueError(f"{w.dim} star weights do not act on dimension {n}")
-    den = lcm(*(w.den for _, _, w in terms))
-    re = [[0] * width for _ in range(n)]
-    im = [[0] * width for _ in range(n)]
-    for offset, shift, w in terms:
-        f = den // w.den
-        # row k+1's diagonal is this, shift + sum(w), less w_k
-        dr, di = shift * den + sum(w.re) * f, sum(w.im) * f
-        re[0][offset] += shift * den
-        for k, (a, b) in enumerate(zip(w.re, w.im), start=1):
-            a, b = a * f, b * f
-            re[0][offset + k] += a
-            im[0][offset + k] += b
-            re[k][offset] += a
-            im[k][offset] += b
-            re[k][offset + k] += dr - a
-            im[k][offset + k] += di - b
-    return [Vector.from_parts(x, y, den) for x, y in zip(re, im)]
-
-
 @dataclass(frozen=True)
 class TSpectrum:
     n: int
@@ -154,3 +127,42 @@ def t_spectrum(n: int) -> TSpectrum:
     if min(eig) != -1 or max(eig) != n - 1:
         raise ArithmeticError("T spectrum window is not [-1, n-1]")
     return TSpectrum(n=n, eigenvalues=eig, least=min(eig), greatest=max(eig))
+
+
+def _t_solve(c: int, rho: int, r: Vector) -> Vector:
+    """The x with (cI - rho T) x = r that has no component in that operator's kernel.
+
+    x = sum_lambda E_lambda r / (c - rho*lambda) over T's eigenvalues with
+    c != rho*lambda, so off resonance x = (cI - rho T)^-1 r, and at
+    resonance r must lie in the operator's range. With q_lambda the kept
+    c - rho*lambda, Q their product, A, B, C = Q/q_lambda for
+    lambda = n-2, n-1, -1 (0 for the one left out) and S = sum(r), x times
+    n(n-1)Q is n(n-1)A r + (n-1)(B - A) S 1 + (C - A)(n r_1 - S) w, one int
+    loop over r's parts.
+    """
+    n = r.dim
+    q = {lam: c - rho * lam for lam in (n - 2, n - 1, -1) if c != rho * lam}
+    total = prod(q.values())
+    a, b, e = (total // q[lam] if lam in q else 0 for lam in (n - 2, n - 1, -1))
+    f, g, h = n * (n - 1) * a, (n - 1) * (b - a), e - a
+    sign = 1 if total > 0 else -1
+    out = []
+    for xs in (r.re, r.im):
+        sx = sum(xs)
+        u, t = g * sx, h * (n * xs[0] - sx)
+        out.append([sign * (f * xs[0] + u + (n - 1) * t), *(sign * (f * x + u - t) for x in xs[1:])])
+    return Vector.from_parts(*out, r.den * n * (n - 1) * abs(total))
+
+
+def _t_kernel(c: int, rho: int, n: int) -> list[Vector]:
+    """A basis of the kernel of cI - rho T, empty unless c = rho*lambda for an eigenvalue lambda.
+
+    1 for lambda = n - 1, w for -1, and e_i - e_2 (i = 3..n) for n - 2.
+    """
+    if c == rho * (n - 1):
+        return [Vector([1] * n)]
+    if c == -rho:
+        return [Vector([n - 1] + [-1] * (n - 1))]
+    if c == rho * (n - 2):
+        return [Vector.unit(n, i) - Vector.unit(n, 1) for i in range(2, n)]
+    return []

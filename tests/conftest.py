@@ -12,9 +12,11 @@ division-based Gauss-Jordan elimination on ``GaussianRational`` rows;
 ``reference_nullspace`` reads its answer off it, and the library's
 multimodular ``nullspace`` must return exactly the same vectors.
 ``reference_solve_affine`` reads Ax = b off the RREF of [A | b]: it
-vouches for the bordered kernel of [A | -b], the library's one affine
-read (``ansatz.in_span``), and supplies the parameters of series members
-with a prescribed leading coefficient.
+vouches for the bordered kernel of [A | -b], the read of
+``reference_in_span``, and supplies the parameters of series members
+with a prescribed leading coefficient. ``reference_in_span`` decides
+membership in a span by that bordered ``nullspace``, where the library's
+``in_span`` reads the span's RREF kernel without eliminating.
 ``reference_char_poly`` is the dense Faddeev-LeVerrier trace recursion,
 built on ``matmul``, a dense product the library does not have; it
 vouches for the arrowhead ``char_poly`` and feeds
@@ -38,8 +40,11 @@ families off the recursion's parameter bookkeeping.
 ``reference_solve_ansatz`` assembles every pole-matching and growth
 condition of a shape into one system with ``star_rows`` and returns its
 ``nullspace``, where the library solves each pole's deep rows by the local
-recursion and eliminates only the rows that glue the poles together: the
-library's basis must be exactly these vectors.
+recursion and the growth rows by the recursion at infinity, and
+eliminates only the rows that glue the poles together: the library's
+basis must be exactly these vectors. ``star_rows`` writes a residue
+operator sum into the rows of a linear system; the library has no such
+assembly, so the reference shares none with it.
 ``S4Coefficients`` and ``reference_s4_columns`` build the four closed-form
 n = 4 columns from ``GaussianRational`` quotients of the pole differences,
 as the library did before each column computed its own coefficients from
@@ -61,10 +66,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 
-from kzsolve.ansatz import RationalVectorFunction, _unknown_layout, _weight_table
+from kzsolve.ansatz import (
+    RationalVectorFunction,
+    _unknown_layout,
+    _weight_table,
+    coefficient_vector,
+)
 from kzsolve.exactalg import (
     ONE,
     ZERO,
@@ -77,7 +88,7 @@ from kzsolve.exactalg import (
 )
 from kzsolve.frobenius import SeriesFamily, exponent_window
 from kzsolve.kzcore import _inverses, _powers, local_coefficients
-from kzsolve.symrep import star_act, star_rows
+from kzsolve.symrep import star_act
 
 # the library's memos on input data (exactalg._prime, a fixed table of primes, is none)
 MEMOS = (_inverses, _weight_table)
@@ -379,6 +390,53 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
             continue
         families.append(SeriesFamily(pole_index=k, start=start, order=order, basis=fam))
     return families
+
+
+def star_rows(terms, n: int, width: int) -> list[Vector]:
+    """The n rows of sum (shift*I + sum_k w_k P_k) over the (offset, shift, w) in ``terms``.
+
+    Each operator acts on columns offset..offset+n-1 of a system ``width``
+    columns wide: row 1 gets shift at ``offset`` and w_k at ``offset + k``,
+    row k+1 gets w_k at ``offset`` and shift + sum(w) - w_k at ``offset + k``,
+    and operators on the same columns add up. The weights' int parts are
+    lifted to one denominator, so the rows are an int loop with one lcm and
+    a gcd per row.
+    """
+    for _, _, w in terms:
+        if w.dim != n - 1:
+            raise ValueError(f"{w.dim} star weights do not act on dimension {n}")
+    den = lcm(*(w.den for _, _, w in terms))
+    re = [[0] * width for _ in range(n)]
+    im = [[0] * width for _ in range(n)]
+    for offset, shift, w in terms:
+        f = den // w.den
+        # row k+1's diagonal is this, shift + sum(w), less w_k
+        dr, di = shift * den + sum(w.re) * f, sum(w.im) * f
+        re[0][offset] += shift * den
+        for k, (a, b) in enumerate(zip(w.re, w.im), start=1):
+            a, b = a * f, b * f
+            re[0][offset + k] += a
+            im[0][offset + k] += b
+            re[k][offset] += a
+            im[k][offset] += b
+            re[k][offset + k] += dr - a
+            im[k][offset + k] += di - b
+    return [Vector.from_parts(x, y, den) for x, y in zip(re, im)]
+
+
+def reference_in_span(basis, fn, pole_order: int = 1, poly_degree: int = 1) -> bool:
+    """``in_span`` as a bordered nullspace, where the library reads the RREF kernel.
+
+    fn is a member iff the column -target is free in [cols | -target]; then
+    the RREF kernel's last vector is (x, 1), and else every kernel vector
+    ends in 0. The empty basis spans the zero function alone.
+    """
+    target = coefficient_vector(fn, pole_order, poly_degree)
+    if not basis:
+        return target.is_zero()
+    cols = [coefficient_vector(b, pole_order, poly_degree) for b in basis]
+    kernel = nullspace(Matrix.from_columns([*cols, -target]))
+    return bool(kernel) and not kernel[-1][-1].is_zero()
 
 
 def reference_solve_ansatz(sys, pole_order: int, poly_degree: int) -> list[Vector]:

@@ -451,6 +451,15 @@ GOLDEN = [
     (["nullspace", "--n", "4", "--rho", "2", "--points=(1/2,1),(-2,1/3),3/4",
       "--pole-order", "3", "--poly-degree", "1"], 0,
      "5d1ed4317757ac762fc8499cab16339f818c75647e76d23b38e0025ff8b01c86"),
+    # resonances at infinity below the top degree, at c = rho(n - 2) and
+    # c = rho(n - 1): n = 4, shape (1, 3) (dimension 4) and n = 3, shape (1, 2)
+    # (dimension 3), both recorded while the solver still eliminated the growth rows
+    (["nullspace", "--n", "4", "--rho", "1", "--points=(1/2,1),(-2,1/3),3/4",
+      "--pole-order", "1", "--poly-degree", "3"], 0,
+     "58c007f144ac016c7f4676d9ac8aec80d703482a4d01702efeee7ab7718c395b"),
+    (["nullspace", "--n", "3", "--rho", "1", "--points=(1/2,1),(-2,1/3)",
+      "--pole-order", "1", "--poly-degree", "2"], 0,
+     "f6fcdc34a2b4ec9a85542b6226c1b25bdf70a303b5eb0e9394dca39ef53beb77"),
 ]
 
 

@@ -645,7 +645,7 @@ class TestIntegerEigenvalues:
 
 
 def bordered_read(A, b: Vector):
-    """``(consistent, particular, kernel)`` of Ax = b for the rows A, read as ``in_span`` reads it.
+    """``(consistent, particular, kernel)`` of Ax = b for the rows A, read as ``reference_in_span`` reads it.
 
     Ax = b is consistent iff -b's column of [A | -b] is free; then the RREF
     kernel's last vector is (x, 1), and the others, cut to A's columns, are
@@ -661,7 +661,7 @@ def bordered_read(A, b: Vector):
 
 
 class TestSolveAffine:
-    """Ax = b off the bordered kernel of [A | -b], the one affine read of the library."""
+    """Ax = b off the bordered kernel of [A | -b], the read of ``reference_in_span``."""
 
     def test_identity_solve(self):
         consistent, particular, kernel = bordered_read(identity(3), Vector.unit(3, 0))

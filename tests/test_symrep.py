@@ -10,16 +10,18 @@ from conftest import (
     matmul,
     random_scalar,
     reference_add,
+    reference_dot,
     reference_matvec,
     reference_scale,
     reference_star_act,
     star_generators,
+    star_rows,
     star_sum,
     t_matrix,
     transposition_matrix,
 )
 from kzsolve.exactalg import ONE, ZERO, Vector
-from kzsolve.symrep import star_act, star_rows, t_spectrum, transpose
+from kzsolve.symrep import _t_kernel, _t_solve, star_act, t_spectrum, transpose
 
 
 class TestTranspositionMatrix:
@@ -112,6 +114,8 @@ def dense_rows(terms, n, width):
 
 
 class TestStarRows:
+    """``star_rows``, the reference solver's row assembly, against dense blocks."""
+
     def test_matches_dense_reference(self):
         rng = random.Random(310)
         for n in range(2, 10):
@@ -129,7 +133,7 @@ class TestStarRows:
                     assert star_rows(terms, n, width) == dense_rows(terms, n, width), (n, shift)
 
     def test_single_operator_is_symmetric(self):
-        # frobenius_solve hands these rows to Matrix.from_columns as columns
+        # shift*I + sum_k w_k P_k is symmetric, as every P_k is
         rng = random.Random(311)
         for n in range(3, 9):
             for shift in (0, rng.randint(1, 9), -rng.randint(1, 9)):
@@ -161,6 +165,40 @@ class TestSTMatrices:
     def test_row_sums(self):
         for n in (3, 4, 6):
             assert reference_matvec(t_matrix(n), [ONE] * n) == [n - 1] * n
+
+
+class TestTSolve:
+    """(cI - rho T)^-1 from T's three spectral projectors, against the dense T."""
+
+    def test_kernel_at_each_resonance(self):
+        for n in range(3, 9):
+            T = t_matrix(n)
+            for rho in (-2, -1, 1, 3):
+                for c in range(1, 3 * (n - 1) + 1):
+                    M = dense_combination([(c, identity(n)), (-rho, T)])
+                    kernel = _t_kernel(c, rho, n)
+                    mult = {rho * (n - 1): 1, -rho: 1, rho * (n - 2): n - 2}.get(c, 0)
+                    assert len(kernel) == mult, (n, rho, c)
+                    for v in kernel:
+                        assert all(e.is_zero() for e in reference_matvec(M, list(v))), (n, rho, c)
+
+    def test_inverts_off_resonance_and_on_the_range_at_resonance(self):
+        rng = random.Random(2813)
+        for n in range(3, 8):
+            T = t_matrix(n)
+            for rho in (-3, -1, 1, 2):
+                for c in range(1, 2 * n + 2):
+                    M = dense_combination([(c, identity(n)), (-rho, T)])
+                    y = [random_scalar(rng) for _ in range(n)]
+                    r = Vector(reference_matvec(M, y))
+                    x = _t_solve(c, rho, r)
+                    assert reference_matvec(M, list(x)) == list(r), (n, rho, c)
+                    kernel = _t_kernel(c, rho, n)
+                    if not kernel:
+                        assert list(x) == y, (n, rho, c)
+                    # the kernel component is left out: x is orthogonal to the kernel
+                    for v in kernel:
+                        assert reference_dot(list(x), list(v)).is_zero(), (n, rho, c)
 
 
 class TestTSpectrum:

@@ -42,16 +42,17 @@ EIGEN_MAX_N = 256
 # Every order takes a closed form, and the cost is the convolution of the carried
 # parameters with the local coefficients, about the square of the order count at a
 # fixed n, one int loop per parameter and order; only t = |rho| eliminates, at most
-# n - 1 condition rows. In-process at n = 32, points 0..30, pole 1 (2-core machine):
-# 11.8-12.8 s, 191 MB of peak RSS and a 54 MB report at rho = -1, order 64; 10.6 s and
-# the same sizes at rho = -32, order 33; and, refused, 113.8 s and 862 MB of peak RSS at
+# n - 1 condition rows. In-process at n = 32, points 0..30, pole 1 (2-core machine, three
+# runs each): 7.5-10.4 s and a 54 MB report at rho = -1, order 64 (``kz`` peak RSS 242 MB);
+# 6.2-6.4 s at rho = -32, order 33; and, refused, 113.8 s and 862 MB of peak RSS at
 # rho = -64, order 64, measured with a convolution that built one vector per term.
 SERIES_MAX_ORDER = 64
 
 # Largest --n of ``kz series`` and ``kz verify``, measured as ``kz`` wall time with
 # points 0..n-2 (same machine). ``series`` at pole 1 (best of 3): 0.48 s at n = 32,
-# 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32, 0.89 s with order
-# 16 and 12-13 s, for a 54 MB report, at SERIES_MAX_ORDER, still mostly the convolution.
+# 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32 (three runs each),
+# 0.45-0.48 s with order 16 and 10-12 s, for a 54 MB report, at SERIES_MAX_ORDER, still
+# mostly the convolution.
 # ``verify`` evaluates residuals at s(p + 1) + d points, each one weight table at the point
 # (memoised, so the solutions of ``--solution all`` share it) and one int loop over the
 # O(n^2) coefficients, and at rho = -1 the pole-balance conditions, one n-term combination

@@ -591,41 +591,51 @@ def _kernel_mod(rows: list[list[int]], p: int) -> tuple[tuple[int, ...], list[li
     """Pivot columns of ``rows`` modulo p, and its RREF kernel as a block.
 
     Block entry [f][i], for the f-th free column and the i-th pivot column
-    left of it, is the kernel vector's entry at that pivot column. Every
-    vector is re-substituted into ``rows`` modulo p: the elimination is
-    exact in F_p, so a nonzero product is a fault, never an unlucky prime.
+    left of it, is the kernel vector's entry at that pivot column. ``rows``
+    is left as given, for :func:`_holds_mod`.
     """
     work = [list(r) for r in rows]
     pivots = _rref_mod(work, p)
     pivot_set = set(pivots)
-    block = []
-    for f in range(len(rows[0])):
-        if f in pivot_set:
-            continue
-        entries = [-work[i][f] % p for i, pc in enumerate(pivots) if pc < f]
+    block = [
+        [-work[i][f] % p for i, pc in enumerate(pivots) if pc < f]
+        for f in range(len(rows[0]))
+        if f not in pivot_set
+    ]
+    return tuple(pivots), block
+
+
+def _holds_mod(rows: list[list[int]], pivots: tuple[int, ...], block: list[list[int]], p: int) -> bool:
+    """Whether every kernel vector of ``block`` (see :func:`_kernel_mod`) satisfies ``rows`` modulo p."""
+    pivot_set = set(pivots)
+    free = (f for f in range(len(rows[0])) if f not in pivot_set)
+    for f, entries in zip(free, block):
         v = [0] * len(rows[0])
         v[f] = 1
         for pc, x in zip(pivots, entries):
             v[pc] = x
         if any(sum(map(mul, row, v)) % p for row in rows):
-            raise ArithmeticError(f"kernel image failed re-substitution modulo {p}")
-        block.append(entries)
-    return tuple(pivots), block
+            return False
+    return True
 
 
 def _image(M: Matrix, p: int, iota: int, gaussian: bool):
-    """``(pivots, block)`` of M's cleared rows modulo p, or None if p is unlucky.
+    """``(pivots, block, held)`` of M's cleared rows modulo p, or None if p is unlucky.
 
     A row (re + im*i) / den is cleared to re + im*i. A real matrix needs one
     image. A Gaussian one is reduced under i -> iota and i -> -iota; a kernel
     entry x + y*i maps to x + y*iota and x - y*iota, whose half-sum and
     half-difference over iota are x and y modulo p. Images whose pivots
-    differ cannot both be lucky, so the prime is dropped.
+    differ cannot both be lucky, so the prime is dropped. ``held`` lists
+    each elimination's reduced rows and kernel block, for :func:`_holds_mod`.
     """
     if not gaussian:
-        return _kernel_mod([[x % p for x in v.re] for v in M._vecs], p)
-    plus = _kernel_mod([[(x + iota * y) % p for x, y in zip(v.re, v.im)] for v in M._vecs], p)
-    minus = _kernel_mod([[(x - iota * y) % p for x, y in zip(v.re, v.im)] for v in M._vecs], p)
+        rows = [[x % p for x in v.re] for v in M._vecs]
+        pivots, block = _kernel_mod(rows, p)
+        return pivots, block, [(rows, block)]
+    plus_rows = [[(x + iota * y) % p for x, y in zip(v.re, v.im)] for v in M._vecs]
+    minus_rows = [[(x - iota * y) % p for x, y in zip(v.re, v.im)] for v in M._vecs]
+    plus, minus = _kernel_mod(plus_rows, p), _kernel_mod(minus_rows, p)
     if plus[0] != minus[0]:
         return None
     half, half_iota = pow(2, -1, p), pow(2 * iota, -1, p)
@@ -633,7 +643,7 @@ def _image(M: Matrix, p: int, iota: int, gaussian: bool):
         [w for u, v in zip(a, b) for w in ((u + v) * half % p, (u - v) * half_iota % p)]
         for a, b in zip(plus[1], minus[1])
     ]
-    return plus[0], block
+    return plus[0], block, [(plus_rows, plus[1]), (minus_rows, minus[1])]
 
 
 def _wang(u: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -739,7 +749,10 @@ def nullspace(M: Matrix) -> list[Vector]:
     kernel basis and the pivot columns a column basis. Each free column is
     then a combination of the pivot columns to its left, so the pivots are
     the lexicographically first column basis: the vectors are M's unique
-    RREF kernel. A lift that fails waits for the next prime.
+    RREF kernel. A lift that fails may only need more primes, or the
+    image may be faulty: the image's kernel vectors are then re-substituted
+    into its reduced rows modulo p (:func:`_holds_mod`), which raises
+    ArithmeticError on a fault and otherwise waits for the next prime.
     """
     gaussian = any(any(v.im) for v in M._vecs)
     best = modulus = residues = None
@@ -748,7 +761,7 @@ def nullspace(M: Matrix) -> list[Vector]:
         image = _image(M, p, iota, gaussian)
         if image is None:
             continue
-        pivots, block = image
+        pivots, block, held = image
         key = (-len(pivots), pivots)
         flat = [x for entries in block for x in entries]
         if best is None or key < best:
@@ -763,6 +776,10 @@ def nullspace(M: Matrix) -> list[Vector]:
         basis = _certified_lift(M, pivots, residues, modulus, gaussian)
         if basis is not None:
             return basis
+        # the elimination is exact in F_p, so a kernel image that fails modulo p
+        # is a fault, never an unlucky prime
+        if not all(_holds_mod(rows, pivots, b, p) for rows, b in held):
+            raise ArithmeticError(f"kernel image failed re-substitution modulo {p}")
 
 
 def determinant(M: Matrix) -> GaussianRational:

@@ -7,9 +7,10 @@ W' = rho*A*W yields the order-by-order recursion
     [tI - a(-1)] b_t = sum_{j >= 0} a(j) b_{t-1-j}
 
 with the rho-folded local coefficients a(j) of :mod:`kzsolve.kzcore`, star
-weight ``Vector``s. Each parameter's right-hand side is one int loop over
-the star action's numerators (:func:`kzsolve.symrep._star_parts`), every
-a(j) lifted with its b_{t-1-j} to one denominator and one gcd at the end.
+weight ``Vector``s. Each parameter's right-hand side is one int loop
+(:func:`_convolution`): every term a(j) b_{t-1-j} adds its star action
+straight into running int parts over one denominator, with a branch for
+real terms, and one gcd at the end.
 The lowest order m must be an eigenvalue of a(-1) = rho*P_k, so rho or
 -rho. The recursion is run with the free parameters carried symbolically,
 with R the matrix whose column p is the right-hand side of parameter p.
@@ -24,7 +25,8 @@ Levinson, Theory of Ordinary Differential Equations, ch. 4). So every
 continue are the nullspace of at most n - 1 condition rows of R, the only
 elimination of a solve, and the others die at the resonance; the vectors
 with c = 0 are fresh kernel freedoms, where new families start. Each
-resonant vector is certified by exact re-substitution. The module returns
+resonant vector is certified by exact re-substitution, an int equality
+on a(-1) as given (:func:`_resubstitute`). The module returns
 the full solution families, and to :mod:`kzsolve.ansatz` the principal
 parts a pole admits (:func:`_principal_part`): the same recursion from
 t = -|rho| up to t = -1, re-substituted at every order.
@@ -33,8 +35,8 @@ t = -|rho| up to t = -1, re-substituted at every order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, lcm
-from operator import add
 from typing import TYPE_CHECKING
 
 from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
@@ -162,7 +164,7 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
         # unless a parameter combination died, the combinations are the unit vectors in order
         pruned = len(carried) < nparams
         for q in basis:
-            older = [linear_combination(zip(c, basis[q]), n) for c in combos] if pruned else basis[q]
+            older = [_recombine(c, basis[q]) for c in combos] if pruned else basis[q]
             basis[q] = older + [Vector.zero(n)] * len(fresh)
         basis[t] = kept
         nparams = len(kept)
@@ -190,18 +192,44 @@ def frobenius_solve(sys: KZSystem, k: int, order: int) -> list[SeriesFamily]:
 def _convolution(coeffs: tuple[Vector, ...], terms: list[Vector], n: int) -> Vector:
     """sum_j a(j) b_j for the star weights a(j) = ``coeffs[j]`` and b_j = ``terms[j]``.
 
-    One int loop: each a(j) is lifted to the lcm of the products a(j).den * b_j.den,
-    the numerators of a(j) b_j are summed over it and reduced by one gcd.
+    One int loop over the numerators, summed over the lcm of the products
+    a(j).den * b_j.den and reduced by one gcd. With w = a(j), v = b_j and
+    d_i = v_1 - v_(i+1), (sum_i w_i P_i) v = sum(w) v + sum_i w_i d_i (e_(i+1) - e_1),
+    so each term adds f sum(w) v_(i+1) + f w_i d_i into entry i + 1 and the
+    matching sum into entry 1 of the running parts, where f lifts it to the
+    common denominator. A term whose weights and vector are both real, as
+    on integer poles, takes a branch without imaginary products.
     """
-    pairs = [(a, b) for a, b in zip(coeffs, terms) if not b.is_zero()]
+    pairs = [(a, b) for a, b in zip(coeffs, terms) if any(b.re) or any(b.im)]
     den = lcm(*(a.den * b.den for a, b in pairs))
     re, im = [0] * n, [0] * n
     for a, b in pairs:
         f = den // (a.den * b.den)
-        wr, wi = (a.re, a.im) if f == 1 else ([f * x for x in a.re], [f * y for y in a.im])
-        sr, si = _star_parts(wr, wi, b.re, b.im)
-        re = list(map(add, re, sr))
-        im = list(map(add, im, si))
+        wr, wi, vr, vi = a.re, a.im, b.re, b.im
+        hr, hi = vr[0], vi[0]
+        if any(wi) or any(vi):
+            tr, ti = f * sum(wr), f * sum(wi)
+            sr = si = 0
+            for i in range(1, n):
+                x, y = vr[i], vi[i]
+                dr, di = hr - x, hi - y
+                ar, ai = f * wr[i - 1], f * wi[i - 1]
+                er, ei = ar * dr - ai * di, ar * di + ai * dr
+                sr += er
+                si += ei
+                re[i] += tr * x - ti * y + er
+                im[i] += tr * y + ti * x + ei
+            re[0] += tr * hr - ti * hi - sr
+            im[0] += tr * hi + ti * hr - si
+        else:
+            tr = f * sum(wr)
+            sr = 0
+            for i in range(1, n):
+                x = vr[i]
+                e = f * wr[i - 1] * (hr - x)
+                sr += e
+                re[i] += tr * x + e
+            re[0] += tr * hr - sr
     return Vector.from_parts(re, im, den)
 
 
@@ -259,7 +287,7 @@ def _resonant_order(
         conditions = [Vector.from_parts([r.re[0] - r.re[k]], [r.im[0] - r.im[k]], r.den) for r in rhs]
     combos = nullspace(Matrix.from_columns(conditions)) if rhs else []
     # a zero condition matrix has the unit vectors for its RREF kernel
-    targets = rhs if len(combos) == len(rhs) else [linear_combination(zip(c, rhs), n) for c in combos]
+    targets = rhs if len(combos) == len(rhs) else [_recombine(c, rhs) for c in combos]
     carried = []
     for r in targets:
         if t == rho:
@@ -276,9 +304,25 @@ def _resonant_order(
     return combos, carried, fresh
 
 
+def _recombine(c: Vector, columns: list[Vector]) -> Vector:
+    """sum_p c_p columns[p], with c's int parts as the scalars."""
+    return _combine(zip(c.re, c.im, repeat(c.den), columns), columns[0].dim)
+
+
 def _resubstitute(t: int, minus_one: Vector, x: Vector, r: Vector) -> None:
-    """Raise ArithmeticError unless [tI - a(-1)] x = r exactly."""
-    if _combine([(t, 0, 1, x), (-1, 0, 1, star_act(minus_one, x))], r.dim) != r:
+    """Raise ArithmeticError unless [tI - a(-1)] x = r exactly.
+
+    a = a(-1) is read as given: :func:`kzsolve.symrep._star_parts` gives the
+    numerators of a x over a.den * x.den, so [tI - a(-1)] x has the
+    numerators t a.den x - a x over that product. Each is compared with r's
+    numerator over r.den by cross-multiplying, an int equality.
+    """
+    a = minus_one
+    sr, si = _star_parts(a.re, a.im, x.re, x.im)
+    q, lhs_den, rhs_den = t * a.den, x.den * a.den, r.den
+    if any((q * u - s) * rhs_den != w * lhs_den for u, s, w in zip(x.re, sr, r.re)) or any(
+        (q * u - s) * rhs_den != w * lhs_den for u, s, w in zip(x.im, si, r.im)
+    ):
         raise ArithmeticError(f"order {t} failed exact re-substitution")
 
 

@@ -4,10 +4,13 @@ The residues are the transpositions P_k = (1 k+1) acting on coordinates,
 the "star" generators; no dense generator matrix is built here. A
 residue operator c*I + sum_k w_k P_k is carried as its shift c and its
 weights w, and this is the only module that knows what the weights
-mean: :func:`star_act` applies a weighted sum to an exact vector in O(n)
+mean, but for the Frobenius right-hand sides, which fuse the action into
+their sum over terms (:func:`kzsolve.frobenius._convolution`):
+:func:`star_act` applies a weighted sum to an exact vector in O(n)
 int operations on the vector's shared-denominator parts (its int loop,
-:func:`_star_parts`, also serves the residual evaluator and the growth
-recursion of :mod:`kzsolve.ansatz`, which work on raw numerators), and
+:func:`_star_parts`, also serves the residual evaluator, the pole
+balance of :mod:`kzsolve.ansatz` and the Frobenius re-substitution, which
+work on raw numerators), and
 :func:`star_act_array` applies it to a floating vector or matrix in O(n)
 work per column. No residue operator is written into the rows of a
 linear system. A lone P_k is no weighted sum: :func:`transpose`

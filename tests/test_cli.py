@@ -460,6 +460,11 @@ GOLDEN = [
     (["nullspace", "--n", "3", "--rho", "1", "--points=(1/2,1),(-2,1/3)",
       "--pole-order", "1", "--poly-degree", "2"], 0,
      "f6fcdc34a2b4ec9a85542b6226c1b25bdf70a303b5eb0e9394dca39ef53beb77"),
+    # integer poles, whose right-hand sides take the real branch, and five
+    # parameters carried from t = -2 and pruned at t = 2, recorded before the
+    # right-hand sides were fused into one int loop
+    (["series", "--n", "6", "--rho", "-2", "--points=0,1,2,3,4", "--pole", "3", "--order", "4"], 0,
+     "1b300a0f627a7393bae8d5203351802fe681b8192721a8029f66a2448814d773"),
 ]
 
 

@@ -10,7 +10,9 @@ from conftest import (
     dense_integer_eigenvalues,
     identity,
     random_points,
+    random_scalar,
     reference_frobenius_solve,
+    reference_matvec,
     reference_solve_affine,
     star_sum,
 )
@@ -268,6 +270,79 @@ class TestResonancePruning:
             sys = new_system(4, rho, [0, 1, 2])
             with pytest.raises(ArithmeticError):
                 frobenius_solve(sys, 2, abs(rho) + 1)
+
+
+def random_weights(rng, size, real):
+    """Star weights with unequal denominators and some zero entries."""
+    return Vector(0 if rng.random() < 0.2 else random_scalar(rng, 7, real_only=real) for _ in range(size))
+
+
+def dense_star(weights, v):
+    """(sum_k w_k P_k) v through the dense star sum."""
+    return reference_matvec(star_sum(weights), list(v))
+
+
+def dense_convolution(coeffs, terms, n) -> Vector:
+    """sum_j a(j) b_j through the dense star sums."""
+    total = [GaussianRational(0)] * n
+    for a, b in zip(coeffs, terms):
+        total = [u + w for u, w in zip(total, dense_star(a, b))]
+    return Vector(total)
+
+
+class TestInnerLoops:
+    """The recursion's int loops against dense products of the star sums."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_convolution_matches_dense_products(self, n):
+        rng = random.Random(2900 + n)
+        for _ in range(12):
+            coeffs, terms = [], []
+            for _ in range(rng.randint(1, 5)):
+                kind = rng.choice(["real", "gaussian", "real weights", "real vector", "zero"])
+                coeffs.append(random_weights(rng, n - 1, kind in ("real", "real weights")))
+                terms.append(
+                    Vector.zero(n) if kind == "zero"
+                    else random_weights(rng, n, kind in ("real", "real vector"))
+                )
+            got = frobenius._convolution(tuple(coeffs), terms, n)
+            assert got == dense_convolution(coeffs, terms, n)
+
+    def test_convolution_all_real(self):
+        # integer-pole data: every a(j) and b_j real, over unequal denominators
+        rng = random.Random(2908)
+        n = 5
+        coeffs = tuple(random_weights(rng, n - 1, True) for _ in range(4))
+        terms = [random_weights(rng, n, True) for _ in range(4)]
+        assert not any(any(v.im) for v in (*coeffs, *terms))
+        assert len({a.den * b.den for a, b in zip(coeffs, terms)}) > 1
+        assert frobenius._convolution(coeffs, terms, n) == dense_convolution(coeffs, terms, n)
+
+    def test_convolution_of_zero_terms_is_zero(self):
+        coeffs = (Vector([1, 2]), Vector([GaussianRational(0, 1), 3]))
+        assert frobenius._convolution(coeffs, [Vector.zero(3)] * 2, 3) == Vector.zero(3)
+
+    def test_resubstitute_checks_every_part(self):
+        rng = random.Random(2909)
+        n, t = 5, 3
+        a = random_weights(rng, n - 1, False)
+        x = Vector(random_scalar(rng, 7) + GaussianRational(0, 1) for _ in range(n))
+        r = Vector(t * xi - si for xi, si in zip(x, dense_star(a, x)))
+        frobenius._resubstitute(t, a, x, r)
+
+        def bumped(v, part, i):
+            re, im = list(v.re), list(v.im)
+            (re if part == "re" else im)[i] += v.den
+            return Vector.from_parts(re, im, v.den)
+
+        for part in ("re", "im"):
+            for i in (0, n - 1):
+                with pytest.raises(ArithmeticError):
+                    frobenius._resubstitute(t, a, bumped(x, part, i), r)
+        for part in ("re", "im"):
+            for i in (0, 2):
+                with pytest.raises(ArithmeticError):
+                    frobenius._resubstitute(t, a, x, bumped(r, part, i))
 
 
 class TestLaurentOfRational:

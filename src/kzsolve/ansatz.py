@@ -109,12 +109,21 @@ class RationalVectorFunction:
         return self.poly_coeffs[1] if len(self.poly_coeffs) >= 2 else Vector.zero(self.dim)
 
     @cached_property
-    def _own_entries(self):
-        """:func:`_nonzero_entries` and denominator of the coefficient vector in its own shape.
+    def _flat(self) -> Vector:
+        """The coefficient vector in the function's own shape, flattened once.
 
-        Read by every :func:`residual` call; the fields are frozen and every
-        ``Vector`` immutable, so it is flattened once per function. The
-        cache is no field: equality and hash still compare the fields.
+        The fields are frozen and every ``Vector`` immutable, so the cache is
+        safe; it is no field, so equality and hash still compare the fields.
+        :func:`_function_from_flat` seeds it with the vector it slices, and
+        :func:`coefficient_vector` returns it for the own shape.
+        """
+        return _flatten(self, self.pole_order, self.poly_degree)
+
+    @cached_property
+    def _own_entries(self):
+        """:func:`_nonzero_entries` and denominator of :attr:`_flat`.
+
+        Read by every :func:`residual` call, so cached like :attr:`_flat`.
         """
         flat = coefficient_vector(self, self.pole_order, self.poly_degree)
         # tuples, as every caller shares them
@@ -424,10 +433,13 @@ def solve_ansatz(
     which the kernel space alone determines, so the basis is the one the
     full system's nullspace returns.
 
-    Every kernel vector is certified before it becomes a function:
-    W' - rho*A*W times prod_k (z - z_k)^(p+1) is a polynomial of degree
-    below s(p + 1) + d, so it must vanish at that many sample points. Each
-    point gets one weight table (:func:`_sample_weights`) and each vector
+    Every kernel vector is certified before it becomes a function. Let p_u
+    be the highest pole order and d_u the highest degree at which some
+    kernel vector is nonzero (0 if none is). For W of that shape,
+    W' - rho*A*W times prod_k (z - z_k)^(p_u+1) is a polynomial of degree
+    below s(p_u + 1) + d_u, so it must vanish at that many sample points,
+    the count ``kz verify`` takes per function. Each point gets one weight
+    table in the (p, d) layout (:func:`_sample_weights`) and each vector
     one int loop over its nonzero entries (:func:`_value_slope`) and one
     star action, the evaluator behind :func:`residual`; it reads none of
     the glued rows. A nonzero defect raises rather than returning a wrong
@@ -448,7 +460,11 @@ def solve_ansatz(
     # the certificate reads none of the rows: W' - rho*A*W of every kernel
     # vector at every sample point, from one weight table per point
     vectors = [_nonzero_entries(vec, n) for vec in kernel]
-    for z in sample_points(sys.points, s * (p + 1) + deg) if vectors else ():
+    used = {u for blocks, *_ in vectors for u in blocks}
+    # pole block (k, r) is k*p + r - 1, polynomial block d is s*p + d
+    p_used = max((u % p + 1 for u in used if u < s * p), default=0)
+    d_used = max((u - s * p for u in used if u >= s * p), default=0)
+    for z in sample_points(sys.points, s * (p_used + 1) + d_used) if vectors else ():
         ar, ai, table, _ = _sample_weights(sys, z, p, deg)
         for entries in vectors:
             wr, wi, sr, si = _value_slope(table, entries, n)
@@ -599,17 +615,26 @@ def _function_from_flat(
         for k in range(s)
     )
     poly = tuple(grab(poly_block(d)) for d in range(poly_degree + 1))
-    return RationalVectorFunction(
+    fn = RationalVectorFunction(
         dim=n, points=sys.points, pole_coeffs=poles, poly_coeffs=poly
     )
+    # fn's own shape is (pole_order, poly_degree), so flat is its _flat
+    vars(fn)["_flat"] = flat
+    return fn
 
 
 def coefficient_vector(
     fn: RationalVectorFunction, pole_order: int, poly_degree: int
 ) -> Vector:
-    """Flatten a function into the unknown layout of a given shape."""
+    """Flatten a function into the unknown layout of a given shape; its own is cached."""
     if fn.pole_order > pole_order or fn.poly_degree > poly_degree:
         raise ValueError("function does not fit the requested shape")
+    if (fn.pole_order, fn.poly_degree) == (pole_order, poly_degree):
+        return fn._flat
+    return _flatten(fn, pole_order, poly_degree)
+
+
+def _flatten(fn: RationalVectorFunction, pole_order: int, poly_degree: int) -> Vector:
     n, s = fn.dim, len(fn.points)
     parts: list[Vector] = []
     for k in range(s):

@@ -64,16 +64,18 @@ VERIFY_MAX_N = 64
 # Largest unknown count u = n((n - 1) pole_order + poly_degree + 1) of the ansatz that
 # ``kz nullspace`` solves, the one bound on its shape. Each pole's deep rows are solved by
 # its own recursion and the polynomial part by the recursion at infinity, so the
-# elimination, modulo word-size primes, is of the (s - 1)n gluing rows by at most
+# elimination, modulo 126-bit primes, is of the (s - 1)n gluing rows by at most
 # s(n - 1) pole parameters and n - 1 resonant polynomial ones; the certificate after it
-# takes one weight table per sample point and one int loop per kernel vector.
-# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.17-0.26 s of wall time (best of
-# 7, on a host whose speed drifts by that much), 0.05 s of it in-process. In-process at
-# the corners the cap admits, the largest pole order at degree 0 and the largest degree at
-# pole order 1 for n = 3, 4 and 6 and rho = -1, 1 and -2: at most 0.02 s on points
-# 0..n-2, and at most 0.10-0.17 s on Gaussian poles with denominators up to 41, the
-# slowest n = 6 at rho = -2 and (5, 0). The Gaussian corner n = 4, rho = -1 at (1, 35)
-# takes 0.13-0.21 s of wall time (2-core machine, Python 3.11). Every valid shape has
+# takes one weight table at each of s(p_u + 1) + d_u sample points, p_u and d_u the pole
+# order and degree the kernel uses, and one int loop per kernel vector.
+# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.14-0.15 s of wall time (best of
+# 7, three runs, on a host whose speed drifts by that much), 0.04 s of it in-process.
+# In-process at the corners the cap admits, the largest pole order at degree 0 and the
+# largest degree at pole order 1 for n = 3, 4 and 6 and rho = -1, 1 and -2 (best of 5,
+# three runs): at most 0.008 s on points 0..n-2, and at most 0.037 s on Gaussian poles
+# with denominators up to 41, the slowest n = 6 at rho = -2 and (5, 0), whose gluing
+# kernel still draws three primes. The Gaussian corner n = 4, rho = -1 at (1, 35) takes
+# 0.10-0.11 s of wall time (2-core machine, Python 3.11). Every valid shape has
 # u >= n^2, so the cap also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 

@@ -18,7 +18,7 @@ hold int parts, such as :mod:`kzsolve.frobenius` and the condition check
 of :mod:`kzsolve.ansatz`, call it directly.
 
 :func:`nullspace` is multimodular: it eliminates each row's int parts
-modulo word-size primes, reconstructs the rational kernel by Chinese
+modulo 126-bit primes, reconstructs the rational kernel by Chinese
 remaindering and Wang's rational reconstruction, and returns it only once
 an exact certificate proves it is M's RREF kernel. :func:`determinant` is a
 forward fraction-free (Bareiss) elimination over the Gaussian integers.
@@ -505,13 +505,14 @@ class Matrix:
 
 # -- elimination ------------------------------------------------------------
 
-# Miller-Rabin with these bases is exact below 3.1e23, far above every prime
-# the search below can reach.
+# Miller-Rabin with these bases is exact below 3.1e23; above that, where the
+# moduli of nullspace lie, it is a strong-probable-prime test, on which no
+# result depends (see nullspace).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin primality test, deterministic below 3.1e23."""
     if n < 2:
         return False
     for b in _WITNESSES:
@@ -535,13 +536,22 @@ def _is_prime(n: int) -> bool:
 
 
 def _modular_primes():
-    """The primes p = 1 (mod 4) above 2^61 in increasing order, each as
-    ``(p, iota)`` with ``iota**2 = -1 (mod p)``: iota = g^((p-1)/4) for the
-    least quadratic non-residue g."""
-    for p in count(2**61 + 1, 4):
+    """The probable primes p = 1 (mod 4) above 2^125 in increasing order, each
+    as ``(p, iota)`` with ``iota**2 = -1 (mod p)``: iota = g^((p-1)/4) for the
+    least g with g^((p-1)/2) = -1.
+
+    At 126 bits Wang's bound covers 62-bit numerators and denominators, so a
+    kernel with entries of that size lifts from one prime. ArithmeticError
+    unless iota**2 = -1 (mod p): both Gaussian images of :func:`_image` are
+    ring maps only then.
+    """
+    for p in count(2**125 + 1, 4):
         if _is_prime(p):
             g = next(g for g in count(2) if pow(g, (p - 1) // 2, p) == p - 1)
-            yield p, pow(g, (p - 1) // 4, p)
+            iota = pow(g, (p - 1) // 4, p)
+            if iota * iota % p != p - 1:
+                raise ArithmeticError(f"no square root of -1 modulo {p}")
+            yield p, iota
 
 
 @cache
@@ -732,14 +742,28 @@ def _certified_lift(
 def nullspace(M: Matrix) -> list[Vector]:
     """Basis of the exact right nullspace {v : Mv = 0}: the RREF kernel, one vector per free column.
 
-    Multimodular. The cleared rows are eliminated modulo word-size primes
-    p = 1 (mod 4) (:func:`_image`); the kernel blocks of primes that agree
-    on the pivot columns are combined by the Chinese remainder theorem and
-    lifted to rationals (:func:`_lift`). A prime's image can be unlucky,
-    never better than the truth: its rank is at most M's, and at equal rank
-    its pivot list is no smaller than M's lexicographically first column
-    basis. So the image with the larger rank, then the smaller pivot list,
-    is kept and a worse one is skipped.
+    Multimodular. The cleared rows are eliminated modulo 126-bit primes
+    p = 1 (mod 4) (:func:`_image`), so a kernel whose entries have
+    numerators and denominators up to 62 bits lifts from the first prime;
+    the kernel blocks of primes that agree on the pivot columns are
+    combined by the Chinese remainder theorem and lifted to rationals
+    (:func:`_lift`). A prime's image can be unlucky, never better than the
+    truth: its rank is at most M's, and at equal rank its pivot list is no
+    smaller than M's lexicographically first column basis. So the image
+    with the larger rank, then the smaller pivot list, is kept and a worse
+    one is skipped.
+
+    None of this rests on p being prime, which above 3.1e23 Miller-Rabin
+    only makes probable (:func:`_is_prime`). Every pivot is inverted by
+    ``pow(x, -1, p)``, which raises unless x is a unit mod p, so the row
+    operations are invertible mod p and take the pivot columns to the unit
+    vectors; by Cauchy-Binet some minor of the cleared rows on those
+    columns is then nonzero mod p. Under a ring map (i -> iota with
+    iota**2 = -1 for a Gaussian image) that is the image of a nonzero
+    minor, so the pivot columns are independent over the rationals:
+    rank(M) is at least the number of pivots, and at equal rank they are a
+    column basis, so no smaller than the lexicographically first one. A
+    wrong image can only fail the certificate below.
 
     A lift is returned only once it is certified. Each vector is built 1 on
     its own free column, 0 on the other free columns and 0 on every pivot

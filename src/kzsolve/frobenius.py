@@ -275,7 +275,9 @@ def _resonant_order(
         conditions = rhs
     elif t == rho:
         fresh = [Vector.unit(n, f) for f in range(1, n)]
-        fresh[k - 1] = Vector.unit(n, 0) + Vector.unit(n, k)
+        ends = [0] * n
+        ends[0] = ends[k] = 1
+        fresh[k - 1] = Vector.from_parts(ends, [0] * n, 1)
         conditions = []
         for r in rhs:
             re, im = list(r.re), list(r.im)
@@ -283,7 +285,9 @@ def _resonant_order(
             im[0] += im.pop(k)
             conditions.append(Vector.from_parts(re, im, r.den))
     else:
-        fresh = [Vector.unit(n, k) - Vector.unit(n, 0)]
+        ends = [0] * n
+        ends[0], ends[k] = -1, 1
+        fresh = [Vector.from_parts(ends, [0] * n, 1)]
         conditions = [Vector.from_parts([r.re[0] - r.re[k]], [r.im[0] - r.im[k]], r.den) for r in rhs]
     combos = nullspace(Matrix.from_columns(conditions)) if rhs else []
     # a zero condition matrix has the unit vectors for its RREF kernel

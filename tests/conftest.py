@@ -57,6 +57,8 @@ coefficient, for tests that need sums the library never forms.
 it carries every residue sum as star weights. ``star_sum`` adds up
 scaled generator matrices entry by entry, so it shares no code with
 ``star_act`` or ``star_rows``.
+``counted_images`` records the prime of every modular image ``nullspace``
+eliminates, for tests that count the primes an elimination draws.
 The autouse fixture ``cold_memos`` empties the library's process-wide
 memos (``MEMOS``) before every test, so a test that counts the work behind
 them reads its own misses, not hits left by an earlier test.
@@ -70,6 +72,7 @@ from math import lcm
 
 import pytest
 
+from kzsolve import exactalg
 from kzsolve.ansatz import (
     RationalVectorFunction,
     _unknown_layout,
@@ -89,6 +92,20 @@ from kzsolve.exactalg import (
 from kzsolve.frobenius import SeriesFamily, exponent_window
 from kzsolve.kzcore import _inverses, _powers, local_coefficients
 from kzsolve.symrep import star_act
+
+def counted_images(monkeypatch, limit=40):
+    """Record the prime of every modular image; fail instead of looping past ``limit``."""
+    primes = []
+    real = exactalg._image
+
+    def image(M, p, iota, gaussian):
+        primes.append(p)
+        assert len(primes) <= limit, "nullspace kept drawing primes"
+        return real(M, p, iota, gaussian)
+
+    monkeypatch.setattr(exactalg, "_image", image)
+    return primes
+
 
 # the library's memos on input data (exactalg._prime, a fixed table of primes, is none)
 MEMOS = (_inverses, _weight_table)

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     MEMOS,
     combine_functions,
+    counted_images,
     entries_str,
     generic_points,
     leibniz_det,
@@ -503,6 +504,22 @@ class TestGluedSolve:
         assert len(solve_ansatz(sys, 2, 1)) == 4
         assert shapes == [(3 * 5, 4 * 4)]
 
+    @pytest.mark.parametrize(
+        "n, rho, points, p, d, dim",
+        [
+            (5, -2, ["(-3/4,-1)", "3", "(1,1/2)", "(1/3,4/3)"], 2, 1, 4),
+            (6, -1, ["(1/3,-3/2)", "-1", "(2,-1/2)", "(1/4,-2/3)", "2/3"], 1, 1, 6),
+        ],
+        ids=["n5-rho-2", "n6-rho-1"],
+    )
+    def test_gluing_kernel_lifts_from_one_prime(self, monkeypatch, n, rho, points, p, d, dim):
+        # Gaussian poles whose gluing kernels carry entries of up to 48 bits:
+        # one modular image, no CRT step and no second prime
+        sys = new_system(n, rho, [parse_scalar(z) for z in points])
+        primes = counted_images(monkeypatch)
+        assert len(solve_ansatz(sys, p, d)) == dim
+        assert len(primes) == 1
+
 
 class TestCertificate:
     """solve_ansatz raises rather than return a kernel vector that is not a solution."""
@@ -511,8 +528,12 @@ class TestCertificate:
         (4, -1, ["0", "1", "2"], 1, 1),
         (4, -2, ["(0,1)", "1", "(2,-1)"], 2, 2),
         (5, 1, ["0", "1", "2", "3"], 2, 1),
+        (5, -1, ["0", "1", "2", "3"], 2, 1),
     ]
-    IDS = ["int-1-1", "gaussian-2-2", "n5-2-1"]
+    IDS = ["int-1-1", "gaussian-2-2", "n5-2-1", "n5-rho-1-2-1"]
+    # at shape (2, 1) the n = 5 bases use simple poles only, and Q_1 only at
+    # rho = -1: 4*2 + 0 and 4*2 + 1 points, not 4*3 + 1
+    USED_POINTS = {(5, 1, 2, 1): 8, (5, -1, 2, 1): 9}
 
     @pytest.mark.parametrize("n, rho, points, p, d", CASES, ids=IDS)
     @pytest.mark.parametrize("entry", ["first", "last"])
@@ -544,8 +565,15 @@ class TestCertificate:
             return eval_A(sys_, z)
 
         monkeypatch.setattr(ansatz, "eval_A", counted)
-        assert solve_ansatz(sys, p, d)
-        assert seen == sample_points(sys.points, sys.s * (p + 1) + d)
+        basis = solve_ansatz(sys, p, d)
+        assert basis
+        # the highest pole order and degree at which some basis function is nonzero
+        pole_orders = [r for fn in basis for g in fn.pole_coeffs for r, v in enumerate(g, 1) if not v.is_zero()]
+        degrees = [e for fn in basis for e, v in enumerate(fn.poly_coeffs) if not v.is_zero()]
+        p_used, d_used = max(pole_orders, default=0), max(degrees, default=0)
+        assert seen == sample_points(sys.points, sys.s * (p_used + 1) + d_used)
+        if (n, rho, p, d) in self.USED_POINTS:
+            assert len(seen) == self.USED_POINTS[n, rho, p, d]
 
 
 class TestInSpan:
@@ -590,6 +618,21 @@ class TestInSpan:
             dim=4, points=sys.points, pole_coeffs=((), (), ()), poly_coeffs=(Vector([0, 0, 0, 1]),)
         )
         assert not in_span([], constant)
+
+    def test_own_shape_flattened_once(self):
+        # coefficient_vector in a function's own shape is one cached vector,
+        # seeded by solve_ansatz, equal to a fresh concatenation of the blocks
+        sys = canon_sys()
+        for fn in [*solve_ansatz(sys, 2, 1), *solve_ansatz(sys), y1(CANON)]:
+            p, d = fn.pole_order, fn.poly_degree
+            flat = coefficient_vector(fn, p, d)
+            assert coefficient_vector(fn, p, d) is flat
+            zero = Vector.zero(fn.dim)
+            blocks = [g[r] if r < len(g) else zero for g in fn.pole_coeffs for r in range(p)]
+            assert flat == Vector.concat([*blocks, *fn.poly_coeffs])
+            assert coefficient_vector(dataclasses.replace(fn), p, d) == flat
+            # a larger shape is flattened afresh
+            assert coefficient_vector(fn, p + 1, d) is not flat
 
     def test_matches_bordered_nullspace(self):
         # random coefficient vectors, not solutions: bases with dependent

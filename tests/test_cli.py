@@ -465,6 +465,10 @@ GOLDEN = [
     # right-hand sides were fused into one int loop
     (["series", "--n", "6", "--rho", "-2", "--points=0,1,2,3,4", "--pole", "3", "--order", "4"], 0,
      "1b300a0f627a7393bae8d5203351802fe681b8192721a8029f66a2448814d773"),
+    # Gaussian poles whose gluing kernel carries entries of up to 47 bits
+    # (dimension 6), recorded while such a kernel drew two 62-bit primes
+    (["nullspace", "--n", "6", "--rho", "-1", "--points=(1/3,-3/2),-1,(2,-1/2),(1/4,-2/3),2/3"], 0,
+     "2b0712975970d59a3c385b88024f4d1dc20a53f1a7b2d4b3a35e4e8eb8bb1db8"),
 ]
 
 

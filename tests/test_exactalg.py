@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     brute_rank,
+    counted_images,
     dense_combination,
     dense_integer_eigenvalues,
     entries_str,
@@ -340,20 +341,6 @@ class TestNullspace:
                 assert (M * v).is_zero()
 
 
-def counted_images(monkeypatch, limit=40):
-    """Record the prime of every modular image; fail instead of looping past ``limit``."""
-    primes = []
-    real = exactalg._image
-
-    def image(M, p, iota, gaussian):
-        primes.append(p)
-        assert len(primes) <= limit, "nullspace kept drawing primes"
-        return real(M, p, iota, gaussian)
-
-    monkeypatch.setattr(exactalg, "_image", image)
-    return primes
-
-
 class TestModularNullspace:
     def test_prime_table(self):
         sympy = pytest.importorskip("sympy")
@@ -361,7 +348,7 @@ class TestModularNullspace:
         assert [p for p, _ in primes] == sorted({p for p, _ in primes})
         for p, iota in primes:
             assert sympy.isprime(p)
-            assert 2**61 < p < 2**62 and p % 4 == 1
+            assert 2**125 < p < 2**126 and p % 4 == 1
             assert iota * iota % p == p - 1
 
     def test_primality_test_matches_sympy(self):
@@ -374,6 +361,10 @@ class TestModularNullspace:
         rng = random.Random(116)
         for _ in range(200):
             n = rng.randrange(2**61, 2**62) | 1
+            assert exactalg._is_prime(n) == sympy.isprime(n)
+        # the range the moduli of nullspace are drawn from
+        for _ in range(200):
+            n = rng.randrange(2**125, 2**126) | 1
             assert exactalg._is_prime(n) == sympy.isprime(n)
 
     def test_entry_equal_to_first_prime(self, monkeypatch):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import cycle
-from math import lcm
 
 from .exactalg import (
     GaussianRational,
@@ -32,7 +31,7 @@ from .exactalg import (
     nullspace,
 )
 from .frobenius import _convolution, _principal_part
-from .kzcore import KZSystem, _inverses, _powers, eval_A, local_coefficients
+from .kzcore import KZSystem, _inverses, _off_pole_inverses, _powers, local_coefficients
 from .symrep import _star_parts, _t_kernel, _t_solve, transpose
 
 
@@ -123,7 +122,8 @@ class RationalVectorFunction:
     def _own_entries(self):
         """:func:`_nonzero_entries` and denominator of :attr:`_flat`.
 
-        Read by every :func:`residual` call, so cached like :attr:`_flat`.
+        Read by every :func:`residual` and :func:`check_conditions` call, so
+        cached like :attr:`_flat`.
         """
         flat = coefficient_vector(self, self.pole_order, self.poly_degree)
         # tuples, as every caller shares them
@@ -215,51 +215,77 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
     """Exact check of the three conditions for the simple-pole shape.
 
     Only derived for rho = -1; other couplings must go through
-    :func:`residual` or :func:`solve_ansatz`.
+    :func:`residual` or :func:`solve_ansatz`. The conditions are read off
+    fn's coefficient vector in its own shape, cached like its nonzero
+    entries for :func:`residual`: its residues L_k, Q_0 and Q_1 share one
+    denominator F, and a shape with no pole or no polynomial block reads
+    zeros there. Each pole balance is one int pass over the nonzero
+    entries, and a zero condition is built without a gcd.
     """
     if sys.rho != -1:
         raise ValueError("closed-form conditions apply to rho = -1 only")
-    if fn.points != sys.points:
-        raise ValueError("function pole set differs from the system's")
+    if fn.points != sys.points or fn.dim != sys.n:
+        raise ValueError("function pole set or dimension differs from the system's")
     if fn.pole_order > 1 or fn.poly_degree > 1:
         raise ValueError("conditions expect simple poles and an affine polynomial")
-    n, s = sys.n, sys.s
-    res = fn.residues
-    qc, ql = fn.q_const, fn.q_linear
+    n, s, p = sys.n, sys.s, fn.pole_order
+    flat = fn._flat
+    fr, fi, den = flat.re, flat.im, flat.den
+    # block u of the flat vector is entries u*n..u*n+n-1: L_k is block k - 1 when
+    # the shape has poles, Q_0 and Q_1 are the blocks after the s*p pole blocks
+    blocks = [(fr[at:at + n], fi[at:at + n]) for at in range(0, len(fr), n)]
+    zero = ((0,) * n, (0,) * n)
+    res = blocks[:s] if p else [zero] * s
     sym = []
-    for k, L in enumerate(res, start=1):
+    for k, (lr, li) in enumerate(res, start=1):
         # (I - P_k) L is L_1 - L_(k+1) at entry 1, its negative at entry k+1, 0 elsewhere
         re, im = [0] * n, [0] * n
-        re[0], im[0] = L.re[0] - L.re[k], L.im[0] - L.im[k]
+        re[0], im[0] = lr[0] - lr[k], li[0] - li[k]
         re[k], im[k] = -re[0], -im[0]
-        sym.append(Vector.from_parts(re, im, L.den))
+        sym.append(_reduced(re, im, den))
     # balance k is sum_{j != k} w_j (P_k L_j + P_j L_k) + P_k (z_k q_linear + q_const)
-    # with w_j = 1/(z_k - z_j): P_k of one combination plus one star action on L_k
+    # with w_j = 1/(z_k - z_j) = (wr_j + wi_j*i)/E and z_k = (zx + zy*i)/zd: P_k of
+    # zd sum_j w_j L_j + E zd Q_0 + E z_k Q_1, one pass over fn's nonzero entries
+    # with one scalar per block, plus zd times the star action of w on L_k, all
+    # over E zd F
+    entries, _ = fn._own_entries
     balance = []
-    for k, (zk, Lk) in enumerate(zip(sys.points, res), start=1):
+    for k, (zk, (lr, li)) in enumerate(zip(sys.points, res), start=1):
         w = _inverses(sys.points, zk)
-        terms = [(x, y, w.den, L) for x, y, L in zip(w.re, w.im, res)]
-        inner = _combine([*terms, (*_parts(zk), ql), (1, 0, 1, qc)], n)
-        tr, ti = _star_parts(w.re, w.im, Lk.re, Lk.im)
-        # inner's parts with entries 1 and k+1 swapped, plus the star action, over one lcm
-        sd = w.den * Lk.den
-        den = lcm(inner.den, sd)
-        f, g = den // inner.den, den // sd
-        xr, xi = list(inner.re), list(inner.im)
+        e = w.den
+        zx, zy, zd = _parts(zk)
+        scalars = [(zd * a, zd * b) for a, b in zip(w.re, w.im)] if p else []
+        scalars += [(e * zd, 0), (e * zx, e * zy)]
+        xr, xi = [0] * n, [0] * n
+        for u, j, x, y in zip(*entries):
+            a, b = scalars[u]
+            if y:
+                xr[j] += a * x - b * y
+                xi[j] += a * y + b * x
+            else:
+                xr[j] += a * x
+                xi[j] += b * x
         xr[0], xr[k], xi[0], xi[k] = xr[k], xr[0], xi[k], xi[0]
+        tr, ti = _star_parts(w.re, w.im, lr, li)
         balance.append(
-            Vector.from_parts(
-                [f * a + g * b for a, b in zip(xr, tr)], [f * a + g * b for a, b in zip(xi, ti)], den
-            )
+            _reduced([x + zd * t for x, t in zip(xr, tr)], [x + zd * t for x, t in zip(xi, ti)], e * zd * den)
         )
+    q = blocks[s * p + 1] if fn.poly_degree == 1 else zero
     # (I + T) q_linear is sum(q) at entry 1 and q_1 + s q_(k+1) at entry k+1
-    qr, qi = ql.re, ql.im
-    growth = Vector.from_parts(
-        [sum(qr), *(qr[0] + s * x for x in qr[1:])], [sum(qi), *(qi[0] + s * y for y in qi[1:])], ql.den
+    qr, qi = q
+    growth = _reduced(
+        [sum(qr), *(qr[0] + s * x for x in qr[1:])], [sum(qi), *(qi[0] + s * y for y in qi[1:])], den
     )
     return ConditionReport(
         residue_symmetry=tuple(sym), pole_balance=tuple(balance), growth=growth
     )
+
+
+def _reduced(re: list[int], im: list[int], den: int) -> Vector:
+    """``Vector.from_parts``, with no gcd when every part is 0."""
+    if any(re) or any(im):
+        return Vector.from_parts(re, im, den)
+    return Vector.zero(len(re))
 
 
 def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector:
@@ -268,37 +294,41 @@ def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector
     The evaluator that certifies :func:`solve_ansatz`'s kernel, and whose
     weight table :meth:`RationalVectorFunction.eval` reads too, runs on
     fn's coefficient vector in its own shape, flattened once per function:
-    one weight table at z, one int loop over the nonzero coefficients, one
-    star action and one reduction to a ``Vector``. The table and the
-    inverses at z are memoised (at most 32 entries each, keyed on the
-    poles, z and the shape), so every function of one shape checked at the
-    same point, as ``kz verify`` checks several, shares one table.
+    one sample record at z (:func:`_sample_record`), one int loop over the
+    nonzero coefficients, one star action and one reduction to a
+    ``Vector``, with no gcd when the defect is zero. The record is
+    memoised (at most 32 entries, keyed on the poles, rho, z and the
+    shape), so every function of one shape checked at the same point, as
+    ``kz verify`` checks several, shares it.
     """
     if fn.points != sys.points or fn.dim != sys.n:
         raise ValueError("function pole set or dimension differs from the system's")
     entries, den = fn._own_entries
     z = GaussianRational.coerce(z)
-    ar, ai, table, d = _sample_weights(sys, z, fn.pole_order, fn.poly_degree)
+    ar, ai, table, d = _sample_record(sys.points, sys.rho, z, fn.pole_order, fn.poly_degree)
     wr, wi, sr, si = _value_slope(table, entries, sys.n)
     tr, ti = _star_parts(ar, ai, wr, wi)
-    return Vector.from_parts(
-        [a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], d * den
-    )
+    if sr == tr and si == ti:
+        return Vector.zero(sys.n)
+    return Vector.from_parts([a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], d * den)
 
 
-def _sample_weights(sys: KZSystem, z: GaussianRational, pole_order: int, poly_degree: int):
+@lru_cache(maxsize=32)
+def _sample_record(
+    points: tuple[GaussianRational, ...], rho: int, z: GaussianRational, pole_order: int, poly_degree: int
+):
     """rho*A(z)'s weights and the :func:`_weight_table` at z, which must avoid the poles.
 
     Returns (ar, ai, table, den): rho/(z - z_k) = (ar[k] + ai[k]*i) / E for
     the inverses' denominator E, and den = D*E, the slopes' denominator, so
     the star action of (ar, ai) on W's numerators lands over den as W' does.
-    ``eval_A`` runs on every call and refuses a pole; the inverses and the
-    table come from their memos (at most 32 entries each), so every function
-    checked at z shares them.
+    Memoised on (points, rho, z, shape), at most 32 entries, and built of
+    int tuples, so every function checked at z shares one record; a pole
+    raises on every call, as an exception is not cached.
     """
-    inverses = eval_A(sys, z)
-    table, d = _weight_table(sys.points, z, pole_order, poly_degree)
-    ar, ai = [sys.rho * x for x in inverses.re], [sys.rho * y for y in inverses.im]
+    inverses = _off_pole_inverses(points, z)
+    table, d = _weight_table(points, z, pole_order, poly_degree)
+    ar, ai = tuple(rho * x for x in inverses.re), tuple(rho * y for y in inverses.im)
     return ar, ai, table, d * inverses.den
 
 
@@ -309,7 +339,7 @@ def _weight_table(
     """The value and slope weights at z of every unknown block of a shape, and D.
 
     Memoised on (points, z, shape), at most 32 entries: it depends on
-    nothing else (rho enters only in :func:`_sample_weights`), and every
+    nothing else (rho enters only in :func:`_sample_record`), and every
     function of one shape checked at z reads the same table. The table is
     a tuple of int tuples, so callers share it.
 
@@ -369,10 +399,17 @@ def _value_slope(table, entries, n: int) -> tuple[list[int], list[int], list[int
     wr, wi, sr, si = [0] * n, [0] * n, [0] * n, [0] * n
     for u, j, x, y in zip(*entries):
         a, b, c, d = table[u]
-        wr[j] += a * x - b * y
-        wi[j] += a * y + b * x
-        sr[j] += c * x - d * y
-        si[j] += c * y + d * x
+        if y:
+            wr[j] += a * x - b * y
+            wi[j] += a * y + b * x
+            sr[j] += c * x - d * y
+            si[j] += c * y + d * x
+        else:
+            # a real entry, as every entry of a real solution is: half the products
+            wr[j] += a * x
+            wi[j] += b * x
+            sr[j] += c * x
+            si[j] += d * x
     return wr, wi, sr, si
 
 
@@ -439,7 +476,7 @@ def solve_ansatz(
     W' - rho*A*W times prod_k (z - z_k)^(p_u+1) is a polynomial of degree
     below s(p_u + 1) + d_u, so it must vanish at that many sample points,
     the count ``kz verify`` takes per function. Each point gets one weight
-    table in the (p, d) layout (:func:`_sample_weights`) and each vector
+    record in the (p, d) layout (:func:`_sample_record`) and each vector
     one int loop over its nonzero entries (:func:`_value_slope`) and one
     star action, the evaluator behind :func:`residual`; it reads none of
     the glued rows. A nonzero defect raises rather than returning a wrong
@@ -465,7 +502,7 @@ def solve_ansatz(
     p_used = max((u % p + 1 for u in used if u < s * p), default=0)
     d_used = max((u - s * p for u in used if u >= s * p), default=0)
     for z in sample_points(sys.points, s * (p_used + 1) + d_used) if vectors else ():
-        ar, ai, table, _ = _sample_weights(sys, z, p, deg)
+        ar, ai, table, _ = _sample_record(sys.points, sys.rho, z, p, deg)
         for entries in vectors:
             wr, wi, sr, si = _value_slope(table, entries, n)
             if (sr, si) != _star_parts(ar, ai, wr, wi):

@@ -53,11 +53,12 @@ SERIES_MAX_ORDER = 64
 # 0.78 s at 64 and 3.2 s at 128 (cap lifted) with order 3; at n = 32 (three runs each),
 # 0.45-0.48 s with order 16 and 10-12 s, for a 54 MB report, at SERIES_MAX_ORDER, still
 # mostly the convolution.
-# ``verify`` evaluates residuals at s(p + 1) + d points, each one weight table at the point
+# ``verify`` evaluates residuals at s(p + 1) + d points, each one sample record at the point
 # (memoised, so the solutions of ``--solution all`` share it) and one int loop over the
-# O(n^2) coefficients, and at rho = -1 the pole-balance conditions, one n-term combination
-# per pole, O(n^3): 0.37 s at n = 64 and 3.0 s at 128 (cap lifted), in-process (best of 3,
-# memos emptied before each run) for a random simple-pole file solution.
+# O(n^2) coefficients, and at rho = -1 the pole-balance conditions, one pass over those
+# coefficients per pole, O(n^3): 0.28-0.29 s at n = 64 and 2.0-2.3 s at 128 (cap lifted),
+# in-process (best of 3, memos emptied before each run) for a random simple-pole file
+# solution; 0.37 s of ``kz`` wall time at n = 64 (best of 3).
 SERIES_MAX_N = 32
 VERIFY_MAX_N = 64
 

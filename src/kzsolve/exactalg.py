@@ -14,8 +14,8 @@ read. A ``Matrix`` is elimination input, a tuple of row vectors built from
 rows or columns, and multiplies only a ``Vector``. ``_combine`` is the one
 combining loop: ``+``, ``-``, ``scale`` and :func:`linear_combination`
 lift their scalars to int parts and call it, and callers that already
-hold int parts, such as :mod:`kzsolve.frobenius` and the condition check
-of :mod:`kzsolve.ansatz`, call it directly.
+hold int parts, such as :mod:`kzsolve.frobenius` and the gluing of
+:mod:`kzsolve.ansatz`, call it directly.
 
 :func:`nullspace` is multimodular: it eliminates each row's int parts
 modulo 126-bit primes, reconstructs the rational kernel by Chinese
@@ -34,8 +34,7 @@ from __future__ import annotations
 import re as _re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
-from itertools import count, islice
+from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence, Union
@@ -535,17 +534,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _modular_primes():
-    """The probable primes p = 1 (mod 4) above 2^125 in increasing order, each
-    as ``(p, iota)`` with ``iota**2 = -1 (mod p)``: iota = g^((p-1)/4) for the
-    least g with g^((p-1)/2) = -1.
+def _modular_primes(start: int = 2**125 + 1):
+    """The probable primes p = 1 (mod 4) from ``start`` on (2^125 + 1, or a
+    number 1 mod 4 past it) in increasing order, each as ``(p, iota)`` with
+    ``iota**2 = -1 (mod p)``: iota = g^((p-1)/4) for the least g with
+    g^((p-1)/2) = -1.
 
     At 126 bits Wang's bound covers 62-bit numerators and denominators, so a
     kernel with entries of that size lifts from one prime. ArithmeticError
     unless iota**2 = -1 (mod p): both Gaussian images of :func:`_image` are
     ring maps only then.
     """
-    for p in count(2**125 + 1, 4):
+    for p in count(start, 4):
         if _is_prime(p):
             g = next(g for g in count(2) if pow(g, (p - 1) // 2, p) == p - 1)
             iota = pow(g, (p - 1) // 4, p)
@@ -554,10 +554,23 @@ def _modular_primes():
             yield p, iota
 
 
-@cache
+# The first four (p, iota) of _modular_primes(), written out so that no process
+# searches for them; the search resumes past them for the rare elimination that
+# draws a fifth prime.
+_PRIMES = [
+    (42535295865117307932921825928971026753, 14994785806041114255853408218739995340),
+    (42535295865117307932921825928971027061, 35754033681682279013401505722758354997),
+    (42535295865117307932921825928971027169, 6949924386169235443154126083142228183),
+    (42535295865117307932921825928971027341, 36513287987593558845863443884996034369),
+]
+_MORE_PRIMES = _modular_primes(_PRIMES[-1][0] + 4)
+
+
 def _prime(k: int) -> tuple[int, int]:
-    """The k-th ``(p, iota)`` of :func:`_modular_primes`, found once."""
-    return next(islice(_modular_primes(), k, None))
+    """The k-th ``(p, iota)`` of :func:`_modular_primes`, each found at most once."""
+    while len(_PRIMES) <= k:
+        _PRIMES.append(next(_MORE_PRIMES))
+    return _PRIMES[k]
 
 
 def _rref_mod(rows: list[list[int]], p: int) -> list[int]:

@@ -58,8 +58,12 @@ def eval_A(sys: KZSystem, z: ScalarLike) -> Vector:
     from the int parts of z and z_k, with no ``Fraction``. z must avoid the
     poles.
     """
-    z = GaussianRational.coerce(z)
-    w = _inverses(sys.points, z)
+    return _off_pole_inverses(sys.points, GaussianRational.coerce(z))
+
+
+def _off_pole_inverses(points: tuple[GaussianRational, ...], z: GaussianRational) -> Vector:
+    """:func:`_inverses` at z, refusing a pole: :func:`eval_A` on the points alone."""
+    w = _inverses(points, z)
     # 1/(z - z_k) is never 0, so a zero weight marks z as a pole
     if not all(x or y for x, y in zip(w.re, w.im)):
         raise ValueError(f"A(z) evaluated at the pole z = {z}")

@@ -49,6 +49,12 @@ assembly, so the reference shares none with it.
 n = 4 columns from ``GaussianRational`` quotients of the pole differences,
 as the library did before each column computed its own coefficients from
 the int parts of those differences.
+``reference_eval``, ``reference_residual`` and ``reference_conditions``
+are the ``kz verify`` checks term by term in ``GaussianRational``
+arithmetic: W and W' from each coefficient's own power of (z - z_k) or z,
+A(z) W and the three rho = -1 conditions through the dense star
+generators, where the library runs int loops over a function's flat
+coefficient vector.
 ``zero_function`` and ``combine_functions`` build the zero function and
 linear combinations of ``RationalVectorFunction``s coefficient by
 coefficient, for tests that need sums the library never forms.
@@ -75,6 +81,7 @@ import pytest
 from kzsolve import exactalg
 from kzsolve.ansatz import (
     RationalVectorFunction,
+    _sample_record,
     _unknown_layout,
     _weight_table,
     coefficient_vector,
@@ -107,8 +114,8 @@ def counted_images(monkeypatch, limit=40):
     return primes
 
 
-# the library's memos on input data (exactalg._prime, a fixed table of primes, is none)
-MEMOS = (_inverses, _weight_table)
+# the library's memos on input data (exactalg's table of primes, the same for every input, is none)
+MEMOS = (_inverses, _weight_table, _sample_record)
 
 
 @pytest.fixture(autouse=True)
@@ -696,6 +703,54 @@ def reference_star_act(weights, v):
     out = [sum((wk * vk for wk, vk in zip(w, tail)), ZERO)]
     out += [wk * head + (total - wk) * vk for wk, vk in zip(w, tail)]
     return out
+
+
+def reference_eval(fn, z):
+    """W(z) and W'(z) term by term, each coefficient times its own power of
+    (z - z_k) or z, in ``GaussianRational`` arithmetic."""
+    z = GaussianRational.coerce(z)
+    value, slope = [ZERO] * fn.dim, [ZERO] * fn.dim
+    for zk, group in zip(fn.points, fn.pole_coeffs):
+        for r, L in enumerate(group, start=1):
+            value = reference_add(value, reference_scale(ONE / (z - zk) ** r, L.data))
+            slope = reference_add(slope, reference_scale(-r * ONE / (z - zk) ** (r + 1), L.data))
+    for d, Q in enumerate(fn.poly_coeffs):
+        value = reference_add(value, reference_scale(z ** d, Q.data))
+        if d:
+            slope = reference_add(slope, reference_scale(d * z ** (d - 1), Q.data))
+    return value, slope
+
+
+def reference_residual(sys, fn, z):
+    """W'(z) - rho A(z) W(z) from :func:`reference_eval`, A(z) W through the
+    dense star generators; z must avoid the poles."""
+    z = GaussianRational.coerce(z)
+    value, slope = reference_eval(fn, z)
+    a_w = [ZERO] * fn.dim
+    for zk, P in zip(sys.points, star_generators(sys.n)):
+        a_w = reference_add(a_w, reference_scale(ONE / (z - zk), reference_matvec(P, value)))
+    return reference_sub(slope, reference_scale(GaussianRational(sys.rho), a_w))
+
+
+def reference_conditions(sys, fn):
+    """The three rho = -1 conditions of a simple-pole, affine fn from dense P_k
+    matrices: (I - P_k) L_k per pole, the balance per pole, (I + T) Q_1."""
+    s = sys.s
+    P = [transposition_matrix(sys.n, 1, k + 1) for k in range(1, s + 1)]
+    res = [list(L) for L in fn.residues]
+    qc, ql = list(fn.q_const), list(fn.q_linear)
+    sym = [reference_sub(L, reference_matvec(Pk, L)) for Pk, L in zip(P, res)]
+    balance = []
+    for k, zk in enumerate(sys.points):
+        # sum_{j != k} (P_k L_j + P_j L_k) / (z_k - z_j) + P_k (z_k q_linear + q_const)
+        acc = reference_matvec(P[k], reference_add(reference_scale(zk, ql), qc))
+        for j, zj in enumerate(sys.points):
+            if j != k:
+                pair = reference_add(reference_matvec(P[k], res[j]), reference_matvec(P[j], res[k]))
+                acc = reference_add(acc, reference_scale(ONE / (zk - zj), pair))
+        balance.append(acc)
+    growth = reference_add(ql, reference_matvec(star_sum([ONE] * s), ql))
+    return sym, balance, growth
 
 
 def entries_str(entries) -> str:

@@ -15,20 +15,20 @@ from conftest import (
     random_points,
     random_scalar,
     reference_add,
+    reference_conditions,
+    reference_eval,
     reference_in_span,
     reference_matvec,
+    reference_nullspace,
+    reference_residual,
     reference_scale,
     reference_solve_ansatz,
-    reference_sub,
-    star_generators,
-    star_sum,
-    transposition_matrix,
     zero_function,
 )
 from kzsolve import ansatz
 from kzsolve.ansatz import (
     RationalVectorFunction,
-    _sample_weights,
+    _sample_record,
     _weight_table,
     check_conditions,
     coefficient_vector,
@@ -154,26 +154,6 @@ class TestCheckConditions:
             check_conditions(sys, y2(CANON).derivative())
 
     @staticmethod
-    def dense_conditions(sys, fn):
-        """The three conditions from dense P_k matrices, in GaussianRational arithmetic."""
-        n, s = sys.n, sys.s
-        P = [transposition_matrix(n, 1, k + 1) for k in range(1, s + 1)]
-        res = [list(L) for L in fn.residues]
-        qc, ql = list(fn.q_const), list(fn.q_linear)
-        sym = [reference_sub(L, reference_matvec(Pk, L)) for Pk, L in zip(P, res)]
-        balance = []
-        for k, zk in enumerate(sys.points):
-            # sum_{j != k} (P_k L_j + P_j L_k) / (z_k - z_j) + P_k (z_k q_linear + q_const)
-            acc = reference_matvec(P[k], reference_add(reference_scale(zk, ql), qc))
-            for j, zj in enumerate(sys.points):
-                if j != k:
-                    pair = reference_add(reference_matvec(P[k], res[j]), reference_matvec(P[j], res[k]))
-                    acc = reference_add(acc, reference_scale(ONE / (zk - zj), pair))
-            balance.append(acc)
-        growth = reference_add(ql, reference_matvec(star_sum([ONE] * s), ql))
-        return sym, balance, growth
-
-    @staticmethod
     def corrupted(rng, points, n):
         """A simple-pole, affine function with random Gaussian coefficients."""
         def vec():
@@ -192,7 +172,7 @@ class TestCheckConditions:
         for n, pts, fn, solves in cases:
             sys = new_system(n, -1, pts)
             rep = check_conditions(sys, fn)
-            sym, balance, growth = self.dense_conditions(sys, fn)
+            sym, balance, growth = reference_conditions(sys, fn)
             assert [list(v) for v in rep.residue_symmetry] == sym
             assert [list(v) for v in rep.pole_balance] == balance
             assert list(rep.growth) == growth
@@ -245,29 +225,12 @@ class TestResidual:
             z = sample_points(sys.points, 1)[0] + random_scalar(rng, span=3)
             if any((z - p).is_zero() for p in sys.points):
                 continue
-            want = [ZERO] * n
-            for zk, group in zip(sys.points, fn.pole_coeffs):
-                for r, L in enumerate(group, start=1):
-                    want = reference_add(want, reference_scale(ONE / (z - zk) ** r, L.data))
-            for d, Q in enumerate(fn.poly_coeffs):
-                want = reference_add(want, reference_scale(z ** d, Q.data))
+            want, _ = reference_eval(fn, z)
             assert str(fn.eval(z)) == entries_str(want)
             rhs = star_act(eval_A(sys, z), fn.eval(z)).scale(sys.rho)
             assert residual(sys, fn, z) == fn.derivative().eval(z) - rhs
-            # W' - rho A(z) W with no code of the fast path: W' term by term,
-            # A(z) W through the dense star generators
-            slope = [ZERO] * n
-            for zk, group in zip(sys.points, fn.pole_coeffs):
-                for r, L in enumerate(group, start=1):
-                    slope = reference_add(slope, reference_scale(-r * ONE / (z - zk) ** (r + 1), L.data))
-            for d, Q in enumerate(fn.poly_coeffs):
-                if d:
-                    slope = reference_add(slope, reference_scale(d * z ** (d - 1), Q.data))
-            a_w = [ZERO] * n
-            for zk, P in zip(sys.points, star_generators(n)):
-                a_w = reference_add(a_w, reference_scale(ONE / (z - zk), reference_matvec(P, want)))
-            want_residual = reference_sub(slope, reference_scale(GaussianRational(sys.rho), a_w))
-            assert str(residual(sys, fn, z)) == entries_str(want_residual)
+            # W' - rho A(z) W with no code of the fast path
+            assert str(residual(sys, fn, z)) == entries_str(reference_residual(sys, fn, z))
 
     def test_function_flattened_once(self, monkeypatch):
         # the flattening is cached on the function but is no field of it:
@@ -298,6 +261,62 @@ class TestResidual:
                 continue
             assert residual(sys, fn, z).is_zero()
             count += 1
+
+
+class TestVerifyOracle:
+    """check_conditions and residual, the checks of ``kz verify``, against the
+    dense references on random functions of every shape the conditions take."""
+
+    SHAPES = [(1, 1), (1, 0), (1, -1), (0, 1), (0, 0), (0, -1)]
+
+    @staticmethod
+    def random_function(rng, points, n, p, d):
+        # some entries, vectors and pole groups zero, so the int loops meet
+        # zero blocks and zero conditions
+        def vec():
+            if rng.random() < 0.2:
+                return Vector.zero(n)
+            return Vector([random_scalar(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
+
+        return RationalVectorFunction(
+            dim=n,
+            points=tuple(points),
+            pole_coeffs=tuple(tuple(vec() for _ in range(p)) if rng.random() < 0.8 else () for _ in points),
+            poly_coeffs=tuple(vec() for _ in range(d + 1)),
+        )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_dense_references(self, n):
+        rng = random.Random(3100 + n)
+        for kind in ("int", "gaussian"):
+            pts = rng.sample(range(-6, 7), n - 1) if kind == "int" else random_points(rng, n - 1)
+            sys = new_system(n, -1, pts)
+            fns = [self.random_function(rng, sys.points, n, p, d) for p, d in self.SHAPES for _ in range(2)]
+            basis = solve_ansatz(sys, 1, 1)
+            fns += basis + [combine_functions((random_scalar(rng), fn) for fn in basis)]
+            zs = sample_points(sys.points, 2) + [sys.points[0] + random_scalar(rng, span=2)]
+            for fn in fns:
+                rep = check_conditions(sys, fn)
+                sym, balance, growth = reference_conditions(sys, fn)
+                assert rep.residue_symmetry == tuple(map(Vector, sym)), (kind, fn)
+                assert rep.pole_balance == tuple(map(Vector, balance)), (kind, fn)
+                assert rep.growth == Vector(growth), (kind, fn)
+                for z in zs:
+                    if z not in sys.points:
+                        assert residual(sys, fn, z) == Vector(reference_residual(sys, fn, z)), (kind, fn, z)
+                for zk in sys.points:
+                    with pytest.raises(ValueError, match="pole"):
+                        residual(sys, fn, zk)
+            for fn in basis:
+                assert check_conditions(sys, fn).passed
+                assert all(residual(sys, fn, z).is_zero() for z in zs if z not in sys.points)
+
+    def test_dimension_mismatch_raises(self):
+        sys = canon_sys()
+        fn = zero_function(sys.points, 5)
+        for check in (lambda: check_conditions(sys, fn), lambda: residual(sys, fn, 7)):
+            with pytest.raises(ValueError, match="dimension"):
+                check()
 
 
 class TestSamplePoints:
@@ -555,16 +574,62 @@ class TestCertificate:
         with pytest.raises(ArithmeticError):
             solve_ansatz(sys, p, d)
 
+    # the most sample points at which a combination of the unknowns of shape
+    # (p_u, d_u) that is no solution can vanish: each point takes n unknowns
+    # beyond the solutions, so this is below the certificate's s(p_u + 1) + d_u
+    # (7, 11, 8 and 9), which a degree bound proves; no corruption of that
+    # shape survives one point more
+    DEEPEST = {(4, -1, 1, 1): 3, (4, -2, 2, 2): 7, (5, 1, 2, 1): 4, (5, -1, 2, 1): 4}
+
+    @pytest.mark.parametrize("n, rho, points, p, d", CASES, ids=IDS)
+    def test_deepest_corruption_raises(self, monkeypatch, n, rho, points, p, d):
+        sys = new_system(n, rho, [parse_scalar(z) for z in points])
+        s, size = sys.s, n * (sys.s * p + d + 1)
+        flat = [coefficient_vector(fn, p, d) for fn in solve_ansatz(sys, p, d)]
+        # the highest pole order and degree at which some basis vector is nonzero
+        used = {at // n for v in flat for at, (x, y) in enumerate(zip(v.re, v.im)) if x or y}
+        p_u = max(u % p + 1 for u in used if u < s * p)
+        d_u = max((u - s * p for u in used if u >= s * p), default=0)
+        zs = sample_points(sys.points, s * (p_u + 1) + d_u)
+        # the unknowns of shape (p_u, d_u) as flat columns, and each one's defect
+        # at every sample point from the dense reference
+        cols = [(k * p + r - 1) * n + i for k in range(s) for r in range(1, p_u + 1) for i in range(n)]
+        cols += [(s * p + e) * n + i for e in range(d_u + 1) for i in range(n)]
+        units = [ansatz._function_from_flat(sys, Vector.unit(size, c), p, d) for c in cols]
+        m = self.DEEPEST[n, rho, p, d]
+        assert m < len(zs)
+        defects = [[reference_residual(sys, fn, z) for fn in units] for z in zs[:m + 1]]
+
+        def rows(count):
+            return [[col[i] for col in point] for point in defects[:count] for i in range(n)]
+
+        assert len(reference_nullspace(rows(m + 1))) == len(flat)
+        # a combination with zero defect at the first m points and not at point m + 1
+        delta = next(
+            v for v in reference_nullspace(rows(m)) if any(not x.is_zero() for x in reference_matvec(rows(m + 1), v))
+        )
+        entries = [ZERO] * size
+        for c, x in zip(cols, delta):
+            entries[c] = x
+        real = ansatz._glued_kernel
+        monkeypatch.setattr(
+            ansatz, "_glued_kernel", lambda *args: [*real(*args)[:-1], real(*args)[-1] + Vector(entries)]
+        )
+        with pytest.raises(ArithmeticError):
+            solve_ansatz(sys, p, d)
+
     @pytest.mark.parametrize("n, rho, points, p, d", CASES, ids=IDS)
     def test_one_weight_table_per_sample_point(self, monkeypatch, n, rho, points, p, d):
         sys = new_system(n, rho, [parse_scalar(z) for z in points])
         seen = []
+        real = ansatz._sample_record
 
-        def counted(sys_, z):
+        def counted(points_, rho_, z, p_, d_):
+            assert (points_, rho_, p_, d_) == (sys.points, rho, p, d)
             seen.append(z)
-            return eval_A(sys_, z)
+            return real(points_, rho_, z, p_, d_)
 
-        monkeypatch.setattr(ansatz, "eval_A", counted)
+        monkeypatch.setattr(ansatz, "_sample_record", counted)
         basis = solve_ansatz(sys, p, d)
         assert basis
         # the highest pole order and degree at which some basis function is nonzero
@@ -750,17 +815,23 @@ class TestWeightMemo:
         for _, res in self.verify(sys, fns, zs):
             assert all(r.is_zero() for r in res)
         # y1 is of shape (1, 1), y2..y4 of shape (1, -1); inverses at 3 poles and 7 points
+        assert _sample_record.cache_info().misses == 14
         assert _weight_table.cache_info().misses == 14
         assert _inverses.cache_info().misses == 10
 
     def test_same_poles_other_rho_get_other_weights(self):
         z = GaussianRational(9)
-        a = _sample_weights(canon_sys(-1), z, 1, 1)
-        b = _sample_weights(canon_sys(2), z, 1, 1)
+        points = canon_sys().points
+        a = _sample_record(points, -1, z, 1, 1)
+        b = _sample_record(points, 2, z, 1, 1)
         assert a[2:] == b[2:]  # the table does not depend on rho
         assert a[:2] != b[:2]
+        assert _sample_record.cache_info().misses == 2
+        assert _weight_table.cache_info().misses == 1
         assert residual(canon_sys(-1), y1(CANON), z).is_zero()
         assert not residual(canon_sys(2), y1(CANON), z).is_zero()
+        # each residual read its own record, cached above
+        assert _sample_record.cache_info().misses == 2
 
     def test_other_poles_get_other_tables(self):
         z = GaussianRational(9)
@@ -797,6 +868,7 @@ class TestWeightMemo:
         cold = [self.verify(*run) for run in runs]
         warm = [self.verify(*run) for run in reversed(runs)][::-1]
         assert warm == cold
-        assert _weight_table.cache_info().hits > 0
+        # a warm residual reads its record and never reaches the weight table
+        assert _sample_record.cache_info().hits > 0
         # the corrupted candidate's residuals, so the comparison reads nonzero values
         assert not all(r.is_zero() for r in cold[0][4][1])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -345,6 +346,9 @@ class TestModularNullspace:
     def test_prime_table(self):
         sympy = pytest.importorskip("sympy")
         primes = [exactalg._prime(k) for k in range(6)]
+        # the written-out table, then the search resumed past it, is the search from the start
+        assert primes == list(islice(exactalg._modular_primes(), 6))
+        assert exactalg._PRIMES[:4] == primes[:4]
         assert [p for p, _ in primes] == sorted({p for p, _ in primes})
         for p, iota in primes:
             assert sympy.isprime(p)

@@ -17,7 +17,6 @@ from conftest import (
     t_matrix,
 )
 import kzsolve
-from kzsolve import exactalg
 from kzsolve.exactalg import GaussianRational, Vector
 from kzsolve.kzcore import _inverses, eval_A, local_coefficients, new_system
 
@@ -158,8 +157,6 @@ class TestMemos:
     def test_every_input_memo_is_listed_and_bounded(self):
         modules = [import_module(f"kzsolve.{m.name}") for m in iter_modules(kzsolve.__path__)]
         memos = {id(obj): obj for mod in modules for obj in vars(mod).values() if hasattr(obj, "cache_clear")}
-        # exactalg._prime is the fixed table of word-size primes, the same for every input
-        memos.pop(id(exactalg._prime))
         assert sorted(memos) == sorted(map(id, MEMOS))
         for memo in MEMOS:
             assert memo.cache_parameters()["maxsize"] <= 32

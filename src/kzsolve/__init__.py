@@ -13,12 +13,9 @@ from .exactalg import (
 from .symrep import t_spectrum
 from .kzcore import KZSystem, eval_A, local_coefficients, new_system
 from .frobenius import (
-    LocalSeries,
     SeriesFamily,
     exponent_window,
     frobenius_solve,
-    laurent_of_rational,
-    recursion_defect,
 )
 from .ansatz import (
     ConditionReport,
@@ -58,12 +55,9 @@ __all__ = [
     "eval_A",
     "local_coefficients",
     "new_system",
-    "LocalSeries",
     "SeriesFamily",
     "exponent_window",
     "frobenius_solve",
-    "laurent_of_rational",
-    "recursion_defect",
     "ConditionReport",
     "RationalVectorFunction",
     "check_conditions",

@@ -8,10 +8,10 @@ rho and any shape the complete space of solutions of that shape is glued
 from local data: each pole's principal part comes from its own Frobenius
 recursion (:mod:`kzsolve.frobenius`), the polynomial part from the
 recursion at infinity through T's spectral projectors
-(:mod:`kzsolve.symrep`), and one exact nullspace of the simple-pole rows,
-with the constant term read back from one pole's block, joins them.
-Membership in a span is read off the span's RREF kernel, with no
-elimination.
+(:mod:`kzsolve.symrep`), and one exact nullspace of the simple-pole rows
+joins them; the rows, the constant term read back from one pole's block
+and the glued coefficients are int passes, with no per-block vector.
+Membership in a span is read off its RREF kernel, with no elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import cycle
+from itertools import accumulate, count, cycle
+from math import lcm
 
 from .exactalg import (
     GaussianRational,
@@ -463,12 +464,12 @@ def solve_ansatz(
     regular part at z_k, in which Q_0 enters every block as rho Q_0. So
     for rho != 0 the one elimination is the nullspace of blocks 2..s less
     block 1, on the pole and resonant parameters alone, and Q_0 is read
-    back from block 1. At rho = 0 no
-    pole or degree carries a parameter, every gluing row is zero and W is
-    the free constant Q_0. The kernel is mapped back to the flat unknowns
-    and brought to the full system's RREF kernel (:func:`_rref_kernel_form`),
-    which the kernel space alone determines, so the basis is the one the
-    full system's nullspace returns.
+    back from block 1; each block and each kernel vector's flat image is
+    one int pass (:func:`_glued_kernel`). At rho = 0 no pole or degree
+    carries a parameter, every gluing row is zero and W is the free
+    constant Q_0. The flat kernel is brought to the full system's RREF
+    kernel (:func:`_rref_kernel_form`), which the kernel space alone
+    determines, so the basis is the one the full system's nullspace returns.
 
     Every kernel vector is certified before it becomes a function. Let p_u
     be the highest pole order and d_u the highest degree at which some
@@ -514,8 +515,9 @@ def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
     """A basis of the solutions of shape (p, deg) as flat vectors, for rho != 0.
 
     The parameters are each pole's principal-part columns and the resonant
-    polynomial parameters; each has a flat image with its Q_0 read back from
-    block 1, and the nullspace of the gluing rows combines them.
+    polynomial parameters. The gluing blocks, and then the kernel vectors'
+    flat coefficients, are int passes over their terms (:func:`_lifted`):
+    the rows are strided slices of block k less block 1, Q_0 slices of block 1.
     """
     n, s, rho = sys.n, sys.s, sys.rho
     m = abs(rho)
@@ -525,56 +527,74 @@ def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
     # z_k^t for t = 1..deg as int parts over the points' shared denominator to the t
     zpow = _powers(Vector(sys.points), deg)
     poly = _polynomial_part(n, rho, deg, zpow)
-    params = sum(len(cols) for cols, _ in parts) + len(poly)
-    if not params:
+    # the entry offset of each pole's first column, and of the first polynomial one
+    at = [n * i for i in accumulate((len(cols) for cols, _ in parts), initial=0)]
+    size = at[-1] + n * len(poly)
+    if not size:
         return []
 
     # pole j's columns at each order b_-r, and the polynomial columns at each
     # degree 1..deg, stacked one after the other
     stacked = [[Vector.concat([col[r] for col in cols]) for r in range(m)] for cols, _ in parts]
-    qs = [Vector.concat([col[d] for col in poly]) for d in range(deg)]
-    # block k of the simple-pole rows times P_k, less rho Q_0, as one stacked
-    # segment per pole: P_k times the own-pole term of pole k's columns, rho
-    # times the value at z_k of every other pole's columns, and then
-    # rho z_k^d Q_d for d >= 1; the weight rho / (z_k - z_j)^r is entry j of
-    # a(r - 1) times (-1)^(r-1)
+    qs = [Vector.concat([col[d] for col in poly]) for d in range(deg)] if poly else []
+    # block k of the simple-pole rows times P_k, less rho Q_0: P_k times the
+    # own-pole term of pole k's columns, rho times the value at z_k of every
+    # other pole's columns, and then rho z_k^d Q_d for d >= 1; the weight
+    # rho / (z_k - z_j)^r is entry j of a(r - 1) times (-1)^(r-1)
     blocks = []
     for k in range(s):
-        segments = []
+        terms = [(rho * re[k], rho * im[k], d, q, at[-1]) for (re, im, d), q in zip(zpow, qs)]
         for j, (cols, own) in enumerate(parts):
             if j == k:
-                segments.append(Vector.concat([transpose(r, k + 1) for r in own]))
-                continue
-            terms = zip(cycle((1, -1)), locals_[k].regular, stacked[j])
-            terms = [(c * a.re[j], c * a.im[j], a.den, b) for c, a, b in terms]
-            segments.append(_combine(terms, n * len(cols)))
-        if poly:
-            terms = [(rho * re[k], rho * im[k], d, q) for (re, im, d), q in zip(zpow, qs)]
-            segments.append(_combine(terms, n * len(poly)))
-        blocks.append(Vector.concat(segments))
+                terms += [(1, 0, 1, transpose(r, k + 1), at[j] + n * c) for c, r in enumerate(own)]
+            else:
+                weights = zip(cycle((1, -1)), locals_[k].regular, stacked[j])
+                terms += [(c * a.re[j], c * a.im[j], a.den, b, at[j]) for c, a, b in weights]
+        blocks.append(terms)
+    den, ((r1, i1), *blocks) = _lifted(blocks, size)
     # block k less block 1 drops Q_0; entry i of every column sits n apart
     rows = []
-    for block in blocks[1:]:
-        diff = _combine([(1, 0, 1, block), (-1, 0, 1, blocks[0])], n * params)
-        rows += [Vector.from_parts(diff.re[i::n], diff.im[i::n], diff.den) for i in range(n)]
-    # block 1 is rho Q_0 + blocks[0] = 0
-    q0 = _combine([(-1 if rho > 0 else 1, 0, m, blocks[0])], n * params)
-    q0s = iter(q0.segment(at, at + n) for at in range(0, n * params, n))
-    # each parameter's (flat block, vector) pairs: its pole's b_-1..b_-|rho|,
-    # or its Q_1..Q_deg, and its Q_0
+    for re, im in blocks:
+        re, im = [x - y for x, y in zip(re, r1)], [x - y for x, y in zip(im, i1)]
+        rows += [Vector.from_parts(re[i::n], im[i::n], den) for i in range(n)]
+    # rho Q_0 plus block 1 is 0, so Q_0 is block 1 times -1/rho
+    r1, i1 = ([-x for x in r1], [-y for y in i1]) if rho > 0 else (r1, i1)
+    q0s = (Vector.from_parts(r1[i:i + n], i1[i:i + n], m * den) for i in range(0, size, n))
+    # each parameter's (vector, entry offset) pairs in the flat layout: its
+    # pole's b_-1..b_-|rho| and its Q_0, or its Q_0..Q_deg
     images = []
     for j, (cols, _) in enumerate(parts):
-        images += [[*enumerate(col, j * p), (s * p, next(q0s))] for col in cols]
-    images += [[(s * p, next(q0s)), *enumerate(col, s * p + 1)] for col in poly]
-    flat = []
-    for v in nullspace(Matrix(rows)):
-        terms = [[] for _ in range(s * p + deg + 1)]
-        for x, y, image in zip(v.re, v.im, images):
-            if x or y:
-                for u, b in image:
-                    terms[u].append((x, y, v.den, b))
-        flat.append(Vector.concat([_combine(t, n) for t in terms]))
-    return flat
+        images += [[(Vector.concat(col), n * j * p), (next(q0s), n * s * p)] for col in cols]
+    images += [[(Vector.concat([next(q0s), *col]), n * s * p)] for col in poly]
+    terms = [
+        [(x, y, v.den, b, i) for x, y, pairs in zip(v.re, v.im, images) for b, i in pairs]
+        for v in nullspace(Matrix(rows))
+    ]
+    den, flat = _lifted(terms, n * (s * p + deg + 1))
+    return [Vector.from_parts(re, im, den) for re, im in flat]
+
+
+def _lifted(blocks, size: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """One denominator and the int parts (re, im) of each block, not reduced.
+
+    Term (x, y, d, v, at) of a block adds (x + y*i)/d * v at entries at..,
+    lifted once to the lcm of every d * v.den, in one pass that skips zero
+    scalars and zero entries.
+    """
+    blocks = [[(x, y, d * v.den, v, at) for x, y, d, v, at in terms if x or y] for terms in blocks]
+    den = lcm(*(d for terms in blocks for _, _, d, _, _ in terms))
+    out = []
+    for terms in blocks:
+        re, im = [0] * size, [0] * size
+        for x, y, d, v, at in terms:
+            f = den // d
+            x, y = x * f, y * f
+            for i, a, b in zip(count(at), v.re, v.im):
+                if a or b:
+                    re[i] += x * a - y * b
+                    im[i] += x * b + y * a
+        out.append((re, im))
+    return den, out
 
 
 def _polynomial_part(n: int, rho: int, deg: int, zpow) -> list[list[Vector]]:

@@ -69,15 +69,16 @@ VERIFY_MAX_N = 64
 # s(n - 1) pole parameters and n - 1 resonant polynomial ones; the certificate after it
 # takes one weight table at each of s(p_u + 1) + d_u sample points, p_u and d_u the pole
 # order and degree the kernel uses, and one int loop per kernel vector.
-# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.14-0.15 s of wall time (best of
-# 7, three runs, on a host whose speed drifts by that much), 0.04 s of it in-process.
-# In-process at the corners the cap admits, the largest pole order at degree 0 and the
-# largest degree at pole order 1 for n = 3, 4 and 6 and rho = -1, 1 and -2 (best of 5,
-# three runs): at most 0.008 s on points 0..n-2, and at most 0.037 s on Gaussian poles
-# with denominators up to 41, the slowest n = 6 at rho = -2 and (5, 0), whose gluing
-# kernel still draws three primes. The Gaussian corner n = 4, rho = -1 at (1, 35) takes
-# 0.10-0.11 s of wall time (2-core machine, Python 3.11). Every valid shape has
-# u >= n^2, so the cap also bounds n <= 12.
+# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.18-0.21 s of wall time on points
+# 0..10 and 0.26-0.28 s on eleven Gaussian poles (best of 7, three runs, on a host whose
+# speed drifts by that much), about 0.14 s of it starting Python. In-process at the
+# corners the cap admits, the largest pole order at degree 0 and the largest degree at
+# pole order 1 for n = 3, 4 and 6 and rho = -1, 1 and -2 (best of 5, three runs): at most
+# 0.007-0.012 s on points 0..n-2, and at most 0.035-0.066 s on Gaussian poles with
+# denominators up to 41, the slowest n = 6 at rho = -2 and (5, 0), whose gluing kernel
+# still draws three primes. The Gaussian corner n = 4, rho = -1 at (1, 35) takes 0.14 s
+# of wall time (2-core machine, Python 3.11). Every valid shape has u >= n^2, so the
+# cap also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.

@@ -36,52 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb, lcm
-from typing import TYPE_CHECKING
+from math import lcm
 
-from .exactalg import GaussianRational, Matrix, Vector, _combine, linear_combination
+from .exactalg import Matrix, Vector, _combine
 from .exactalg import nullspace
 from .kzcore import KZSystem, LocalCoefficients, local_coefficients
-from .symrep import _star_parts, star_act
-
-if TYPE_CHECKING:
-    from .ansatz import RationalVectorFunction
-
-
-@dataclass(frozen=True)
-class LocalSeries:
-    """Concrete truncated Laurent expansion of one solution at one pole."""
-
-    pole_index: int
-    start: int
-    coeffs: tuple[Vector, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("series needs at least one coefficient")
-        if self.coeffs[0].is_zero():
-            raise ValueError("leading series coefficient must be nonzero")
-
-    @property
-    def order(self) -> int:
-        return self.start + len(self.coeffs) - 1
-
-    def coeff(self, q: int) -> Vector:
-        """Coefficient of (z - z_k)^q; zero below the leading order."""
-        if q < self.start:
-            return Vector.zero(self.coeffs[0].dim)
-        if q > self.order:
-            raise ValueError(f"coefficient {q} beyond truncation order {self.order}")
-        return self.coeffs[q - self.start]
-
-
-def _trimmed_series(pole_index: int, start: int, coeffs: list[Vector]) -> LocalSeries:
-    while coeffs and coeffs[0].is_zero():
-        coeffs = coeffs[1:]
-        start += 1
-    if not coeffs:
-        raise ValueError("series is identically zero through the truncation order")
-    return LocalSeries(pole_index=pole_index, start=start, coeffs=tuple(coeffs))
+from .symrep import _star_parts
 
 
 @dataclass(frozen=True)
@@ -101,17 +61,6 @@ class SeriesFamily:
     @property
     def dimension(self) -> int:
         return len(self.basis[self.start])
-
-    def instantiate(self, params) -> LocalSeries:
-        params = list(params)
-        if len(params) != self.dimension:
-            raise ValueError(f"expected {self.dimension} parameters")
-        n = self.basis[self.start][0].dim
-        coeffs = [
-            linear_combination(zip(params, self.basis[q]), n)
-            for q in range(self.start, self.order + 1)
-        ]
-        return _trimmed_series(self.pole_index, self.start, coeffs)
 
 
 def exponent_window(sys: KZSystem, k: int) -> tuple[int, int]:
@@ -354,53 +303,3 @@ def _principal_part(
             x = _off_resonance(t, rho, k, r)
             _resubstitute(t, loc.minus_one, x, r)
             col.append(x)
-
-
-def recursion_defect(sys: KZSystem, series: LocalSeries, t: int) -> Vector:
-    """Exact defect of the order-t recursion relation for a concrete series.
-
-    Zero for every t up to the truncation order iff the series satisfies
-    the local equation term by term.
-    """
-    k = series.pole_index
-    loc = local_coefficients(sys, k, max(t - 1 - series.start, -1))
-    n = sys.n
-    b = series.coeff(t)
-    lhs = b.scale(t) - star_act(loc.minus_one, b)
-    rhs = Vector.zero(n)
-    for j in range(t - series.start):
-        rhs = rhs + star_act(loc.regular[j], series.coeff(t - 1 - j))
-    return lhs - rhs
-
-
-def laurent_of_rational(fn: RationalVectorFunction, k: int, order: int) -> LocalSeries:
-    """Exact Laurent expansion of a partial-fraction function about pole k.
-
-    The function may have at most a simple pole at z_k itself; foreign
-    poles of any order and the polynomial part are expanded geometrically.
-    """
-    if not (1 <= k <= len(fn.points)):
-        raise ValueError(f"pole index {k} out of range")
-    ki = k - 1
-    own = fn.pole_coeffs[ki]
-    if any(not c.is_zero() for c in own[1:]):
-        raise ValueError("function has a pole of order > 1 at the expansion point")
-    n = fn.dim
-    zk = fn.points[ki]
-    coeffs = [own[0] if own else Vector.zero(n)]
-    for j in range(order + 1):
-        acc = Vector.zero(n)
-        for li, zl in enumerate(fn.points):
-            if li == ki:
-                continue
-            d = zk - zl
-            for r, vec in enumerate(fn.pole_coeffs[li], start=1):
-                if vec.is_zero():
-                    continue
-                w = GaussianRational((-1) ** j * comb(r + j - 1, j)) / d ** (r + j)
-                acc = acc + vec.scale(w)
-        for deg, qvec in enumerate(fn.poly_coeffs):
-            if deg >= j and not qvec.is_zero():
-                acc = acc + qvec.scale(GaussianRational(comb(deg, j)) * zk ** (deg - j))
-        coeffs.append(acc)
-    return _trimmed_series(k, -1, coeffs)

@@ -37,6 +37,12 @@ vector of inverses to successive powers.
 ``reference_frobenius_solve`` finds each series family as the nullspace
 of the stacked lower-order coefficients, where the library reads the
 families off the recursion's parameter bookkeeping.
+``LocalSeries`` is one concrete truncated series: ``instantiate`` picks a
+family's member, ``laurent_of_rational`` expands a partial-fraction
+function about a pole geometrically in ``GaussianRational`` arithmetic,
+and ``recursion_defect`` substitutes a series into the order-t recursion
+term by term. No ``kz`` command needs them, so they live here as oracles
+that share no code with the recursion the library runs.
 ``reference_solve_ansatz`` assembles every pole-matching and growth
 condition of a shape into one system with ``star_rows`` and returns its
 ``nullspace``, where the library solves each pole's deep rows by the local
@@ -74,7 +80,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -414,6 +420,105 @@ def reference_frobenius_solve(sys, k: int, order: int) -> list[SeriesFamily]:
             continue
         families.append(SeriesFamily(pole_index=k, start=start, order=order, basis=fam))
     return families
+
+
+@dataclass(frozen=True)
+class LocalSeries:
+    """Concrete truncated Laurent expansion of one solution at one pole."""
+
+    pole_index: int
+    start: int
+    coeffs: tuple[Vector, ...]
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("series needs at least one coefficient")
+        if self.coeffs[0].is_zero():
+            raise ValueError("leading series coefficient must be nonzero")
+
+    @property
+    def order(self) -> int:
+        return self.start + len(self.coeffs) - 1
+
+    def coeff(self, q: int) -> Vector:
+        """Coefficient of (z - z_k)^q; zero below the leading order."""
+        if q < self.start:
+            return Vector.zero(self.coeffs[0].dim)
+        if q > self.order:
+            raise ValueError(f"coefficient {q} beyond truncation order {self.order}")
+        return self.coeffs[q - self.start]
+
+
+def trimmed_series(pole_index: int, start: int, coeffs: list[Vector]) -> LocalSeries:
+    while coeffs and coeffs[0].is_zero():
+        coeffs = coeffs[1:]
+        start += 1
+    if not coeffs:
+        raise ValueError("series is identically zero through the truncation order")
+    return LocalSeries(pole_index=pole_index, start=start, coeffs=tuple(coeffs))
+
+
+def instantiate(family: SeriesFamily, params) -> LocalSeries:
+    """The member of a series family with b_q = sum_i params[i] * basis[q][i]."""
+    params = list(params)
+    if len(params) != family.dimension:
+        raise ValueError(f"expected {family.dimension} parameters")
+    n = family.basis[family.start][0].dim
+    coeffs = [
+        linear_combination(zip(params, family.basis[q]), n)
+        for q in range(family.start, family.order + 1)
+    ]
+    return trimmed_series(family.pole_index, family.start, coeffs)
+
+
+def recursion_defect(sys, series: LocalSeries, t: int) -> Vector:
+    """Exact defect of the order-t recursion relation for a concrete series.
+
+    Zero for every t up to the truncation order iff the series satisfies
+    the local equation term by term.
+    """
+    k = series.pole_index
+    loc = local_coefficients(sys, k, max(t - 1 - series.start, -1))
+    n = sys.n
+    b = series.coeff(t)
+    lhs = b.scale(t) - star_act(loc.minus_one, b)
+    rhs = Vector.zero(n)
+    for j in range(t - series.start):
+        rhs = rhs + star_act(loc.regular[j], series.coeff(t - 1 - j))
+    return lhs - rhs
+
+
+def laurent_of_rational(fn: RationalVectorFunction, k: int, order: int) -> LocalSeries:
+    """Exact Laurent expansion of a partial-fraction function about pole k.
+
+    The function may have at most a simple pole at z_k itself; foreign
+    poles of any order and the polynomial part are expanded geometrically.
+    """
+    if not (1 <= k <= len(fn.points)):
+        raise ValueError(f"pole index {k} out of range")
+    ki = k - 1
+    own = fn.pole_coeffs[ki]
+    if any(not c.is_zero() for c in own[1:]):
+        raise ValueError("function has a pole of order > 1 at the expansion point")
+    n = fn.dim
+    zk = fn.points[ki]
+    coeffs = [own[0] if own else Vector.zero(n)]
+    for j in range(order + 1):
+        acc = Vector.zero(n)
+        for li, zl in enumerate(fn.points):
+            if li == ki:
+                continue
+            d = zk - zl
+            for r, vec in enumerate(fn.pole_coeffs[li], start=1):
+                if vec.is_zero():
+                    continue
+                w = GaussianRational((-1) ** j * comb(r + j - 1, j)) / d ** (r + j)
+                acc = acc + vec.scale(w)
+        for deg, qvec in enumerate(fn.poly_coeffs):
+            if deg >= j and not qvec.is_zero():
+                acc = acc + qvec.scale(GaussianRational(comb(deg, j)) * zk ** (deg - j))
+        coeffs.append(acc)
+    return trimmed_series(k, -1, coeffs)
 
 
 def star_rows(terms, n: int, width: int) -> list[Vector]:

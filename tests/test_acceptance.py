@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import generic_points, random_points
+from conftest import generic_points, laurent_of_rational, random_points, recursion_defect
 from kzsolve.ansatz import (
     RationalVectorFunction,
     check_conditions,
@@ -20,7 +20,7 @@ from kzsolve.ansatz import (
 )
 from kzsolve.cli import main as cli_main
 from kzsolve.exactalg import GaussianRational, Vector
-from kzsolve.frobenius import exponent_window, laurent_of_rational, recursion_defect
+from kzsolve.frobenius import exponent_window
 from kzsolve.kzcore import new_system
 from kzsolve.numverify import monodromy, residual_scan
 from kzsolve.s4explicit import independence_certificate, y1, y2, y3, y4

@@ -200,12 +200,26 @@ class TestNullspace:
         assert code == 0
         assert json.loads(out)["dimension"] == 0
 
-    def test_scaling_to_n12(self, capsys):
+    # eleven Gaussian poles with denominators up to 4
+    GAUSSIAN_12 = "(1/3,-3/2),-1,(2,-1/2),(1/4,-2/3),2/3,(0,1),(-3/2,2/3),(3,1/4),1/2,(-1,-2),(5/3,-1)"
+
+    def test_scaling_to_n12(self, capsys, tmp_path):
         start = time.perf_counter()
         for n in range(3, 13):
             code, out, _ = run(capsys, ["nullspace", *system_args(n)])
             assert code == 0, n
             assert json.loads(out)["dimension"] == n
+        # Gaussian poles at n = 12, shape (1, 1): the widest gluing the unknown cap admits
+        gaussian = ["--n", "12", "--rho", "-1", "--points", self.GAUSSIAN_12]
+        code, out, _ = run(capsys, ["nullspace", *gaussian])
+        assert code == 0
+        report = json.loads(out)
+        assert report["dimension"] == 12
+        path = tmp_path / "gaussian12.json"
+        path.write_text(json.dumps(report["basis"][0]))
+        code, out, _ = run(capsys, ["verify", *gaussian, "--solution", f"file:{path}"])
+        assert code == 0
+        assert json.loads(out)["overall"] == "pass"
         assert time.perf_counter() - start < 10.0
 
     # (n, pole order, degree) at the unknown cap's corners, with the solution-space

@@ -9,8 +9,11 @@ from conftest import (
     dense_combination,
     dense_integer_eigenvalues,
     identity,
+    instantiate,
+    laurent_of_rational,
     random_points,
     random_scalar,
+    recursion_defect,
     reference_frobenius_solve,
     reference_matvec,
     reference_solve_affine,
@@ -19,12 +22,7 @@ from conftest import (
 from kzsolve import frobenius
 from kzsolve.ansatz import RationalVectorFunction
 from kzsolve.exactalg import GaussianRational, Matrix, Vector, nullspace
-from kzsolve.frobenius import (
-    exponent_window,
-    frobenius_solve,
-    laurent_of_rational,
-    recursion_defect,
-)
+from kzsolve.frobenius import exponent_window, frobenius_solve
 from kzsolve.kzcore import LocalCoefficients, local_coefficients, new_system
 from kzsolve.s4explicit import y1, y2, y3, y4
 
@@ -116,7 +114,7 @@ class TestFrobeniusSolve:
         target = Vector([1, 1, -1, -1])
         consistent, params, _ = reference_solve_affine(list(zip(*fam.basis[-1])), target)
         assert consistent
-        series = fam.instantiate(params)
+        series = instantiate(fam, params)
         assert series.coeff(-1) == target
         for t in range(-1, 5):
             assert recursion_defect(sys, series, t).is_zero()
@@ -158,7 +156,7 @@ class TestFrobeniusSolve:
             for fam in frobenius_solve(sys, k, 3):
                 for i in range(fam.dimension):
                     params = [1 if j == i else 0 for j in range(fam.dimension)]
-                    series = fam.instantiate(params)
+                    series = instantiate(fam, params)
                     for t in range(series.start, 4):
                         assert recursion_defect(sys, series, t).is_zero()
 
@@ -209,7 +207,7 @@ class TestResonancePruning:
         for fam in fams:
             for i in range(fam.dimension):
                 params = [1 if j == i else 0 for j in range(fam.dimension)]
-                series = fam.instantiate(params)
+                series = instantiate(fam, params)
                 for t in range(series.start, order + 1):
                     assert recursion_defect(sys, series, t).is_zero()
 

@@ -12,11 +12,14 @@ recursion at infinity through T's spectral projectors
 joins them; the rows, the constant term read back from one pole's block
 and the glued coefficients are int passes, with no per-block vector.
 Membership in a span is read off its RREF kernel, with no elimination.
+A function is stored once, as its flat coefficient vector in its own
+shape; each basis function is a kernel vector as it is, and the
+per-block vectors are read-only views cut only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, count, cycle
@@ -28,6 +31,7 @@ from .exactalg import (
     ScalarLike,
     Vector,
     _combine,
+    _make,
     _parts,
     nullspace,
 )
@@ -38,30 +42,47 @@ from .symrep import _star_parts, _t_kernel, _t_solve, transpose
 
 @dataclass(frozen=True)
 class RationalVectorFunction:
-    """Vector-valued rational function with prescribed poles.
+    """Vector-valued rational function with prescribed poles, stored as one vector.
 
-    ``pole_coeffs[k][r-1]`` multiplies (z - z_k)^-r and ``poly_coeffs[d]``
-    multiplies z^d. Either family may be empty at any slot; the potential
-    pole set is fixed by ``points``.
+    ``coeffs`` holds the n-entry blocks L[1][1..p], ..., L[s][1..p],
+    Q_0..Q_deg for p = ``pole_order`` and deg = ``poly_degree`` (-1 for no
+    polynomial part): L[k][r] multiplies (z - z_k)^-r and Q_d multiplies
+    z^d. The potential pole set is fixed by ``points``. ``pole_coeffs`` and
+    ``poly_coeffs`` are read-only views of those blocks, cut on first use;
+    :meth:`from_blocks` builds a function from ragged blocks padded with
+    zeros, so a ragged and a padded input compare and hash equal.
     """
 
     dim: int
     points: tuple[GaussianRational, ...]
-    pole_coeffs: tuple[tuple[Vector, ...], ...]
-    poly_coeffs: tuple[Vector, ...]
+    pole_order: int
+    poly_degree: int
+    coeffs: Vector
 
     def __post_init__(self):
-        if len(self.pole_coeffs) != len(self.points):
-            raise ValueError("one coefficient tuple needed per pole")
-        for group in self.pole_coeffs:
-            for vec in group:
-                if vec.dim != self.dim:
-                    raise ValueError("pole coefficient dimension mismatch")
-        for vec in self.poly_coeffs:
-            if vec.dim != self.dim:
-                raise ValueError("polynomial coefficient dimension mismatch")
+        if self.pole_order < 0 or self.poly_degree < -1:
+            raise ValueError("pole order must be at least 0 and degree at least -1")
+        if self.coeffs.dim != self.dim * (len(self.points) * self.pole_order + self.poly_degree + 1):
+            raise ValueError("coefficient vector length does not fit the shape")
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_blocks(cls, dim, points, pole_coeffs, poly_coeffs):
+        """The function with ``pole_coeffs[k][r-1]`` at (z - z_k)^-r and ``poly_coeffs[d]`` at z^d.
+
+        Pole groups may be ragged, even empty: each is padded with zero
+        vectors to the longest.
+        """
+        points, groups, poly = tuple(points), [tuple(g) for g in pole_coeffs], tuple(poly_coeffs)
+        if len(groups) != len(points):
+            raise ValueError("one coefficient tuple needed per pole")
+        if any(v.dim != dim for g in (*groups, poly) for v in g):
+            raise ValueError("coefficient dimension mismatch")
+        p = max(map(len, groups), default=0)
+        pad = (Vector.zero(dim),) * p
+        blocks = [v for g in groups for v in (g + pad)[:p]]
+        return cls(dim, points, p, len(poly) - 1, Vector.concat([*blocks, *poly]))
 
     @classmethod
     def simple(cls, points, residues, q_const=None, q_linear=None):
@@ -73,26 +94,24 @@ class RationalVectorFunction:
         n = res[0].dim
         qc = q_const if q_const is not None else Vector.zero(n)
         ql = q_linear if q_linear is not None else Vector.zero(n)
-        poly: tuple[Vector, ...] = (qc, ql)
-        if ql.is_zero() and qc.is_zero():
-            poly = ()
-        return cls(
-            dim=n,
-            points=pts,
-            pole_coeffs=tuple((v,) for v in res),
-            poly_coeffs=poly,
-        )
+        poly = () if ql.is_zero() and qc.is_zero() else (qc, ql)
+        return cls.from_blocks(n, pts, [(v,) for v in res], poly)
 
-    # -- shape accessors ----------------------------------------------------
-
-    # cached like _own_entries: every residual call reads the shape
-    @cached_property
-    def pole_order(self) -> int:
-        return max((len(g) for g in self.pole_coeffs), default=0)
+    # -- block views ----------------------------------------------------------
 
     @cached_property
-    def poly_degree(self) -> int:
-        return len(self.poly_coeffs) - 1
+    def _blocks(self) -> tuple[Vector, ...]:
+        n, c = self.dim, self.coeffs
+        return tuple(c.segment(at, at + n) for at in range(0, c.dim, n))
+
+    @cached_property
+    def pole_coeffs(self) -> tuple[tuple[Vector, ...], ...]:
+        p = self.pole_order
+        return tuple(self._blocks[k * p:k * p + p] for k in range(len(self.points)))
+
+    @cached_property
+    def poly_coeffs(self) -> tuple[Vector, ...]:
+        return self._blocks[len(self.points) * self.pole_order:]
 
     @property
     def residues(self) -> tuple[Vector, ...]:
@@ -109,26 +128,15 @@ class RationalVectorFunction:
         return self.poly_coeffs[1] if len(self.poly_coeffs) >= 2 else Vector.zero(self.dim)
 
     @cached_property
-    def _flat(self) -> Vector:
-        """The coefficient vector in the function's own shape, flattened once.
-
-        The fields are frozen and every ``Vector`` immutable, so the cache is
-        safe; it is no field, so equality and hash still compare the fields.
-        :func:`_function_from_flat` seeds it with the vector it slices, and
-        :func:`coefficient_vector` returns it for the own shape.
-        """
-        return _flatten(self, self.pole_order, self.poly_degree)
-
-    @cached_property
     def _own_entries(self):
-        """:func:`_nonzero_entries` and denominator of :attr:`_flat`.
+        """:func:`_nonzero_entries` and denominator of ``coeffs``.
 
-        Read by every :func:`residual` and :func:`check_conditions` call, so
-        cached like :attr:`_flat`.
+        Read by every :func:`residual`, :func:`check_conditions` and
+        :meth:`eval` call, so cached; it is no field, so equality and hash
+        compare ``coeffs`` alone.
         """
-        flat = coefficient_vector(self, self.pole_order, self.poly_degree)
         # tuples, as every caller shares them
-        return tuple(map(tuple, _nonzero_entries(flat, self.dim))), flat.den
+        return tuple(map(tuple, _nonzero_entries(self.coeffs, self.dim))), self.coeffs.den
 
     # -- algebra ------------------------------------------------------------
 
@@ -140,11 +148,13 @@ class RationalVectorFunction:
         """
         z = GaussianRational.coerce(z)
         inverses = _inverses(self.points, z)
-        for x, y, zk, group in zip(inverses.re, inverses.im, self.points, self.pole_coeffs):
-            if not (x or y) and any(not v.is_zero() for v in group):
-                raise ValueError(f"evaluation at the pole z = {zk}")
-        table, den = _weight_table(self.points, z, self.pole_order, self.poly_degree)
         entries, fden = self._own_entries
+        p, s = self.pole_order, len(self.points)
+        # pole block (k, r) is k*p + r - 1: the poles with a nonzero entry
+        for k in {u // p for u in entries[0] if u < s * p}:
+            if not (inverses.re[k] or inverses.im[k]):
+                raise ValueError(f"evaluation at the pole z = {self.points[k]}")
+        table, den = _weight_table(self.points, z, p, self.poly_degree)
         wr, wi, _, _ = _value_slope(table, entries, self.dim)
         return Vector.from_parts(wr, wi, den * fden)
 
@@ -152,36 +162,13 @@ class RationalVectorFunction:
 
     def derivative(self) -> "RationalVectorFunction":
         """Closed-form derivative; pole orders deepen by one."""
-        new_poles = []
-        for group in self.pole_coeffs:
-            if not group:
-                new_poles.append(())
-                continue
-            shifted = [Vector.zero(self.dim)]
-            for r, vec in enumerate(group, start=1):
-                shifted.append(vec.scale(GaussianRational(-r)))
-            new_poles.append(tuple(shifted))
-        new_poly = tuple(
-            self.poly_coeffs[d].scale(GaussianRational(d))
-            for d in range(1, len(self.poly_coeffs))
-        )
-        return RationalVectorFunction(
-            dim=self.dim,
-            points=self.points,
-            pole_coeffs=tuple(new_poles),
-            poly_coeffs=new_poly,
-        )
+        zero = Vector.zero(self.dim)
+        poles = [(zero, *(v.scale(-r) for r, v in enumerate(g, 1))) if g else () for g in self.pole_coeffs]
+        poly = [v.scale(d) for d, v in enumerate(self.poly_coeffs) if d]
+        return RationalVectorFunction.from_blocks(self.dim, self.points, poles, poly)
 
     def scale(self, s: ScalarLike) -> "RationalVectorFunction":
-        s = GaussianRational.coerce(s)
-        return RationalVectorFunction(
-            dim=self.dim,
-            points=self.points,
-            pole_coeffs=tuple(
-                tuple(v.scale(s) for v in group) for group in self.pole_coeffs
-            ),
-            poly_coeffs=tuple(v.scale(s) for v in self.poly_coeffs),
-        )
+        return replace(self, coeffs=self.coeffs.scale(s))
 
 
 @dataclass(frozen=True)
@@ -217,8 +204,8 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
 
     Only derived for rho = -1; other couplings must go through
     :func:`residual` or :func:`solve_ansatz`. The conditions are read off
-    fn's coefficient vector in its own shape, cached like its nonzero
-    entries for :func:`residual`: its residues L_k, Q_0 and Q_1 share one
+    fn's stored coefficient vector and its cached nonzero entries, which
+    :func:`residual` reads too: its residues L_k, Q_0 and Q_1 share one
     denominator F, and a shape with no pole or no polynomial block reads
     zeros there. Each pole balance is one int pass over the nonzero
     entries, and a zero condition is built without a gcd.
@@ -230,8 +217,7 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
     if fn.pole_order > 1 or fn.poly_degree > 1:
         raise ValueError("conditions expect simple poles and an affine polynomial")
     n, s, p = sys.n, sys.s, fn.pole_order
-    flat = fn._flat
-    fr, fi, den = flat.re, flat.im, flat.den
+    fr, fi, den = fn.coeffs.re, fn.coeffs.im, fn.coeffs.den
     # block u of the flat vector is entries u*n..u*n+n-1: L_k is block k - 1 when
     # the shape has poles, Q_0 and Q_1 are the blocks after the s*p pole blocks
     blocks = [(fr[at:at + n], fi[at:at + n]) for at in range(0, len(fr), n)]
@@ -294,10 +280,10 @@ def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector
 
     The evaluator that certifies :func:`solve_ansatz`'s kernel, and whose
     weight table :meth:`RationalVectorFunction.eval` reads too, runs on
-    fn's coefficient vector in its own shape, flattened once per function:
-    one sample record at z (:func:`_sample_record`), one int loop over the
-    nonzero coefficients, one star action and one reduction to a
-    ``Vector``, with no gcd when the defect is zero. The record is
+    fn's stored coefficient vector, its nonzero entries found once per
+    function: one sample record at z (:func:`_sample_record`), one int
+    loop over the nonzero coefficients, one star action and one reduction
+    to a ``Vector``, with no gcd when the defect is zero. The record is
     memoised (at most 32 entries, keyed on the poles, rho, z and the
     shape), so every function of one shape checked at the same point, as
     ``kz verify`` checks several, shares it.
@@ -434,15 +420,6 @@ def sample_points(points, count: int) -> list[GaussianRational]:
     return [GaussianRational(Fraction(c), zero) for c in range(bound + 1, bound + 1 + count)]
 
 
-def _unknown_layout(s: int, pole_order: int, poly_degree: int):
-    blocks = s * pole_order + poly_degree + 1
-    def pole_block(k: int, r: int) -> int:
-        return k * pole_order + (r - 1)
-    def poly_block(d: int) -> int:
-        return s * pole_order + d
-    return blocks, pole_block, poly_block
-
-
 def solve_ansatz(
     sys: KZSystem, pole_order: int = 1, poly_degree: int = 1
 ) -> list[RationalVectorFunction]:
@@ -481,7 +458,7 @@ def solve_ansatz(
     one int loop over its nonzero entries (:func:`_value_slope`) and one
     star action, the evaluator behind :func:`residual`; it reads none of
     the glued rows. A nonzero defect raises rather than returning a wrong
-    basis.
+    basis; each certified vector is its function's stored coefficients.
     """
     if pole_order < 1:
         raise ValueError("pole_order must be at least 1")
@@ -508,7 +485,7 @@ def solve_ansatz(
             wr, wi, sr, si = _value_slope(table, entries, n)
             if (sr, si) != _star_parts(ar, ai, wr, wi):
                 raise ArithmeticError("assembled solution failed exact residual check")
-    return [_function_from_flat(sys, vec, p, deg) for vec in kernel]
+    return [RationalVectorFunction(n, sys.points, p, deg, vec) for vec in kernel]
 
 
 def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
@@ -660,47 +637,32 @@ def _last_nonzero(v: Vector) -> int | None:
     return max((i for i, (x, y) in enumerate(zip(v.re, v.im)) if x or y), default=None)
 
 
-def _function_from_flat(
-    sys: KZSystem, flat: Vector, pole_order: int, poly_degree: int
-) -> RationalVectorFunction:
-    n, s = sys.n, sys.s
-    blocks, pole_block, poly_block = _unknown_layout(s, pole_order, poly_degree)
-    def grab(u: int) -> Vector:
-        return flat.segment(u * n, u * n + n)
-    poles = tuple(
-        tuple(grab(pole_block(k, r)) for r in range(1, pole_order + 1))
-        for k in range(s)
-    )
-    poly = tuple(grab(poly_block(d)) for d in range(poly_degree + 1))
-    fn = RationalVectorFunction(
-        dim=n, points=sys.points, pole_coeffs=poles, poly_coeffs=poly
-    )
-    # fn's own shape is (pole_order, poly_degree), so flat is its _flat
-    vars(fn)["_flat"] = flat
-    return fn
-
-
 def coefficient_vector(
     fn: RationalVectorFunction, pole_order: int, poly_degree: int
 ) -> Vector:
-    """Flatten a function into the unknown layout of a given shape; its own is cached."""
-    if fn.pole_order > pole_order or fn.poly_degree > poly_degree:
+    """fn's coefficients in the unknown layout of a shape at least as large as its own.
+
+    Its own shape is ``fn.coeffs``; a larger one is one int re-layout of
+    those parts with zero blocks after each pole's and after the polynomial
+    ones, over the same denominator, so canonical with no gcd.
+    """
+    p, deg = fn.pole_order, fn.poly_degree
+    if p > pole_order or deg > poly_degree:
         raise ValueError("function does not fit the requested shape")
-    if (fn.pole_order, fn.poly_degree) == (pole_order, poly_degree):
-        return fn._flat
-    return _flatten(fn, pole_order, poly_degree)
-
-
-def _flatten(fn: RationalVectorFunction, pole_order: int, poly_degree: int) -> Vector:
+    c = fn.coeffs
+    if (p, deg) == (pole_order, poly_degree):
+        return c
     n, s = fn.dim, len(fn.points)
-    parts: list[Vector] = []
-    for k in range(s):
-        group = fn.pole_coeffs[k]
-        for r in range(1, pole_order + 1):
-            parts.append(group[r - 1] if r <= len(group) else Vector.zero(n))
-    for d in range(poly_degree + 1):
-        parts.append(fn.poly_coeffs[d] if d < len(fn.poly_coeffs) else Vector.zero(n))
-    return Vector.concat(parts)
+    # (start, stop, zeros after) of each pole's blocks and of the polynomial ones
+    cuts = [(k * p * n, (k + 1) * p * n, (pole_order - p) * n) for k in range(s)]
+    cuts.append((s * p * n, c.dim, (poly_degree - deg) * n))
+    re, im = [], []
+    for a, b, pad in cuts:
+        re += c.re[a:b]
+        re += [0] * pad
+        im += c.im[a:b]
+        im += [0] * pad
+    return _make(tuple(re), tuple(im), c.den)
 
 
 def in_span(

@@ -195,9 +195,11 @@ def _solution_from_json(data: dict, sys_: KZSystem) -> ansatz.RationalVectorFunc
         raise ValueError("solution file n/rho disagree with the requested system")
     if points != sys_.points:
         raise ValueError("solution file pole locations disagree with --points")
-    return ansatz.RationalVectorFunction(
-        dim=n, points=points, pole_coeffs=poles, poly_coeffs=poly
-    )
+    # before from_blocks pads every pole group to the longest: no more residual
+    # samples than a simple-pole, affine solution needs at the --n cap
+    count = _sample_count(sys_, max(map(len, poles), default=0), len(poly) - 1)
+    _refuse_over_cap("solution file's sample count", count, 2 * (VERIFY_MAX_N - 1) + 1)
+    return ansatz.RationalVectorFunction.from_blocks(n, points, poles, poly)
 
 
 def _check(name: str, residual_text: str, ok: bool) -> dict:
@@ -247,9 +249,9 @@ def _residual_checks(sys_: KZSystem, label: str, fn, count: int) -> list[dict]:
     return checks
 
 
-def _sample_count(sys_: KZSystem, fn) -> int:
-    """s(p + 1) + max(d, 0): the residual samples that pin down a function of fn's shape."""
-    return sys_.s * (fn.pole_order + 1) + max(fn.poly_degree, 0)
+def _sample_count(sys_: KZSystem, pole_order: int, poly_degree: int) -> int:
+    """s(p + 1) + max(d, 0): the residual samples that pin down a function of shape (p, d)."""
+    return sys_.s * (pole_order + 1) + max(poly_degree, 0)
 
 
 def cmd_verify(args) -> dict:
@@ -275,12 +277,7 @@ def cmd_verify(args) -> dict:
             raise ValueError(f"cannot read solution file: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"solution file is not valid JSON: {exc}") from exc
-        fn = _solution_from_json(data, sys_)
-        # no more residual samples than a simple-pole, affine solution needs at the --n cap
-        _refuse_over_cap(
-            "solution file's sample count", _sample_count(sys_, fn), 2 * (VERIFY_MAX_N - 1) + 1
-        )
-        targets.append((path, fn))
+        targets.append((path, _solution_from_json(data, sys_)))
     else:
         raise ValueError(f"unknown solution selector {selector!r}")
 
@@ -290,7 +287,7 @@ def cmd_verify(args) -> dict:
         simple_shape = fn.pole_order <= 1 and fn.poly_degree <= 1
         if sys_.rho == -1 and simple_shape:
             checks.extend(_condition_checks(sys_, label, fn))
-        count = max(full_count, _sample_count(sys_, fn))
+        count = max(full_count, _sample_count(sys_, fn.pole_order, fn.poly_degree))
         checks.extend(_residual_checks(sys_, label, fn, count))
     return _report("verify", checks)
 

@@ -150,9 +150,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im
@@ -160,10 +157,6 @@ class GaussianRational:
     def abs_bound(self) -> Fraction:
         """|re| + |im|, a cheap exact upper bound on the modulus."""
         return abs(self.re) + abs(self.im)
-
-    def abs_floor(self) -> Fraction:
-        """max(|re|, |im|), an exact lower bound on the modulus."""
-        return max(abs(self.re), abs(self.im))
 
     # -- predicates and conversion ------------------------------------------
 

@@ -142,10 +142,6 @@ def y4(points) -> RationalVectorFunction:
     return RationalVectorFunction.simple(pts, res)
 
 
-# determinant probes independence_certificate tries before it reports failure
-_PROBES = 24
-
-
 @dataclass(frozen=True)
 class IndependenceCertificate:
     """Outcome of the exact determinant probe for column independence."""
@@ -159,26 +155,23 @@ class IndependenceCertificate:
 def independence_certificate(
     points, columns: tuple[RationalVectorFunction, ...] | None = None
 ) -> IndependenceCertificate:
-    """Certify functional independence by probing the column determinant.
+    """Certify functional independence by the column determinant at one probe.
 
-    Probes walk a fixed deterministic sequence starting just beyond the
-    largest pole magnitude; any probe with nonzero exact determinant
-    certifies independence. Exhausting the probes is reported as a
-    failure, never silently ignored: the explicit columns do degenerate
-    on special configurations.
+    The probe lies just beyond the largest pole magnitude. A nonzero exact
+    determinant there proves the columns independent, whatever they are.
+    For columns that solve the system one probe also decides: by
+    Abel-Liouville n solutions have determinant
+    c * prod_k (z - z_k)^(rho(n - 2)), as tr P_k = n - 2 (here
+    c * prod_k (z - z_k)^-2), so it is zero at one non-pole point iff it is
+    zero everywhere. A zero determinant is reported as a failure, never
+    silently ignored: the explicit columns do degenerate on special
+    configurations.
     """
     pts = _three_points(points)
     if columns is None:
         columns = (y1(pts), y2(pts), y3(pts), y4(pts))
-    # every probe exceeds |Re p| + |Im p| >= |p| for each pole p, so none meets a pole
-    start = 2 + max(int(p.abs_bound()) for p in pts)
-    probe = det = None
-    tried = 0
-    while tried < _PROBES:
-        probe = GaussianRational(start + tried)
-        tried += 1
-        # the columns' values as rows: the transpose has the same determinant
-        det = determinant(Matrix([col.eval(probe) for col in columns]))
-        if not det.is_zero():
-            return IndependenceCertificate(ok=True, probe=probe, det=det, probes_tried=tried)
-    return IndependenceCertificate(ok=False, probe=probe, det=det, probes_tried=tried)
+    # the probe exceeds |Re p| + |Im p| >= |p| for each pole p, so it meets none
+    probe = GaussianRational(2 + max(int(p.abs_bound()) for p in pts))
+    # the columns' values as rows: the transpose has the same determinant
+    det = determinant(Matrix([col.eval(probe) for col in columns]))
+    return IndependenceCertificate(ok=not det.is_zero(), probe=probe, det=det, probes_tried=1)

@@ -88,7 +88,6 @@ from kzsolve import exactalg
 from kzsolve.ansatz import (
     RationalVectorFunction,
     _sample_record,
-    _unknown_layout,
     _weight_table,
     coefficient_vector,
 )
@@ -579,8 +578,14 @@ def reference_solve_ansatz(sys, pole_order: int, poly_degree: int) -> list[Vecto
     """
     n, s, p, deg = sys.n, sys.s, pole_order, poly_degree
     rho = sys.rho
-    blocks, pole_block, poly_block = _unknown_layout(s, p, deg)
-    width = n * blocks
+    width = n * (s * p + deg + 1)
+
+    def pole_block(k: int, r: int) -> int:
+        return k * p + r - 1
+
+    def poly_block(d: int) -> int:
+        return s * p + d
+
     locals_ = [local_coefficients(sys, k + 1, p - 1) for k in range(s)]
 
     # each equation is n rows: the sum of (shift*I + sum_j w_j P_j) times the
@@ -711,7 +716,7 @@ def reference_s4_columns(points) -> tuple[RationalVectorFunction, ...]:
 def zero_function(points, n: int) -> RationalVectorFunction:
     """The zero function of dimension n on the poles ``points``: no coefficients at all."""
     pts = tuple(GaussianRational.coerce(p) for p in points)
-    return RationalVectorFunction(dim=n, points=pts, pole_coeffs=((),) * len(pts), poly_coeffs=())
+    return RationalVectorFunction.from_blocks(n, pts, ((),) * len(pts), ())
 
 
 def combine_functions(terms) -> RationalVectorFunction:
@@ -734,13 +739,11 @@ def combine_functions(terms) -> RationalVectorFunction:
             for r in range(depth)
         )
 
-    return RationalVectorFunction(
-        dim=n,
-        points=first.points,
-        pole_coeffs=tuple(
-            combined([fn.pole_coeffs[k] for _, fn in terms]) for k in range(len(first.points))
-        ),
-        poly_coeffs=combined([fn.poly_coeffs for _, fn in terms]),
+    return RationalVectorFunction.from_blocks(
+        n,
+        first.points,
+        [combined([fn.pole_coeffs[k] for _, fn in terms]) for k in range(len(first.points))],
+        combined([fn.poly_coeffs for _, fn in terms]),
     )
 
 

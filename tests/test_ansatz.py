@@ -59,6 +59,56 @@ def canon_sys(rho=-1):
     return new_system(4, rho, CANON)
 
 
+class TestStorage:
+    """A function is its flat coefficient vector; the block tuples are views of it."""
+
+    def test_from_blocks_pads_ragged_groups(self):
+        rng = random.Random(3301)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            points = tuple(random_points(rng, n - 1))
+
+            def vec():
+                return Vector([random_scalar(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
+
+            groups = [tuple(vec() for _ in range(rng.randint(0, 3))) for _ in points]
+            poly = tuple(vec() for _ in range(rng.randint(0, 3)))
+            fn = RationalVectorFunction.from_blocks(n, points, groups, poly)
+            p = max(map(len, groups))
+            padded = tuple(g + (Vector.zero(n),) * (p - len(g)) for g in groups)
+            assert (fn.pole_order, fn.poly_degree) == (p, len(poly) - 1)
+            assert fn.pole_coeffs == padded and fn.poly_coeffs == poly
+            assert fn.coeffs == Vector.concat([*(v for g in padded for v in g), *poly])
+            twin = RationalVectorFunction.from_blocks(n, points, padded, poly)
+            assert fn == twin and hash(fn) == hash(twin)
+
+    def test_shape_must_fit_coefficients(self):
+        points = tuple(GaussianRational.coerce(p) for p in CANON)
+        # shape (1, 1) on three poles is five blocks of four entries
+        assert RationalVectorFunction(4, points, 1, 1, Vector.zero(20)).pole_coeffs[2] == (Vector.zero(4),)
+        for size in (0, 16, 19, 21, 24):
+            with pytest.raises(ValueError):
+                RationalVectorFunction(4, points, 1, 1, Vector.zero(size))
+        # n(s*p + d + 1) = 0 fits no negative pole order
+        with pytest.raises(ValueError):
+            RationalVectorFunction(4, points, -1, 2, Vector.zero(0))
+        with pytest.raises(ValueError):
+            RationalVectorFunction.from_blocks(4, points, ((), ()), ())
+        with pytest.raises(ValueError):
+            RationalVectorFunction.from_blocks(4, points, ((), (Vector.zero(3),), ()), ())
+
+    def test_solve_ansatz_cuts_no_segment(self, monkeypatch):
+        # each basis function is its kernel vector; the block views are cut
+        # only when read
+        cut, cuts = Vector.segment, []
+        monkeypatch.setattr(Vector, "segment", lambda *args: cuts.append(args) or cut(*args))
+        gaussian = new_system(5, -2, [parse_scalar(z) for z in ("(-3/4,-1)", "3", "(1,1/2)", "(1/3,4/3)")])
+        basis = [*solve_ansatz(canon_sys()), *solve_ansatz(canon_sys(1), 2, 1)]
+        basis += solve_ansatz(gaussian, 2, 1)
+        assert len(basis) == 9 and cuts == []
+        assert basis[0].pole_coeffs and len(cuts) == 5
+
+
 class TestEvalAndDerivative:
     def test_y2_at_three(self):
         val = y2(CANON).eval(3)
@@ -81,17 +131,17 @@ class TestEvalAndDerivative:
                 want = reference_add(want, reference_scale(ONE / (z - zk) ** r, vec.data))
         want = reference_add(want, reference_add(Q.data, reference_scale(z * z, M.data)))
         for here in ((), (Vector.zero(4),), (Vector.zero(4), Vector.zero(4))):
-            fn = RationalVectorFunction(
+            fn = RationalVectorFunction.from_blocks(
                 dim=4, points=points, pole_coeffs=(here, (L,), (M, L)), poly_coeffs=(Q, Vector.zero(4), M)
             )
             assert str(fn.eval(z)) == entries_str(want)
         for here in ((M,), (Vector.zero(4), L)):
-            fn = RationalVectorFunction(dim=4, points=points, pole_coeffs=(here, (L,), ()), poly_coeffs=())
+            fn = RationalVectorFunction.from_blocks(4, points, (here, (L,), ()), ())
             with pytest.raises(ValueError):
                 fn.eval(z)
 
     def test_derivative_of_constant(self):
-        fn = RationalVectorFunction(
+        fn = RationalVectorFunction.from_blocks(
             dim=4,
             points=tuple(GaussianRational.coerce(p) for p in CANON),
             pole_coeffs=((), (), ()),
@@ -102,7 +152,7 @@ class TestEvalAndDerivative:
 
     def test_derivative_of_linear(self):
         q1 = Vector([1, -1, 0, 2])
-        fn = RationalVectorFunction(
+        fn = RationalVectorFunction.from_blocks(
             dim=4,
             points=tuple(GaussianRational.coerce(p) for p in CANON),
             pole_coeffs=((), (), ()),
@@ -191,7 +241,7 @@ class TestResidual:
 
     def test_constant_is_not_solution(self):
         sys = canon_sys()
-        fn = RationalVectorFunction(
+        fn = RationalVectorFunction.from_blocks(
             dim=4,
             points=sys.points,
             pole_coeffs=((), (), ()),
@@ -216,7 +266,7 @@ class TestResidual:
             sys = new_system(n, rng.randint(-2, 2), random_points(rng, n - 1))
             def vec():
                 return Vector([random_scalar(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
-            fn = RationalVectorFunction(
+            fn = RationalVectorFunction.from_blocks(
                 dim=n,
                 points=sys.points,
                 pole_coeffs=tuple(tuple(vec() for _ in range(rng.randint(0, 3))) for _ in range(n - 1)),
@@ -233,17 +283,18 @@ class TestResidual:
             assert str(residual(sys, fn, z)) == entries_str(reference_residual(sys, fn, z))
 
     def test_function_flattened_once(self, monkeypatch):
-        # the flattening is cached on the function but is no field of it:
-        # equal functions stay equal and hash alike
-        flatten, calls = ansatz.coefficient_vector, []
-        monkeypatch.setattr(
-            ansatz, "coefficient_vector", lambda *args: calls.append(args) or flatten(*args)
-        )
+        # residual reads the stored coefficient vector, its nonzero entries
+        # found once per function and no block view cut; the cache is no
+        # field, so equal functions stay equal and hash alike
+        find, calls = ansatz._nonzero_entries, []
+        monkeypatch.setattr(ansatz, "_nonzero_entries", lambda *args: calls.append(args) or find(*args))
+        cut, cuts = Vector.segment, []
+        monkeypatch.setattr(Vector, "segment", lambda *args: cuts.append(args) or cut(*args))
         sys = canon_sys()
         fn, twin = y1(CANON), y1(CANON)
         for z in sample_points(sys.points, 7):
             assert residual(sys, fn, z).is_zero()
-        assert len(calls) == 1
+        assert len(calls) == 1 and cuts == []
         assert fn == twin and hash(fn) == hash(twin)
         bumped = RationalVectorFunction.simple(
             sys.points, (fn.residues[0] + Vector.unit(4, 0), *fn.residues[1:]), fn.q_const, fn.q_linear
@@ -278,7 +329,7 @@ class TestVerifyOracle:
                 return Vector.zero(n)
             return Vector([random_scalar(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
 
-        return RationalVectorFunction(
+        return RationalVectorFunction.from_blocks(
             dim=n,
             points=tuple(points),
             pole_coeffs=tuple(tuple(vec() for _ in range(p)) if rng.random() < 0.8 else () for _ in points),
@@ -595,7 +646,7 @@ class TestCertificate:
         # at every sample point from the dense reference
         cols = [(k * p + r - 1) * n + i for k in range(s) for r in range(1, p_u + 1) for i in range(n)]
         cols += [(s * p + e) * n + i for e in range(d_u + 1) for i in range(n)]
-        units = [ansatz._function_from_flat(sys, Vector.unit(size, c), p, d) for c in cols]
+        units = [RationalVectorFunction(n, sys.points, p, d, Vector.unit(size, c)) for c in cols]
         m = self.DEEPEST[n, rho, p, d]
         assert m < len(zs)
         defects = [[reference_residual(sys, fn, z) for fn in units] for z in zs[:m + 1]]
@@ -652,7 +703,7 @@ class TestInSpan:
             return real(M)
 
         monkeypatch.setattr(ansatz, "nullspace", counted)
-        constant = RationalVectorFunction(
+        constant = RationalVectorFunction.from_blocks(
             dim=4, points=sys.points, pole_coeffs=((), (), ()), poly_coeffs=(Vector([1, 0, 0, 0]),)
         )
         assert not in_span(basis, constant)
@@ -679,24 +730,25 @@ class TestInSpan:
         assert in_span([], zero_function(sys.points, 4), pole_order=2, poly_degree=3)
         assert in_span([], y1(CANON).scale(0))
         assert not in_span([], y1(CANON))
-        constant = RationalVectorFunction(
+        constant = RationalVectorFunction.from_blocks(
             dim=4, points=sys.points, pole_coeffs=((), (), ()), poly_coeffs=(Vector([0, 0, 0, 1]),)
         )
         assert not in_span([], constant)
 
     def test_own_shape_flattened_once(self):
-        # coefficient_vector in a function's own shape is one cached vector,
-        # seeded by solve_ansatz, equal to a fresh concatenation of the blocks
+        # coefficient_vector in a function's own shape is its stored vector,
+        # equal to the concatenation of its block views
         sys = canon_sys()
         for fn in [*solve_ansatz(sys, 2, 1), *solve_ansatz(sys), y1(CANON)]:
             p, d = fn.pole_order, fn.poly_degree
             flat = coefficient_vector(fn, p, d)
-            assert coefficient_vector(fn, p, d) is flat
-            zero = Vector.zero(fn.dim)
-            blocks = [g[r] if r < len(g) else zero for g in fn.pole_coeffs for r in range(p)]
-            assert flat == Vector.concat([*blocks, *fn.poly_coeffs])
+            assert flat is fn.coeffs
+            assert flat == Vector.concat([*(v for g in fn.pole_coeffs for v in g), *fn.poly_coeffs])
             assert coefficient_vector(dataclasses.replace(fn), p, d) == flat
-            # a larger shape is flattened afresh
+            # a larger shape pads each pole's blocks and the polynomial ones with zeros
+            zero = Vector.zero(fn.dim)
+            wider = Vector.concat([*(v for g in fn.pole_coeffs for v in (*g, zero)), *fn.poly_coeffs, zero])
+            assert coefficient_vector(fn, p + 1, d + 1) == wider
             assert coefficient_vector(fn, p + 1, d) is not flat
 
     def test_matches_bordered_nullspace(self):
@@ -717,12 +769,12 @@ class TestInSpan:
                     # a dependent vector, a combination of the others
                     vecs.insert(rng.randrange(len(vecs) + 1),
                                 linear_combination([(random_scalar(rng, 3), v) for v in vecs], size))
-                basis = [ansatz._function_from_flat(sys, v, p, d) for v in vecs]
+                basis = [RationalVectorFunction(4, sys.points, p, d, v) for v in vecs]
                 member = linear_combination([(random_scalar(rng, 3), v) for v in vecs], size)
                 for target in (member, Vector.zero(size), sparse(), member + sparse()):
-                    fn = ansatz._function_from_flat(sys, target, p, d)
+                    fn = RationalVectorFunction(4, sys.points, p, d, target)
                     assert in_span(basis, fn, p, d) == reference_in_span(basis, fn, p, d), (vecs, target)
-                assert in_span(basis, ansatz._function_from_flat(sys, member, p, d), p, d)
+                assert in_span(basis, RationalVectorFunction(4, sys.points, p, d, member), p, d)
 
     def test_functions_on_other_poles_or_dimensions_refused(self):
         # the same coefficients on poles 0,1,3 are no solution there, so the

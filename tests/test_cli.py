@@ -395,6 +395,18 @@ class TestVerifyFileShape:
         count = 3 * (pole_order + 1) + degree
         assert f"sample count {count} exceeds the cap {VERIFY_MAX_SAMPLES}" in err
 
+    def test_long_pole_group_refused_before_padding(self, capsys, monkeypatch, tmp_path):
+        # one pole group of 42 blocks: the count is read off the parsed group
+        # lengths, before from_blocks would pad the other two groups to 42
+        def reached(*args, **kwargs):
+            raise AssertionError("from_blocks reached")
+
+        monkeypatch.setattr(ansatz.RationalVectorFunction, "from_blocks", reached)
+        path = shaped_file(tmp_path / "w.json", 42, 0)
+        code, out, err = run(capsys, ["verify", *SYS_ARGS, "--solution", f"file:{path}"])
+        assert (code, out) == (2, "")
+        assert f"sample count {3 * 43} exceeds the cap {VERIFY_MAX_SAMPLES}" in err
+
     @pytest.mark.parametrize("pole_order, degree", [(0, 124), (41, 1)], ids=["degree", "pole-order"])
     def test_at_bound_runs(self, capsys, tmp_path, pole_order, degree):
         path = shaped_file(tmp_path / "w.json", pole_order, degree)

@@ -356,7 +356,7 @@ class TestLaurentOfRational:
 
     def test_constant_function(self):
         const = Vector([2, 0, 1, 5])
-        fn = RationalVectorFunction(
+        fn = RationalVectorFunction.from_blocks(
             dim=4,
             points=tuple(y1(CANON).points),
             pole_coeffs=((), (), ()),

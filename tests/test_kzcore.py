@@ -21,6 +21,11 @@ from kzsolve.exactalg import GaussianRational, Vector
 from kzsolve.kzcore import _inverses, eval_A, local_coefficients, new_system
 
 
+def abs_floor(x: GaussianRational) -> Fraction:
+    """max(|re|, |im|), an exact lower bound on the modulus."""
+    return max(abs(x.re), abs(x.im))
+
+
 class TestNewSystem:
     def test_valid(self):
         sys = new_system(4, -1, [0, 1, 2])
@@ -128,7 +133,7 @@ class TestLocalCoefficients:
             for k in (1, 2, 3):
                 zk = sys.points[k - 1]
                 floors = [
-                    (zk - zl).abs_floor()
+                    abs_floor(zk - zl)
                     for i, zl in enumerate(sys.points)
                     if i != k - 1
                 ]

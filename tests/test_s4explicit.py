@@ -245,7 +245,7 @@ class TestIndependenceCertificate:
         cert = independence_certificate(CANON, cols)
         assert not cert.ok
         assert cert.det.is_zero()
-        assert cert.probes_tried == 24
+        assert cert.probes_tried == 1
 
     def test_midpoint_configuration_degenerates(self):
         """At 2*z2 = z1 + z3 the fourth column is a multiple of the third,

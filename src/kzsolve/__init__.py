@@ -33,13 +33,7 @@ from .s4explicit import (
     y3,
     y4,
 )
-from .numverify import (
-    MonodromyResult,
-    Path,
-    integrate,
-    monodromy,
-    residual_scan,
-)
+from .numverify import MonodromyResult, monodromy
 
 __all__ = [
     "GaussianRational",
@@ -71,10 +65,7 @@ __all__ = [
     "y3",
     "y4",
     "MonodromyResult",
-    "Path",
-    "integrate",
     "monodromy",
-    "residual_scan",
 ]
 
 __version__ = "0.1.0"

@@ -160,13 +160,6 @@ class RationalVectorFunction:
 
     __call__ = eval
 
-    def derivative(self) -> "RationalVectorFunction":
-        """Closed-form derivative; pole orders deepen by one."""
-        zero = Vector.zero(self.dim)
-        poles = [(zero, *(v.scale(-r) for r, v in enumerate(g, 1))) if g else () for g in self.pole_coeffs]
-        poly = [v.scale(d) for d, v in enumerate(self.poly_coeffs) if d]
-        return RationalVectorFunction.from_blocks(self.dim, self.points, poles, poly)
-
     def scale(self, s: ScalarLike) -> "RationalVectorFunction":
         return replace(self, coeffs=self.coeffs.scale(s))
 
@@ -420,6 +413,11 @@ def sample_points(points, count: int) -> list[GaussianRational]:
     return [GaussianRational(Fraction(c), zero) for c in range(bound + 1, bound + 1 + count)]
 
 
+def sample_count(s: int, pole_order: int, poly_degree: int) -> int:
+    """s(p + 1) + max(d, 0): the residual samples that pin down a function of shape (p, d) on s poles."""
+    return s * (pole_order + 1) + max(poly_degree, 0)
+
+
 def solve_ansatz(
     sys: KZSystem, pole_order: int = 1, poly_degree: int = 1
 ) -> list[RationalVectorFunction]:
@@ -452,12 +450,12 @@ def solve_ansatz(
     be the highest pole order and d_u the highest degree at which some
     kernel vector is nonzero (0 if none is). For W of that shape,
     W' - rho*A*W times prod_k (z - z_k)^(p_u+1) is a polynomial of degree
-    below s(p_u + 1) + d_u, so it must vanish at that many sample points,
-    the count ``kz verify`` takes per function. Each point gets one weight
-    record in the (p, d) layout (:func:`_sample_record`) and each vector
-    one int loop over its nonzero entries (:func:`_value_slope`) and one
-    star action, the evaluator behind :func:`residual`; it reads none of
-    the glued rows. A nonzero defect raises rather than returning a wrong
+    below s(p_u + 1) + d_u (:func:`sample_count`), so it must vanish at
+    that many sample points, the count ``kz verify`` takes per function.
+    Each point gets one weight record in the (p, d) layout
+    (:func:`_sample_record`) and each vector one int loop over its nonzero
+    entries (:func:`_value_slope`) and one star action, the evaluator
+    behind :func:`residual`; it reads none of the glued rows. A nonzero defect raises rather than returning a wrong
     basis; each certified vector is its function's stored coefficients.
     """
     if pole_order < 1:
@@ -479,7 +477,7 @@ def solve_ansatz(
     # pole block (k, r) is k*p + r - 1, polynomial block d is s*p + d
     p_used = max((u % p + 1 for u in used if u < s * p), default=0)
     d_used = max((u - s * p for u in used if u >= s * p), default=0)
-    for z in sample_points(sys.points, s * (p_used + 1) + d_used) if vectors else ():
+    for z in sample_points(sys.points, sample_count(s, p_used, d_used)) if vectors else ():
         ar, ai, table, _ = _sample_record(sys.points, sys.rho, z, p, deg)
         for entries in vectors:
             wr, wi, sr, si = _value_slope(table, entries, n)

@@ -156,14 +156,17 @@ def _build_system(args) -> KZSystem:
 
 
 def _solution_json(fn: ansatz.RationalVectorFunction, n: int, rho: int) -> dict:
+    # each entry prints in lowest terms, so the stored vector's entries, cut into
+    # runs of n, print as each block would
+    entries = fn.coeffs.entry_strings()
+    blocks = [entries[at:at + n] for at in range(0, len(entries), n)]
+    p, s = fn.pole_order, len(fn.points)
     return {
         "n": n,
         "rho": rho,
-        "points": [str(p) for p in fn.points],
-        "pole_coefficients": [
-            [vec.entry_strings() for vec in group] for group in fn.pole_coeffs
-        ],
-        "poly_coefficients": [vec.entry_strings() for vec in fn.poly_coeffs],
+        "points": [str(z) for z in fn.points],
+        "pole_coefficients": [blocks[k * p:k * p + p] for k in range(s)],
+        "poly_coefficients": blocks[s * p:],
     }
 
 
@@ -197,7 +200,7 @@ def _solution_from_json(data: dict, sys_: KZSystem) -> ansatz.RationalVectorFunc
         raise ValueError("solution file pole locations disagree with --points")
     # before from_blocks pads every pole group to the longest: no more residual
     # samples than a simple-pole, affine solution needs at the --n cap
-    count = _sample_count(sys_, max(map(len, poles), default=0), len(poly) - 1)
+    count = ansatz.sample_count(sys_.s, max(map(len, poles), default=0), len(poly) - 1)
     _refuse_over_cap("solution file's sample count", count, 2 * (VERIFY_MAX_N - 1) + 1)
     return ansatz.RationalVectorFunction.from_blocks(n, points, poles, poly)
 
@@ -249,11 +252,6 @@ def _residual_checks(sys_: KZSystem, label: str, fn, count: int) -> list[dict]:
     return checks
 
 
-def _sample_count(sys_: KZSystem, pole_order: int, poly_degree: int) -> int:
-    """s(p + 1) + max(d, 0): the residual samples that pin down a function of shape (p, d)."""
-    return sys_.s * (pole_order + 1) + max(poly_degree, 0)
-
-
 def cmd_verify(args) -> dict:
     _refuse_over_cap("--n", args.n, VERIFY_MAX_N)
     sys_ = _build_system(args)
@@ -282,12 +280,12 @@ def cmd_verify(args) -> dict:
         raise ValueError(f"unknown solution selector {selector!r}")
 
     checks: list[dict] = []
-    full_count = sys_.s * (1 + 1) + 1
+    full_count = ansatz.sample_count(sys_.s, 1, 1)
     for label, fn in targets:
         simple_shape = fn.pole_order <= 1 and fn.poly_degree <= 1
         if sys_.rho == -1 and simple_shape:
             checks.extend(_condition_checks(sys_, label, fn))
-        count = max(full_count, _sample_count(sys_, fn.pole_order, fn.poly_degree))
+        count = max(full_count, ansatz.sample_count(sys_.s, fn.pole_order, fn.poly_degree))
         checks.extend(_residual_checks(sys_, label, fn, count))
     return _report("verify", checks)
 

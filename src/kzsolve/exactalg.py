@@ -136,20 +136,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an integer")
-        if k < 0:
-            return (GaussianRational(1) / self) ** (-k)
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def norm(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im

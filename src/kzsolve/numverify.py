@@ -1,12 +1,11 @@
-"""Floating-point cross-validation of the exact machinery.
+"""Floating-point monodromy: the one float cross-check of the exact machinery.
 
-Transports solutions of W' = rho*A(z)*W along pole-avoiding paths in the
-complex plane with Dormand & Prince's adaptive 8(5,3) Runge-Kutta pair
-(DOP853, stepped here), drives the identity around single poles to
-measure monodromy (trivial whenever a rational fundamental solution
-exists), and samples the defect of candidate solutions in floating
-arithmetic. numpy is imported inside the functions that use it, so
-importing this module, and every exact command, loads no numerical stack.
+Drives the n x n identity once around a single pole of W' = rho*A(z)*W
+with Dormand & Prince's adaptive 8(5,3) Runge-Kutta pair (DOP853, stepped
+here) and measures how far the transport lies from the identity: it is
+trivial whenever a rational fundamental solution exists. numpy is
+imported inside the functions that use it, so importing this module, and
+every exact command, loads no numerical stack.
 """
 
 from __future__ import annotations
@@ -14,37 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 # monodromy needs no exact basis. solve_ansatz stays bound here only because
 # perfbench's tracer self-test asserts ``numverify.solve_ansatz is ansatz.solve_ansatz``.
-from .ansatz import RationalVectorFunction, solve_ansatz  # noqa: F401
+from .ansatz import solve_ansatz  # noqa: F401
 from .kzcore import KZSystem
 from .symrep import star_act_array
-
-
-@dataclass(frozen=True)
-class LineSegment:
-    start: complex
-    end: complex
-
-    def point(self, t: float) -> complex:
-        return self.start + t * (self.end - self.start)
-
-    def velocity(self, t: float) -> complex:
-        return self.end - self.start
-
-    @property
-    def length(self) -> float:
-        return abs(self.end - self.start)
-
-    def distance_to(self, p: complex) -> float:
-        d = self.end - self.start
-        if d == 0:
-            return abs(p - self.start)
-        t = ((p - self.start) / d).real
-        t = min(1.0, max(0.0, t))
-        return abs(self.start + t * d - p)
 
 
 @dataclass(frozen=True)
@@ -61,61 +35,6 @@ class Circle:
     def velocity(self, t: float) -> complex:
         th = t * (2 * math.pi)
         return 1j * (2 * math.pi) * self.radius * cmath.exp(1j * th)
-
-    @property
-    def length(self) -> float:
-        return self.radius * (2 * math.pi)
-
-    def distance_to(self, p: complex) -> float:
-        return abs(abs(p - self.center) - self.radius)
-
-
-Segment = Union[LineSegment, Circle]
-
-
-@dataclass(frozen=True)
-class Path:
-    """Piecewise path of line segments and full circles."""
-
-    segments: tuple[Segment, ...]
-
-    @staticmethod
-    def line(a: complex, b: complex) -> "Path":
-        return Path((LineSegment(a, b),))
-
-    @staticmethod
-    def polyline(pts: Sequence[complex]) -> "Path":
-        segs = tuple(LineSegment(a, b) for a, b in zip(pts, pts[1:]))
-        return Path(segs)
-
-    @staticmethod
-    def circle(center: complex, radius: float) -> "Path":
-        """Counterclockwise loop starting at the rightmost point."""
-        return Path((Circle(center, radius),))
-
-    def min_distance_to(self, p: complex) -> float:
-        if not self.segments:
-            return math.inf
-        return min(seg.distance_to(p) for seg in self.segments)
-
-
-def default_clearance(sys: KZSystem) -> float:
-    """One tenth of the smallest pairwise pole distance."""
-    pts = [p.to_complex() for p in sys.points]
-    dmin = min(
-        abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:]
-    )
-    return 0.1 * dmin
-
-
-def _check_clearance(sys: KZSystem, path: Path):
-    clearance = default_clearance(sys)
-    for zk in sys.points:
-        d = path.min_distance_to(zk.to_complex())
-        if d < clearance * (1 - 1e-9):
-            raise ValueError(
-                f"path passes within {d:.3g} of pole {zk}, clearance {clearance:.3g}"
-            )
 
 
 # Dormand & Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, 1993,
@@ -257,23 +176,20 @@ def _dop853(fun, y, rtol: float, atol: float):
     return y, steps
 
 
-def _transport(sys: KZSystem, path: Path, W0: np.ndarray, tol: float):
+def _transport(sys: KZSystem, loop: Circle, W0: np.ndarray, tol: float):
+    """Transport W0 (a vector or a matrix) once around ``loop``: (W(1), accepted steps)."""
     import numpy as np
 
     poles = np.array([p.to_complex() for p in sys.points])
     rho = float(sys.rho)
     shape = W0.shape
-    y = np.asarray(W0, dtype=complex).ravel()
-    steps = 0
-    for seg in path.segments:
-        if seg.length == 0:
-            continue
-        def fun(t, yy):
-            # dz/dt * rho * A(z) as star weights
-            w = seg.velocity(t) * rho / (seg.point(t) - poles)
-            return star_act_array(w, yy.reshape(shape)).ravel()
-        y, seg_steps = _dop853(fun, y, tol, tol)
-        steps += seg_steps
+
+    def fun(t, y):
+        # dz/dt * rho * A(z) as star weights
+        w = loop.velocity(t) * rho / (loop.point(t) - poles)
+        return star_act_array(w, y.reshape(shape)).ravel()
+
+    y, steps = _dop853(fun, np.asarray(W0, dtype=complex).ravel(), tol, tol)
     return y.reshape(shape), steps
 
 
@@ -282,24 +198,11 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError("tolerance must be finite and positive")
 
 
-def integrate(sys: KZSystem, path: Path, W0: np.ndarray, tol: float) -> np.ndarray:
-    """Adaptive transport of an initial (matrix or vector) value along a path.
-
-    A path that passes closer than :func:`default_clearance` to a pole is refused.
-    """
-    _check_tolerance(tol)
-    _check_clearance(sys, path)
-    W, _ = _transport(sys, path, W0, tol)
-    return W
-
-
 @dataclass(frozen=True)
 class MonodromyResult:
-    pole_index: int
     transport: np.ndarray
     deviation: float
     steps: int
-    tol: float
 
 
 def loop_margin(sys: KZSystem, k: int, radius: float) -> float:
@@ -329,70 +232,8 @@ def monodromy(sys: KZSystem, k: int, radius: float, tol: float) -> MonodromyResu
     _check_tolerance(tol)
     if margin <= 0:
         raise ValueError("circle of this radius encloses or touches another pole")
-    # the circle keeps distance radius from z_k and at least margin from every other
-    # pole, so unlike integrate's caller-supplied paths it needs no clearance check
-    path = Path.circle(sys.points[k - 1].to_complex(), radius)
+    loop = Circle(sys.points[k - 1].to_complex(), radius)
     identity = np.eye(sys.n, dtype=complex)
-    transport, steps = _transport(sys, path, identity, tol)
+    transport, steps = _transport(sys, loop, identity, tol)
     deviation = float(np.linalg.norm(transport - identity, ord="fro"))
-    return MonodromyResult(
-        pole_index=k, transport=transport, deviation=deviation, steps=steps, tol=tol
-    )
-
-
-def _complex_function(fn: RationalVectorFunction):
-    import numpy as np
-
-    poles = [p.to_complex() for p in fn.points]
-    groups = [
-        [np.array([c.to_complex() for c in vec]) for vec in group]
-        for group in fn.pole_coeffs
-    ]
-    poly = [np.array([c.to_complex() for c in vec]) for vec in fn.poly_coeffs]
-    n = fn.dim
-    def value(z: complex) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        for zk, group in zip(poles, groups):
-            u = z - zk
-            for r, vec in enumerate(group, start=1):
-                out += vec / u ** r
-        for d, vec in enumerate(poly):
-            out += vec * z ** d
-        return out
-    return value
-
-
-def residual_scan(sys: KZSystem, fn: RationalVectorFunction, samples: int = 64) -> float:
-    """Max floating defect of W' - rho*A*W over a deterministic sample set.
-
-    Samples live on concentric rings around the pole centroid; any ring
-    point closer than :func:`default_clearance` to some pole is discarded
-    and made up for on a larger ring.
-    """
-    import numpy as np
-
-    clearance = default_clearance(sys)
-    value = _complex_function(fn)
-    deriv = _complex_function(fn.derivative())
-    rho = float(sys.rho)
-    poles = np.array([p.to_complex() for p in sys.points])
-    centroid = sum(poles) / len(poles)
-    dmax = max(abs(p - centroid) for p in poles)
-    pts: list[complex] = []
-    ring = 1
-    per_ring = max(8, samples // 4)
-    while len(pts) < samples and ring <= 64:
-        R = ring * (dmax + 1.0)
-        for j in range(per_ring):
-            ang = 2 * math.pi * (j + 0.5) / per_ring
-            z = centroid + R * cmath.exp(1j * ang)
-            if all(abs(z - p) >= clearance for p in poles):
-                pts.append(z)
-            if len(pts) == samples:
-                break
-        ring += 1
-    worst = 0.0
-    for z in pts:
-        defect = deriv(z) - rho * star_act_array(1 / (z - poles), value(z))
-        worst = max(worst, float(np.linalg.norm(defect)))
-    return worst
+    return MonodromyResult(transport=transport, deviation=deviation, steps=steps)

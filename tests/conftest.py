@@ -61,6 +61,13 @@ arithmetic: W and W' from each coefficient's own power of (z - z_k) or z,
 A(z) W and the three rho = -1 conditions through the dense star
 generators, where the library runs int loops over a function's flat
 coefficient vector.
+``power`` raises a scalar to an int power by repeated products, since
+``GaussianRational`` has no ``**``, and ``derivative`` writes W' of a
+function in closed form, one pole order deeper; no ``kz`` command needs
+either. ``float_residual_scan`` is the floating negative control: the
+largest |W' - rho A W| at ring points about the poles, summed term by
+term in complex arithmetic from ``fn.coeffs`` with A(z) W a product with
+the dense ``star_generators``, so it shares no code with the library.
 ``zero_function`` and ``combine_functions`` build the zero function and
 linear combinations of ``RationalVectorFunction``s coefficient by
 coefficient, for tests that need sums the library never forms.
@@ -76,6 +83,8 @@ memos (``MEMOS``) before every test, so a test that counts the work behind
 them reads its own misses, not hits left by an earlier test.
 """
 
+import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -360,7 +369,7 @@ def reference_local_coefficients(sys, k: int, order: int):
     for j in range(order + 1):
         sign = rho if j % 2 == 0 else -rho
         regular.append([
-            ZERO if li == ki else sign / (zk - zl) ** (j + 1)
+            ZERO if li == ki else sign / power(zk - zl, j + 1)
             for li, zl in enumerate(sys.points)
         ])
     return minus_one, regular
@@ -511,11 +520,11 @@ def laurent_of_rational(fn: RationalVectorFunction, k: int, order: int) -> Local
             for r, vec in enumerate(fn.pole_coeffs[li], start=1):
                 if vec.is_zero():
                     continue
-                w = GaussianRational((-1) ** j * comb(r + j - 1, j)) / d ** (r + j)
+                w = GaussianRational((-1) ** j * comb(r + j - 1, j)) / power(d, r + j)
                 acc = acc + vec.scale(w)
         for deg, qvec in enumerate(fn.poly_coeffs):
             if deg >= j and not qvec.is_zero():
-                acc = acc + qvec.scale(GaussianRational(comb(deg, j)) * zk ** (deg - j))
+                acc = acc + qvec.scale(GaussianRational(comb(deg, j)) * power(zk, deg - j))
         coeffs.append(acc)
     return trimmed_series(k, -1, coeffs)
 
@@ -669,7 +678,7 @@ class S4Coefficients:
         a1 = ONE / (z3 - z2)
         a2 = ONE / (z1 - z3)
         a3 = ONE / (z2 - z1)
-        d = -(a1 * a1 / (a2 * a3 ** 3)) * (a1 * a2 + a3 * a3)
+        d = -(a1 * a1 / (a2 * power(a3, 3))) * (a1 * a2 + a3 * a3)
         y4 = (-a1 / a3, -(a3 / a2) * d, a1 * a1 / (a2 * a3), d, ONE + a1 / a2)
         return cls(
             alpha=alpha, beta=beta, betas=(b1, b2, b3), alphas=(a1, a2, a3), y3_abc=y3, y4_abcde=y4
@@ -813,6 +822,25 @@ def reference_star_act(weights, v):
     return out
 
 
+def power(x, k: int):
+    """x^k for an int k >= 0, by k products: ``GaussianRational`` has no ``**``."""
+    if k < 0:
+        raise ValueError("power takes a nonnegative exponent")
+    out = ONE
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+def derivative(fn) -> RationalVectorFunction:
+    """W' in closed form, one pole order deeper: L at (z - z_k)^-r becomes -r L
+    at (z - z_k)^-(r+1), and Q_d at z^d becomes d Q_d at z^(d-1)."""
+    zero = Vector.zero(fn.dim)
+    poles = [(zero, *(v.scale(-r) for r, v in enumerate(g, 1))) if g else () for g in fn.pole_coeffs]
+    poly = [v.scale(d) for d, v in enumerate(fn.poly_coeffs) if d]
+    return RationalVectorFunction.from_blocks(fn.dim, fn.points, poles, poly)
+
+
 def reference_eval(fn, z):
     """W(z) and W'(z) term by term, each coefficient times its own power of
     (z - z_k) or z, in ``GaussianRational`` arithmetic."""
@@ -820,12 +848,12 @@ def reference_eval(fn, z):
     value, slope = [ZERO] * fn.dim, [ZERO] * fn.dim
     for zk, group in zip(fn.points, fn.pole_coeffs):
         for r, L in enumerate(group, start=1):
-            value = reference_add(value, reference_scale(ONE / (z - zk) ** r, L.data))
-            slope = reference_add(slope, reference_scale(-r * ONE / (z - zk) ** (r + 1), L.data))
+            value = reference_add(value, reference_scale(ONE / power(z - zk, r), L.data))
+            slope = reference_add(slope, reference_scale(-r * ONE / power(z - zk, r + 1), L.data))
     for d, Q in enumerate(fn.poly_coeffs):
-        value = reference_add(value, reference_scale(z ** d, Q.data))
+        value = reference_add(value, reference_scale(power(z, d), Q.data))
         if d:
-            slope = reference_add(slope, reference_scale(d * z ** (d - 1), Q.data))
+            slope = reference_add(slope, reference_scale(d * power(z, d - 1), Q.data))
     return value, slope
 
 
@@ -859,6 +887,55 @@ def reference_conditions(sys, fn):
         balance.append(acc)
     growth = reference_add(ql, reference_matvec(star_sum([ONE] * s), ql))
     return sym, balance, growth
+
+
+def float_residual_scan(sys, fn, samples: int = 64) -> float:
+    """Max floating defect |W' - rho A W| over a deterministic sample set.
+
+    The floating negative control: W and W' are summed term by term in
+    complex arithmetic from ``fn.coeffs``, and A(z) W is a product with the
+    dense ``star_generators``. Samples lie on concentric rings about the
+    pole centroid; a ring point closer to a pole than a tenth of the least
+    pole distance is skipped and made up for on a larger ring.
+    """
+    import numpy as np
+
+    n, p = fn.dim, fn.pole_order
+    poles = [z.to_complex() for z in sys.points]
+    s = len(poles)
+    # block k*p + r - 1 multiplies (z - z_k)^-r, block s*p + d multiplies z^d
+    blocks = np.array([c.to_complex() for c in fn.coeffs.data], dtype=complex).reshape(-1, n)
+    gens = [np.array([[e.to_complex() for e in row] for row in P]) for P in star_generators(n)]
+    clearance = 0.1 * min(abs(a - b) for i, a in enumerate(poles) for b in poles[i + 1:])
+    centroid = sum(poles) / s
+    dmax = max(abs(z - centroid) for z in poles)
+    pts = []
+    ring = 1
+    per_ring = max(8, samples // 4)
+    while len(pts) < samples and ring <= 64:
+        R = ring * (dmax + 1.0)
+        for j in range(per_ring):
+            z = centroid + R * cmath.exp(2j * math.pi * (j + 0.5) / per_ring)
+            if all(abs(z - zk) >= clearance for zk in poles):
+                pts.append(z)
+            if len(pts) == samples:
+                break
+        ring += 1
+    worst = 0.0
+    for z in pts:
+        value, slope = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        for k, zk in enumerate(poles):
+            for r in range(1, p + 1):
+                L = blocks[k * p + r - 1]
+                value += L / (z - zk) ** r
+                slope -= r * L / (z - zk) ** (r + 1)
+        for d, Q in enumerate(blocks[s * p:]):
+            value += Q * z ** d
+            if d:
+                slope += d * Q * z ** (d - 1)
+        a_w = sum(P @ value / (z - zk) for P, zk in zip(gens, poles))
+        worst = max(worst, float(np.linalg.norm(slope - sys.rho * a_w)))
+    return worst
 
 
 def entries_str(entries) -> str:

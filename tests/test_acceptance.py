@@ -10,7 +10,13 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import generic_points, laurent_of_rational, random_points, recursion_defect
+from conftest import (
+    float_residual_scan,
+    generic_points,
+    laurent_of_rational,
+    random_points,
+    recursion_defect,
+)
 from kzsolve.ansatz import (
     RationalVectorFunction,
     check_conditions,
@@ -22,7 +28,7 @@ from kzsolve.cli import main as cli_main
 from kzsolve.exactalg import GaussianRational, Vector
 from kzsolve.frobenius import exponent_window
 from kzsolve.kzcore import new_system
-from kzsolve.numverify import monodromy, residual_scan
+from kzsolve.numverify import monodromy
 from kzsolve.s4explicit import independence_certificate, y1, y2, y3, y4
 from kzsolve.symrep import t_spectrum
 
@@ -150,7 +156,7 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
                 res[k] = res[k] + Vector.unit(4, i)
                 bad = RationalVectorFunction.simple(sys.points, res)
                 assert not check_conditions(sys, bad).passed
-                assert residual_scan(sys, bad, 32) > 0.1
+                assert float_residual_scan(sys, bad, 32) > 0.1
         # CLI path: corrupt one entry of a serialized solution
         code = cli_main(["nullspace", "--n", "4", "--rho", "-1", "--points", "0,1,2"])
         out = capsys.readouterr().out

@@ -9,9 +9,11 @@ from conftest import (
     MEMOS,
     combine_functions,
     counted_images,
+    derivative,
     entries_str,
     generic_points,
     leibniz_det,
+    power,
     random_points,
     random_scalar,
     reference_add,
@@ -34,6 +36,7 @@ from kzsolve.ansatz import (
     coefficient_vector,
     in_span,
     residual,
+    sample_count,
     sample_points,
     solve_ansatz,
 )
@@ -128,7 +131,7 @@ class TestEvalAndDerivative:
         want = [ZERO] * 4
         for zk, group in zip(points[1:], ((L,), (M, L))):
             for r, vec in enumerate(group, start=1):
-                want = reference_add(want, reference_scale(ONE / (z - zk) ** r, vec.data))
+                want = reference_add(want, reference_scale(ONE / power(z - zk, r), vec.data))
         want = reference_add(want, reference_add(Q.data, reference_scale(z * z, M.data)))
         for here in ((), (Vector.zero(4),), (Vector.zero(4), Vector.zero(4))):
             fn = RationalVectorFunction.from_blocks(
@@ -147,7 +150,7 @@ class TestEvalAndDerivative:
             pole_coeffs=((), (), ()),
             poly_coeffs=(Vector([1, 2, 3, 4]),),
         )
-        d = fn.derivative()
+        d = derivative(fn)
         assert d.eval(5).is_zero()
 
     def test_derivative_of_linear(self):
@@ -158,13 +161,13 @@ class TestEvalAndDerivative:
             pole_coeffs=((), (), ()),
             poly_coeffs=(Vector.zero(4), q1),
         )
-        d = fn.derivative()
+        d = derivative(fn)
         assert d.eval(5) == q1
         assert d.eval(17) == q1
 
     def test_derivative_deepens_poles(self):
         fn = y2(CANON)
-        d = fn.derivative()
+        d = derivative(fn)
         assert d.pole_order == 2
         # residue of the derivative at each pole order 2 is -L_k
         for k in range(3):
@@ -201,7 +204,7 @@ class TestCheckConditions:
     def test_wrong_shape_raises(self):
         sys = canon_sys()
         with pytest.raises(ValueError):
-            check_conditions(sys, y2(CANON).derivative())
+            check_conditions(sys, derivative(y2(CANON)))
 
     @staticmethod
     def corrupted(rng, points, n):
@@ -278,7 +281,7 @@ class TestResidual:
             want, _ = reference_eval(fn, z)
             assert str(fn.eval(z)) == entries_str(want)
             rhs = star_act(eval_A(sys, z), fn.eval(z)).scale(sys.rho)
-            assert residual(sys, fn, z) == fn.derivative().eval(z) - rhs
+            assert residual(sys, fn, z) == derivative(fn).eval(z) - rhs
             # W' - rho A(z) W with no code of the fast path
             assert str(residual(sys, fn, z)) == entries_str(reference_residual(sys, fn, z))
 
@@ -384,6 +387,11 @@ class TestSamplePoints:
                 samples = sample_points(pts, count)
                 assert samples == [GaussianRational(c) for c in range(bound + 1, bound + 1 + count)]
                 assert all(z != p for z in samples for p in pts)
+
+    def test_sample_count(self):
+        # s(p + 1) + max(d, 0): a shape with no polynomial part (d = -1) adds none
+        shapes = [(1, 1), (0, 0), (2, -1), (0, 35)]
+        assert [sample_count(3, p, d) for p, d in shapes] == [7, 3, 9, 38]
 
 
 class TestSolveAnsatz:

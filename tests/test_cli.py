@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import reference_solve_affine
+from conftest import reference_solve_affine, zero_function
 from kzsolve import ansatz, frobenius, numverify, symrep
 from kzsolve.cli import (
     ANSATZ_MAX_UNKNOWNS,
@@ -19,6 +19,7 @@ from kzsolve.cli import (
     SERIES_MAX_N,
     SERIES_MAX_ORDER,
     VERIFY_MAX_N,
+    _solution_json,
     main,
 )
 from kzsolve.exactalg import Matrix, Vector, parse_scalar
@@ -238,6 +239,24 @@ class TestNullspace:
                 assert code == 0, argv
                 assert json.loads(out)["dimension"] == dim, argv
         assert time.perf_counter() - start < 10.0
+
+    def test_solution_json_prints_the_block_views(self, monkeypatch):
+        # each block prints from the stored vector's entry strings, cut into runs
+        # of n, with no block vector cut: as the block views print
+        gaussian = new_system(5, -2, [parse_scalar(z) for z in ("(-3/4,-1)", "3", "(1,1/2)", "(1/3,4/3)")])
+        const = ansatz.RationalVectorFunction.from_blocks(
+            4, new_system(4, -1, [0, 1, 2]).points, ((), (), ()), (Vector([parse_scalar(e) for e in ("1", "1/2", "(0,-2/3)", "0")]),)
+        )
+        functions = [*ansatz.solve_ansatz(gaussian, 2, 1), const, zero_function(gaussian.points, 5)]
+        cut, cuts = Vector.segment, []
+        monkeypatch.setattr(Vector, "segment", lambda *args: cuts.append(args) or cut(*args))
+        printed = [_solution_json(fn, fn.dim, -2) for fn in functions]
+        assert cuts == []
+        monkeypatch.undo()
+        for fn, got in zip(functions, printed):
+            assert got["pole_coefficients"] == [[v.entry_strings() for v in g] for g in fn.pole_coeffs]
+            assert got["poly_coefficients"] == [v.entry_strings() for v in fn.poly_coeffs]
+            assert got["points"] == [str(z) for z in fn.points]
 
     def test_failed_residual_exits_1(self, capsys, monkeypatch):
         basis = ansatz.solve_ansatz(new_system(4, -1, [0, 1, 2]))

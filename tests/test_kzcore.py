@@ -10,6 +10,7 @@ from conftest import (
     dense_combination,
     identity,
     matmul,
+    power,
     random_points,
     reference_local_coefficients,
     star_generators,
@@ -141,7 +142,7 @@ class TestLocalCoefficients:
                 u = GaussianRational(dmin / 4)  # |u| well under half the gap
                 loc = local_coefficients(sys, k, N)
                 terms = [(GaussianRational(1) / u, star_sum(loc.minus_one))]
-                terms += [(u ** j, star_sum(loc.regular[j])) for j in range(N + 1)]
+                terms += [(power(u, j), star_sum(loc.regular[j])) for j in range(N + 1)]
                 target = star_sum(eval_A(sys, zk + u))
                 diff = dense_combination([(sys.rho, target), *((-s, M) for s, M in terms)])
                 # tail bound: sum_{j>N} |u|^j * sum_l 1/|d_l|^{j+1}

@@ -1,23 +1,17 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import star_generators, zero_function
+from conftest import float_residual_scan, star_generators, zero_function
 from kzsolve import numverify
 from kzsolve.ansatz import RationalVectorFunction
 from kzsolve.exactalg import GaussianRational, Vector
 from kzsolve.kzcore import new_system
-from kzsolve.numverify import (
-    Path,
-    default_clearance,
-    integrate,
-    loop_margin,
-    monodromy,
-    residual_scan,
-)
-from kzsolve.s4explicit import y1, y2, y3
+from kzsolve.numverify import Circle, loop_margin, monodromy
+from kzsolve.s4explicit import y1, y2, y3, y4
 from kzsolve.symrep import star_act_array
 
 CANON = [0, 1, 2]
@@ -29,6 +23,50 @@ def canon_sys():
 
 def as_complex(vec):
     return np.array([c.to_complex() for c in vec])
+
+
+def _in_house_dop853(fun, y, tol):
+    return numverify._dop853(fun, y, tol, tol)
+
+
+def _line(a, b):
+    """(point, velocity) of the segment from a to b over t in [0, 1]."""
+    return (lambda t: a + t * (b - a)), (lambda t: b - a)
+
+
+def _circle(center, radius):
+    """(point, velocity) of ``numverify.Circle(center, radius)``, written out."""
+    def point(t):
+        return center + radius * cmath.exp(1j * (t * (2 * math.pi)))
+
+    def velocity(t):
+        return 1j * (2 * math.pi) * radius * cmath.exp(1j * (t * (2 * math.pi)))
+
+    return point, velocity
+
+
+def _transport_along(sys, pieces, W0, tol, dop853):
+    """W0 transported along each (point, velocity) piece in turn, one ``dop853``
+    call per piece on dz/dt * rho * A(z) as star weights: (W(end), accepted steps)."""
+    poles = np.array([p.to_complex() for p in sys.points])
+    rho = float(sys.rho)
+    shape = W0.shape
+    y = np.asarray(W0, dtype=complex).ravel()
+    steps = 0
+    for point, velocity in pieces:
+        def fun(t, yy, point=point, velocity=velocity):
+            w = velocity(t) * rho / (point(t) - poles)
+            return star_act_array(w, yy.reshape(shape)).ravel()
+        y, piece_steps = dop853(fun, y, tol)
+        assert y is not None, piece_steps
+        steps += piece_steps
+    return y.reshape(shape), steps
+
+
+def polyline_transport(sys, pts, W0, tol):
+    """W0 transported by the in-house DOP853 along the polyline through ``pts``."""
+    segments = [_line(a, b) for a, b in zip(pts, pts[1:])]
+    return _transport_along(sys, segments, W0, tol, _in_house_dop853)[0]
 
 
 class TestStarActArray:
@@ -60,33 +98,9 @@ class TestStarActArray:
             star_act_array(np.ones(3, dtype=complex), np.ones(3, dtype=complex))
 
 
-class TestPaths:
-    def test_zero_length_path_is_identity(self):
-        sys = canon_sys()
-        W0 = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        assert np.array_equal(integrate(sys, Path(()), W0, 1e-10), W0)
-        out = integrate(sys, Path.line(4 + 0j, 4 + 0j), W0, 1e-10)
-        assert np.array_equal(out, W0)
-
-    def test_clearance_violation(self):
-        sys = canon_sys()
-        W0 = np.eye(4, dtype=complex)
-        with pytest.raises(ValueError):
-            integrate(sys, Path.line(-1 + 0j, 3 + 0j), W0, 1e-10)
-
-    def test_distance_computations(self):
-        path = Path.polyline([0 + 0j, 2 + 0j])
-        assert path.min_distance_to(1 + 1j) == pytest.approx(1.0)
-        assert path.min_distance_to(3 + 0j) == pytest.approx(1.0)
-        loop = Path.circle(0 + 0j, 1.0)
-        assert loop.min_distance_to(0 + 0j) == pytest.approx(1.0)
-        assert loop.min_distance_to(3 + 0j) == pytest.approx(2.0)
-
-    def test_default_clearance(self):
-        assert default_clearance(canon_sys()) == pytest.approx(0.1)
-
-
 class TestIntegrate:
+    """The in-house DOP853 along line segments, one ``numverify._dop853`` call per segment."""
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_unusable_tolerance_refused(self, monkeypatch, tol):
         # never run: the integrator does not finish at these tolerances
@@ -95,7 +109,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(numverify, "_transport", reached)
         with pytest.raises(ValueError, match="tolerance"):
-            integrate(canon_sys(), Path.line(3 + 0j, 4 + 0j), np.ones(4, dtype=complex), tol)
+            monodromy(canon_sys(), 2, 0.4, tol)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -103,14 +117,14 @@ class TestIntegrate:
         # W0 is finite, but A(z) W0 overflows to inf - inf: the first step is NaN
         W0 = np.array([1e308, -1e308, 1e308, -1e308], dtype=complex)
         with pytest.raises(RuntimeError, match="integrator failed"):
-            integrate(canon_sys(), Path.line(3 + 0j, 4 + 0j), W0, 1e-10)
+            polyline_transport(canon_sys(), [3 + 0j, 4 + 0j], W0, 1e-10)
 
     def test_transport_matches_exact_evaluation(self):
         sys = canon_sys()
         fn = y1(CANON)
         W0 = as_complex(fn.eval(3))
         tol = 1e-10
-        W1 = integrate(sys, Path.line(3 + 0j, 4 + 0j), W0, tol)
+        W1 = polyline_transport(sys, [3 + 0j, 4 + 0j], W0, tol)
         exact = as_complex(fn.eval(4))
         assert np.linalg.norm(W1 - exact) < 10 * tol
 
@@ -118,9 +132,9 @@ class TestIntegrate:
         sys = canon_sys()
         fn = y3(CANON)
         W0 = as_complex(fn.eval(4))
-        path = Path.line(4 + 0j, 5 + 1j)
-        a = integrate(sys, path, 3.5 * W0, 1e-11)
-        b = 3.5 * integrate(sys, path, W0, 1e-11)
+        line = [4 + 0j, 5 + 1j]
+        a = polyline_transport(sys, line, 3.5 * W0, 1e-11)
+        b = 3.5 * polyline_transport(sys, line, W0, 1e-11)
         assert np.linalg.norm(a - b) < 1e-9
 
     def test_halving_tolerance_never_hurts(self):
@@ -128,10 +142,9 @@ class TestIntegrate:
         fn = y1(CANON)
         W0 = as_complex(fn.eval(3))
         exact = as_complex(fn.eval(4))
-        path = Path.line(3 + 0j, 4 + 0j)
         errs = []
         for k in range(5):
-            W1 = integrate(sys, path, W0, 1e-5 / 2 ** k)
+            W1 = polyline_transport(sys, [3 + 0j, 4 + 0j], W0, 1e-5 / 2 ** k)
             errs.append(np.linalg.norm(W1 - exact))
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
@@ -140,11 +153,11 @@ class TestIntegrate:
         sys = canon_sys()
         fn = y1(CANON)
         W0 = as_complex(fn.eval(3))
-        above = Path.polyline([3 + 0j, 3 + 2j, -1 + 2j, -1 + 0.5j])
-        below = Path.polyline([3 + 0j, 3 - 2j, -1 - 2j, -1 + 0.5j])
+        above = [3 + 0j, 3 + 2j, -1 + 2j, -1 + 0.5j]
+        below = [3 + 0j, 3 - 2j, -1 - 2j, -1 + 0.5j]
         tol = 1e-11
-        a = integrate(sys, above, W0, tol)
-        b = integrate(sys, below, W0, tol)
+        a = polyline_transport(sys, above, W0, tol)
+        b = polyline_transport(sys, below, W0, tol)
         assert np.linalg.norm(a - b) < 100 * tol
 
 
@@ -166,15 +179,17 @@ class TestMonodromy:
         # no pole inside: transport of anything returns itself
         sys = canon_sys()
         W0 = np.array([[1, 2], [0, 1], [3, 0], [1, 1]], dtype=complex)
-        out = integrate(sys, Path.circle(0.5 + 0j, 0.2), W0, 1e-12)
+        out, steps = numverify._transport(sys, Circle(0.5 + 0j, 0.2), W0, 1e-12)
+        assert out.shape == W0.shape and steps > 0
         assert np.linalg.norm(out - W0) < 1e-9
 
     def test_double_loop_is_square(self):
         sys = canon_sys()
         one = monodromy(sys, 2, 0.4, 1e-12).transport
-        z2 = sys.points[1].to_complex()
-        twice = Path(Path.circle(z2, 0.4).segments * 2)
-        two = integrate(sys, twice, np.eye(4, dtype=complex), 1e-12)
+        loop = Circle(sys.points[1].to_complex(), 0.4)
+        once, _ = numverify._transport(sys, loop, np.eye(4, dtype=complex), 1e-12)
+        two, _ = numverify._transport(sys, loop, once, 1e-12)
+        assert np.array_equal(once, one)
         assert np.linalg.norm(two - one @ one) < 1e-8
 
     def test_radius_enclosing_other_pole(self):
@@ -209,9 +224,12 @@ class TestMonodromy:
 
 
 class TestResidualScan:
+    """The floating negative control of the acceptance suite, ``conftest.float_residual_scan``."""
+
     def test_exact_solution_scans_tiny(self):
         sys = canon_sys()
-        assert residual_scan(sys, y2(CANON), 64) < 1e-12
+        for build in (y1, y2, y3, y4):
+            assert float_residual_scan(sys, build(CANON), 64) < 1e-12
 
     def test_corruption_is_loud(self):
         sys = canon_sys()
@@ -219,12 +237,12 @@ class TestResidualScan:
         res = list(fn.residues)
         res[0] = res[0] + Vector([1, 0, 0, 0])
         bad = RationalVectorFunction.simple(sys.points, res)
-        assert residual_scan(sys, bad, 64) > 0.1
+        assert float_residual_scan(sys, bad, 64) > 0.1
 
     def test_zero_function_is_exactly_zero(self):
         sys = canon_sys()
         fn = zero_function(sys.points, 4)
-        assert residual_scan(sys, fn, 32) == 0.0
+        assert float_residual_scan(sys, fn, 32) == 0.0
 
 
 TOLS = (1e-6, 1e-9, 1e-12, 1e-15)  # 1e-15 is below the rtol floor of 100 eps
@@ -241,23 +259,9 @@ def _oracle_dop853(fun, y, tol):
     return sol.y[:, -1], sol.t.size - 1
 
 
-def _oracle_transport(sys, path, W0, tol):
-    """numverify._transport as it stood on scipy's solve_ivp: the reference."""
-    poles = np.array([p.to_complex() for p in sys.points])
-    rho = float(sys.rho)
-    shape = W0.shape
-    y = np.asarray(W0, dtype=complex).ravel()
-    steps = 0
-    for seg in path.segments:
-        if seg.length == 0:
-            continue
-        def fun(t, yy):
-            w = seg.velocity(t) * rho / (seg.point(t) - poles)
-            return star_act_array(w, yy.reshape(shape)).ravel()
-        y, seg_steps = _oracle_dop853(fun, y, tol)
-        assert y is not None, seg_steps
-        steps += seg_steps
-    return y.reshape(shape), steps
+def _oracle_transport(sys, pieces, W0, tol):
+    """The transport along ``pieces`` on scipy's solve_ivp: the reference."""
+    return _transport_along(sys, pieces, W0, tol, _oracle_dop853)
 
 
 def _points(n, gaussian):
@@ -302,10 +306,10 @@ class TestDop853MatchesScipy:
             if case_n != n:
                 continue
             sys = new_system(n, rho, _points(n, gaussian))
-            path = Path.circle(sys.points[k - 1].to_complex(), 0.4)
+            center = sys.points[k - 1].to_complex()
             identity = np.eye(n, dtype=complex)
-            want, want_steps = _oracle_transport(sys, path, identity, tol)
-            got, got_steps = numverify._transport(sys, path, identity, tol)
+            want, want_steps = _oracle_transport(sys, [_circle(center, 0.4)], identity, tol)
+            got, got_steps = numverify._transport(sys, Circle(center, 0.4), identity, tol)
             case = (n, rho, gaussian, k, tol)
             assert np.array_equal(got, want), case
             assert got_steps == want_steps, case
@@ -317,18 +321,19 @@ class TestDop853MatchesScipy:
         vector = as_complex(y1(CANON).eval(3))
         matrix = np.array([[1, 2j], [0, 1], [3, 0], [1, -1j]], dtype=complex)
         cases = [
-            (four, Path.line(3 + 0j, 4 + 1j), vector),
-            (four, Path.polyline([3 + 0j, 3 + 2j, -1 + 2j, -1 + 0.5j]), vector),
-            (four, Path.polyline([4 + 0j, 4 - 1j, 0.5 - 1j, 0.5 + 0j]), matrix),
-            (six, Path.line(-1 + 0j, 2 + 2j), np.eye(6, dtype=complex)[:, :3]),
-            (six, Path.polyline([-1 + 1j, 5 + 1j, 5 - 1j]), np.arange(6, dtype=complex)),
+            (four, [3 + 0j, 4 + 1j], vector),
+            (four, [3 + 0j, 3 + 2j, -1 + 2j, -1 + 0.5j], vector),
+            (four, [4 + 0j, 4 - 1j, 0.5 - 1j, 0.5 + 0j], matrix),
+            (six, [-1 + 0j, 2 + 2j], np.eye(6, dtype=complex)[:, :3]),
+            (six, [-1 + 1j, 5 + 1j, 5 - 1j], np.arange(6, dtype=complex)),
         ]
-        for sys, path, W0 in cases:
-            want, want_steps = _oracle_transport(sys, path, W0, tol)
-            got, got_steps = numverify._transport(sys, path, W0, tol)
+        for sys, pts, W0 in cases:
+            segments = [_line(a, b) for a, b in zip(pts, pts[1:])]
+            want, want_steps = _oracle_transport(sys, segments, W0, tol)
+            got, got_steps = _transport_along(sys, segments, W0, tol, _in_house_dop853)
             assert got.shape == W0.shape
-            assert np.array_equal(got, want), (sys.n, path, tol)
-            assert got_steps == want_steps, (sys.n, path, tol)
+            assert np.array_equal(got, want), (sys.n, pts, tol)
+            assert got_steps == want_steps, (sys.n, pts, tol)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -11,7 +11,7 @@ from .exactalg import (
     parse_scalar,
 )
 from .symrep import t_spectrum
-from .kzcore import KZSystem, eval_A, local_coefficients, new_system
+from .kzcore import KZSystem, local_coefficients, new_system
 from .frobenius import (
     SeriesFamily,
     exponent_window,
@@ -46,7 +46,6 @@ __all__ = [
     "parse_scalar",
     "t_spectrum",
     "KZSystem",
-    "eval_A",
     "local_coefficients",
     "new_system",
     "SeriesFamily",

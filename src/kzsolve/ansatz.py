@@ -36,7 +36,7 @@ from .exactalg import (
     nullspace,
 )
 from .frobenius import _convolution, _principal_part
-from .kzcore import KZSystem, _inverses, _off_pole_inverses, _powers, local_coefficients
+from .kzcore import KZSystem, _inverses, _powers, local_coefficients
 from .symrep import _star_parts, _t_kernel, _t_solve, transpose
 
 
@@ -141,20 +141,19 @@ class RationalVectorFunction:
     # -- algebra ------------------------------------------------------------
 
     def eval(self, z: ScalarLike) -> Vector:
-        """W(z), from the weight table that :func:`residual` reads.
+        """W(z), from the sample record that :func:`residual` reads.
 
         z may be a pole at which W has no term: that pole's inverse is 0,
         so its weights are 0 and its (zero) coefficients drop out.
         """
         z = GaussianRational.coerce(z)
-        inverses = _inverses(self.points, z)
-        entries, fden = self._own_entries
         p, s = self.pole_order, len(self.points)
+        inverses, table, den = _sample_record(self.points, z, p, self.poly_degree)
+        entries, fden = self._own_entries
         # pole block (k, r) is k*p + r - 1: the poles with a nonzero entry
         for k in {u // p for u in entries[0] if u < s * p}:
             if not (inverses.re[k] or inverses.im[k]):
                 raise ValueError(f"evaluation at the pole z = {self.points[k]}")
-        table, den = _weight_table(self.points, z, p, self.poly_degree)
         wr, wi, _, _ = _value_slope(table, entries, self.dim)
         return Vector.from_parts(wr, wi, den * fden)
 
@@ -271,60 +270,58 @@ def _reduced(re: list[int], im: list[int], den: int) -> Vector:
 def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector:
     """Exact defect W'(z) - rho*A(z)*W(z); zero everywhere iff W solves.
 
-    The evaluator that certifies :func:`solve_ansatz`'s kernel, and whose
-    weight table :meth:`RationalVectorFunction.eval` reads too, runs on
+    The evaluator that certifies :func:`solve_ansatz`'s kernel runs on
     fn's stored coefficient vector, its nonzero entries found once per
-    function: one sample record at z (:func:`_sample_record`), one int
-    loop over the nonzero coefficients, one star action and one reduction
-    to a ``Vector``, with no gcd when the defect is zero. The record is
-    memoised (at most 32 entries, keyed on the poles, rho, z and the
-    shape), so every function of one shape checked at the same point, as
-    ``kz verify`` checks several, shares it.
+    function: one sample record at z (:func:`_sample_record`, which
+    :meth:`RationalVectorFunction.eval` reads too), its inverses scaled by
+    rho (:func:`_rho_weights`), one int loop over the nonzero coefficients,
+    one star action and one reduction to a ``Vector``, with no gcd when
+    the defect is zero. Every function of one shape checked at the same
+    point, as ``kz verify`` checks several, shares the record, whatever
+    rho is.
     """
     if fn.points != sys.points or fn.dim != sys.n:
         raise ValueError("function pole set or dimension differs from the system's")
     entries, den = fn._own_entries
     z = GaussianRational.coerce(z)
-    ar, ai, table, d = _sample_record(sys.points, sys.rho, z, fn.pole_order, fn.poly_degree)
+    inverses, table, d = _sample_record(sys.points, z, fn.pole_order, fn.poly_degree)
+    ar, ai = _rho_weights(inverses, sys.rho, z)
     wr, wi, sr, si = _value_slope(table, entries, sys.n)
     tr, ti = _star_parts(ar, ai, wr, wi)
     if sr == tr and si == ti:
         return Vector.zero(sys.n)
-    return Vector.from_parts([a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], d * den)
+    return Vector.from_parts(
+        [a - b for a, b in zip(sr, tr)], [a - b for a, b in zip(si, ti)], d * inverses.den * den
+    )
+
+
+def _rho_weights(inverses: Vector, rho: int, z: GaussianRational) -> tuple[list[int], list[int]]:
+    """rho/(z - z_k) = (ar[k] + ai[k]*i) / E from a record's inverses over E; a pole raises.
+
+    The star action of (ar, ai) on W's numerators over D lands over D*E,
+    as W' does. 1/(z - z_k) is never 0, so a zero inverse marks z as a pole.
+    """
+    if not all(x or y for x, y in zip(inverses.re, inverses.im)):
+        raise ValueError(f"A(z) evaluated at the pole z = {z}")
+    return [rho * x for x in inverses.re], [rho * y for y in inverses.im]
 
 
 @lru_cache(maxsize=32)
 def _sample_record(
-    points: tuple[GaussianRational, ...], rho: int, z: GaussianRational, pole_order: int, poly_degree: int
-):
-    """rho*A(z)'s weights and the :func:`_weight_table` at z, which must avoid the poles.
-
-    Returns (ar, ai, table, den): rho/(z - z_k) = (ar[k] + ai[k]*i) / E for
-    the inverses' denominator E, and den = D*E, the slopes' denominator, so
-    the star action of (ar, ai) on W's numerators lands over den as W' does.
-    Memoised on (points, rho, z, shape), at most 32 entries, and built of
-    int tuples, so every function checked at z shares one record; a pole
-    raises on every call, as an exception is not cached.
-    """
-    inverses = _off_pole_inverses(points, z)
-    table, d = _weight_table(points, z, pole_order, poly_degree)
-    ar, ai = tuple(rho * x for x in inverses.re), tuple(rho * y for y in inverses.im)
-    return ar, ai, table, d * inverses.den
-
-
-@lru_cache(maxsize=32)
-def _weight_table(
     points: tuple[GaussianRational, ...], z: GaussianRational, pole_order: int, poly_degree: int
 ):
-    """The value and slope weights at z of every unknown block of a shape, and D.
+    """(inverses, table, D): what every reading of a function of one shape at z needs.
 
     Memoised on (points, z, shape), at most 32 entries: it depends on
-    nothing else (rho enters only in :func:`_sample_record`), and every
-    function of one shape checked at z reads the same table. The table is
-    a tuple of int tuples, so callers share it.
+    nothing else (rho enters only in :func:`_rho_weights`), and every
+    function of one shape read at z, by :meth:`RationalVectorFunction.eval`,
+    :func:`residual` or :func:`solve_ansatz`'s certificate, shares one
+    record. z may be a pole; each reader decides what that means. The
+    inverses are the shared ``Vector`` of ``_inverses(points, z)`` and the
+    table is a tuple of int tuples, so callers share them.
 
-    ``_inverses(points, z)[k]`` is 1/(z - z_k) over E, 0 at a pole, which
-    zeroes that pole's weights. Entry u holds the int parts of block u's
+    ``inverses[k]`` is 1/(z - z_k) over E, 0 at a pole, which zeroes that
+    pole's weights. Entry u of the table holds the int parts of block u's
     value weight over D and of its slope weight over D*E: for the pole
     block (k, r), (z - z_k)^-r and -r (z - z_k)^-(r+1); for the polynomial
     block d, z^d and d z^(d-1). D = E^p zd^deg for z's denominator zd, so
@@ -354,7 +351,7 @@ def _weight_table(
         table.append((qx * f, qy * f, sx * g, sy * g))
         sx, sy = (d + 1) * qx, (d + 1) * qy
         qx, qy = qx * zx - qy * zy, qx * zy + qy * zx
-    return tuple(table), ep * zpow
+    return inverses, tuple(table), ep * zpow
 
 
 def _nonzero_entries(flat: Vector, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -372,7 +369,7 @@ def _nonzero_entries(flat: Vector, n: int) -> tuple[list[int], list[int], list[i
 def _value_slope(table, entries, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """Numerators (re, im) of W(z) over D and of W'(z) over D*E, in one int loop.
 
-    ``table`` is a :func:`_weight_table` and ``entries`` are the
+    ``table`` is a :func:`_sample_record` table and ``entries`` the
     :func:`_nonzero_entries` of a flat vector in its shape; both
     denominators also carry the vector's.
     """
@@ -452,11 +449,13 @@ def solve_ansatz(
     W' - rho*A*W times prod_k (z - z_k)^(p_u+1) is a polynomial of degree
     below s(p_u + 1) + d_u (:func:`sample_count`), so it must vanish at
     that many sample points, the count ``kz verify`` takes per function.
-    Each point gets one weight record in the (p, d) layout
-    (:func:`_sample_record`) and each vector one int loop over its nonzero
-    entries (:func:`_value_slope`) and one star action, the evaluator
-    behind :func:`residual`; it reads none of the glued rows. A nonzero defect raises rather than returning a wrong
-    basis; each certified vector is its function's stored coefficients.
+    Each point gets one sample record in the (p, d) layout
+    (:func:`_sample_record`), its inverses scaled by rho once, and each
+    vector one int loop over its nonzero entries (:func:`_value_slope`)
+    and one star action, the evaluator behind :func:`residual`; it reads
+    none of the glued rows. A nonzero defect raises rather than returning
+    a wrong basis; each certified vector is its function's stored
+    coefficients.
     """
     if pole_order < 1:
         raise ValueError("pole_order must be at least 1")
@@ -471,14 +470,15 @@ def solve_ansatz(
         flat = _glued_kernel(sys, p, deg)
     kernel = _rref_kernel_form(flat)
     # the certificate reads none of the rows: W' - rho*A*W of every kernel
-    # vector at every sample point, from one weight table per point
+    # vector at every sample point, from one sample record per point
     vectors = [_nonzero_entries(vec, n) for vec in kernel]
     used = {u for blocks, *_ in vectors for u in blocks}
     # pole block (k, r) is k*p + r - 1, polynomial block d is s*p + d
     p_used = max((u % p + 1 for u in used if u < s * p), default=0)
     d_used = max((u - s * p for u in used if u >= s * p), default=0)
     for z in sample_points(sys.points, sample_count(s, p_used, d_used)) if vectors else ():
-        ar, ai, table, _ = _sample_record(sys.points, sys.rho, z, p, deg)
+        inverses, table, _ = _sample_record(sys.points, z, p, deg)
+        ar, ai = _rho_weights(inverses, sys.rho, z)
         for entries in vectors:
             wr, wi, sr, si = _value_slope(table, entries, n)
             if (sr, si) != _star_parts(ar, ai, wr, wi):

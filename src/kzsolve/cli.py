@@ -67,7 +67,7 @@ VERIFY_MAX_N = 64
 # its own recursion and the polynomial part by the recursion at infinity, so the
 # elimination, modulo 126-bit primes, is of the (s - 1)n gluing rows by at most
 # s(n - 1) pole parameters and n - 1 resonant polynomial ones; the certificate after it
-# takes one weight table at each of s(p_u + 1) + d_u sample points, p_u and d_u the pole
+# reads one sample record at each of s(p_u + 1) + d_u sample points, p_u and d_u the pole
 # order and degree the kernel uses, and one int loop per kernel vector.
 # ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.18-0.21 s of wall time on points
 # 0..10 and 0.26-0.28 s on eleven Gaussian poles (best of 7, three runs, on a host whose

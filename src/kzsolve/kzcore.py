@@ -3,10 +3,10 @@
 A(z) is a sum of first-order poles whose residues are the star transposition
 matrices of S_n, one pole per generator, so s = n - 1. Every operator built
 here is a weighted sum of those residues and is returned as its weights
-(w_1, ..., w_s), meaning sum_k w_k P_k; :mod:`kzsolve.symrep` applies it
-or writes it into the rows of a linear system. A(z)'s weights and every local coefficient come as a
-``Vector`` of int parts over one shared denominator, built from the int
-parts of the poles with no ``Fraction`` arithmetic. The local expansion
+(w_1, ..., w_s), meaning sum_k w_k P_k, which :mod:`kzsolve.symrep`
+applies. A(z)'s weights and every local coefficient come as a ``Vector``
+of int parts over one shared denominator, built from the int parts of
+the poles with no ``Fraction`` arithmetic. The local expansion
 of rho*A about a pole feeds the series recursion in
 :mod:`kzsolve.frobenius` and the pole matching in :mod:`kzsolve.ansatz`.
 """
@@ -50,26 +50,6 @@ def new_system(n: int, rho: int, points: list[ScalarLike]) -> KZSystem:
     return KZSystem(n=n, rho=rho, points=pts)
 
 
-def eval_A(sys: KZSystem, z: ScalarLike) -> Vector:
-    """Star weights (1/(z - z_k))_k of A(z) = sum_k P_k / (z - z_k).
-
-    Returned as a ``Vector``, int parts over one shared denominator, the
-    form :func:`kzsolve.symrep.star_act` consumes; each weight is computed
-    from the int parts of z and z_k, with no ``Fraction``. z must avoid the
-    poles.
-    """
-    return _off_pole_inverses(sys.points, GaussianRational.coerce(z))
-
-
-def _off_pole_inverses(points: tuple[GaussianRational, ...], z: GaussianRational) -> Vector:
-    """:func:`_inverses` at z, refusing a pole: :func:`eval_A` on the points alone."""
-    w = _inverses(points, z)
-    # 1/(z - z_k) is never 0, so a zero weight marks z as a pole
-    if not all(x or y for x, y in zip(w.re, w.im)):
-        raise ValueError(f"A(z) evaluated at the pole z = {z}")
-    return w
-
-
 @lru_cache(maxsize=32)
 def _inverses(points: tuple[GaussianRational, ...], z: GaussianRational) -> Vector:
     """(1/(z - z_k))_k over one shared denominator from int parts, 0 where z_k = z.
@@ -77,7 +57,7 @@ def _inverses(points: tuple[GaussianRational, ...], z: GaussianRational) -> Vect
     Memoised on (points, z), at most 32 entries: every function checked at a
     sample point, and every pole-balance condition at a pole, reads the same
     inverses, so ``kz verify --solution all`` at n = 4 builds 10 vectors (3
-    poles, 7 sample points) for its 54 reads. The ``Vector`` is immutable,
+    poles, 7 sample points) for its 26 reads. The ``Vector`` is immutable,
     so callers share it.
     """
     zx, zy, zd = _parts(z)
@@ -97,10 +77,10 @@ def _inverses(points: tuple[GaussianRational, ...], z: GaussianRational) -> Vect
 class LocalCoefficients:
     """rho-folded Laurent coefficients of rho*A(z) about one pole.
 
-    Every coefficient is a star weight ``Vector``, the form
-    :func:`kzsolve.symrep.star_act` takes as is. ``minus_one`` is the
-    residue rho*P_k, rho at entry k; ``regular[j]`` multiplies
-    (z - z_k)^j for j = 0..order.
+    Every coefficient is a star weight ``Vector``, whose int parts
+    :func:`kzsolve.symrep._star_parts` and the Frobenius right-hand sides
+    read as they are. ``minus_one`` is the residue rho*P_k, rho at entry
+    k; ``regular[j]`` multiplies (z - z_k)^j for j = 0..order.
     """
 
     pole_index: int

@@ -138,8 +138,7 @@ def _dop853(fun, y, rtol: float, atol: float):
         while True:
             if not h_abs >= min_step:  # NaN too, where scipy would loop forever
                 raise RuntimeError(
-                    "integrator failed along segment: "
-                    "Required step size is less than spacing between numbers."
+                    "integrator failed: Required step size is less than spacing between numbers."
                 )
             t_new = t + h_abs * direction
             if t_new > 1.0:

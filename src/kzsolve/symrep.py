@@ -6,14 +6,12 @@ residue operator c*I + sum_k w_k P_k is carried as its shift c and its
 weights w, and this is the only module that knows what the weights
 mean, but for the Frobenius right-hand sides, which fuse the action into
 their sum over terms (:func:`kzsolve.frobenius._convolution`):
-:func:`star_act` applies a weighted sum to an exact vector in O(n)
-int operations on the vector's shared-denominator parts (its int loop,
-:func:`_star_parts`, also serves the residual evaluator, the pole
-balance of :mod:`kzsolve.ansatz` and the Frobenius re-substitution, which
-work on raw numerators), and
-:func:`star_act_array` applies it to a floating vector or matrix in O(n)
-work per column. No residue operator is written into the rows of a
-linear system. A lone P_k is no weighted sum: :func:`transpose`
+:func:`_star_parts` applies a weighted sum to an exact vector in O(n)
+int operations on the weights' and the vector's raw numerators, for the
+residual evaluator, the pole balance of :mod:`kzsolve.ansatz` and the
+Frobenius re-substitution, and :func:`star_act_array` applies it to a
+floating vector or matrix in O(n) work per column. No residue operator
+is written into the rows of a linear system. A lone P_k is no weighted sum: :func:`transpose`
 exchanges two entries of a ``Vector`` (the Frobenius recursion folds the
 same exchange into the int parts of its closed form). The generator sum
 T governs the large-z behaviour of the system, so its integer spectrum
@@ -34,22 +32,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .exactalg import ONE, ScalarLike, Vector, ZERO, _make
+from .exactalg import ONE, Vector, ZERO, _make
 from .exactalg import char_poly, integer_eigenvalues
-
-
-def star_act(weights: Sequence[ScalarLike], v: Vector) -> Vector:
-    """(sum_k w_k P_k) v in O(n), without building the arrowhead.
-
-    Entry 1 is sum_k w_k v_(k+1); entry k+1 is w_k v_1 + (sum(w) - w_k) v_(k+1).
-    The weights are lifted to int parts over one denominator (pass a
-    ``Vector`` to lift them once for many products), so the product is an
-    int loop over the weights' and the vector's parts with one gcd.
-    """
-    w = weights if isinstance(weights, Vector) else Vector(weights)
-    if w.dim != v.dim - 1:
-        raise ValueError(f"{w.dim} star weights do not act on dimension {v.dim}")
-    return Vector.from_parts(*_star_parts(w.re, w.im, v.re, v.im), w.den * v.den)
 
 
 def transpose(v: Vector, k: int) -> Vector:

@@ -76,6 +76,10 @@ coefficient, for tests that need sums the library never forms.
 it carries every residue sum as star weights. ``star_sum`` adds up
 scaled generator matrices entry by entry, so it shares no code with
 ``star_act`` or ``star_rows``.
+``star_act`` applies a weighted star sum to a ``Vector`` through the
+library's int loop ``symrep._star_parts``, for the oracles above and for
+the tests of that loop; no ``kz`` command needs it, and
+``reference_star_act`` checks it entry by entry.
 ``counted_images`` records the prime of every modular image ``nullspace``
 eliminates, for tests that count the primes an elimination draws.
 The autouse fixture ``cold_memos`` empties the library's process-wide
@@ -97,7 +101,6 @@ from kzsolve import exactalg
 from kzsolve.ansatz import (
     RationalVectorFunction,
     _sample_record,
-    _weight_table,
     coefficient_vector,
 )
 from kzsolve.exactalg import (
@@ -112,7 +115,7 @@ from kzsolve.exactalg import (
 )
 from kzsolve.frobenius import SeriesFamily, exponent_window
 from kzsolve.kzcore import _inverses, _powers, local_coefficients
-from kzsolve.symrep import star_act
+from kzsolve.symrep import _star_parts
 
 def counted_images(monkeypatch, limit=40):
     """Record the prime of every modular image; fail instead of looping past ``limit``."""
@@ -129,7 +132,7 @@ def counted_images(monkeypatch, limit=40):
 
 
 # the library's memos on input data (exactalg's table of primes, the same for every input, is none)
-MEMOS = (_inverses, _weight_table, _sample_record)
+MEMOS = (_inverses, _sample_record)
 
 
 @pytest.fixture(autouse=True)
@@ -810,6 +813,19 @@ def reference_dot(u, v) -> GaussianRational:
 def reference_matvec(rows, v):
     support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
     return [sum((row[j] * b for j, b in support if not row[j].is_zero()), ZERO) for row in rows]
+
+
+def star_act(weights, v: Vector) -> Vector:
+    """(sum_k w_k P_k) v through the library's int loop ``symrep._star_parts``.
+
+    Entry 1 is sum_k w_k v_(k+1); entry k+1 is w_k v_1 + (sum(w) - w_k) v_(k+1).
+    The weights are lifted to int parts over one denominator (a ``Vector``
+    is used as is), so the product is one int loop with one gcd.
+    """
+    w = weights if isinstance(weights, Vector) else Vector(weights)
+    if w.dim != v.dim - 1:
+        raise ValueError(f"{w.dim} star weights do not act on dimension {v.dim}")
+    return Vector.from_parts(*_star_parts(w.re, w.im, v.re, v.im), w.den * v.den)
 
 
 def reference_star_act(weights, v):

@@ -25,13 +25,13 @@ from conftest import (
     reference_residual,
     reference_scale,
     reference_solve_ansatz,
+    reference_star_act,
     zero_function,
 )
 from kzsolve import ansatz
 from kzsolve.ansatz import (
     RationalVectorFunction,
     _sample_record,
-    _weight_table,
     check_conditions,
     coefficient_vector,
     in_span,
@@ -51,8 +51,7 @@ from kzsolve.exactalg import (
     nullspace,
     parse_scalar,
 )
-from kzsolve.kzcore import _inverses, _powers, eval_A, new_system
-from kzsolve.symrep import star_act
+from kzsolve.kzcore import _inverses, _powers, new_system
 from kzsolve.s4explicit import y1, y2, y3, y4
 
 CANON = [0, 1, 2]
@@ -280,7 +279,8 @@ class TestResidual:
                 continue
             want, _ = reference_eval(fn, z)
             assert str(fn.eval(z)) == entries_str(want)
-            rhs = star_act(eval_A(sys, z), fn.eval(z)).scale(sys.rho)
+            weights = [ONE / (z - zk) for zk in sys.points]
+            rhs = Vector(reference_star_act(weights, fn.eval(z).data)).scale(sys.rho)
             assert residual(sys, fn, z) == derivative(fn).eval(z) - rhs
             # W' - rho A(z) W with no code of the fast path
             assert str(residual(sys, fn, z)) == entries_str(reference_residual(sys, fn, z))
@@ -683,10 +683,10 @@ class TestCertificate:
         seen = []
         real = ansatz._sample_record
 
-        def counted(points_, rho_, z, p_, d_):
-            assert (points_, rho_, p_, d_) == (sys.points, rho, p, d)
+        def counted(points_, z, p_, d_):
+            assert (points_, p_, d_) == (sys.points, p, d)
             seen.append(z)
-            return real(points_, rho_, z, p_, d_)
+            return real(points_, z, p_, d_)
 
         monkeypatch.setattr(ansatz, "_sample_record", counted)
         basis = solve_ansatz(sys, p, d)
@@ -861,7 +861,7 @@ class TestEquivalenceProperties:
 
 
 class TestWeightMemo:
-    """One weight table per sample point and shape, keyed on everything it depends on."""
+    """One sample record per point and shape, keyed on everything it depends on."""
 
     @staticmethod
     def verify(sys, fns, zs):
@@ -876,40 +876,63 @@ class TestWeightMemo:
             assert all(r.is_zero() for r in res)
         # y1 is of shape (1, 1), y2..y4 of shape (1, -1); inverses at 3 poles and 7 points
         assert _sample_record.cache_info().misses == 14
-        assert _weight_table.cache_info().misses == 14
         assert _inverses.cache_info().misses == 10
 
     def test_same_poles_other_rho_get_other_weights(self):
         z = GaussianRational(9)
-        points = canon_sys().points
-        a = _sample_record(points, -1, z, 1, 1)
-        b = _sample_record(points, 2, z, 1, 1)
-        assert a[2:] == b[2:]  # the table does not depend on rho
-        assert a[:2] != b[:2]
-        assert _sample_record.cache_info().misses == 2
-        assert _weight_table.cache_info().misses == 1
-        assert residual(canon_sys(-1), y1(CANON), z).is_zero()
-        assert not residual(canon_sys(2), y1(CANON), z).is_zero()
-        # each residual read its own record, cached above
-        assert _sample_record.cache_info().misses == 2
+        minus_one, two = canon_sys(-1), canon_sys(2)
+        # the record does not depend on rho: both residuals read one record
+        assert residual(minus_one, y1(CANON), z).is_zero()
+        assert not residual(two, y1(CANON), z).is_zero()
+        assert _sample_record.cache_info().misses == 1
+        assert _sample_record.cache_info().hits == 1
+        inverses, _, _ = _sample_record(minus_one.points, z, 1, 1)
+        assert ansatz._rho_weights(inverses, -1, z) != ansatz._rho_weights(inverses, 2, z)
 
     def test_other_poles_get_other_tables(self):
         z = GaussianRational(9)
         other = [0, 1, 3]
         for p, d in ((1, 1), (1, -1), (2, 0)):
-            assert _weight_table(canon_sys().points, z, p, d) != _weight_table(
-                new_system(4, -1, other).points, z, p, d
-            )
-        # warm tables for CANON do not leak into the other configuration
+            a = _sample_record(canon_sys().points, z, p, d)
+            b = _sample_record(new_system(4, -1, other).points, z, p, d)
+            assert a[0] != b[0] and a[1] != b[1]
+        # warm records for CANON do not leak into the other configuration
         assert residual(canon_sys(), y1(CANON), z).is_zero()
         assert residual(new_system(4, -1, other), y1(other), z).is_zero()
 
     def test_cached_values_are_immutable(self):
         sys = canon_sys()
-        table, den = _weight_table(sys.points, GaussianRational(5), 2, 1)
+        inverses, table, den = _sample_record(sys.points, GaussianRational(5), 2, 1)
+        assert isinstance(inverses, Vector) and inverses is _inverses(sys.points, GaussianRational(5))
         assert isinstance(table, tuple) and isinstance(den, int)
         assert all(isinstance(row, tuple) and all(type(x) is int for x in row) for row in table)
-        assert isinstance(_inverses(sys.points, GaussianRational(5)), Vector)
+
+    def test_residual_at_a_pole_raises_on_a_cold_and_a_warm_record(self):
+        # eval of a function with no term at a pole caches the record there,
+        # so residual must refuse the pole on reading the record, not on building it
+        sys = canon_sys()
+        # a term at z_1 and a constant, none at z_2 or z_3
+        fn = RationalVectorFunction.from_blocks(
+            4, sys.points, ((Vector([1, 2, 3, 4]),), (), ()), (Vector([0, 1, 0, -1]),)
+        )
+        cold, warm = sys.points[1], sys.points[2]
+        with pytest.raises(ValueError) as info:
+            residual(sys, fn, cold)
+        assert str(info.value) == f"A(z) evaluated at the pole z = {cold}"
+        assert _sample_record.cache_info().hits == 0
+        fn.eval(warm)
+        with pytest.raises(ValueError) as info:
+            residual(sys, fn, warm)
+        assert str(info.value) == f"A(z) evaluated at the pole z = {warm}"
+        assert _sample_record.cache_info().hits == 1
+
+    def test_eval_then_residual_is_one_record(self):
+        sys, z = canon_sys(), GaussianRational(9)
+        fn = y1(CANON)
+        fn.eval(z)
+        assert residual(sys, fn, z).is_zero()
+        assert _sample_record.cache_info().misses == 1
+        assert _sample_record.cache_info().hits == 1
 
     def test_cold_and_warm_runs_agree(self):
         rng = random.Random(2611)
@@ -928,7 +951,7 @@ class TestWeightMemo:
         cold = [self.verify(*run) for run in runs]
         warm = [self.verify(*run) for run in reversed(runs)][::-1]
         assert warm == cold
-        # a warm residual reads its record and never reaches the weight table
+        # a warm residual reads its record and builds no inverses or table
         assert _sample_record.cache_info().hits > 0
         # the corrupted candidate's residuals, so the comparison reads nonzero values
         assert not all(r.is_zero() for r in cold[0][4][1])

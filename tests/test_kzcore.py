@@ -16,10 +16,12 @@ from conftest import (
     star_generators,
     star_sum,
     t_matrix,
+    zero_function,
 )
 import kzsolve
+from kzsolve.ansatz import residual
 from kzsolve.exactalg import GaussianRational, Vector
-from kzsolve.kzcore import _inverses, eval_A, local_coefficients, new_system
+from kzsolve.kzcore import _inverses, local_coefficients, new_system
 
 
 def abs_floor(x: GaussianRational) -> Fraction:
@@ -50,22 +52,24 @@ class TestNewSystem:
 
 
 class TestEvalA:
+    """A(z)'s star weights are the inverses 1/(z - z_k); ``residual`` refuses a pole."""
+
     def test_direct_substitution(self):
         sys = new_system(4, -1, [0, 1, 2])
         P1, P2, P3 = star_generators(4)
         expected = dense_combination([(Fraction(1, 3), P1), (Fraction(1, 2), P2), (Fraction(1, 1), P3)])
-        assert star_sum(eval_A(sys, 3)) == expected
+        assert star_sum(_inverses(sys.points, GaussianRational(3))) == expected
 
     def test_pole_error(self):
         sys = new_system(4, -1, [0, 1, 2])
-        with pytest.raises(ValueError):
-            eval_A(sys, 0)
+        with pytest.raises(ValueError, match="A\\(z\\) evaluated at the pole z = 0"):
+            residual(sys, zero_function(sys.points, 4), 0)
 
     def test_large_z_approaches_generator_sum(self):
         # z*A(z) - T = sum_k P_k z_k/(z - z_k): entries vanish like 1/z
         sys = new_system(4, -1, [0, 1, 2])
         z = GaussianRational(10 ** 6)
-        diff = dense_combination([(z, star_sum(eval_A(sys, z))), (-1, t_matrix(4))])
+        diff = dense_combination([(z, star_sum(_inverses(sys.points, z))), (-1, t_matrix(4))])
         for row in diff:
             for a in row:
                 assert a.abs_bound() < Fraction(1, 100000)
@@ -143,7 +147,7 @@ class TestLocalCoefficients:
                 loc = local_coefficients(sys, k, N)
                 terms = [(GaussianRational(1) / u, star_sum(loc.minus_one))]
                 terms += [(power(u, j), star_sum(loc.regular[j])) for j in range(N + 1)]
-                target = star_sum(eval_A(sys, zk + u))
+                target = star_sum(_inverses(sys.points, zk + u))
                 diff = dense_combination([(sys.rho, target), *((-s, M) for s, M in terms)])
                 # tail bound: sum_{j>N} |u|^j * sum_l 1/|d_l|^{j+1}
                 ub = u.abs_bound()
@@ -177,16 +181,16 @@ class TestMemos:
 
     def test_cached_inverses_are_a_shared_vector(self):
         sys = new_system(4, -1, [0, GaussianRational(1, 2), 2])
-        first = eval_A(sys, 5)
+        first = _inverses(sys.points, GaussianRational(5))
         assert isinstance(first, Vector)
-        assert eval_A(sys, GaussianRational(5)) is first
+        assert _inverses(sys.points, GaussianRational(Fraction(10, 2), 0)) is first
         assert _inverses.cache_info().hits == 1
 
     def test_pole_refused_on_a_warm_memo(self):
         sys = new_system(4, -1, [0, 1, 2])
-        _inverses(sys.points, GaussianRational(1))  # a pole: inverse 0 there
-        with pytest.raises(ValueError):
-            eval_A(sys, 1)
+        assert _inverses(sys.points, GaussianRational(1))[1].is_zero()  # a pole: inverse 0 there
+        with pytest.raises(ValueError, match="A\\(z\\) evaluated at the pole z = 1"):
+            residual(sys, zero_function(sys.points, 4), 1)
 
     @pytest.mark.parametrize("x", [Fraction(3, 4), Fraction(-7, 3), Fraction(5), 5, 0, -12])
     def test_real_hash_equals_the_fraction_hash_before_and_after_the_slot_is_set(self, x):

@@ -353,4 +353,4 @@ class TestDop853MatchesScipy:
             assert y is None, fun.__name__
             with pytest.raises(RuntimeError) as info:
                 numverify._dop853(fun, y0, tol, tol)
-            assert str(info.value) == f"integrator failed along segment: {message}"
+            assert str(info.value) == f"integrator failed: {message}"

@@ -14,6 +14,7 @@ from conftest import (
     reference_matvec,
     reference_scale,
     reference_star_act,
+    star_act,
     star_generators,
     star_rows,
     star_sum,
@@ -21,7 +22,7 @@ from conftest import (
     transposition_matrix,
 )
 from kzsolve.exactalg import ONE, ZERO, Vector
-from kzsolve.symrep import _t_kernel, _t_solve, star_act, t_spectrum, transpose
+from kzsolve.symrep import _t_kernel, _t_solve, t_spectrum, transpose
 
 
 class TestTranspositionMatrix:

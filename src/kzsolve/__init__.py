@@ -6,7 +6,6 @@ from .exactalg import (
     Vector,
     char_poly,
     determinant,
-    integer_eigenvalues,
     nullspace,
     parse_scalar,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Vector",
     "char_poly",
     "determinant",
-    "integer_eigenvalues",
     "nullspace",
     "parse_scalar",
     "t_spectrum",

@@ -31,10 +31,10 @@ from .s4explicit import y1, y2, y3, y4
 
 
 # Largest --n of ``kz eigen``: t_spectrum(n) is O(n) exact operations to group T's equal
-# diagonal entries, then a degree-2 root search. In-process (best of 3) it takes 3.3 ms at
-# n = 64 and 12.5 ms at 256; ``kz eigen`` wall time over six runs is 0.13-0.21 s at both,
-# nearly all interpreter start (2-core machine, Python 3.11; it drifts with the host's
-# load). Raise the cap only with ``test_scaling_to_cap`` extended to the new cap.
+# diagonal entries, then the quadratic formula on the reduced polynomial. In-process (best
+# of 5) it takes 1.6 ms at n = 64 and 6.0 ms at 256; ``kz eigen`` wall time over six runs is
+# 0.09-0.10 s at both, nearly all interpreter start (2-core machine, Python 3.11; it drifts
+# with the host's load). Raise the cap only with ``test_scaling_to_cap`` extended to it.
 EIGEN_MAX_N = 256
 
 # Largest --order of ``kz series`` at rho = -1: the recursion runs every order from

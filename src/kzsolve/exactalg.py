@@ -839,13 +839,11 @@ def determinant(M: Matrix) -> GaussianRational:
 
 
 def _poly_deflate(coeffs, x):
-    """Divide a monic polynomial by (t - x); the quotient, or None if the remainder p(x) is not 0."""
+    """The quotient of a monic polynomial by (t - x), for a root x: the remainder is not formed."""
     out = [coeffs[0]]
-    for c in coeffs[1:]:
+    for c in coeffs[1:-1]:
         out.append(c + x * out[-1])
-    if not out[-1].is_zero():
-        return None
-    return out[:-1]
+    return out
 
 
 def char_poly(
@@ -893,47 +891,6 @@ def char_poly(
 def _poly_times_linear(coeffs, x):
     """Multiply a polynomial in descending powers by (t - x)."""
     return [c - x * p for c, p in zip(coeffs + [ZERO], [ZERO] + coeffs)]
-
-
-def integer_eigenvalues(coeffs: Sequence[GaussianRational], bound: int) -> dict[int, int]:
-    """Integer roots of magnitude at most ``bound``, with multiplicities.
-
-    ``coeffs`` is monic in descending powers, as the reduced polynomial of
-    :func:`char_poly` is. For a characteristic polynomial the matrix's
-    row-sum norm is a cap that, unlike a Cauchy bound, stays small as
-    coefficients grow.
-    Candidates come from a rational-root search: after clearing
-    denominators the constant coefficient is a Gaussian integer whose norm
-    any integer root must divide in square. Each candidate is deflated
-    exactly while the remainder, its value there, is zero, and the number
-    of deflations is its multiplicity.
-    """
-    out: dict[int, int] = {}
-    # strip zero roots
-    zero_mult = 0
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs = coeffs[:-1]
-        zero_mult += 1
-    if zero_mult:
-        out[0] = zero_mult
-    if len(coeffs) == 1:
-        return out
-    # clear denominators, norm of the constant coefficient
-    den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-    norm_const = int((coeffs[-1] * den).norm())
-    for mag in range(1, min(bound, isqrt(norm_const) + 1) + 1):
-        if norm_const % (mag * mag) != 0:
-            continue
-        for x in (mag, -mag):
-            xg = GaussianRational(x)
-            mult = 0
-            rest = coeffs
-            while len(rest) > 1 and (q := _poly_deflate(rest, xg)) is not None:
-                mult += 1
-                rest = q
-            if mult:
-                out[x] = mult
-    return out
 
 
 # Nothing constructs an AffineSolution. The class stays only because

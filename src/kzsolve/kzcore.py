@@ -83,7 +83,6 @@ class LocalCoefficients:
     k; ``regular[j]`` multiplies (z - z_k)^j for j = 0..order.
     """
 
-    pole_index: int
     minus_one: Vector
     regular: tuple[Vector, ...]
 
@@ -110,7 +109,7 @@ def local_coefficients(sys: KZSystem, k: int, order: int) -> LocalCoefficients:
     for j, (re, im, den) in enumerate(_powers(u, order + 1)):
         c = rho if j % 2 == 0 else -rho
         regular.append(Vector.from_parts([c * x for x in re], [c * y for y in im], den))
-    return LocalCoefficients(pole_index=k, minus_one=minus_one, regular=tuple(regular))
+    return LocalCoefficients(minus_one=minus_one, regular=tuple(regular))
 
 
 def _powers(w: Vector, count: int) -> list[tuple[Sequence[int], Sequence[int], int]]:

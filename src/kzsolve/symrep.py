@@ -11,14 +11,14 @@ int operations on the weights' and the vector's raw numerators, for the
 residual evaluator, the pole balance of :mod:`kzsolve.ansatz` and the
 Frobenius re-substitution, and :func:`star_act_array` applies it to a
 floating vector or matrix in O(n) work per column. No residue operator
-is written into the rows of a linear system. A lone P_k is no weighted sum: :func:`transpose`
-exchanges two entries of a ``Vector`` (the Frobenius recursion folds the
-same exchange into the int parts of its closed form). The generator sum
-T governs the large-z behaviour of the system, so its integer spectrum
-is computed here as well, from the factored characteristic polynomial
-of the arrowhead's parts, without any matrix: T's n - 1 equal diagonal
-entries leave a reduced polynomial of degree 2. Its three spectral
-projectors, E_(n-1) = 11^T/n, E_(-1) = ww^T/(n(n-1)) for
+is written into the rows of a linear system. A lone P_k is no weighted
+sum: :func:`transpose` exchanges two entries of a ``Vector`` (the
+Frobenius recursion folds the same exchange into the int parts of its
+closed form). The generator sum T governs the large-z behaviour of the
+system, so its integer spectrum is found here too, without any matrix:
+T's n - 1 equal diagonal entries leave the arrowhead's factored
+characteristic polynomial a quadratic, read off in closed form. T's
+three spectral projectors, E_(n-1) = 11^T/n, E_(-1) = ww^T/(n(n-1)) for
 w = (n-1, -1, ..., -1) and E_(n-2) = I - E_(n-1) - E_(-1), give
 (cI - rho T)^-1 in O(n) (:func:`_t_solve`, which at a resonance
 c = rho*lambda leaves lambda out) and the kernel at a resonance
@@ -29,11 +29,11 @@ c = rho*lambda leaves lambda out) and the kernel at a resonance
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from fractions import Fraction
+from math import isqrt, prod
 from typing import Sequence
 
-from .exactalg import ONE, Vector, ZERO, _make
-from .exactalg import char_poly, integer_eigenvalues
+from .exactalg import ONE, GaussianRational, Vector, ZERO, _make, char_poly
 
 
 def transpose(v: Vector, k: int) -> Vector:
@@ -82,38 +82,54 @@ def star_act_array(weights, W):
 
 @dataclass(frozen=True)
 class TSpectrum:
-    n: int
     eigenvalues: dict[int, int]
     least: int
     greatest: int
+
+
+def _quadratic_integer_roots(reduced: Sequence[GaussianRational]) -> dict[int, int]:
+    """Integer roots, with multiplicities, of a monic real quadratic x^2 + bx + c.
+
+    The roots (-b +- s)/2 are rational only when D = b^2 - 4c >= 0 and s, the
+    isqrt of D's numerator over that of its denominator, squares to D; an
+    integer root is kept once it solves the quadratic exactly, a double one
+    twice. Anything else raises: T's reduced polynomial is always a quadratic.
+    """
+    if len(reduced) != 3 or reduced[0] != ONE or any(x.im for x in reduced):
+        raise ArithmeticError("reduced polynomial of T is not a monic real quadratic")
+    b, c = reduced[1].re, reduced[2].re
+    disc = b * b - 4 * c
+    s = Fraction(isqrt(disc.numerator), isqrt(disc.denominator)) if disc >= 0 else None
+    out: dict[int, int] = {}
+    if s is not None and s * s == disc:
+        for x in ((-b + s) / 2, (-b - s) / 2):
+            if x.denominator == 1 and x * x + b * x + c == 0:
+                out[int(x)] = out.get(int(x), 0) + 1
+    return out
 
 
 def t_spectrum(n: int) -> TSpectrum:
     """Integer spectrum of T with multiplicities and its integer window.
 
     For n >= 3 the spectrum is {n-1, n-2, -1} and the window is [-1, n-1].
-    The root search runs on the reduced arrowhead of :func:`char_poly`, of
-    degree 2 for T, and each repeated diagonal value that is an integer adds
-    its extra multiplicity. The spectrum is returned as found, so a caller
-    can check it against T; only a window other than [-1, n-1] raises, as no
-    caller could read a wrong window off the result.
+    :func:`char_poly` factors T's n - 1 diagonal entries n - 2 out as a repeat
+    and leaves a quadratic, whose integer roots are read off in closed form;
+    each integer repeat adds its extra multiplicity. The spectrum is returned
+    as found, so a caller can check it against T; only a window other than
+    [-1, n-1] raises, as no caller could read a wrong window off the result.
     """
     if n < 3:
         raise ValueError("spectrum contract needs n >= 3")
     w = [ONE] * (n - 1)
     total = sum(w, ZERO)
-    diagonal = [total - wk for wk in w]
-    # arrowhead: head 0, diagonal sum(w) - w_k, border w_k; the row-sum norm caps eigenvalues
-    rows = [w, *([d, wk] for d, wk in zip(diagonal, w))]
-    bound = int(max(sum(a.abs_bound() for a in row) for row in rows))
-    reduced, repeated = char_poly(ZERO, diagonal, w)
-    eig = integer_eigenvalues(reduced, bound)
+    reduced, repeated = char_poly(ZERO, [total - wk for wk in w], w)
+    eig = _quadratic_integer_roots(reduced)
     for d, m in repeated.items():
         if d.im == 0 and d.re.denominator == 1:
             eig[int(d.re)] = eig.get(int(d.re), 0) + m
     if min(eig) != -1 or max(eig) != n - 1:
         raise ArithmeticError("T spectrum window is not [-1, n-1]")
-    return TSpectrum(n=n, eigenvalues=eig, least=min(eig), greatest=max(eig))
+    return TSpectrum(eigenvalues=eig, least=min(eig), greatest=max(eig))
 
 
 def _t_solve(c: int, rho: int, r: Vector) -> Vector:

@@ -19,8 +19,10 @@ membership in a span by that bordered ``nullspace``, where the library's
 ``in_span`` reads the span's RREF kernel without eliminating.
 ``reference_char_poly`` is the dense Faddeev-LeVerrier trace recursion,
 built on ``matmul``, a dense product the library does not have; it
-vouches for the arrowhead ``char_poly`` and feeds
-``integer_eigenvalues`` on matrices that are not arrowheads. Past n = 16
+vouches for the arrowhead ``char_poly`` and feeds ``integer_roots``, a
+brute-force search that divides out each integer up to a cap, on
+matrices that are not arrowheads, where the library reads T's two
+reduced roots off the quadratic formula. Past n = 16
 it is too slow (19 s at n = 32), so ``expanded_char_poly``, the arrowhead
 identity expanded to all n + 1 coefficients as the library did before it
 factored out the repeated diagonal values, stands in for it there.
@@ -109,7 +111,6 @@ from kzsolve.exactalg import (
     GaussianRational,
     Matrix,
     Vector,
-    integer_eigenvalues,
     linear_combination,
     nullspace,
 )
@@ -267,9 +268,29 @@ def row_sum_bound(M) -> int:
     return int(max(sum(a.abs_bound() for a in row) for row in M))
 
 
+def integer_roots(coeffs, bound: int) -> dict[int, int]:
+    """Integer roots of magnitude at most ``bound`` of a monic polynomial, with multiplicities.
+
+    Each integer in [-bound, bound] is divided out by synthetic division
+    while the remainder is zero; the number of divisions is its multiplicity.
+    """
+    out = {}
+    for x in range(-bound, bound + 1):
+        rest = list(coeffs)
+        while len(rest) > 1:
+            quotient = [rest[0]]
+            for c in rest[1:]:
+                quotient.append(c + x * quotient[-1])
+            if not quotient.pop().is_zero():
+                break
+            rest = quotient
+            out[x] = out.get(x, 0) + 1
+    return out
+
+
 def dense_integer_eigenvalues(M) -> dict[int, int]:
     """Integer eigenvalues of any square M, from its reference polynomial."""
-    return integer_eigenvalues(reference_char_poly(M), row_sum_bound(M))
+    return integer_roots(reference_char_poly(M), row_sum_bound(M))
 
 
 def to_sympy(a: GaussianRational):

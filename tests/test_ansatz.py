@@ -18,6 +18,7 @@ from conftest import (
     random_scalar,
     reference_add,
     reference_conditions,
+    reference_dot,
     reference_eval,
     reference_in_span,
     reference_matvec,
@@ -955,3 +956,36 @@ class TestWeightMemo:
         assert _sample_record.cache_info().hits > 0
         # the corrupted candidate's residuals, so the comparison reads nonzero values
         assert not all(r.is_zero() for r in cold[0][4][1])
+
+
+class TestDuality:
+    """A(z) is symmetric, so for U' = -rho A U and W' = rho A W the pairing
+    U^T W is constant: the bases at rho and -rho pair to one matrix at every
+    point, and it is nonsingular as both are fundamental. Only ``eval`` is
+    shared with the solver."""
+
+    AT = [
+        GaussianRational(Fraction(17, 11)),
+        GaussianRational(Fraction(-29, 13), Fraction(5, 7)),
+        GaussianRational(Fraction(3, 19), Fraction(-31, 17)),
+    ]
+
+    @staticmethod
+    def bound_basis(n, rho, points):
+        # the exponent bound shape: pole order |rho|, degree max(rho(n - 1), -rho)
+        return solve_ansatz(new_system(n, rho, points), abs(rho), max(rho * (n - 1), -rho))
+
+    @pytest.mark.parametrize("kind", ["int", "gaussian"])
+    @pytest.mark.parametrize("n, rho", [(4, 1), (4, 2), (5, 1), (6, 2), (7, 1)])
+    def test_pairing_is_constant_and_nonsingular(self, n, rho, kind):
+        rng = random.Random(3600 + 10 * n + rho)
+        points = list(range(n - 1)) if kind == "int" else random_points(rng, n - 1)
+        W, U = self.bound_basis(n, rho, points), self.bound_basis(n, -rho, points)
+        assert len(W) == len(U) == n
+        pairings = []
+        for z in self.AT:
+            assert all(not (z - GaussianRational.coerce(p)).is_zero() for p in points)
+            ws, us = [list(w.eval(z)) for w in W], [list(u.eval(z)) for u in U]
+            pairings.append([[reference_dot(u, w) for w in ws] for u in us])
+        assert pairings[1] == pairings[0] and pairings[2] == pairings[0]
+        assert not leibniz_det(pairings[0]).is_zero()

@@ -762,7 +762,7 @@ class TestEigen:
         assert time.perf_counter() - start < 10.0
 
     def test_n12_finishes(self):
-        """`kz eigen` finishes at n = 12: the root search is bounded by the size of T."""
+        """`kz eigen` finishes at n = 12: T's repeats are factored out and the rest is a quadratic."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(

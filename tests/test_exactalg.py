@@ -14,6 +14,7 @@ from conftest import (
     expand_factored,
     expanded_char_poly,
     identity,
+    integer_roots,
     leibniz_det,
     matmul,
     random_matrix,
@@ -41,7 +42,6 @@ from kzsolve.exactalg import (
     Vector,
     char_poly,
     determinant,
-    integer_eigenvalues,
     nullspace,
     parse_scalar,
 )
@@ -573,7 +573,7 @@ class TestCharPoly:
             coeffs, repeated = char_poly(head, diagonal, border)
             M = arrowhead(head, diagonal, border)
             bound = row_sum_bound(M)
-            assert integer_eigenvalues(coeffs, bound)[d] == 1
+            assert integer_roots(coeffs, bound)[d] == 1
             assert repeated[GaussianRational(d)] + 1 == mult
             assert dense_integer_eigenvalues(M)[d] == mult
             assert expand_factored((coeffs, repeated)) == reference_char_poly(M)
@@ -597,7 +597,7 @@ class TestCharPoly:
         for _ in range(8):
             M = random_matrix(rng, 3)
             coeffs = reference_char_poly(M)
-            for eig in integer_eigenvalues(coeffs, row_sum_bound(M)):
+            for eig in integer_roots(coeffs, row_sum_bound(M)):
                 acc = coeffs[0]
                 for c in coeffs[1:]:
                     acc = acc * GaussianRational(eig) + c
@@ -629,8 +629,8 @@ class TestIntegerEigenvalues:
 
     def test_roots_beyond_the_bound_are_not_searched(self):
         # x^2 - 1: the cap 0 leaves both roots out
-        assert integer_eigenvalues([ONE, ZERO, -ONE], 0) == {}
-        assert integer_eigenvalues([ONE, ZERO, -ONE], 1) == {1: 1, -1: 1}
+        assert integer_roots([ONE, ZERO, -ONE], 0) == {}
+        assert integer_roots([ONE, ZERO, -ONE], 1) == {1: 1, -1: 1}
 
 
 def bordered_read(A, b: Vector):

@@ -197,7 +197,7 @@ class TestResonancePruning:
         def fake_local(sys, k, order):
             zero = Vector([0] * len(head))
             return LocalCoefficients(
-                k, Vector(head), tuple(regular[j] if j < len(regular) else zero for j in range(order + 1))
+                Vector(head), tuple(regular[j] if j < len(regular) else zero for j in range(order + 1))
             )
 
         monkeypatch.setattr(frobenius, "local_coefficients", fake_local)
@@ -262,7 +262,7 @@ class TestResonancePruning:
             loc = real(sys, k, order)
             head = [0] * sys.s
             head[k - 1] = sys.rho + 1
-            return LocalCoefficients(k, Vector(head), loc.regular)
+            return LocalCoefficients(Vector(head), loc.regular)
 
         monkeypatch.setattr(frobenius, "local_coefficients", off_by_one)
         for rho in (-2, -1, 0, 1, 2):

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +22,8 @@ from conftest import (
     t_matrix,
     transposition_matrix,
 )
-from kzsolve.exactalg import ONE, ZERO, Vector
-from kzsolve.symrep import _t_kernel, _t_solve, t_spectrum, transpose
+from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector
+from kzsolve.symrep import _quadratic_integer_roots, _t_kernel, _t_solve, t_spectrum, transpose
 
 
 class TestTranspositionMatrix:
@@ -226,9 +227,16 @@ class TestTSpectrum:
             assert spec.least == -1
             assert spec.greatest == n - 1
 
+    def test_multiplicities_match_the_kernel_dimensions(self):
+        # the spectrum read off char_poly against the eigenvectors the ansatz reads
+        for n in range(3, 17):
+            for lam, mult in t_spectrum(n).eigenvalues.items():
+                for rho in (1, -2):
+                    assert len(_t_kernel(rho * lam, rho, n)) == mult, (n, lam, rho)
+
     def test_large_n_within_budget(self):
-        # the root search is capped by the row-sum norm of T, so its cost
-        # does not follow the characteristic polynomial's n^n coefficients
+        # the repeated diagonal is factored out and the rest is a quadratic, so the
+        # cost does not follow the characteristic polynomial's n^n coefficients
         t0 = time.perf_counter()
         for n in (10, 12, 16, 64):
             assert t_spectrum(n).eigenvalues == {n - 1: 1, n - 2: n - 2, -1: 1}
@@ -237,3 +245,34 @@ class TestTSpectrum:
     def test_too_small(self):
         with pytest.raises(ValueError):
             t_spectrum(2)
+
+
+class TestQuadraticIntegerRoots:
+    @pytest.mark.parametrize(
+        "b, c, roots",
+        [
+            (-2, 1, {1: 2}),  # (x - 1)^2
+            (Fraction(-3, 2), Fraction(1, 2), {1: 1}),  # (x - 1)(x - 1/2)
+            (0, Fraction(-1, 4), {}),  # roots +-1/2
+            (0, 1, {}),  # D = -4
+            (0, -2, {}),  # D = 8 is not a square
+            (0, Fraction(-1, 8), {}),  # D = 1/2: the numerator is a square, the denominator not
+        ],
+    )
+    def test_roots(self, b, c, roots):
+        assert _quadratic_integer_roots([ONE, GaussianRational(b), GaussianRational(c)]) == roots
+
+    @pytest.mark.parametrize(
+        "reduced",
+        [
+            [ONE, -ONE],
+            [ONE, ZERO, -ONE, ZERO],
+            [ONE, GaussianRational(0, 1), ONE],
+            [ONE, ZERO, GaussianRational(1, -1)],
+            [GaussianRational(2), ZERO, GaussianRational(-2)],
+        ],
+        ids=["linear", "cubic", "imaginary-b", "imaginary-c", "not-monic"],
+    )
+    def test_not_a_monic_real_quadratic_raises(self, reduced):
+        with pytest.raises(ArithmeticError):
+            _quadratic_integer_roots(reduced)

@@ -19,11 +19,11 @@ per-block vectors are read-only views cut only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, count, cycle
 from math import lcm
+from typing import NamedTuple
 
 from .exactalg import (
     GaussianRational,
@@ -40,7 +40,6 @@ from .kzcore import KZSystem, _inverses, _powers, local_coefficients
 from .symrep import _star_parts, _t_kernel, _t_solve, transpose
 
 
-@dataclass(frozen=True)
 class RationalVectorFunction:
     """Vector-valued rational function with prescribed poles, stored as one vector.
 
@@ -51,6 +50,10 @@ class RationalVectorFunction:
     ``poly_coeffs`` are read-only views of those blocks, cut on first use;
     :meth:`from_blocks` builds a function from ragged blocks padded with
     zeros, so a ragged and a padded input compare and hash equal.
+
+    Immutable: the five fields are set once, assigning one raises
+    AttributeError, and equality and hash compare them, for functions of
+    the same class only.
     """
 
     dim: int
@@ -59,11 +62,39 @@ class RationalVectorFunction:
     poly_degree: int
     coeffs: Vector
 
-    def __post_init__(self):
-        if self.pole_order < 0 or self.poly_degree < -1:
+    def __init__(self, dim, points, pole_order, poly_degree, coeffs):
+        if pole_order < 0 or poly_degree < -1:
             raise ValueError("pole order must be at least 0 and degree at least -1")
-        if self.coeffs.dim != self.dim * (len(self.points) * self.pole_order + self.poly_degree + 1):
+        if coeffs.dim != dim * (len(points) * pole_order + poly_degree + 1):
             raise ValueError("coefficient vector length does not fit the shape")
+        # __setattr__ refuses every assignment, so the fields go into __dict__
+        # directly, as cached_property stores the views
+        self.__dict__.update(
+            dim=dim, points=points, pole_order=pole_order, poly_degree=poly_degree, coeffs=coeffs
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RationalVectorFunction is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RationalVectorFunction is immutable: cannot delete {name!r}")
+
+    def _key(self):
+        return self.dim, self.points, self.pole_order, self.poly_degree, self.coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"RationalVectorFunction(dim={self.dim!r}, points={self.points!r}, pole_order="
+            f"{self.pole_order!r}, poly_degree={self.poly_degree!r}, coeffs={self.coeffs!r})"
+        )
 
     # -- constructors -----------------------------------------------------
 
@@ -160,11 +191,12 @@ class RationalVectorFunction:
     __call__ = eval
 
     def scale(self, s: ScalarLike) -> "RationalVectorFunction":
-        return replace(self, coeffs=self.coeffs.scale(s))
+        return RationalVectorFunction(
+            self.dim, self.points, self.pole_order, self.poly_degree, self.coeffs.scale(s)
+        )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Exact residuals of the three solution conditions at rho = -1.
 
     residue_symmetry[k]: (I - P_k) L_k, forcing each residue into the

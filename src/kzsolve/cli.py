@@ -32,9 +32,11 @@ from .s4explicit import y1, y2, y3, y4
 
 # Largest --n of ``kz eigen``: t_spectrum(n) is O(n) exact operations to group T's equal
 # diagonal entries, then the quadratic formula on the reduced polynomial. In-process (best
-# of 5) it takes 1.6 ms at n = 64 and 6.0 ms at 256; ``kz eigen`` wall time over six runs is
-# 0.09-0.10 s at both, nearly all interpreter start (2-core machine, Python 3.11; it drifts
-# with the host's load). Raise the cap only with ``test_scaling_to_cap`` extended to it.
+# of 5) it takes 1.6 ms at n = 64 and 6.0 ms at 256; ``kz eigen`` wall time (best of 7 in
+# each of five rounds) is 0.08-0.12 s at both, nearly all starting Python (about 0.04 s)
+# and importing kzsolve (about 0.04 s) (2-core machine, Python 3.11, bytecode not cached;
+# it drifts with the host's load). Raise the cap only with ``test_scaling_to_cap``
+# extended to it.
 EIGEN_MAX_N = 256
 
 # Largest --order of ``kz series`` at rho = -1: the recursion runs every order from
@@ -69,25 +71,27 @@ VERIFY_MAX_N = 64
 # s(n - 1) pole parameters and n - 1 resonant polynomial ones; the certificate after it
 # reads one sample record at each of s(p_u + 1) + d_u sample points, p_u and d_u the pole
 # order and degree the kernel uses, and one int loop per kernel vector.
-# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.18-0.21 s of wall time on points
-# 0..10 and 0.26-0.28 s on eleven Gaussian poles (best of 7, three runs, on a host whose
-# speed drifts by that much), about 0.14 s of it starting Python. In-process at the
+# ``kz nullspace --n 12`` (shape (1, 1), u = 156) takes 0.11-0.15 s of wall time on points
+# 0..10 and 0.19-0.24 s on eleven Gaussian poles (best of 7 in each of five rounds, on a
+# host whose speed drifts by that much), about 0.08 s of it starting Python and importing
+# kzsolve (bytecode not cached). In-process at the
 # corners the cap admits, the largest pole order at degree 0 and the largest degree at
 # pole order 1 for n = 3, 4 and 6 and rho = -1, 1 and -2 (best of 5, three runs): at most
 # 0.007-0.012 s on points 0..n-2, and at most 0.035-0.066 s on Gaussian poles with
 # denominators up to 41, the slowest n = 6 at rho = -2 and (5, 0), whose gluing kernel
-# still draws three primes. The Gaussian corner n = 4, rho = -1 at (1, 35) takes 0.14 s
-# of wall time (2-core machine, Python 3.11). Every valid shape has u >= n^2, so the
+# still draws three primes. The Gaussian corner n = 4, rho = -1 at (1, 35) takes
+# 0.08-0.11 s of wall time (2-core machine, Python 3.11). Every valid shape has u >= n^2, so the
 # cap also bounds n <= 12.
 ANSATZ_MAX_UNKNOWNS = 156
 
 # Largest --n of ``kz monodromy``, which passes when |M - I| is below the deviation bound.
 # It transports the n x n identity in floating point, about n^2 work per integrator step
 # (A(z) applied as a star action, no matrix), and solves nothing exactly. ``kz`` wall time
-# with points 0..n-2, pole 2, radius 0.4 (best of 7, BLAS on one thread): 0.28 s at
-# n = 12, 0.32 s at 16, 0.35 s at 32, 0.45 s at 64, of which about 0.29 s is starting
-# Python and importing kzsolve and numpy (no scipy); the transport itself takes 13 ms at
-# n = 12 and 53 ms at n = 64 in-process (2-core machine, Python 3.11).
+# with points 0..n-2, pole 2, radius 0.4 (best of 7 in each of five rounds, BLAS on one
+# thread): 0.15-0.24 s at n = 12 and 16, 0.17-0.26 s at 32, 0.20-0.32 s at 64, on a host
+# whose speed drifted by that much; about 0.14 s is starting Python and importing kzsolve
+# and numpy (no scipy), and the transport itself takes 13 ms at n = 12 and 53 ms at
+# n = 64 in-process (2-core machine, Python 3.11).
 MONODROMY_MAX_N = 64
 MONODROMY_MAX_DEVIATION = 1e-8
 

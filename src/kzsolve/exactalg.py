@@ -696,23 +696,33 @@ def _lift(residues: list[int], m: int) -> tuple[list[int], int] | None:
 
 
 def _certified_lift(
-    M: Matrix, pivots: tuple[int, ...], residues: list[int], modulus: int, gaussian: bool
+    M: Matrix,
+    pivots: tuple[int, ...],
+    residues: list[int],
+    modulus: int,
+    gaussian: bool,
+    final: dict[int, Vector],
 ) -> list[Vector] | None:
     """The kernel vectors lifted from ``residues`` modulo ``modulus``, or None
     unless every one is reconstructed and satisfies M v = 0 exactly.
 
     ``residues`` is the kernel block flattened: for each free column, its
     entries at the pivot columns left of it, real and imaginary parts
-    interleaved when ``gaussian``.
+    interleaved when ``gaussian``. ``final`` maps a free column to its
+    vector certified at an earlier modulus under the same pivots; that one
+    is not lifted again. Each vector certified here is added to it, so a
+    call that returns None at one free column keeps those before it.
     """
     pivot_set = set(pivots)
     step = 2 if gaussian else 1
-    basis = []
+    free = [c for c in range(M.cols) if c not in pivot_set]
     at = 0
-    for f in (c for c in range(M.cols) if c not in pivot_set):
+    for f in free:
         size = step * bisect_left(pivots, f)
-        lifted = _lift(residues[at : at + size], modulus)
         at += size
+        if f in final:
+            continue
+        lifted = _lift(residues[at - size : at], modulus)
         if lifted is None:
             return None
         nums, d = lifted
@@ -727,8 +737,8 @@ def _certified_lift(
         vec = Vector.from_parts(vr, vi, d)
         if not (M * vec).is_zero():
             return None
-        basis.append(vec)
-    return basis
+        final[f] = vec
+    return [final[f] for f in free]
 
 
 def nullspace(M: Matrix) -> list[Vector]:
@@ -765,7 +775,11 @@ def nullspace(M: Matrix) -> list[Vector]:
     kernel basis and the pivot columns a column basis. Each free column is
     then a combination of the pivot columns to its left, so the pivots are
     the lexicographically first column basis: the vectors are M's unique
-    RREF kernel. A lift that fails may only need more primes, or the
+    RREF kernel. That holds whichever modulus each vector was certified
+    at, so a certified vector is kept until a better image changes the
+    pivots. Each prime then lifts only the vectors not yet kept, up to the
+    first that fails: a kernel that needs k primes costs its nullity plus
+    at most k lifts. A lift that fails may only need more primes, or the
     image may be faulty: the image's kernel vectors are then re-substituted
     into its reduced rows modulo p (:func:`_holds_mod`), which raises
     ArithmeticError on a fault and otherwise waits for the next prime.
@@ -782,6 +796,7 @@ def nullspace(M: Matrix) -> list[Vector]:
         flat = [x for entries in block for x in entries]
         if best is None or key < best:
             best, modulus, residues = key, p, flat
+            final = {}
         elif key == best:
             # Chinese remaindering: x = r (mod modulus), x = s (mod p)
             inv = pow(modulus, -1, p)
@@ -789,7 +804,7 @@ def nullspace(M: Matrix) -> list[Vector]:
             modulus *= p
         else:
             continue
-        basis = _certified_lift(M, pivots, residues, modulus, gaussian)
+        basis = _certified_lift(M, pivots, residues, modulus, gaussian, final)
         if basis is not None:
             return basis
         # the elimination is exact in F_p, so a kernel image that fails modulo p

@@ -34,9 +34,9 @@ t = -|rho| up to t = -1, re-substituted at every order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
+from typing import NamedTuple
 
 from .exactalg import Matrix, Vector, _combine
 from .exactalg import nullspace
@@ -44,8 +44,7 @@ from .kzcore import KZSystem, LocalCoefficients, local_coefficients
 from .symrep import _star_parts
 
 
-@dataclass(frozen=True)
-class SeriesFamily:
+class SeriesFamily(NamedTuple):
     """Linear family of local series sharing one starting order.
 
     ``basis[q]`` holds one column per free parameter; a member of the

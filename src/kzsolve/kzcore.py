@@ -13,16 +13,14 @@ of rho*A about a pole feeds the series recursion in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import GaussianRational, ScalarLike, Vector, _parts
 
 
-@dataclass(frozen=True)
-class KZSystem:
+class KZSystem(NamedTuple):
     """Validated KZ system: dimension, integer coupling, poles (residue k is P_k)."""
 
     n: int
@@ -73,8 +71,7 @@ def _inverses(points: tuple[GaussianRational, ...], z: GaussianRational) -> Vect
     )
 
 
-@dataclass(frozen=True)
-class LocalCoefficients:
+class LocalCoefficients(NamedTuple):
     """rho-folded Laurent coefficients of rho*A(z) about one pole.
 
     Every coefficient is a star weight ``Vector``, whose int parts

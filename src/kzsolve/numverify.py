@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # monodromy needs no exact basis. solve_ansatz stays bound here only because
 # perfbench's tracer self-test asserts ``numverify.solve_ansatz is ansatz.solve_ansatz``.
@@ -21,8 +21,7 @@ from .kzcore import KZSystem
 from .symrep import star_act_array
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     """One counterclockwise turn about ``center``, starting at its rightmost point."""
 
     center: complex
@@ -197,8 +196,7 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError("tolerance must be finite and positive")
 
 
-@dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(NamedTuple):
     transport: np.ndarray
     deviation: float
     steps: int

@@ -15,8 +15,8 @@ instead of being assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .ansatz import RationalVectorFunction
 from .exactalg import GaussianRational, Matrix, Vector, _parts, determinant
@@ -142,8 +142,7 @@ def y4(points) -> RationalVectorFunction:
     return RationalVectorFunction.simple(pts, res)
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(NamedTuple):
     """Outcome of the exact determinant probe for column independence."""
 
     ok: bool

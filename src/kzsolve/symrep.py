@@ -28,10 +28,9 @@ c = rho*lambda leaves lambda out) and the kernel at a resonance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import ONE, GaussianRational, Vector, ZERO, _make, char_poly
 
@@ -80,8 +79,7 @@ def star_act_array(weights, W):
     return out
 
 
-@dataclass(frozen=True)
-class TSpectrum:
+class TSpectrum(NamedTuple):
     eigenvalues: dict[int, int]
     least: int
     greatest: int

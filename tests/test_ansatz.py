@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -99,6 +98,31 @@ class TestStorage:
             RationalVectorFunction.from_blocks(4, points, ((), ()), ())
         with pytest.raises(ValueError):
             RationalVectorFunction.from_blocks(4, points, ((), (Vector.zero(3),), ()), ())
+
+    def test_fields_are_immutable_and_compared_within_the_class(self):
+        fn = y1(CANON)
+        fields = (fn.dim, fn.points, fn.pole_order, fn.poly_degree, fn.coeffs)
+        for name, value in (("coeffs", fn.coeffs.scale(2)), ("dim", 5), ("pole_coeffs", ())):
+            with pytest.raises(AttributeError):
+                setattr(fn, name, value)
+        with pytest.raises(AttributeError):
+            del fn.points
+        assert (fn.dim, fn.points, fn.pole_order, fn.poly_degree, fn.coeffs) == fields
+        assert fn != fields and fields != fn
+        twin = RationalVectorFunction(*fields)
+        assert fn == twin and hash(fn) == hash(twin) and fn is not twin
+        assert len({fn, twin, fn.scale(2)}) == 2
+
+    def test_scale_keeps_shape_and_points(self):
+        gaussian = new_system(5, -2, [parse_scalar(z) for z in ("(-3/4,-1)", "3", "(1,1/2)", "(1/3,4/3)")])
+        for fn in (y1(CANON), *solve_ansatz(gaussian, 2, 1)):
+            for s in (0, 3, GaussianRational(Fraction(1, 2), -1)):
+                scaled = fn.scale(s)
+                assert type(scaled) is RationalVectorFunction
+                assert (scaled.dim, scaled.points, scaled.pole_order, scaled.poly_degree) == (
+                    fn.dim, fn.points, fn.pole_order, fn.poly_degree
+                )
+                assert scaled.points is fn.points and scaled.coeffs == fn.coeffs.scale(s)
 
     def test_solve_ansatz_cuts_no_segment(self, monkeypatch):
         # each basis function is its kernel vector; the block views are cut
@@ -753,7 +777,8 @@ class TestInSpan:
             flat = coefficient_vector(fn, p, d)
             assert flat is fn.coeffs
             assert flat == Vector.concat([*(v for g in fn.pole_coeffs for v in g), *fn.poly_coeffs])
-            assert coefficient_vector(dataclasses.replace(fn), p, d) == flat
+            copy = RationalVectorFunction(fn.dim, fn.points, p, d, fn.coeffs)
+            assert coefficient_vector(copy, p, d) == flat
             # a larger shape pads each pole's blocks and the polynomial ones with zeros
             zero = Vector.zero(fn.dim)
             wider = Vector.concat([*(v for g in fn.pole_coeffs for v in (*g, zero)), *fn.poly_coeffs, zero])
@@ -791,7 +816,8 @@ class TestInSpan:
         sys = canon_sys()
         basis = solve_ansatz(sys)
         other = new_system(4, -1, [0, 1, 3])
-        moved = dataclasses.replace(basis[0], points=other.points)
+        first = basis[0]
+        moved = RationalVectorFunction(first.dim, other.points, first.pole_order, first.poly_degree, first.coeffs)
         assert any(not residual(other, moved, z).is_zero() for z in sample_points(other.points, 7))
         for members, fn in (
             (basis, moved),

@@ -806,32 +806,37 @@ def _run_isolated(code: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _numerical_modules() -> str:
-    return "sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})"
+def _unneeded_modules() -> str:
+    # numpy, scipy, dataclasses and inspect (which pulls in ast, dis and tokenize):
+    # no exact command needs any of them
+    return "sorted({m.split('.')[0] for m in sys.modules} & {'dataclasses', 'inspect', 'numpy', 'scipy'})"
 
 
-def test_package_import_leaves_numpy_and_scipy_unloaded():
+def test_package_import_leaves_unneeded_modules_unloaded():
     code = (
         "import json, sys\n"
         "import kzsolve\n"
-        f"after_package = {_numerical_modules()}\n"
+        f"after_package = {_unneeded_modules()}\n"
         "import kzsolve.cli\n"
-        f"print(json.dumps([after_package, {_numerical_modules()}]))\n"
+        f"print(json.dumps([after_package, {_unneeded_modules()}]))\n"
     )
     assert _run_isolated(code) == [[], []]
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_subcommand_loads_only_what_it_runs(command):
-    """Exact commands load neither numpy nor scipy; monodromy loads numpy alone."""
+    """Exact commands load none of numpy, scipy, dataclasses and inspect.
+
+    monodromy loads numpy, which itself imports inspect.
+    """
     code = (
         "import contextlib, io, json, sys\n"
         "from kzsolve import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = cli.main({SUBCOMMANDS[command]!r})\n"
-        f"print(json.dumps([status, {_numerical_modules()}]))\n"
+        f"print(json.dumps([status, {_unneeded_modules()}]))\n"
     )
-    want = ["numpy"] if command == "monodromy" else []
+    want = ["inspect", "numpy"] if command == "monodromy" else []
     assert _run_isolated(code) == [0, want]
 
 

@@ -411,6 +411,35 @@ class TestModularNullspace:
             monkeypatch.undo()
 
 
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_certified_vectors_are_lifted_once(self, gaussian, monkeypatch):
+        # the kernel of [1, 2, b] is (-2, 1, 0), which lifts from the first
+        # prime, and (-b, 0, 1), which needs several: the first is kept, not
+        # lifted and certified again at every prime
+        b = GaussianRational(Fraction(3**200, 7**100), Fraction(5**90, 11) if gaussian else 0)
+        primes = counted_images(monkeypatch)
+        lifts, certified = [], []
+        lift, mul = exactalg._lift, Matrix.__mul__
+
+        def counted_lift(residues, m):
+            lifts.append(m)
+            return lift(residues, m)
+
+        def counted_mul(M, v):
+            out = mul(M, v)
+            if out.is_zero():
+                certified.append(v)
+            return out
+
+        monkeypatch.setattr(exactalg, "_lift", counted_lift)
+        monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+        assert nullspace(Matrix([[1, 2, b]])) == [Vector([-2, 1, 0]), Vector([-b, 0, 1])]
+        assert len(primes) >= 3
+        # each kernel vector is certified once, and each prime lifts at most
+        # one vector that is not kept
+        assert certified == [Vector([-2, 1, 0]), Vector([-b, 0, 1])]
+        assert len(lifts) <= 2 + len(primes)
+
 class TestDeterminant:
     def test_identity(self):
         for n in (1, 2, 5):

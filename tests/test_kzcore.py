@@ -34,6 +34,13 @@ class TestNewSystem:
         sys = new_system(4, -1, [0, 1, 2])
         assert sys.s == 3
 
+    def test_fields_are_immutable(self):
+        sys = new_system(4, -1, [0, 1, 2])
+        for name, value in (("n", 5), ("rho", 1), ("points", ())):
+            with pytest.raises(AttributeError):
+                setattr(sys, name, value)
+        assert (sys.n, sys.rho, sys.s) == (4, -1, 3)
+
     def test_duplicate_points(self):
         with pytest.raises(ValueError):
             new_system(4, -1, [0, 1, 1])

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, count, cycle
-from math import lcm
+from itertools import accumulate, cycle
 from typing import NamedTuple
 
 from .exactalg import (
@@ -31,6 +30,7 @@ from .exactalg import (
     ScalarLike,
     Vector,
     _combine,
+    _lifted,
     _make,
     _parts,
     nullspace,
@@ -232,7 +232,7 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
     :func:`residual` reads too: its residues L_k, Q_0 and Q_1 share one
     denominator F, and a shape with no pole or no polynomial block reads
     zeros there. Each pole balance is one int pass over the nonzero
-    entries, and a zero condition is built without a gcd.
+    entries, and every condition is reduced by ``Vector.from_parts``.
     """
     if sys.rho != -1:
         raise ValueError("closed-form conditions apply to rho = -1 only")
@@ -253,7 +253,7 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
         re, im = [0] * n, [0] * n
         re[0], im[0] = lr[0] - lr[k], li[0] - li[k]
         re[k], im[k] = -re[0], -im[0]
-        sym.append(_reduced(re, im, den))
+        sym.append(Vector.from_parts(re, im, den))
     # balance k is sum_{j != k} w_j (P_k L_j + P_j L_k) + P_k (z_k q_linear + q_const)
     # with w_j = 1/(z_k - z_j) = (wr_j + wi_j*i)/E and z_k = (zx + zy*i)/zd: P_k of
     # zd sum_j w_j L_j + E zd Q_0 + E z_k Q_1, one pass over fn's nonzero entries
@@ -278,25 +278,17 @@ def check_conditions(sys: KZSystem, fn: RationalVectorFunction) -> ConditionRepo
                 xi[j] += b * x
         xr[0], xr[k], xi[0], xi[k] = xr[k], xr[0], xi[k], xi[0]
         tr, ti = _star_parts(w.re, w.im, lr, li)
-        balance.append(
-            _reduced([x + zd * t for x, t in zip(xr, tr)], [x + zd * t for x, t in zip(xi, ti)], e * zd * den)
-        )
+        re, im = [x + zd * t for x, t in zip(xr, tr)], [x + zd * t for x, t in zip(xi, ti)]
+        balance.append(Vector.from_parts(re, im, e * zd * den))
     q = blocks[s * p + 1] if fn.poly_degree == 1 else zero
     # (I + T) q_linear is sum(q) at entry 1 and q_1 + s q_(k+1) at entry k+1
     qr, qi = q
-    growth = _reduced(
+    growth = Vector.from_parts(
         [sum(qr), *(qr[0] + s * x for x in qr[1:])], [sum(qi), *(qi[0] + s * y for y in qi[1:])], den
     )
     return ConditionReport(
         residue_symmetry=tuple(sym), pole_balance=tuple(balance), growth=growth
     )
-
-
-def _reduced(re: list[int], im: list[int], den: int) -> Vector:
-    """``Vector.from_parts``, with no gcd when every part is 0."""
-    if any(re) or any(im):
-        return Vector.from_parts(re, im, den)
-    return Vector.zero(len(re))
 
 
 def residual(sys: KZSystem, fn: RationalVectorFunction, z: ScalarLike) -> Vector:
@@ -523,8 +515,9 @@ def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
 
     The parameters are each pole's principal-part columns and the resonant
     polynomial parameters. The gluing blocks, and then the kernel vectors'
-    flat coefficients, are int passes over their terms (:func:`_lifted`):
-    the rows are strided slices of block k less block 1, Q_0 slices of block 1.
+    flat coefficients, are int passes over their terms
+    (:func:`kzsolve.exactalg._lifted`): the rows are strided slices of
+    block k less block 1, Q_0 slices of block 1.
     """
     n, s, rho = sys.n, sys.s, sys.rho
     m = abs(rho)
@@ -579,29 +572,6 @@ def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
     ]
     den, flat = _lifted(terms, n * (s * p + deg + 1))
     return [Vector.from_parts(re, im, den) for re, im in flat]
-
-
-def _lifted(blocks, size: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
-    """One denominator and the int parts (re, im) of each block, not reduced.
-
-    Term (x, y, d, v, at) of a block adds (x + y*i)/d * v at entries at..,
-    lifted once to the lcm of every d * v.den, in one pass that skips zero
-    scalars and zero entries.
-    """
-    blocks = [[(x, y, d * v.den, v, at) for x, y, d, v, at in terms if x or y] for terms in blocks]
-    den = lcm(*(d for terms in blocks for _, _, d, _, _ in terms))
-    out = []
-    for terms in blocks:
-        re, im = [0] * size, [0] * size
-        for x, y, d, v, at in terms:
-            f = den // d
-            x, y = x * f, y * f
-            for i, a, b in zip(count(at), v.re, v.im):
-                if a or b:
-                    re[i] += x * a - y * b
-                    im[i] += x * b + y * a
-        out.append((re, im))
-    return den, out
 
 
 def _polynomial_part(n: int, rho: int, deg: int, zpow) -> list[list[Vector]]:

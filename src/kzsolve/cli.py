@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import ansatz, frobenius, numverify, symrep
-from .exactalg import Vector, parse_scalar
+from .exactalg import Vector, parse_scalar, parse_scalars
 from .kzcore import KZSystem, new_system
 from .s4explicit import y1, y2, y3, y4
 
@@ -130,33 +130,8 @@ def _refuse_over_cap(flag: str, value: int, cap: int) -> None:
         raise ValueError(f"{flag} {value} exceeds the cap {cap}")
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split a comma list while respecting parenthesized complex literals."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(cur))
-    parts = [p.strip() for p in parts]
-    if not all(parts):
-        raise ValueError(f"empty item in comma list {text!r}")
-    return parts
-
-
 def _build_system(args) -> KZSystem:
-    points = [parse_scalar(p) for p in _split_top_level(args.points)]
-    return new_system(args.n, args.rho, points)
+    return new_system(args.n, args.rho, parse_scalars(args.points))
 
 
 def _solution_json(fn: ansatz.RationalVectorFunction, n: int, rho: int) -> dict:

@@ -11,11 +11,13 @@ parts of its entries over one shared positive denominator, in lowest
 terms, so vector arithmetic is int loops with one gcd per result and no
 per-entry ``Fraction``; it hands out ``GaussianRational`` entries when
 read. A ``Matrix`` is elimination input, a tuple of row vectors built from
-rows or columns, and multiplies only a ``Vector``. ``_combine`` is the one
-combining loop: ``+``, ``-``, ``scale`` and :func:`linear_combination`
-lift their scalars to int parts and call it, and callers that already
-hold int parts, such as :mod:`kzsolve.frobenius` and the gluing of
-:mod:`kzsolve.ansatz`, call it directly.
+rows or columns, and multiplies only a ``Vector``. :func:`_lifted` is the
+one loop that sums scalar times vector terms, block by block at entry
+offsets over one shared denominator; the ``ansatz`` gluing calls it, and
+``_combine`` is it on one block, reduced by :meth:`Vector.from_parts`.
+``+``, ``-``, ``scale`` and :func:`linear_combination` lift their scalars
+to int parts and call ``_combine``, as :mod:`kzsolve.frobenius` and
+:mod:`kzsolve.ansatz` do with int parts they already hold.
 
 :func:`nullspace` is multimodular: it eliminates each row's int parts
 modulo 126-bit primes, reconstructs the rational kernel by Chinese
@@ -36,12 +38,15 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm, prod
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
 
-_RAT_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
+# A scalar literal: p or p/q with an optional sign, or (re,im) with each part
+# one; blanks may surround the literal and each part of a complex one
+_RAT = r"([+-]?\d+)(?:/(\d+))?"
+_SCALAR = _re.compile(rf"\s*(?:{_RAT}|\(\s*{_RAT}\s*,\s*{_RAT}\s*\))\s*")
 
 
 def _as_fraction(x) -> Fraction:
@@ -180,16 +185,13 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
-def _parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if not _RAT_RE.match(text):
-        raise ValueError(f"malformed rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in literal: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def _scalar(m) -> GaussianRational:
+    """A ``_SCALAR`` match's scalar: one part for a real literal, two for a complex one."""
+    g = m.groups()
+    parts = [(int(num), int(den or 1)) for num, den in zip(g[::2], g[1::2]) if num is not None]
+    if any(den == 0 for _, den in parts):
+        raise ValueError(f"zero denominator in literal: {m.group().strip()!r}")
+    return GaussianRational(*(Fraction(*p) for p in parts))
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -200,16 +202,22 @@ def parse_scalar(text: str) -> GaussianRational:
     """
     if not isinstance(text, str):
         raise TypeError(f"scalar literal must be a string, not {type(text).__name__}")
-    text = text.strip()
-    if text.startswith("("):
-        if not text.endswith(")"):
-            raise ValueError(f"malformed complex literal: {text!r}")
-        body = text[1:-1]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"complex literal needs two parts: {text!r}")
-        return GaussianRational(_parse_rational(parts[0]), _parse_rational(parts[1]))
-    return GaussianRational(_parse_rational(text))
+    m = _SCALAR.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed scalar literal: {text!r}")
+    return _scalar(m)
+
+
+def parse_scalars(text: str) -> list[GaussianRational]:
+    """Parse a comma list of :func:`parse_scalar` literals, at least one, none empty."""
+    out, at = [], -1
+    while at < len(text):
+        m = _SCALAR.match(text, at + 1)
+        if m is None or m.end() < len(text) and text[m.end()] != ",":
+            raise ValueError(f"malformed comma list of literals: {text!r}")
+        out.append(_scalar(m))
+        at = m.end()
+    return out
 
 
 def _parts(s: GaussianRational) -> tuple[int, int, int]:
@@ -262,6 +270,8 @@ class Vector:
         """The vector with entries (re[j] + im[j]*i) / den, den > 0, brought to canonical form."""
         if den <= 0:
             raise ValueError("shared denominator must be positive")
+        if not (any(re) or any(im)):
+            return Vector.zero(len(re))
         g = gcd(den, *re, *im)
         if g != 1:
             den //= g
@@ -381,36 +391,36 @@ def linear_combination(terms: Iterable[tuple[ScalarLike, Vector]], dim: int) -> 
 
 
 def _combine(terms: Iterable[tuple[int, int, int, Vector]], dim: int) -> Vector:
-    """sum_j (x_j + y_j*i) / d_j * v_j over (x_j, y_j, d_j, v_j) in ``terms``, d_j > 0.
+    """sum_j (x_j + y_j*i) / d_j * v_j over (x_j, y_j, d_j, v_j) in ``terms``, d_j > 0,
+    each v_j of dimension ``dim``: :func:`_lifted` on one block, reduced by one gcd."""
+    block = [(x, y, d, v, 0) for x, y, d, v in terms]
+    if any(v.dim != dim for _, _, _, v, _ in block):
+        raise ValueError("vector dimension mismatch")
+    den, ((re, im),) = _lifted([block], dim)
+    return Vector.from_parts(re, im, den)
 
-    The scalars' int parts need not be in lowest terms: every term with a
-    nonzero scalar and vector is lifted to one denominator, summed in one
-    int loop and reduced by one gcd.
+
+def _lifted(blocks, size: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """One denominator and the int parts (re, im) of each block's ``size`` entries, not reduced.
+
+    Term (x, y, d, v, at) of a block adds (x + y*i)/d * v at entries at..,
+    its parts not necessarily in lowest terms, lifted once to the lcm of
+    every d * v.den, in one pass that skips zero scalars and zero entries.
     """
-    lifted = []
-    for sr, si, sd, v in terms:
-        if v.dim != dim:
-            raise ValueError("vector dimension mismatch")
-        if (sr or si) and (any(v.re) or any(v.im)):
-            lifted.append((sr, si, sd * v.den, v))
-    if not lifted:
-        return Vector.zero(dim)
-    den = lcm(*(d for _, _, d, _ in lifted))
-    re = im = None
-    for sr, si, d, v in lifted:
-        f = den // d
-        sr, si = sr * f, si * f
-        if si:
-            xr = [sr * x - si * y for x, y in zip(v.re, v.im)]
-            xi = [sr * y + si * x for x, y in zip(v.re, v.im)]
-        else:
-            # a real scalar: no imaginary products, and no products at all on a real vector
-            xr = [sr * x for x in v.re]
-            xi = [sr * y for y in v.im] if any(v.im) else None
-        re = xr if re is None else list(map(add, re, xr))
-        if xi is not None:
-            im = xi if im is None else list(map(add, im, xi))
-    return Vector.from_parts(re, im or [0] * dim, den)
+    blocks = [[(x, y, d * v.den, v, at) for x, y, d, v, at in terms if x or y] for terms in blocks]
+    den = lcm(*(d for terms in blocks for _, _, d, _, _ in terms))
+    out = []
+    for terms in blocks:
+        re, im = [0] * size, [0] * size
+        for x, y, d, v, at in terms:
+            f = den // d
+            x, y = x * f, y * f
+            for i, a, b in zip(count(at), v.re, v.im):
+                if a or b:
+                    re[i] += x * a - y * b
+                    im[i] += x * b + y * a
+        out.append((re, im))
+    return den, out
 
 
 class Matrix:

@@ -3,15 +3,17 @@
 The residues are the transpositions P_k = (1 k+1) acting on coordinates,
 the "star" generators; no dense generator matrix is built here. A
 residue operator c*I + sum_k w_k P_k is carried as its shift c and its
-weights w, and this is the only module that knows what the weights
-mean, but for the Frobenius right-hand sides, which fuse the action into
-their sum over terms (:func:`kzsolve.frobenius._convolution`):
-:func:`_star_parts` applies a weighted sum to an exact vector in O(n)
-int operations on the weights' and the vector's raw numerators, for the
-residual evaluator, the pole balance of :mod:`kzsolve.ansatz` and the
-Frobenius re-substitution, and :func:`star_act_array` applies it to a
-floating vector or matrix in O(n) work per column. No residue operator
-is written into the rows of a linear system. A lone P_k is no weighted
+weights w. Two callers write such an action on int parts themselves: the
+Frobenius right-hand sides fuse it into their sum over terms
+(:func:`kzsolve.frobenius._convolution`), and
+:func:`kzsolve.ansatz.check_conditions` writes (I - P_k), P_k and (I + T)
+out entry by entry. :func:`_star_parts` applies a weighted sum to an
+exact vector in O(n) int operations on the weights' and the vector's raw
+numerators, for the residual evaluator, the pole balance of
+:mod:`kzsolve.ansatz` and the Frobenius re-substitution, and
+:func:`star_act_array` applies it to a floating vector or matrix in O(n)
+work per column. No residue operator is written into the rows of a
+linear system. A lone P_k is no weighted
 sum: :func:`transpose` exchanges two entries of a ``Vector`` (the
 Frobenius recursion folds the same exchange into the int parts of its
 closed form). The generator sum T governs the large-z behaviour of the

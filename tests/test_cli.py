@@ -133,15 +133,20 @@ class TestVerify:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "points", ["0,,1,2", ",0,1,2", "0,1,2,", "0, ,1,2"],
-        ids=["doubled", "leading", "trailing", "blank"],
+        "points",
+        ["0,,1,2", ",0,1,2", "0,1,2,", "0, ,1,2",
+         "", "1,", ",1", "(1,2", "1)(", "((1,2))", "1,,2", "(1,2,3)"],
+        ids=["doubled", "leading", "trailing", "blank",
+             "empty", "one-trailing", "one-leading", "unclosed", "reversed", "nested",
+             "one-doubled", "three-parts"],
     )
     def test_empty_point_item_exits_2(self, capsys, points):
-        code, out, err = run(
-            capsys, ["verify", "--n", "4", "--rho", "-1", "--points", points, "--solution", "y2"]
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for command in (["verify", "--solution", "y2"], ["nullspace"]):
+            code, out, err = run(capsys, [*command, "--n", "4", "--rho", "-1", "--points", points])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            # refused as a list, not for its length once parsed leniently
+            assert repr(points) in err
 
     def test_complex_points_parse(self, capsys):
         code, out, _ = run(

@@ -44,6 +44,7 @@ from kzsolve.exactalg import (
     determinant,
     nullspace,
     parse_scalar,
+    parse_scalars,
 )
 
 
@@ -69,6 +70,13 @@ class TestParsing:
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_scalar(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/00", "(1/0,2)", "( 1 , -3/0 )"])
+    def test_zero_denominator_is_named(self, text):
+        with pytest.raises(ValueError, match="zero denominator in literal"):
+            parse_scalar(text)
+        with pytest.raises(ValueError, match="zero denominator in literal"):
+            parse_scalars(f"1,{text},(2,3)")
 
 
 class TestScalarArithmetic:
@@ -224,6 +232,41 @@ class TestSharedDenominator:
                 assert Vector.concat([u.segment(0, k), u.segment(k, len(a))]) == u
                 joined = Vector.concat([u, v])
                 assert canonical(joined) and joined.data == tuple(a + b)
+
+    def test_lifted_blocks_at_offsets_match_the_oracle(self):
+        # every block sums its terms at their offsets over one shared, unreduced
+        # denominator; zero scalars add nothing to it, zero vectors and entries
+        # add no products
+        rng = random.Random(125)
+        for trial in range(self.TRIALS):
+            size = trial % 9 + 1
+            blocks, want = [], []
+            for _ in range(rng.randint(1, 4)):
+                terms, padded = [], []
+                for _ in range(rng.randint(0, 5)):
+                    dim = rng.randint(0, size)
+                    at = rng.randint(0, size - dim)
+                    a = [ZERO] * dim if rng.random() < 0.2 else random_entries(rng, dim, trial)
+                    s = ZERO if rng.random() < 0.2 else random_scalar(rng, (6, 10**9)[trial % 2])
+                    # the scalar's parts need not be in lowest terms
+                    x, y, d = exactalg._parts(s)
+                    k = rng.randint(1, 4)
+                    terms.append((k * x, k * y, k * d, Vector(a), at))
+                    padded.append((s, [[ZERO] * at + a + [ZERO] * (size - at - dim)]))
+                blocks.append(terms)
+                want.append(dense_combination([(ZERO, [[ZERO] * size]), *padded])[0])
+            den, parts = exactalg._lifted(blocks, size)
+            assert den == lcm(*(d * v.den for terms in blocks for x, y, d, v, _ in terms if x or y))
+            for (re, im), total in zip(parts, want, strict=True):
+                assert [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)] == total
+                got = Vector.from_parts(re, im, den)
+                assert canonical(got) and got == Vector(total)
+
+    def test_zero_parts_are_the_zero_vector(self):
+        for n in range(5):
+            for den in (1, 2, 12, 10**30 + 7):
+                v = Vector.from_parts([0] * n, [0] * n, den)
+                assert v == Vector.zero(n) and hash(v) == hash(Vector.zero(n)) and v.den == 1
 
     def test_equal_vectors_hash_equal(self):
         for rng, a, b in self.cases(124):

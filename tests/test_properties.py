@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar  # noqa: E402
+from kzsolve.exactalg import ONE, ZERO, GaussianRational, Vector, parse_scalar, parse_scalars  # noqa: E402
 
 rationals = st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30)
 scalars = st.builds(GaussianRational, rationals, rationals) | st.builds(GaussianRational, rationals)
@@ -49,6 +49,24 @@ def test_nonzero_scalars_are_invertible(a, b):
 @given(scalars)
 def test_parse_round_trip(x):
     assert parse_scalar(str(x)) == x
+
+
+blanks = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@deterministic
+@given(st.lists(scalars, min_size=1, max_size=6), st.data())
+def test_parse_list_round_trip(zs, data):
+    def spaced(text):
+        # blanks around the literal and around each part of a complex one
+        b = lambda: data.draw(blanks)  # noqa: E731
+        if text.startswith("("):
+            re, im = text[1:-1].split(",")
+            text = f"({b()}{re}{b()},{b()}{im}{b()})"
+        return b() + text + b()
+
+    assert parse_scalars(", ".join(map(str, zs))) == zs
+    assert parse_scalars(",".join(spaced(str(z)) for z in zs)) == zs
 
 
 @deterministic

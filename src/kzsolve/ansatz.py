@@ -10,7 +10,9 @@ recursion (:mod:`kzsolve.frobenius`), the polynomial part from the
 recursion at infinity through T's spectral projectors
 (:mod:`kzsolve.symrep`), and one exact nullspace of the simple-pole rows
 joins them; the rows, the constant term read back from one pole's block
-and the glued coefficients are int passes, with no per-block vector.
+and the glued coefficients are int passes, with no per-block vector. That
+nullspace is memoised per system on what the shape changes in the rows,
+and every call certifies its own basis.
 Membership in a span is read off its RREF kernel, with no elimination.
 A function is stored once, as its flat coefficient vector in its own
 shape; each basis function is a kernel vector as it is, and the
@@ -461,7 +463,13 @@ def solve_ansatz(
     for rho != 0 the one elimination is the nullspace of blocks 2..s less
     block 1, on the pole and resonant parameters alone, and Q_0 is read
     back from block 1; each block and each kernel vector's flat image is
-    one int pass (:func:`_glued_kernel`). At rho = 0 no pole or degree
+    one int pass (:func:`_glued_kernel`). No pole order past |rho| and no
+    degree past the highest resonant one adds a parameter, so the kernel
+    and each parameter's images are memoised per system on (|rho| <= p,
+    highest resonant degree <= d), at most 32 entries
+    (:func:`_parameter_kernel`): shapes that share that key run one
+    elimination, and each call lays the kernel out at its own (p, d)
+    offsets and certifies it there. At rho = 0 no pole or degree
     carries a parameter, every gluing row is zero and W is the free
     constant Q_0. The flat kernel is brought to the full system's RREF
     kernel (:func:`_rref_kernel_form`), which the kernel space alone
@@ -477,7 +485,8 @@ def solve_ansatz(
     (:func:`_sample_record`), its inverses scaled by rho once, and each
     vector one int loop over its nonzero entries (:func:`_value_slope`)
     and one star action, the evaluator behind :func:`residual`; it reads
-    none of the glued rows. A nonzero defect raises rather than returning
+    none of the glued rows and is never memoised, so a warm call certifies
+    as much as a cold one. A nonzero defect raises rather than returning
     a wrong basis; each certified vector is its function's stored
     coefficients.
     """
@@ -513,30 +522,59 @@ def solve_ansatz(
 def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
     """A basis of the solutions of shape (p, deg) as flat vectors, for rho != 0.
 
-    The parameters are each pole's principal-part columns and the resonant
-    polynomial parameters. The gluing blocks, and then the kernel vectors'
-    flat coefficients, are int passes over their terms
-    (:func:`kzsolve.exactalg._lifted`): the rows are strided slices of
-    block k less block 1, Q_0 slices of block 1.
+    The kernel and each parameter's image vectors come from
+    :func:`_parameter_kernel`, memoised on (sys, |rho| <= p, top) for the
+    highest resonant degree top <= deg: shapes that share that key glue the
+    same rows, and only the offsets of the images differ. They are placed
+    at the (p, deg) offsets in one int pass (:func:`kzsolve.exactalg._lifted`).
+    """
+    n, s, rho = sys.n, sys.s, sys.rho
+    # the highest degree c = rho*lambda at which an eigenvalue lambda of T resonates
+    top = next((c for c in range(deg, 0, -1) if _t_kernel(c, rho, n)), 0)
+    kernel, images = _parameter_kernel(sys, abs(rho) <= p, top)
+    # image (b, j) starts at pole j's first block, or at Q_0 for j = s
+    terms = [
+        [(x, y, v.den, b, n * j * p) for x, y, pairs in zip(v.re, v.im, images) for b, j in pairs]
+        for v in kernel
+    ]
+    den, flat = _lifted(terms, n * (s * p + deg + 1))
+    return [Vector.from_parts(re, im, den) for re, im in flat]
+
+
+@lru_cache(maxsize=32)
+def _parameter_kernel(sys: KZSystem, poles: bool, top: int):
+    """(kernel, images) of the gluing on the pole and resonant parameters, as tuples.
+
+    The parameters are each pole's principal-part columns, present iff
+    ``poles`` (|rho| <= p), and the polynomial parameters of the resonant
+    degrees up to ``top``. Neither depends on p, and no degree above ``top``
+    carries a parameter or a nonzero Q_c, so every shape with one key builds
+    the same rows: memoised on (sys, poles, top), at most 32 entries, its
+    values tuples of immutable ``Vector``s. The kernel is ``nullspace``'s
+    certified RREF kernel of the rows; each parameter's images are
+    (vector, j) pairs, its b_-1..b_-|rho| at pole j and its Q_0, or its
+    Q_0..Q_top, at j = s. The gluing blocks, and Q_0 read back from block
+    1, are int passes over their terms (:func:`kzsolve.exactalg._lifted`):
+    the rows are strided slices of block k less block 1.
     """
     n, s, rho = sys.n, sys.s, sys.rho
     m = abs(rho)
-    locals_ = [local_coefficients(sys, k + 1, m - 1) for k in range(s)] if m <= p else []
-    # (columns, own-pole terms) per pole; no pole carries a parameter unless |rho| <= p
+    locals_ = [local_coefficients(sys, k + 1, m - 1) for k in range(s)] if poles else []
+    # (columns, own-pole terms) per pole
     parts = [_principal_part(k + 1, rho, loc) for k, loc in enumerate(locals_)]
-    # z_k^t for t = 1..deg as int parts over the points' shared denominator to the t
-    zpow = _powers(Vector(sys.points), deg)
-    poly = _polynomial_part(n, rho, deg, zpow)
+    # z_k^t for t = 1..top as int parts over the points' shared denominator to the t
+    zpow = _powers(Vector(sys.points), top)
+    poly = _polynomial_part(n, rho, top, zpow)
     # the entry offset of each pole's first column, and of the first polynomial one
     at = [n * i for i in accumulate((len(cols) for cols, _ in parts), initial=0)]
     size = at[-1] + n * len(poly)
     if not size:
-        return []
+        return (), ()
 
     # pole j's columns at each order b_-r, and the polynomial columns at each
-    # degree 1..deg, stacked one after the other
+    # degree 1..top, stacked one after the other
     stacked = [[Vector.concat([col[r] for col in cols]) for r in range(m)] for cols, _ in parts]
-    qs = [Vector.concat([col[d] for col in poly]) for d in range(deg)] if poly else []
+    qs = [Vector.concat([col[d] for col in poly]) for d in range(top)] if poly else []
     # block k of the simple-pole rows times P_k, less rho Q_0: P_k times the
     # own-pole term of pole k's columns, rho times the value at z_k of every
     # other pole's columns, and then rho z_k^d Q_d for d >= 1; the weight
@@ -560,18 +598,11 @@ def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
     # rho Q_0 plus block 1 is 0, so Q_0 is block 1 times -1/rho
     r1, i1 = ([-x for x in r1], [-y for y in i1]) if rho > 0 else (r1, i1)
     q0s = (Vector.from_parts(r1[i:i + n], i1[i:i + n], m * den) for i in range(0, size, n))
-    # each parameter's (vector, entry offset) pairs in the flat layout: its
-    # pole's b_-1..b_-|rho| and its Q_0, or its Q_0..Q_deg
     images = []
     for j, (cols, _) in enumerate(parts):
-        images += [[(Vector.concat(col), n * j * p), (next(q0s), n * s * p)] for col in cols]
-    images += [[(Vector.concat([next(q0s), *col]), n * s * p)] for col in poly]
-    terms = [
-        [(x, y, v.den, b, i) for x, y, pairs in zip(v.re, v.im, images) for b, i in pairs]
-        for v in nullspace(Matrix(rows))
-    ]
-    den, flat = _lifted(terms, n * (s * p + deg + 1))
-    return [Vector.from_parts(re, im, den) for re, im in flat]
+        images += [((Vector.concat(col), j), (next(q0s), s)) for col in cols]
+    images += [((Vector.concat([next(q0s), *col]), s),) for col in poly]
+    return tuple(nullspace(Matrix(rows))), tuple(images)
 
 
 def _polynomial_part(n: int, rho: int, deg: int, zpow) -> list[list[Vector]]:

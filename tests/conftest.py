@@ -102,6 +102,7 @@ import pytest
 from kzsolve import exactalg
 from kzsolve.ansatz import (
     RationalVectorFunction,
+    _parameter_kernel,
     _sample_record,
     coefficient_vector,
 )
@@ -133,7 +134,7 @@ def counted_images(monkeypatch, limit=40):
 
 
 # the library's memos on input data (exactalg's table of primes, the same for every input, is none)
-MEMOS = (_inverses, _sample_record)
+MEMOS = (_inverses, _sample_record, _parameter_kernel)
 
 
 @pytest.fixture(autouse=True)

@@ -31,6 +31,7 @@ from conftest import (
 from kzsolve import ansatz
 from kzsolve.ansatz import (
     RationalVectorFunction,
+    _parameter_kernel,
     _sample_record,
     check_conditions,
     coefficient_vector,
@@ -643,6 +644,9 @@ class TestCertificate:
     def test_corrupted_kernel_raises(self, monkeypatch, n, rho, points, p, d, entry):
         sys = new_system(n, rho, [parse_scalar(z) for z in points])
         assert solve_ansatz(sys, p, d)
+        # a warm memo would hand back the kernel above without eliminating again
+        for memo in MEMOS:
+            memo.cache_clear()
         real = ansatz.nullspace
 
         def corrupted(M):
@@ -982,6 +986,76 @@ class TestWeightMemo:
         assert _sample_record.cache_info().hits > 0
         # the corrupted candidate's residuals, so the comparison reads nonzero values
         assert not all(r.is_zero() for r in cold[0][4][1])
+
+
+class TestKernelMemo:
+    """One gluing elimination per system and key (|rho| <= p, top resonant degree <= d)."""
+
+    SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+    @staticmethod
+    def systems():
+        rng = random.Random(3900)
+        for n in (4, 5):
+            for rho in (-2, -1, 1, 2):
+                yield new_system(n, rho, rng.sample(range(-6, 7), n - 1))
+                yield new_system(n, rho, random_points(rng, n - 1))
+
+    @staticmethod
+    def solve_all(sys, shapes):
+        return {shape: [repr(fn) for fn in solve_ansatz(sys, *shape)] for shape in shapes}
+
+    def test_cold_and_warm_bases_are_identical(self):
+        for sys in self.systems():
+            cold = {}
+            for shape in self.SHAPES:
+                for memo in MEMOS:
+                    memo.cache_clear()
+                cold.update(self.solve_all(sys, [shape]))
+            for order in (self.SHAPES, self.SHAPES[::-1]):
+                for memo in MEMOS:
+                    memo.cache_clear()
+                assert self.solve_all(sys, order) == cold, (sys, order)
+            # (2, 1) and (2, 2) glue as (1, 1) and (1, 2) do at |rho| = 1
+            if abs(sys.rho) == 1:
+                assert _parameter_kernel.cache_info().hits > 0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_shapes_past_the_bound_draw_one_image(self, monkeypatch, n):
+        # rho = -1 resonates at degree 1 alone and needs pole order 1: one key
+        sys = new_system(n, -1, list(range(n - 1)))
+        primes = counted_images(monkeypatch)
+        for shape in ((1, 1), (2, 1), (1, 2)):
+            assert len(solve_ansatz(sys, *shape)) == n
+        assert len(primes) == 1
+        assert _parameter_kernel.cache_info().misses == 1
+
+    def test_warm_call_certifies_as_much_as_a_cold_one(self, monkeypatch):
+        sys = new_system(5, 1, [0, 1, GaussianRational(2, 1), -3])
+        real, calls = ansatz._value_slope, []
+        monkeypatch.setattr(ansatz, "_value_slope", lambda *args: calls.append(1) or real(*args))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert solve_ansatz(sys, 2, 1)
+            counts.append(len(calls))
+        assert _parameter_kernel.cache_info().hits == 1
+        assert counts[0] == counts[1] > 0
+
+    def test_key_is_the_whole_system(self):
+        systems = (new_system(4, -1, CANON), new_system(4, 1, CANON), new_system(4, -1, [0, 1, 3]))
+        # (1, 1) is below rho = 1's bound shape (1, 3): one solution fits it
+        assert [len(solve_ansatz(sys)) for sys in systems] == [4, 1, 4]
+        assert _parameter_kernel.cache_info().misses == 3
+
+    def test_cached_values_are_immutable(self):
+        kernel, images = _parameter_kernel(new_system(4, -1, CANON), True, 1)
+        assert isinstance(kernel, tuple) and all(isinstance(v, Vector) for v in kernel)
+        assert isinstance(images, tuple) and len(images) == kernel[0].dim
+        assert all(
+            isinstance(pairs, tuple) and all(isinstance(b, Vector) and type(j) is int for b, j in pairs)
+            for pairs in images
+        )
 
 
 class TestDuality:

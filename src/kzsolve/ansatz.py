@@ -11,8 +11,9 @@ recursion at infinity through T's spectral projectors
 (:mod:`kzsolve.symrep`), and one exact nullspace of the simple-pole rows
 joins them; the rows, the constant term read back from one pole's block
 and the glued coefficients are int passes, with no per-block vector. That
-nullspace is memoised per system on what the shape changes in the rows,
-and every call certifies its own basis.
+nullspace and the basis it gives are memoised per system on what the shape
+changes in the rows, laid out in the key's own shape; every call pads that
+basis to its shape with zero blocks and certifies it there.
 Membership in a span is read off its RREF kernel, with no elimination.
 A function is stored once, as its flat coefficient vector in its own
 shape; each basis function is a kernel vector as it is, and the
@@ -341,10 +342,11 @@ def _sample_record(
     Memoised on (points, z, shape), at most 32 entries: it depends on
     nothing else (rho enters only in :func:`_rho_weights`), and every
     function of one shape read at z, by :meth:`RationalVectorFunction.eval`,
-    :func:`residual` or :func:`solve_ansatz`'s certificate, shares one
-    record. z may be a pole; each reader decides what that means. The
-    inverses are the shared ``Vector`` of ``_inverses(points, z)`` and the
-    table is a tuple of int tuples, so callers share them.
+    :func:`residual` or :func:`solve_ansatz`'s certificate (which reads it
+    in the shape its basis uses), shares one record. z may be a pole; each
+    reader decides what that means. The inverses are the shared ``Vector``
+    of ``_inverses(points, z)`` and the table is a tuple of int tuples, so
+    callers share them.
 
     ``inverses[k]`` is 1/(z - z_k) over E, 0 at a pole, which zeroes that
     pole's weights. Entry u of the table holds the int parts of block u's
@@ -463,32 +465,37 @@ def solve_ansatz(
     for rho != 0 the one elimination is the nullspace of blocks 2..s less
     block 1, on the pole and resonant parameters alone, and Q_0 is read
     back from block 1; each block and each kernel vector's flat image is
-    one int pass (:func:`_glued_kernel`). No pole order past |rho| and no
-    degree past the highest resonant one adds a parameter, so the kernel
-    and each parameter's images are memoised per system on (|rho| <= p,
-    highest resonant degree <= d), at most 32 entries
-    (:func:`_parameter_kernel`): shapes that share that key run one
-    elimination, and each call lays the kernel out at its own (p, d)
-    offsets and certifies it there. At rho = 0 no pole or degree
-    carries a parameter, every gluing row is zero and W is the free
-    constant Q_0. The flat kernel is brought to the full system's RREF
-    kernel (:func:`_rref_kernel_form`), which the kernel space alone
-    determines, so the basis is the one the full system's nullspace returns.
+    one int pass. No pole order past |rho| and no degree past the highest
+    resonant one adds a parameter, so the basis is memoised per system on
+    (|rho| <= p, highest resonant degree <= d), at most 32 entries
+    (:func:`_parameter_kernel`), as the full system's RREF kernel
+    (:func:`_rref_kernel_form`, which the kernel space alone determines)
+    laid out at the key's own shape: shapes that share that key run one
+    elimination, one layout and one RREF pass, and each call pads the
+    memoised vectors with zero blocks to its own (p, d) (:func:`_padded`),
+    which keeps the order of the nonzero coordinates and so the RREF form;
+    the basis is the one the full system's nullspace returns. At rho = 0
+    no pole or degree carries a parameter, every gluing row is zero and W
+    is the free constant Q_0, whose unit vectors are that RREF kernel.
 
-    Every kernel vector is certified before it becomes a function. Let p_u
-    be the highest pole order and d_u the highest degree at which some
-    kernel vector is nonzero (0 if none is). For W of that shape,
-    W' - rho*A*W times prod_k (z - z_k)^(p_u+1) is a polynomial of degree
-    below s(p_u + 1) + d_u (:func:`sample_count`), so it must vanish at
-    that many sample points, the count ``kz verify`` takes per function.
-    Each point gets one sample record in the (p, d) layout
-    (:func:`_sample_record`), its inverses scaled by rho once, and each
-    vector one int loop over its nonzero entries (:func:`_value_slope`)
-    and one star action, the evaluator behind :func:`residual`; it reads
-    none of the glued rows and is never memoised, so a warm call certifies
-    as much as a cold one. A nonzero defect raises rather than returning
-    a wrong basis; each certified vector is its function's stored
-    coefficients.
+    Every kernel vector is certified before it becomes a function, on every
+    call and on the (p, d) vectors it returns. Let p_u be the highest pole
+    order and d_u the highest degree at which some kernel vector is nonzero
+    (0 if none is). For W of that shape, W' - rho*A*W times
+    prod_k (z - z_k)^(p_u+1) is a polynomial of degree below
+    s(p_u + 1) + d_u (:func:`sample_count`), so it must vanish at that many
+    sample points, the count ``kz verify`` takes per function. Each vector's
+    nonzero entries are read in the (p, d) layout and their blocks moved to
+    the (p_u, d_u) layout, pole block k*p + r - 1 to k*p_u + r - 1 and
+    polynomial block s*p + e to s*p_u + e, so each point gets one sample
+    record in the used shape (:func:`_sample_record`), shared by every
+    shape of the system whose basis uses the same blocks, its inverses
+    scaled by rho once, and each vector one int loop over its nonzero
+    entries (:func:`_value_slope`) and one star action, the evaluator
+    behind :func:`residual`; it reads none of the glued rows and is never
+    memoised, so a warm call certifies as much as a cold one. A nonzero
+    defect raises rather than returning a wrong basis; each certified
+    vector is its function's stored coefficients.
     """
     if pole_order < 1:
         raise ValueError("pole_order must be at least 1")
@@ -497,11 +504,10 @@ def solve_ansatz(
     n, s, p, deg = sys.n, sys.s, pole_order, poly_degree
     size = n * (s * p + deg + 1)
     if sys.rho == 0:
-        # W' = 0: W is the constant Q_0
-        flat = [Vector.unit(size, s * p * n + i) for i in range(n)]
+        # W' = 0: W is the constant Q_0, and the units are in RREF kernel form
+        kernel = [Vector.unit(size, s * p * n + i) for i in range(n)]
     else:
-        flat = _glued_kernel(sys, p, deg)
-    kernel = _rref_kernel_form(flat)
+        kernel = _glued_kernel(sys, p, deg)
     # the certificate reads none of the rows: W' - rho*A*W of every kernel
     # vector at every sample point, from one sample record per point
     vectors = [_nonzero_entries(vec, n) for vec in kernel]
@@ -509,8 +515,11 @@ def solve_ansatz(
     # pole block (k, r) is k*p + r - 1, polynomial block d is s*p + d
     p_used = max((u % p + 1 for u in used if u < s * p), default=0)
     d_used = max((u - s * p for u in used if u >= s * p), default=0)
+    # the same blocks in the used shape, whose sample records every shape shares
+    moved = {u: u // p * p_used + u % p if u < s * p else u - s * (p - p_used) for u in used}
+    vectors = [([moved[u] for u in blocks], *rest) for blocks, *rest in vectors]
     for z in sample_points(sys.points, sample_count(s, p_used, d_used)) if vectors else ():
-        inverses, table, _ = _sample_record(sys.points, z, p, deg)
+        inverses, table, _ = _sample_record(sys.points, z, p_used, d_used)
         ar, ai = _rho_weights(inverses, sys.rho, z)
         for entries in vectors:
             wr, wi, sr, si = _value_slope(table, entries, n)
@@ -520,42 +529,42 @@ def solve_ansatz(
 
 
 def _glued_kernel(sys: KZSystem, p: int, deg: int) -> list[Vector]:
-    """A basis of the solutions of shape (p, deg) as flat vectors, for rho != 0.
+    """The RREF kernel basis of the solutions of shape (p, deg) as flat vectors, for rho != 0.
 
-    The kernel and each parameter's image vectors come from
-    :func:`_parameter_kernel`, memoised on (sys, |rho| <= p, top) for the
-    highest resonant degree top <= deg: shapes that share that key glue the
-    same rows, and only the offsets of the images differ. They are placed
-    at the (p, deg) offsets in one int pass (:func:`kzsolve.exactalg._lifted`).
+    The basis comes from :func:`_parameter_kernel`, memoised on
+    (sys, |rho| <= p, top) for the highest resonant degree top <= deg and
+    laid out at the key's shape (|rho| or 0, top): shapes that share that
+    key have the same solutions, and each vector is only padded with zero
+    blocks to (p, deg) (:func:`_padded`), which maps the RREF kernel at the
+    key's shape to the one at (p, deg). The caller certifies the result.
     """
     n, s, rho = sys.n, sys.s, sys.rho
     # the highest degree c = rho*lambda at which an eigenvalue lambda of T resonates
     top = next((c for c in range(deg, 0, -1) if _t_kernel(c, rho, n)), 0)
-    kernel, images = _parameter_kernel(sys, abs(rho) <= p, top)
-    # image (b, j) starts at pole j's first block, or at Q_0 for j = s
-    terms = [
-        [(x, y, v.den, b, n * j * p) for x, y, pairs in zip(v.re, v.im, images) for b, j in pairs]
-        for v in kernel
-    ]
-    den, flat = _lifted(terms, n * (s * p + deg + 1))
-    return [Vector.from_parts(re, im, den) for re, im in flat]
+    poles = abs(rho) <= p
+    own = (abs(rho) if poles else 0, top)
+    return [_padded(v, n, s, own, (p, deg)) for v in _parameter_kernel(sys, poles, top)]
 
 
 @lru_cache(maxsize=32)
-def _parameter_kernel(sys: KZSystem, poles: bool, top: int):
-    """(kernel, images) of the gluing on the pole and resonant parameters, as tuples.
+def _parameter_kernel(sys: KZSystem, poles: bool, top: int) -> tuple[Vector, ...]:
+    """The RREF kernel of the solutions of every shape with this key, at the key's own shape.
 
     The parameters are each pole's principal-part columns, present iff
     ``poles`` (|rho| <= p), and the polynomial parameters of the resonant
     degrees up to ``top``. Neither depends on p, and no degree above ``top``
     carries a parameter or a nonzero Q_c, so every shape with one key builds
-    the same rows: memoised on (sys, poles, top), at most 32 entries, its
-    values tuples of immutable ``Vector``s. The kernel is ``nullspace``'s
-    certified RREF kernel of the rows; each parameter's images are
-    (vector, j) pairs, its b_-1..b_-|rho| at pole j and its Q_0, or its
-    Q_0..Q_top, at j = s. The gluing blocks, and Q_0 read back from block
-    1, are int passes over their terms (:func:`kzsolve.exactalg._lifted`):
-    the rows are strided slices of block k less block 1.
+    the same rows and has the same solutions: memoised on (sys, poles, top),
+    at most 32 entries, its value a tuple of immutable ``Vector``s laid out
+    at the key's shape K = (|rho| if ``poles`` else 0, top). The gluing
+    blocks, and Q_0 read back from block 1, are int passes over their terms
+    (:func:`kzsolve.exactalg._lifted`): the rows are strided slices of block
+    k less block 1. Each parameter's images are its b_-1..b_-|rho| at pole j
+    and its Q_0, or its Q_0..Q_top; each vector of ``nullspace``'s certified
+    kernel of the rows places them at K in one more such pass, and the
+    vectors are brought to the RREF kernel form (:func:`_rref_kernel_form`)
+    once per key. Nothing here is certified as a solution:
+    :func:`solve_ansatz` certifies each call's padded basis.
     """
     n, s, rho = sys.n, sys.s, sys.rho
     m = abs(rho)
@@ -569,7 +578,7 @@ def _parameter_kernel(sys: KZSystem, poles: bool, top: int):
     at = [n * i for i in accumulate((len(cols) for cols, _ in parts), initial=0)]
     size = at[-1] + n * len(poly)
     if not size:
-        return (), ()
+        return ()
 
     # pole j's columns at each order b_-r, and the polynomial columns at each
     # degree 1..top, stacked one after the other
@@ -598,11 +607,19 @@ def _parameter_kernel(sys: KZSystem, poles: bool, top: int):
     # rho Q_0 plus block 1 is 0, so Q_0 is block 1 times -1/rho
     r1, i1 = ([-x for x in r1], [-y for y in i1]) if rho > 0 else (r1, i1)
     q0s = (Vector.from_parts(r1[i:i + n], i1[i:i + n], m * den) for i in range(0, size, n))
+    # each parameter's images as (vector, j): at pole j's first block, or at Q_0 for j = s
     images = []
     for j, (cols, _) in enumerate(parts):
         images += [((Vector.concat(col), j), (next(q0s), s)) for col in cols]
     images += [((Vector.concat([next(q0s), *col]), s),) for col in poly]
-    return tuple(nullspace(Matrix(rows))), tuple(images)
+    # pole j's first block at K is block j*|rho|, or Q_0 is block 0 with no pole block
+    pk = m if poles else 0
+    terms = [
+        [(x, y, v.den, b, n * j * pk) for x, y, pairs in zip(v.re, v.im, images) for b, j in pairs]
+        for v in nullspace(Matrix(rows))
+    ]
+    den, flat = _lifted(terms, n * (s * pk + top + 1))
+    return tuple(_rref_kernel_form([Vector.from_parts(re, im, den) for re, im in flat]))
 
 
 def _polynomial_part(n: int, rho: int, deg: int, zpow) -> list[list[Vector]]:
@@ -665,7 +682,11 @@ def _rref_kernel_form(vectors: list[Vector]) -> list[Vector]:
 
 
 def _last_nonzero(v: Vector) -> int | None:
-    return max((i for i, (x, y) in enumerate(zip(v.re, v.im)) if x or y), default=None)
+    re, im = v.re, v.im
+    for i in range(v.dim - 1, -1, -1):
+        if re[i] or im[i]:
+            return i
+    return None
 
 
 def coefficient_vector(
@@ -673,17 +694,26 @@ def coefficient_vector(
 ) -> Vector:
     """fn's coefficients in the unknown layout of a shape at least as large as its own.
 
-    Its own shape is ``fn.coeffs``; a larger one is one int re-layout of
-    those parts with zero blocks after each pole's and after the polynomial
-    ones, over the same denominator, so canonical with no gcd.
+    Its own shape is ``fn.coeffs``; a larger one is its re-layout
+    (:func:`_padded`).
     """
-    p, deg = fn.pole_order, fn.poly_degree
-    if p > pole_order or deg > poly_degree:
+    own = (fn.pole_order, fn.poly_degree)
+    if own[0] > pole_order or own[1] > poly_degree:
         raise ValueError("function does not fit the requested shape")
-    c = fn.coeffs
-    if (p, deg) == (pole_order, poly_degree):
+    return _padded(fn.coeffs, fn.dim, len(fn.points), own, (pole_order, poly_degree))
+
+
+def _padded(c: Vector, n: int, s: int, own: tuple[int, int], shape: tuple[int, int]) -> Vector:
+    """c, a flat vector of shape ``own`` on s poles, in the layout of ``shape``, at least as large.
+
+    One int re-layout of c's parts with zero blocks after each pole's and
+    after the polynomial ones, over the same denominator, so canonical with
+    no gcd; the nonzero coordinates keep their order. c itself if the
+    shapes agree.
+    """
+    if own == shape:
         return c
-    n, s = fn.dim, len(fn.points)
+    (p, deg), (pole_order, poly_degree) = own, shape
     # (start, stop, zeros after) of each pole's blocks and of the polynomial ones
     cuts = [(k * p * n, (k + 1) * p * n, (pole_order - p) * n) for k in range(s)]
     cuts.append((s * p * n, c.dim, (poly_degree - deg) * n))

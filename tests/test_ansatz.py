@@ -713,8 +713,7 @@ class TestCertificate:
         real = ansatz._sample_record
 
         def counted(points_, z, p_, d_):
-            assert (points_, p_, d_) == (sys.points, p, d)
-            seen.append(z)
+            seen.append((points_, z, p_, d_))
             return real(points_, z, p_, d_)
 
         monkeypatch.setattr(ansatz, "_sample_record", counted)
@@ -724,9 +723,34 @@ class TestCertificate:
         pole_orders = [r for fn in basis for g in fn.pole_coeffs for r, v in enumerate(g, 1) if not v.is_zero()]
         degrees = [e for fn in basis for e, v in enumerate(fn.poly_coeffs) if not v.is_zero()]
         p_used, d_used = max(pole_orders, default=0), max(degrees, default=0)
-        assert seen == sample_points(sys.points, sys.s * (p_used + 1) + d_used)
+        # one record per point, in the used shape rather than (p, d)
+        zs = sample_points(sys.points, sys.s * (p_used + 1) + d_used)
+        assert seen == [(sys.points, z, p_used, d_used) for z in zs]
         if (n, rho, p, d) in self.USED_POINTS:
             assert len(seen) == self.USED_POINTS[n, rho, p, d]
+
+    @pytest.mark.parametrize(
+        "n, rho, p, d", [(4, -1, 2, 1), (4, 1, 1, 3), (5, -2, 2, 2), (5, 1, 2, 4), (4, 2, 1, 6)]
+    )
+    def test_certificate_covers_the_relayout(self, monkeypatch, n, rho, p, d):
+        # a re-layout that moves one nonzero entry into the next block returns
+        # a vector that is no solution, and the certificate reads the returned
+        # vectors, on a warm memo too
+        sys = new_system(n, rho, random_points(random.Random(4000 + n), n - 1))
+        assert solve_ansatz(sys, p, d)
+        real = ansatz._padded
+
+        def moved(c, n_, s, own, shape):
+            v = real(c, n_, s, own, shape)
+            i = next(i for i, (x, y) in enumerate(zip(v.re, v.im)) if x or y)
+            re, im = list(v.re), list(v.im)
+            re[i + n_], im[i + n_] = re[i + n_] + re[i], im[i + n_] + im[i]
+            re[i], im[i] = 0, 0
+            return Vector.from_parts(re, im, v.den)
+
+        monkeypatch.setattr(ansatz, "_padded", moved)
+        with pytest.raises(ArithmeticError):
+            solve_ansatz(sys, p, d)
 
 
 class TestInSpan:
@@ -1049,13 +1073,63 @@ class TestKernelMemo:
         assert _parameter_kernel.cache_info().misses == 3
 
     def test_cached_values_are_immutable(self):
-        kernel, images = _parameter_kernel(new_system(4, -1, CANON), True, 1)
+        sys = new_system(4, -1, CANON)
+        kernel = _parameter_kernel(sys, True, 1)
         assert isinstance(kernel, tuple) and all(isinstance(v, Vector) for v in kernel)
-        assert isinstance(images, tuple) and len(images) == kernel[0].dim
-        assert all(
-            isinstance(pairs, tuple) and all(isinstance(b, Vector) and type(j) is int for b, j in pairs)
-            for pairs in images
-        )
+        # the RREF kernel form, laid out at the key's shape (|rho|, top) = (1, 1)
+        assert all(v.dim == 4 * (3 * 1 + 1 + 1) for v in kernel)
+        assert ansatz._rref_kernel_form(list(kernel)) == list(kernel)
+        assert list(kernel) == reference_solve_ansatz(sys, 1, 1)
+
+    def test_memo_hit_runs_no_layout_and_the_full_certificate(self, monkeypatch):
+        sys = new_system(5, -1, [0, 1, GaussianRational(2, 1), -3])
+        calls = {"_lifted": 0, "_rref_kernel_form": 0, "_value_slope": 0}
+        for name in calls:
+            real = getattr(ansatz, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ansatz, name, counted)
+        counts = []
+        for shape in ((1, 1), (2, 1)):
+            for key in calls:
+                calls[key] = 0
+            basis = solve_ansatz(sys, *shape)
+            counts.append(dict(calls))
+        assert _parameter_kernel.cache_info().hits == 1
+        cold, warm = counts
+        assert cold["_lifted"] == 2 and cold["_rref_kernel_form"] == 1
+        assert warm["_lifted"] == warm["_rref_kernel_form"] == 0
+        # rho = -1 uses simple poles and Q_1 at both shapes: 4*2 + 1 points per vector
+        assert warm["_value_slope"] == cold["_value_slope"] == len(basis) * 9
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_shapes_share_sample_records(self, n):
+        # rho = -1 uses simple poles and Q_1 at each of the three shapes: the
+        # records of the first shape's points serve the other two
+        sys = new_system(n, -1, random_points(random.Random(4100 + n), n - 1))
+        for shape in ((1, 1), (2, 1), (1, 2)):
+            assert len(solve_ansatz(sys, *shape)) == n
+        info = _sample_record.cache_info()
+        assert info.misses == sample_count(n - 1, 1, 1)
+        assert info.hits == 2 * info.misses
+
+    @pytest.mark.parametrize(
+        "n, rho, p, d, dim",
+        [(4, 2, 1, 6, 1), (5, 2, 1, 8, 1), (4, 3, 2, 9, 1), (4, -2, 1, 2, 0)],
+    )
+    def test_key_shape_without_pole_block_matches_reference(self, n, rho, p, d, dim):
+        # |rho| > p: the key's shape (0, top) has no pole block, and the memo's
+        # vectors are padded with a zero block per pole; a cold and a warm shape
+        points = [parse_scalar(z) for z in ["(1/2,1)", "(-2,1/3)", "3/4", "(0,-2)"][: n - 1]]
+        sys = new_system(n, rho, points)
+        for shape in ((p, d), (p, d + 1)):
+            basis = solve_ansatz(sys, *shape)
+            assert len(basis) == dim
+            assert [fn.coeffs for fn in basis] == reference_solve_ansatz(sys, *shape)
+        assert _parameter_kernel.cache_info().hits == 1
 
 
 class TestDuality:
